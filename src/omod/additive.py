@@ -154,15 +154,6 @@ class AdditivePolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def identity_polynomial(field: LocalFieldSpec, qexp: int):
-    return AdditivePolynomial(field, (field.one(),), qexp)
-
-
-def scalar_polynomial(field: LocalFieldSpec, qexp: int, c):
-    """[c](T) = c*T for a residue constant c."""
-    return AdditivePolynomial(field, (field.constant(c),), qexp)
-
-
 def require_separable(P: AdditivePolynomial):
     if not P.is_separable():
         raise InseparablePolynomial("linear coefficient is zero (or not known nonzero)")

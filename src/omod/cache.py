@@ -79,14 +79,14 @@ def tower_from_document(doc) -> LubinTateTower:
 
 
 def _verify_rebuilt(lt: LubinTateTower):
-    """The stored series must still satisfy [t](lam_k) = lam_{k-1}."""
+    """The stored series must still satisfy [t](lam_k) = lam_{k-1} to the
+    tower's full precision: a fresh tower does at every level, so any shortfall
+    means the file was changed."""
+    P = lt.module.embedded_t_action(lt.top)
     for k in range(1, lt.m_max + 1):
-        lam_k = lt.lam(k)
         prev = lt.lam(k - 1) if k > 1 else lt.top.zero()
-        P = lt.module.embedded_t_action(lt.top)
-        residual = P(lam_k) - prev
-        bound = residual.order_lower_bound()
-        if not residual.is_zero_mod_precision() and bound < lt.precision // 2:
+        bound = (P(lt.lam(k)) - prev).order_lower_bound()
+        if bound < lt.precision:
             raise NoConvergence(
                 "cached tower fails the torsion recursion at level %d "
                 "(residual order %r)" % (k, bound))
@@ -109,9 +109,21 @@ def save_tower(cache_dir, lt: LubinTateTower, p, f, n):
 
 
 def load_tower(cache_dir, p, f, n, m, precision):
+    """The cached tower for this key, or None when there is no file.  Raises
+    SchemaMismatch for a file that is not valid JSON, lacks a field or holds
+    another key, and NoConvergence for one that fails the torsion recursion."""
     path = os.path.join(cache_dir, tower_cache_name(p, f, n, m, precision))
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    return tower_from_document(doc)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise SchemaMismatch("unreadable cache file: %s" % exc) from None
+    key = {"p": p, "f": f, "q": p ** f, "n": n, "m": m, "precision": precision}
+    if not isinstance(doc, dict) or doc.get("key") != key:
+        raise SchemaMismatch("cache file does not hold the tower %r" % (key,))
+    try:
+        return tower_from_document(doc)
+    except KeyError as exc:
+        raise SchemaMismatch("cache file lacks the field %s" % exc) from None

@@ -12,18 +12,21 @@ verify/report, 2 for configuration errors reported before any computation.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
 
-from .cache import CACHE_ENV_VAR, load_tower, save_tower
+from .cache import CACHE_ENV_VAR, load_tower, save_tower, tower_cache_name
 from .errors import OmodError, SchemaMismatch
 from .finitefield import field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,
                         module_from_unit_coefficients, torsion_points)
-from .lubintate import (build_tower, character_restriction_consistent, cm_tower,
+# build_tower stays importable from here: perfbench's tracer test reads cli.build_tower
+from .lubintate import (build_tower, character_restriction_consistent, cm_tower,  # noqa: F401
                         expected_primitive_valuation, verify_character,
                         verify_determinant_character, verify_product_formula,
                         verify_torsion_valuations)
@@ -52,7 +55,6 @@ def build_parser():
         p.add_argument("--n", type=int, default=1, help="height")
         p.add_argument("--m", type=int, default=1, help="torsion level")
         p.add_argument("--prec", type=int, default=64, help="working precision")
-        p.add_argument("--degree-cap", type=int, default=DEGREE_CAP)
         p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV_VAR))
         p.add_argument("--output", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=0,
@@ -87,41 +89,50 @@ class RunConfig:
         self.n = args.n
         self.m = args.m
         self.precision = args.prec
-        self.degree_cap = args.degree_cap
         self.cache_dir = args.cache_dir
         self.output = args.output
         self.seed = args.seed
         self.cm = args.cm
         if self.m < 0:
             raise ValueError("m must be >= 0")
+        if self.m < 1 and args.command == "verify":
+            raise ValueError("verify needs m >= 1")
         if self.precision < 16:
             raise ValueError("precision must be >= 16")
-        if self.q ** (self.n * max(self.m, 1)) > self.degree_cap:
+        if self.q ** (self.n * max(self.m, 1)) > DEGREE_CAP:
             raise ValueError("q^(nm) = %d exceeds the degree cap %d"
-                             % (self.q ** (self.n * self.m), self.degree_cap))
+                             % (self.q ** (self.n * self.m), DEGREE_CAP))
+        self._towers = {}
 
     def as_dict(self):
         return {"p": self.p, "f": self.f, "q": self.q, "n": self.n, "m": self.m,
-                "precision": self.precision, "degree_cap": self.degree_cap,
+                "precision": self.precision, "degree_cap": DEGREE_CAP,
                 "seed": self.seed, "cm": self.cm}
 
-
-def _build_or_load_tower(cfg):
-    n = cfg.n if cfg.cm else 1
-    if cfg.cache_dir:
-        cached = load_tower(cfg.cache_dir, cfg.p, cfg.f, n, cfg.m, cfg.precision)
-        if cached is not None:
-            return cached, True
-    lt = cm_tower(cfg.p, cfg.f, n, cfg.m, cfg.precision) if n > 1 else \
-        build_tower(base_field(cfg.p, cfg.f, precision=cfg.precision), cfg.m,
-                    cfg.precision)
-    if cfg.cache_dir:
-        save_tower(cfg.cache_dir, lt, cfg.p, cfg.f, n)
-    return lt, False
+    def tower(self, n):
+        """(tower, from_cache) of height n to level m, built once per run and
+        shared by every suite; read from and written to the cache directory,
+        where a file that fails to load is reported on stderr and rebuilt."""
+        if n not in self._towers:
+            key = (self.p, self.f, n, self.m, self.precision)
+            lt = None
+            if self.cache_dir:
+                try:
+                    lt = load_tower(self.cache_dir, *key)
+                except OmodError as exc:
+                    print("warning: rebuilding cached tower %s: %s"
+                          % (tower_cache_name(*key), exc), file=sys.stderr)
+            from_cache = lt is not None
+            if not from_cache:
+                lt = cm_tower(*key)
+                if self.cache_dir:
+                    save_tower(self.cache_dir, lt, self.p, self.f, n)
+            self._towers[n] = (lt, from_cache)
+        return self._towers[n]
 
 
 def cmd_tower(cfg) -> int:
-    lt, from_cache = _build_or_load_tower(cfg)
+    lt, from_cache = cfg.tower(cfg.n if cfg.cm else 1)
     degrees = [lt.degree(k) for k in range(1, cfg.m + 1)]
     doc = {
         "command": "tower",
@@ -162,201 +173,142 @@ def cmd_tower(cfg) -> int:
 # --- verify runners -----------------------------------------------------------------
 
 
-def _result(check, claim, cfg_params, computed, expected, source, elapsed,
-            witness=None):
+def _check(check, claim, params, source, fallback, compute, on_error="fail"):
+    """One result row for compute() -> (computed, expected), timed.  An
+    OmodError from compute() gives a `fail` row (or, with on_error="skipped",
+    a `skipped` one) that shows `fallback` as the expected value."""
+    start = time.time()
+    try:
+        computed, expected = compute()
+    except OmodError as exc:
+        if on_error == "skipped":
+            return CheckResult(check, claim, params, "not computed: %s" % exc, fallback,
+                               "skipped", source, None, time.time() - start)
+        return CheckResult(check, claim, params, "error", fallback, "fail", source,
+                           str(exc), time.time() - start)
     status = "pass" if computed == expected else "fail"
-    return CheckResult(check, claim, cfg_params, computed, expected, status,
-                       source, witness if status == "fail" else None, elapsed)
+    return CheckResult(check, claim, params, computed, expected, status, source, None,
+                       time.time() - start)
 
 
 def run_character(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "m": cfg.m}
-    try:
-        lt = build_tower(base_field(cfg.p, cfg.f, precision=cfg.precision),
-                         cfg.m, cfg.precision)
+    order = (cfg.q - 1) * cfg.q ** (cfg.m - 1)
+
+    def compute():
+        lt, _ = cfg.tower(1)
         table = verify_character(lt)
-        consistent = character_restriction_consistent(lt)
-        computed = {"group_order": len(table.table), "tower_degree": lt.degree(),
-                    "restriction_compatible": consistent}
-        expected = {"group_order": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
-                    "tower_degree": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
-                    "restriction_compatible": True}
-        return [_result("character",
-                        "torsion substitutions realize the unit group (o/t^m)^x",
-                        params, computed, expected, "enumeration",
-                        time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("character", "torsion substitutions realize the unit group",
-                            params, "error", "group isomorphism", "fail",
-                            "enumeration", str(exc), time.time() - start)]
+        return ({"group_order": len(table.table), "tower_degree": lt.degree(),
+                 "restriction_compatible": character_restriction_consistent(lt)},
+                {"group_order": order, "tower_degree": order, "restriction_compatible": True})
+
+    return [_check("character", "torsion substitutions realize the unit group (o/t^m)^x",
+                   {"q": cfg.q, "m": cfg.m}, "enumeration", "group isomorphism", compute)]
 
 
 def run_valuations(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "n": cfg.n, "m": cfg.m}
-    claim = "primitive level-m torsion valuation = 1/((q^n-1) q^(n(m-1)))"
-    try:
-        lt = cm_tower(cfg.p, cfg.f, cfg.n, cfg.m, cfg.precision)
+    expected = str(expected_primitive_valuation(cfg.q, cfg.n, cfg.m))
+
+    def compute():
+        lt, _ = cfg.tower(cfg.n)
         report = verify_torsion_valuations(lt.module, cfg.m, torsion=lt.torsion(cfg.m))
-        computed = str(report["primitive_valuation"])
-        expected = str(expected_primitive_valuation(cfg.q, cfg.n, cfg.m))
-        return [_result("valuations", claim, params, computed, expected,
-                        "construction", time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("valuations", claim, params, "error",
-                            str(expected_primitive_valuation(cfg.q, cfg.n, cfg.m)),
-                            "fail", "construction", str(exc), time.time() - start)]
+        return str(report["primitive_valuation"]), expected
+
+    return [_check("valuations", "primitive level-m torsion valuation = 1/((q^n-1) q^(n(m-1)))",
+                   {"q": cfg.q, "n": cfg.n, "m": cfg.m}, "construction", expected, compute)]
 
 
 def run_product(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "n": cfg.n, "m": cfg.m}
-    claim = "level-m uniformizer = unit x product of level structure values over orbit reps"
-    try:
-        lt = cm_tower(cfg.p, cfg.f, cfg.n, cfg.m, cfg.precision)
-        report = verify_product_formula(lt.module, cfg.m, torsion=lt.torsion(cfg.m))
-        computed = {"rep_count": report["rep_count"],
-                    "valuation_sum": str(report["valuation_sum"]),
-                    "ratio_valuation": str(report["ratio_valuation"])}
-        expected = {"rep_count": (cfg.q ** cfg.n - 1) * cfg.q ** (cfg.n * (cfg.m - 1))
-                    // ((cfg.q - 1) * cfg.q ** (cfg.m - 1)),
-                    "valuation_sum": str(Fraction(1, (cfg.q - 1) * cfg.q ** (cfg.m - 1))),
-                    "ratio_valuation": "0"}
-        return [_result("product", claim, params, computed, expected,
-                        "construction", time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("product", claim, params, "error", "exact identity",
-                            "fail", "construction", str(exc), time.time() - start)]
+    q, n, m = cfg.q, cfg.n, cfg.m
+
+    def compute():
+        lt, _ = cfg.tower(n)
+        report = verify_product_formula(lt.module, m, torsion=lt.torsion(m))
+        return ({"rep_count": report["rep_count"],
+                 "valuation_sum": str(report["valuation_sum"]),
+                 "ratio_valuation": str(report["ratio_valuation"])},
+                {"rep_count": (q ** n - 1) * q ** (n * (m - 1)) // ((q - 1) * q ** (m - 1)),
+                 "valuation_sum": str(Fraction(1, (q - 1) * q ** (m - 1))),
+                 "ratio_valuation": "0"})
+
+    return [_check("product", "level-m uniformizer = unit x product of level structure values"
+                   " over orbit reps", {"q": q, "n": n, "m": m}, "construction",
+                   "exact identity", compute)]
 
 
 def run_determinant(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "n": cfg.n, "m": cfg.m}
-    claim = "torsion substitutions move the height-one generator by the coefficient norm"
-    try:
-        witness = verify_determinant_character(cfg.p, cfg.f, cfg.n, cfg.m,
-                                               cfg.precision)
+    def compute():
+        witness = verify_determinant_character(cfg.tower(cfg.n)[0])
         total = (cfg.q ** cfg.n - 1) * (cfg.q ** cfg.n) ** (cfg.m - 1)
-        computed = {"cases_verified": len(witness.rows)}
-        expected = {"cases_verified": total}
-        return [_result("determinant", claim, params, computed, expected,
-                        "construction", time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("determinant", claim, params, "error",
-                            "norm compatibility for all units", "fail",
-                            "construction", str(exc), time.time() - start)]
+        return {"cases_verified": len(witness.rows)}, {"cases_verified": total}
+
+    return [_check("determinant", "torsion substitutions move the height-one generator by the"
+                   " coefficient norm", {"q": cfg.q, "n": cfg.n, "m": cfg.m}, "construction",
+                   "norm compatibility for all units", compute)]
 
 
 def run_level_count(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "n": cfg.n, "m": cfg.m}
-    claim = "level structures on the etale fibre number |GL_n(o/t^m)|"
-    try:
-        lt = cm_tower(cfg.p, cfg.f, cfg.n, cfg.m, cfg.precision)
-        Tm = lt.torsion(cfg.m)
-        computed = count_level_structures(Tm)
-        expected = _gl_order(cfg.q, cfg.n, cfg.m)
-        return [_result("level-count", claim, params, computed, expected,
-                        "enumeration", time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("level-count", claim, params, "error",
-                            _gl_order(cfg.q, cfg.n, cfg.m), "fail",
-                            "enumeration", str(exc), time.time() - start)]
-
-
-def _gl_order(q, n, m):
-    order = q ** ((m - 1) * n * n)
+    q, n, m = cfg.q, cfg.n, cfg.m
+    expected = q ** ((m - 1) * n * n)     # |GL_n(o/t^m)|
     for i in range(n):
-        order *= q ** n - q ** i
-    return order
+        expected *= q ** n - q ** i
+    return [_check("level-count", "level structures on the etale fibre number |GL_n(o/t^m)|",
+                   {"q": q, "n": n, "m": m}, "enumeration", expected,
+                   lambda: (count_level_structures(cfg.tower(n)[0].torsion(m)), expected))]
 
 
 def run_kernel_height(cfg):
     claim = "kernel rank of the level structure equals the connected height"
-    out = []
-    start = time.time()
     params = {"q": cfg.q, "n": cfg.n, "m": 1}
-    try:
+
+    def etale_and_closed():
         F = base_field(cfg.p, cfg.f, precision=cfg.precision)
-        Fp = unramified_extension(F, cfg.n)
-        X_cm = lubin_tate_module(Fp, cfg.n)
-        Tm_cm = torsion_points(X_cm, 1)
-        phi_cm = bijective_level_structure(Tm_cm)
-        computed = {"etale": [kernel_rank(phi_cm, "generic"),
-                              connected_height(X_cm, "generic")],
-                    "closed_fibre": [kernel_rank(phi_cm, "closed"),
-                                     connected_height(X_cm, "closed")]}
-        expected = {"etale": [0, 0], "closed_fibre": [cfg.n, cfg.n]}
-        out.append(_result("kernel-height", claim,
-                           dict(params, specialization="etale+closed"),
-                           computed, expected, "construction",
-                           time.time() - start))
-    except OmodError as exc:
-        out.append(CheckResult("kernel-height", claim,
-                               dict(params, specialization="etale+closed"),
-                               "error", "rank = height", "fail", "construction",
-                               str(exc), time.time() - start))
-    start = time.time()
-    try:
+        X = lubin_tate_module(unramified_extension(F, cfg.n), cfg.n)
+        phi = bijective_level_structure(torsion_points(X, 1))
+        return ({"etale": [kernel_rank(phi, "generic"), connected_height(X, "generic")],
+                 "closed_fibre": [kernel_rank(phi, "closed"), connected_height(X, "closed")]},
+                {"etale": [0, 0], "closed_fibre": [cfg.n, cfg.n]})
+
+    def unit_coefficient():
         F = base_field(cfg.p, cfg.f, precision=cfg.precision)
-        X_mx = module_from_unit_coefficients(F, [1], cfg.n)
-        Tm_mx = torsion_points(X_mx, 1, FieldTower(F))
-        phi_mx = bijective_level_structure(Tm_mx)
-        computed = [kernel_rank(phi_mx, "closed"), connected_height(X_mx, "closed")]
-        out.append(_result("kernel-height", claim,
-                           dict(params, specialization="unit-coefficient"),
-                           computed, [1, 1], "construction", time.time() - start))
-    except OmodError as exc:
-        # the mixed splitting is implemented for the residue-rooted wild
-        # quadratic pattern; other parameters report honestly as skipped
-        out.append(CheckResult("kernel-height", claim,
-                               dict(params, specialization="unit-coefficient"),
-                               "not computed: %s" % exc, "rank = height",
-                               "skipped", "construction", None,
-                               time.time() - start))
-    return out
+        X = module_from_unit_coefficients(F, [1], cfg.n)
+        phi = bijective_level_structure(torsion_points(X, 1, FieldTower(F)))
+        return [kernel_rank(phi, "closed"), connected_height(X, "closed")], [1, 1]
+
+    # the mixed splitting is implemented for the residue-rooted wild quadratic
+    # pattern; other parameters report honestly as skipped
+    return [_check("kernel-height", claim, dict(params, specialization="etale+closed"),
+                   "construction", "rank = height", etale_and_closed),
+            _check("kernel-height", claim, dict(params, specialization="unit-coefficient"),
+                   "construction", "rank = height", unit_coefficient, on_error="skipped")]
 
 
 def run_pi0(cfg):
-    import random
+    def compute():
+        action = pi0_action_table(cfg.p, cfg.f, cfg.n, cfg.m, rng=random.Random(cfg.seed))
+        return ({"group_order": action.group.order,
+                 "nrd_surjective": action.report["nrd_surjective"],
+                 "invariant_factors": action.group.invariant_factors},
+                {"group_order": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
+                 "nrd_surjective": True,
+                 "invariant_factors": action.group.invariant_factors})
 
-    start = time.time()
-    params = {"q": cfg.q, "n": cfg.n, "m": cfg.m}
-    claim = "component maps det, inverse reduced norm, inverse character are" \
-            " homomorphisms with the stated trivial kernels"
-    try:
-        action = pi0_action_table(cfg.p, cfg.f, cfg.n, cfg.m,
-                                  rng=random.Random(cfg.seed))
-        computed = {"group_order": action.group.order,
-                    "nrd_surjective": action.report["nrd_surjective"],
-                    "invariant_factors": action.group.invariant_factors}
-        expected = {"group_order": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
-                    "nrd_surjective": True,
-                    "invariant_factors": action.group.invariant_factors}
-        return [_result("pi0", claim, params, computed, expected,
-                        "enumeration", time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("pi0", claim, params, "error", "verified action",
-                            "fail", "enumeration", str(exc), time.time() - start)]
+    return [_check("pi0", "component maps det, inverse reduced norm, inverse character are"
+                   " homomorphisms with the stated trivial kernels",
+                   {"q": cfg.q, "n": cfg.n, "m": cfg.m}, "enumeration", "verified action",
+                   compute)]
 
 
 def run_h0(cfg):
-    start = time.time()
-    params = {"q": cfg.q, "m": cfg.m}
-    claim = "degree-zero invariants decompose into (q-1)q^(m-1) distinct characters"
-    try:
-        group, chars, rows = h0_decomposition(cfg.p, cfg.f, cfg.m)
-        computed = {"characters": len(rows),
-                    "distinct_on_generators": len({tuple(r["omega_on_generators"])
-                                                   for r in rows})}
-        expected = {"characters": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
-                    "distinct_on_generators": (cfg.q - 1) * cfg.q ** (cfg.m - 1)}
-        return [_result("h0", claim, params, computed, expected, "enumeration",
-                        time.time() - start)]
-    except OmodError as exc:
-        return [CheckResult("h0", claim, params, "error", "full character list",
-                            "fail", "enumeration", str(exc), time.time() - start)]
+    order = (cfg.q - 1) * cfg.q ** (cfg.m - 1)
+
+    def compute():
+        _group, _chars, rows = h0_decomposition(cfg.p, cfg.f, cfg.m)
+        distinct = len({tuple(r["omega_on_generators"]) for r in rows})
+        return ({"characters": len(rows), "distinct_on_generators": distinct},
+                {"characters": order, "distinct_on_generators": order})
+
+    return [_check("h0", "degree-zero invariants decompose into (q-1)q^(m-1) distinct characters",
+                   {"q": cfg.q, "m": cfg.m}, "enumeration", "full character list", compute)]
 
 
 RUNNERS = {
@@ -386,12 +338,10 @@ def cmd_verify(cfg, which) -> int:
 
 
 def cmd_report(files, output) -> int:
-    import json as _json
-
     docs = []
     for path in files:
         with open(path) as fh:
-            docs.append(_json.load(fh))
+            docs.append(json.load(fh))
     merged = merge_documents(docs)
     if output == "json":
         sys.stdout.write(dumps_canonical(merged))
@@ -401,8 +351,7 @@ def cmd_report(files, output) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args.files, args.output)

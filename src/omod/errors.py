@@ -13,6 +13,10 @@ class MixedFields(OmodError):
     """Operands belong to different field specs."""
 
 
+class IndexOutOfRange(OmodError, ValueError):
+    """A coefficient index lies outside the range a construction accepts."""
+
+
 class CapExceeded(OmodError):
     """A size cap (residue cardinality, degree, enumeration) would be exceeded."""
 
@@ -95,4 +99,5 @@ class NotASummand(OmodError):
 
 
 class SchemaMismatch(OmodError):
-    """Report documents disagree on schema or carry conflicting duplicates."""
+    """Report documents disagree on schema or carry conflicting duplicates, or
+    a tower cache file is unreadable, incomplete or holds another key."""

@@ -285,23 +285,6 @@ class FqElement:
         return "Fq(%s)" % ",".join(str(c) for c in self.coeffs)
 
 
-def fq_arith(a, b, op):
-    """Dispatcher over {add, mul, inv, neg}; inv/neg ignore b."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "neg":
-        return -a
-    raise ValueError("unknown op %r" % (op,))
-
-
-def frobenius(a, j):
-    return a.frobenius(j)
-
-
 @lru_cache(maxsize=None)
 def subfield_embedding_image(src: FieldSpec, dst: FieldSpec):
     """Image of src's generator under the canonical embedding into dst.

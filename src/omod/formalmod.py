@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .additive import AdditivePolynomial
-from .errors import (CapExceeded, ExtensionRequired, NotASummand,
+from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
                      StructureViolation)
 from .finitefield import embed_fq
 from .quotring import OModElement, OModRing
@@ -92,7 +92,7 @@ def module_from_unit_coefficients(field: LocalFieldSpec, unit_indices, n: int) -
     coeffs[n] = field.one()
     for i in unit_indices:
         if not 0 < i < n:
-            raise ValueError("unit coefficient index out of range")
+            raise IndexOutOfRange("unit coefficient index out of range")
         coeffs[i] = field.one()
     return FormalOModule(field, AdditivePolynomial(field, tuple(coeffs), root.residue.f), n)
 

@@ -342,14 +342,13 @@ class DeterminantWitness:
                           for a, na, c in self.rows]}
 
 
-def verify_determinant_character(q_p, q_f, n, m, precision=64,
-                                 min_terms=40) -> DeterminantWitness:
-    """At the multiplication-rich height-n point: every torsion substitution
-    sigma_a (a a unit of o'/t^m) moves the embedded height-one torsion
-    generator mu by exactly [N(a)], N the coefficient-Frobenius norm
-    o'/t^m -> o/t^m.  The match is found by decoding, not assumed."""
-    lt = cm_tower(q_p, q_f, n, m, precision)
-    q = lt.module.q
+def verify_determinant_character(lt: LubinTateTower, min_terms=40) -> DeterminantWitness:
+    """At the multiplication-rich height-n point, given its tower lt (as built
+    by cm_tower): every torsion substitution sigma_a (a a unit of o'/t^m)
+    moves the embedded height-one torsion generator mu by exactly [N(a)], N
+    the coefficient-Frobenius norm o'/t^m -> o/t^m.  The match is found by
+    decoding, not assumed."""
+    q, n, m = lt.module.q, lt.module.n, lt.m_max
     root_res = lt.base.root.residue
     chain = locate_base_torsion_chain(lt.top, m)
     mu = chain[-1]

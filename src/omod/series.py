@@ -473,19 +473,6 @@ def _mul_prec(a, b):
     return min(candidates) if candidates else None
 
 
-def series_arith(a, b, op):
-    """Dispatcher over {add, mul, inv, div}; inv ignores b."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def substitute(x, image_of_uniformizer, coeff_map=None, frobenius_power=0):
     """Evaluate the series x with its uniformizer replaced by another element.
 

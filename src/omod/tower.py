@@ -152,22 +152,12 @@ class FieldAutomorphism:
         )
 
 
-def identity_automorphism(field: LocalFieldSpec):
-    return FieldAutomorphism(field, field.uniformizer_elt(), 0)
-
-
 def apply_automorphism(sigma: FieldAutomorphism, x: LocalFieldElement):
     if x.field is not sigma.field:
         raise MixedFields("element lives in %r, automorphism acts on %r"
                           % (x.field, sigma.field))
     return substitute(x, sigma.image_of_uniformizer,
                       frobenius_power=sigma.residue_frobenius_power)
-
-
-def fixes_embedded_base(sigma: FieldAutomorphism, min_terms=None):
-    """Does sigma fix the embedded root uniformizer (to joint precision)?"""
-    t_img = root_uniformizer_image(sigma.field)
-    return apply_automorphism(sigma, t_img).agrees(t_img, min_terms=min_terms)
 
 
 # --- polynomial root finding ------------------------------------------------------

@@ -104,7 +104,7 @@ def test_criterion_5_determinant_norm_compatibility():
     for (q, n, m, cases) in [(2, 2, 2, 12), (3, 2, 1, 8)]:
         def one_case(q=q, n=n, m=m, cases=cases):
             p, f = PF[q]
-            witness = verify_determinant_character(p, f, n, m, min_terms=40)
+            witness = verify_determinant_character(cm_tower(p, f, n, m), min_terms=40)
             assert len(witness.rows) == cases
             return "q=%d n=%d m=%d: %d/%d norm-compatibility cases" % (
                 q, n, m, len(witness.rows), cases)
@@ -182,8 +182,8 @@ def test_criterion_9_oracle_suites():
         assert constructed >= 100
         # metamorphic side: the determinant data is invariant under doubling
         # the working precision
-        w_lo = verify_determinant_character(2, 1, 2, 2, precision=64)
-        w_hi = verify_determinant_character(2, 1, 2, 2, precision=128)
+        w_lo = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=64))
+        w_hi = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=128))
         lo = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))
               for a, _, c in w_lo.rows}
         hi = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))

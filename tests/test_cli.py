@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from omod.cli import main
+from omod.cache import tower_cache_name
+from omod.cli import WHICH_CHOICES, main
+from omod.lubintate import cm_tower
 from omod.report import SCHEMA, merge_documents
 from omod.errors import SchemaMismatch
 
@@ -148,3 +150,84 @@ def test_report_conflicting_duplicates_rejected():
 def test_report_unknown_schema_rejected():
     with pytest.raises(SchemaMismatch):
         merge_documents([{"schema": "bogus/9", "results": []}])
+
+
+def test_corrupt_cache_file_is_rebuilt(capsys, tmp_path):
+    cache = str(tmp_path / "towers")
+    args = ("tower", "--q", "3", "--m", "2", "--cache-dir", cache, "--output", "json")
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0
+    (path,) = [os.path.join(cache, name) for name in os.listdir(cache)]
+    with open(path, "r+") as fh:
+        fh.truncate(100)
+    code, rebuilt, err = run_cli(capsys, *args)
+    assert code == 0
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    assert json.loads(rebuilt)["from_cache"] is False
+    assert rebuilt == cold
+    code, warm, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(warm)["from_cache"] is True
+
+
+@pytest.mark.parametrize("q,n,m", [(q, n, m) for q in (2, 3) for n in (1, 2) for m in (0, 1)]
+                         + [(2, 1, 2)])
+def test_verify_grid_exits_cleanly(capsys, q, n, m):
+    code, out, err = run_cli(capsys, "verify", "--q", str(q), "--n", str(n), "--m", str(m),
+                             "--output", "json")
+    if m == 0:
+        assert code == 2 and "configuration error" in err and out == ""
+        return
+    doc = json.loads(out)
+    assert code == doc["failures"]
+    if n == 1:
+        (row,) = [r for r in doc["results"]
+                  if r["parameters"].get("specialization") == "unit-coefficient"]
+        assert row["status"] == "skipped" and "out of range" in row["computed"]
+
+
+def test_verify_builds_one_tower_per_height_per_run(capsys, monkeypatch):
+    import omod.cli as cli_mod
+
+    built = []
+
+    def counting_cm_tower(p, f, n, m, precision):
+        built.append(n)
+        return cm_tower(p, f, n, m, precision)
+
+    monkeypatch.setattr(cli_mod, "cm_tower", counting_cm_tower)
+    monkeypatch.delenv("OMOD_CACHE_DIR", raising=False)
+    args = ("verify", "--q", "2", "--n", "2", "--m", "2", "--output", "json")
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0 and sorted(built) == [1, 2]
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and sorted(built) == [1, 1, 2, 2]
+    assert first == second
+
+
+def test_all_suites_report_equals_single_suite_reports(capsys):
+    base = ("verify", "--q", "2", "--n", "2", "--m", "2", "--output", "json", "--seed", "7")
+    _, out, _ = run_cli(capsys, *base)
+    together = json.loads(out)["results"]
+    separate = []
+    for name in WHICH_CHOICES:
+        _, out, _ = run_cli(capsys, *base, "--which", name)
+        separate.extend(json.loads(out)["results"])
+    assert together == separate
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
+def test_warm_cache_verify_is_byte_identical(capsys, monkeypatch, tmp_path, q, n, m):
+    import omod.cli as cli_mod
+
+    args = ("verify", "--q", str(q), "--n", str(n), "--m", str(m), "--output", "json",
+            "--seed", "7", "--cache-dir", str(tmp_path))
+    code_cold, cold, _ = run_cli(capsys, *args)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        tower_cache_name(q, 1, height, m, 64) for height in {1, n})
+
+    def no_build(*args):
+        raise AssertionError("a cached tower was rebuilt")
+
+    monkeypatch.setattr(cli_mod, "cm_tower", no_build)
+    code_warm, warm, err = run_cli(capsys, *args)
+    assert code_warm == code_cold and warm == cold and err == ""

@@ -164,7 +164,7 @@ def test_locate_base_torsion_q2_n2_m1():
 
 def test_determinant_character_q2_n2_m1_trivial_norms():
     # (o'/t)^x = F_4^x: N(a) = a^3 = 1 for every a; all substitutions fix mu
-    witness = verify_determinant_character(2, 1, 2, 1)
+    witness = verify_determinant_character(cm_tower(2, 1, 2, 1))
     assert len(witness.rows) == 3
     one_key = (1,)
     for a, norm, matched in witness.rows:
@@ -174,7 +174,7 @@ def test_determinant_character_q2_n2_m1_trivial_norms():
 
 def test_determinant_character_q3_n2_m1():
     # (o'/t)^x = F_9^x has 8 units; N(a) = a^4 in F_3
-    witness = verify_determinant_character(3, 1, 2, 1)
+    witness = verify_determinant_character(cm_tower(3, 1, 2, 1))
     assert len(witness.rows) == 8
     norms = sorted(tuple(map(int, norm.lex_key())) for _, norm, _ in witness.rows)
     # a^4 for a in F_9^x: the four elements of order dividing 2 in F_3^x... each
@@ -184,7 +184,7 @@ def test_determinant_character_q3_n2_m1():
 
 def test_determinant_character_q2_n2_m2():
     # 12 units of o'/t^2; exhaustive norm compatibility
-    witness = verify_determinant_character(2, 1, 2, 2)
+    witness = verify_determinant_character(cm_tower(2, 1, 2, 2))
     assert len(witness.rows) == 12
     # the decoded character values must cover (o/t^2)^x = {1, 1+t}
     matched = {tuple(map(int, c.lex_key())) for _, _, c in witness.rows}
@@ -193,8 +193,8 @@ def test_determinant_character_q2_n2_m2():
 
 def test_determinant_precision_metamorphic():
     # recomputing at a higher precision agrees with the lower-precision run
-    w64 = verify_determinant_character(2, 1, 2, 2, precision=64)
-    w96 = verify_determinant_character(2, 1, 2, 2, precision=96)
+    w64 = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=64))
+    w96 = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=96))
     low = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))
            for a, _, c in w64.rows}
     high = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))

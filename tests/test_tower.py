@@ -10,8 +10,7 @@ from omod.errors import (ExtensionRequired, InseparablePolynomial,
 from omod.finitefield import GF
 from omod.series import base_field
 from omod.tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
-                        apply_automorphism, embed, fixes_embedded_base,
-                        identity_automorphism, ramified_extension_by_relation,
+                        apply_automorphism, embed, ramified_extension_by_relation,
                         root_uniformizer_image, unramified_extension)
 
 
@@ -133,13 +132,13 @@ def test_automorphism_q3_level1():
     F1, _ = ramified_extension_by_relation(F, 2, lt_level1_relation(3))
     lam = F1.uniformizer_elt()
     sigma = FieldAutomorphism(F1, lam.scale(GF(3).from_int(2)))
-    assert fixes_embedded_base(sigma, min_terms=20)
     t_img = root_uniformizer_image(F1)
+    assert apply_automorphism(sigma, t_img).agrees(t_img, min_terms=20)
     assert apply_automorphism(sigma, t_img).agrees(t_img)
     # composition: sigma o sigma = identity
     square = sigma.compose(sigma)
     assert square.image_of_uniformizer.agrees(lam)
-    ident = identity_automorphism(F1)
+    ident = FieldAutomorphism(F1, F1.uniformizer_elt(), 0)
     assert apply_automorphism(ident, t_img).agrees(t_img)
 
 
@@ -149,11 +148,12 @@ def test_automorphism_group_closure_q3():
     lam = F1.uniformizer_elt()
     auts = [FieldAutomorphism(F1, lam.scale(GF(3).from_int(a))) for a in (1, 2)]
     keys = {a.image_of_uniformizer.series_key() for a in auts}
+    t_img = root_uniformizer_image(F1)
     for s1 in auts:
         for s2 in auts:
             comp = s1.compose(s2)
             assert comp.image_of_uniformizer.series_key() in keys
-            assert fixes_embedded_base(comp, min_terms=20)
+            assert apply_automorphism(comp, t_img).agrees(t_img, min_terms=20)
 
 
 def test_additive_roots_mixed_slopes_in_field():
