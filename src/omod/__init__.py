@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import *  # noqa: F401,F403
 from .finitefield import GF, FieldSpec, FqElement  # noqa: F401
-from .quotring import OModElement, OModRing, omod_ring  # noqa: F401
+from .quotring import OModElement, OModRing  # noqa: F401
 from .series import LocalFieldElement, LocalFieldSpec, base_field  # noqa: F401
 from .newton import NewtonPolygon, Segment, newton_polygon  # noqa: F401
 from .additive import AdditivePolynomial  # noqa: F401

@@ -47,9 +47,6 @@ class AdditivePolynomial:
     def is_separable(self):
         return self.coeffs[0].is_known_nonzero()
 
-    def linear_coefficient(self):
-        return self.coeffs[0]
-
     def __call__(self, x: LocalFieldElement) -> LocalFieldElement:
         """Evaluate at a series.  q-power maps are exact in characteristic p,
         so precision loss comes only from coefficient multiplication."""
@@ -76,10 +73,6 @@ class AdditivePolynomial:
         while len(out) > 1 and out[-1].is_zero_mod_precision() and out[-1].precision is None:
             out.pop()
         return AdditivePolynomial(self.field, tuple(out), self.qexp)
-
-    def scale(self, c: LocalFieldElement):
-        """Left-multiply by a constant series: c * P(T)."""
-        return AdditivePolynomial(self.field, tuple(c * a for a in self.coeffs), self.qexp)
 
     def compose(self, other):
         """self(other(T)): coefficient at q^(i+j) picks up c_i * d_j^(q^i)."""
@@ -113,37 +106,6 @@ class AdditivePolynomial:
             if c.is_known_nonzero():
                 pts.append((self.q ** i, c.order()))
         return newton_polygon(pts)
-
-    def right_divide(self, inner):
-        """Solve self = Q o inner for an additive Q; exact when inner's root
-        space is contained in self's.  Raises when division leaves a remainder
-        visibly nonzero at working precision."""
-        if self.field is not inner.field or self.qexp != inner.qexp:
-            raise MixedFields("additive polynomials over different structures")
-        rem = list(self.coeffs)
-        dl = inner.qdegree
-        lead = inner.coeffs[-1]
-        qcoeffs = [self.field.zero()] * (len(rem) - 1 - dl + 1)
-        for k in range(len(rem) - 1 - dl, -1, -1):
-            top = rem[k + dl]
-            qk = top / lead.frobenius_power(self.qexp * k)
-            qcoeffs[k] = qk
-            for j, d in enumerate(inner.coeffs):
-                rem[k + j] = rem[k + j] - qk * d.frobenius_power(self.qexp * k)
-        for r in rem:
-            if r.is_known_nonzero():
-                raise ValueError("right division leaves remainder %r" % (r,))
-        return AdditivePolynomial(self.field, tuple(qcoeffs), self.qexp)
-
-    def additivity_witness(self, pairs):
-        """Check P(x + y) = P(x) + P(y) on sample pairs; returns a failing pair
-        or None."""
-        for x, y in pairs:
-            left = self(x + y)
-            right = self(x) + self(y)
-            if not left.agrees(right):
-                return (x, y)
-        return None
 
     def __repr__(self):
         parts = []

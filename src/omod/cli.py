@@ -6,7 +6,8 @@ merge report files.
     omod report run1.json run2.json
 
 Exit codes: 0 on success, the number of failed checks (capped at 125) for
-verify/report, 2 for configuration errors reported before any computation.
+verify/report, 1 when tower cannot build the requested tower, 2 for
+configuration errors reported before any computation.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ def build_parser():
         p.add_argument("--m", type=int, default=1, help="torsion level")
         p.add_argument("--prec", type=int, default=64, help="working precision")
         p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV_VAR))
-        p.add_argument("--output", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled property checks")
         p.add_argument("--cm", action="store_true",
@@ -64,8 +64,10 @@ def build_parser():
 
     t = sub.add_parser("tower", help="build a torsion tower and print its data")
     common(t)
+    t.add_argument("--output", choices=("text", "json"), default="text")
     v = sub.add_parser("verify", help="run verification suites")
     common(v)
+    v.add_argument("--output", choices=("text", "json", "csv"), default="text")
     v.add_argument("--which", action="append", default=None,
                    help="comma-separated subset of: %s" % ", ".join(WHICH_CHOICES))
     r = sub.add_parser("report", help="merge report files into a coverage matrix")
@@ -363,7 +365,11 @@ def main(argv=None) -> int:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
     if args.command == "tower":
-        return cmd_tower(cfg)
+        try:
+            return cmd_tower(cfg)
+        except OmodError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
     which = []
     raw = args.which or [",".join(WHICH_CHOICES)]
     for chunk in raw:

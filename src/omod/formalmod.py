@@ -9,7 +9,9 @@ checked fibrewise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
+import math
+from dataclasses import dataclass
 
 from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
@@ -56,9 +58,6 @@ class FormalOModule:
     def q(self):
         return self.field.root.residue.q
 
-    def coefficients(self):
-        return self.t_action.coeffs
-
     def embedded_t_action(self, target: LocalFieldSpec) -> AdditivePolynomial:
         """The [t]-polynomial with coefficients moved up the tower."""
         if target is self.field:
@@ -97,7 +96,7 @@ def module_from_unit_coefficients(field: LocalFieldSpec, unit_indices, n: int) -
     return FormalOModule(field, AdditivePolynomial(field, tuple(coeffs), root.residue.f), n)
 
 
-def multiply_by(a: OModElement, X: FormalOModule, degree_cap=DEGREE_CAP,
+def multiply_by(a: OModElement, X: FormalOModule,
                 target: LocalFieldSpec | None = None) -> AdditivePolynomial:
     """The multiplication [a] for a = sum a_j t^j in o'/t^M: the sum of
     scalar-scaled composites a_j * [t]^(o j), truncated nowhere -- composites
@@ -107,16 +106,15 @@ def multiply_by(a: OModElement, X: FormalOModule, degree_cap=DEGREE_CAP,
     field = target
     res = field.residue
     M = a.ring.m
-    if X.q ** (X.n * (M - 1)) > degree_cap:
+    if X.q ** (X.n * (M - 1)) > DEGREE_CAP:
         raise CapExceeded("[a] would have degree q^(n(M-1)) = %d > cap %d"
-                          % (X.q ** (X.n * (M - 1)), degree_cap))
-    from .additive import AdditivePolynomial as AP
+                          % (X.q ** (X.n * (M - 1)), DEGREE_CAP))
 
     def scalar(c):
-        return AP(field, (field.constant(embed_fq(c, res)),), P.qexp)
+        return AdditivePolynomial(field, (field.constant(embed_fq(c, res)),), P.qexp)
 
     total = None
-    composite = AP(field, (field.one(),), P.qexp)  # [t]^0 = T
+    composite = AdditivePolynomial(field, (field.one(),), P.qexp)  # [t]^0 = T
     for j, aj in enumerate(a.coeffs):
         if j > 0:
             composite = P.compose(composite)
@@ -124,7 +122,7 @@ def multiply_by(a: OModElement, X: FormalOModule, degree_cap=DEGREE_CAP,
             term = scalar(aj).compose(composite)
             total = term if total is None else total + term
     if total is None:
-        return AP(field, (field.zero(),), P.qexp)  # the zero map
+        return AdditivePolynomial(field, (field.zero(),), P.qexp)  # the zero map
     return total
 
 
@@ -162,36 +160,19 @@ class TorsionModule:
     coords: dict                     # coordinate key -> tuple of OModElement
     generator: LocalFieldElement | None = None
     tower: FieldTower | None = None
-    key_terms: int = dc_field(default=48)
 
     @property
     def rank(self):
         return len(self.basis)
 
-    def coordinate_vectors(self):
-        return list(self.coords.values())
-
-    def point(self, coord_vector):
-        return self.points[coord_key(coord_vector)]
-
     def point_key_index(self):
-        return {pt.series_key(terms=self.key_terms): key
-                for key, pt in self.points.items()}
+        return {pt.series_key(terms=48): key for key, pt in self.points.items()}
 
     def act(self, a: OModElement, pt: LocalFieldElement) -> LocalFieldElement:
         """[a] applied to a point, computed in the point field."""
         return multiply_by(a, self.module, target=self.field)(pt)
 
-    def evaluate(self, coord_vector):
-        """Recompute sum_j [v_j](b_j) from scratch (structure-check path)."""
-        acc = self.field.zero()
-        for v, b in zip(coord_vector, self.basis):
-            acc = acc + self.act(v, b)
-        return acc
-
     def to_json(self):
-        import math as _math
-
         rows = []
         for key, vec in sorted(self.coords.items()):
             pt = self.points[key]
@@ -199,21 +180,12 @@ class TorsionModule:
             rows.append({
                 "coordinates": [list(map(int, v.lex_key())) for v in vec],
                 "series": pt.to_json(),
-                "valuation": "infinity" if val == _math.inf
+                "valuation": "infinity" if val == math.inf
                              else [val.numerator, val.denominator],
                 "valuation_exact": pt.is_known_nonzero() or pt.is_exact_zero(),
             })
         return {"level": self.level, "rank": self.rank,
                 "cardinality": len(self.points), "points": rows}
-
-    def to_csv_rows(self):
-        out = [("coordinates", "valuation", "series")]
-        for key, vec in sorted(self.coords.items()):
-            pt = self.points[key]
-            val = pt.valuation_lower_bound()
-            val_s = str(val)
-            out.append((";".join(str(v.lex_key()) for v in vec), val_s, repr(pt)))
-        return out
 
 
 def coord_key(coord_vector):
@@ -221,7 +193,7 @@ def coord_key(coord_vector):
 
 
 def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None,
-                   precision=None, degree_cap=DEGREE_CAP) -> TorsionModule:
+                   precision=None) -> TorsionModule:
     """Enumerate X[t^m] completely, extending the tower as needed.
 
     Orbit path: models t*T + T^(q^n) over a field with residue F_{q^n} get a
@@ -232,9 +204,9 @@ def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None,
     """
     if tower is None:
         tower = FieldTower(X.field)
-    if X.q ** (X.n * max(m, 1)) > degree_cap:
+    if X.q ** (X.n * max(m, 1)) > DEGREE_CAP:
         raise CapExceeded("torsion has q^(nm) = %d points > cap %d"
-                          % (X.q ** (X.n * m), degree_cap))
+                          % (X.q ** (X.n * m), DEGREE_CAP))
     if m == 0:
         return TorsionModule(X, 0, None, tower.top, [], {(): tower.top.zero()},
                              {(): ()}, tower=tower)
@@ -268,10 +240,7 @@ def _assemble_from_basis(X, m, tower, basis, generator):
             mult_cache[k] = multiply_by(a, X, target=top)
         return mult_cache[k]
 
-    vectors = [()]
-    for _ in range(len(basis)):
-        vectors = [v + (a,) for v in vectors for a in ring.elements()]
-    for vec in vectors:
+    for vec in itertools.product(ring.elements(), repeat=len(basis)):
         acc = top.zero()
         for v, b in zip(vec, embedded):
             acc = acc + mult(v)(b)
@@ -527,32 +496,14 @@ class LevelStructure:
 
     def images_of_level(self, level):
         """All phi(v) for v in the level-`level` sublattice t^(m-level)*(...)."""
-        m = self.torsion.level
         ring = self.torsion.ring
-        res = ring.residue
-        shift = m - level
-        vectors = [()]
-        for _ in range(self.torsion.rank):
-            vectors = [v + (w,) for v in vectors for w in _low_level_elements(ring, level)]
+        shift = self.torsion.level - level
+        low = [ring.from_int_digits(k) for k in range(ring.residue.q ** level)]
         out = []
-        for vec in vectors:
+        for vec in itertools.product(low, repeat=self.torsion.rank):
             shifted = tuple(w * ring.t() ** shift if shift else w for w in vec)
             out.append((shifted, self.image_of(shifted)))
         return out
-
-
-def _low_level_elements(ring, level):
-    sub = []
-    res = ring.residue
-    total = res.q ** level
-    for k in range(total):
-        digs = []
-        kk = k
-        for _ in range(level):
-            digs.append(res.from_int(kk % res.q))
-            kk //= res.q
-        sub.append(ring.element(digs + [res.zero()] * (ring.m - level)))
-    return sub
 
 
 def bijective_level_structure(Tm: TorsionModule) -> LevelStructure:
@@ -649,7 +600,7 @@ def _residue_degree(poly):
     return -1
 
 
-def count_level_structures(Tm: TorsionModule, enumeration_cap=1 << 16) -> int:
+def count_level_structures(Tm: TorsionModule) -> int:
     """Number of o-module isomorphisms (t^-m o/o)^n -> torsion on an etale
     generic fibre: candidates are all basis-image tuples; a candidate counts
     when its induced map hits every torsion point exactly once."""
@@ -658,8 +609,8 @@ def count_level_structures(Tm: TorsionModule, enumeration_cap=1 << 16) -> int:
         raise ValueError("generic fibre is not etale")
     n = Tm.rank
     size = len(Tm.points)
-    if size ** n > enumeration_cap:
-        raise CapExceeded("%d candidate maps exceed cap %d" % (size ** n, enumeration_cap))
+    if size ** n > 1 << 16:
+        raise CapExceeded("%d candidate maps exceed cap %d" % (size ** n, 1 << 16))
     index = Tm.point_key_index()
     keys = sorted(Tm.points)
     coord_vecs = [Tm.coords[k] for k in keys]
@@ -676,8 +627,6 @@ def count_level_structures(Tm: TorsionModule, enumeration_cap=1 << 16) -> int:
                     acc[i] = acc[i] + images_coords[j][i] * v
             seen.add(coord_key(tuple(acc)))
         return seen
-
-    import itertools
 
     for images in itertools.product(coord_vecs, repeat=n):
         if len(induced_images(images)) == size:
@@ -722,8 +671,6 @@ def kernel_rank(phi: LevelStructure, reduction="closed"):
 def _summand_generators(kernel, ring, n, h):
     """Greedy: pick kernel vectors with a unit in a fresh coordinate (after
     reduction by already-chosen ones); such a set generates a free summand."""
-    import itertools
-
     kernel_keys = {coord_key(v) for v in kernel}
     for combo in itertools.combinations(kernel, h):
         # unit-pivot test: the h x n matrix has h columns with unit pivots in
@@ -743,11 +690,8 @@ def _summand_generators(kernel, ring, n, h):
             continue
         # span check: all o/t^m-combinations of combo stay inside the kernel set
         span = set()
-        vectors = [()]
-        for _ in range(h):
-            vectors = [v + (a,) for v in vectors for a in ring.elements()]
         good = True
-        for coeffs in vectors:
+        for coeffs in itertools.product(ring.elements(), repeat=h):
             acc = [ring.zero()] * n
             for c, vec in zip(coeffs, combo):
                 for i in range(n):

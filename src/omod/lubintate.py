@@ -9,6 +9,7 @@ point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .errors import (CharacterViolation, DeterminantMismatch, OrbitNotFree,
                      ValuationMismatch)
 from .formalmod import (FormalOModule, TorsionModule, bijective_level_structure,
                         build_torsion_chain, coord_key, lubin_tate_module,
-                        multiply_by, torsion_points)
+                        multiply_by, orbit_torsion_from_generator, torsion_points)
 from .quotring import OModElement, OModRing
 from .series import LocalFieldSpec, base_field
 from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
@@ -39,10 +40,6 @@ class LubinTateTower:
     precision: int
 
     @property
-    def Q(self):
-        return self.base.residue.q
-
-    @property
     def top(self):
         return self.tower.top
 
@@ -62,7 +59,7 @@ class LubinTateTower:
         return root_uniformizer_image(target or self.top)
 
     def unit_ring(self, m=None):
-        return OModRing(self.base.residue, m or self.m_max)
+        return OModRing(self.base.residue, self.m_max if m is None else m)
 
     def multiplication(self, a: OModElement) -> AdditivePolynomial:
         """[a] with coefficients embedded in the top field."""
@@ -78,14 +75,10 @@ class LubinTateTower:
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
         from the existing chain (no new extensions)."""
-        from .formalmod import orbit_torsion_from_generator
-
-        m = m or self.m_max
+        m = self.m_max if m is None else m
         if m > self.m_max:
             raise ValueError("tower only built to level %d" % self.m_max)
         if m == 0:
-            from .formalmod import torsion_points
-
             return torsion_points(self.module, 0, self.tower)
         return orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m))
 
@@ -122,13 +115,6 @@ class CharacterTable:
     def sigma(self, a: OModElement) -> FieldAutomorphism:
         return self.table[a.lex_key()][1]
 
-    def units(self):
-        return [a for a, _ in self.table.values()]
-
-    def chi_inverse_key(self, a: OModElement):
-        """Key of a^(-1): the character value of the inverse substitution."""
-        return a.inv().lex_key()
-
     def to_json(self):
         rows = []
         for key in sorted(self.table):
@@ -139,13 +125,12 @@ class CharacterTable:
                 "fixed_terms": self.fixed_terms, "rows": rows}
 
 
-def verify_character(lt: LubinTateTower, m=None, min_fixed_terms=40) -> CharacterTable:
+def verify_character(lt: LubinTateTower, min_fixed_terms=40) -> CharacterTable:
     """Check that a -> (lam_m -> [a](lam_m)) is a group isomorphism from
-    (o/t^m)^x onto the substitution group, with every substitution fixing the
-    embedded base field to at least min_fixed_terms series terms."""
-    m = m or lt.m_max
-    if m != lt.m_max:
-        raise ValueError("character table is built at the tower's top level")
+    (o/t^m)^x onto the substitution group at the tower's top level m, with
+    every substitution fixing the embedded base field to at least
+    min_fixed_terms series terms."""
+    m = lt.m_max
     ring = lt.unit_ring(m)
     lam = lt.lam(m)
     t_img = lt.t_image()
@@ -200,11 +185,11 @@ def expected_primitive_valuation(q, n, m):
     return Fraction(1, (q ** n - 1) * q ** (n * (m - 1)))
 
 
-def verify_torsion_valuations(X: FormalOModule, m: int, tower=None,
+def verify_torsion_valuations(X: FormalOModule, m: int,
                               torsion: TorsionModule | None = None):
     """Every exact-level-k torsion point of the orbit model has valuation
     1/((q^n - 1) q^(n(k-1))), as an exact rational; v(t) = 1."""
-    Tm = torsion if torsion is not None else torsion_points(X, m, tower)
+    Tm = torsion if torsion is not None else torsion_points(X, m)
     q = X.q
     n = X.n
     checked = {k: 0 for k in range(1, m + 1)}
@@ -234,10 +219,8 @@ def orbit_representatives(ring: OModRing, n: int):
     vectors, orbits checked to be free; deterministic (lexicographically
     smallest member represents)."""
     units = list(ring.units())
-    vectors = [()]
-    for _ in range(n):
-        vectors = [v + (a,) for v in vectors for a in ring.elements()]
-    primitive = [v for v in vectors if min(x.level() for x in v) == 0]
+    primitive = [v for v in itertools.product(ring.elements(), repeat=n)
+                 if min(x.level() for x in v) == 0]
     seen = set()
     reps = []
     for v in sorted(primitive, key=coord_key):
@@ -253,15 +236,13 @@ def orbit_representatives(ring: OModRing, n: int):
     return reps
 
 
-def verify_product_formula(X: FormalOModule, m: int, tower=None,
-                           torsion: TorsionModule | None = None,
-                           base_chain=None):
+def verify_product_formula(X: FormalOModule, m: int,
+                           torsion: TorsionModule | None = None):
     """|R| = (q^n-1) q^(n(m-1)) / ((q-1) q^(m-1)); the valuations of a
     bijective level structure over R sum to 1/((q-1) q^(m-1)) = v(uniformizer
     of the level-m base torsion field); and the actual product differs from
     that embedded uniformizer by a unit."""
-    tower = tower if tower is not None else (torsion.tower if torsion is not None else None)
-    Tm = torsion if torsion is not None else torsion_points(X, m, tower)
+    Tm = torsion if torsion is not None else torsion_points(X, m)
     q, n = X.q, X.n
     reps = orbit_representatives(Tm.ring, n)
     expected_count = Fraction((q ** n - 1) * q ** (n * (m - 1)),
@@ -281,9 +262,7 @@ def verify_product_formula(X: FormalOModule, m: int, tower=None,
                                 % (total, expected_sum))
     # compare the actual product against the embedded uniformizer of the
     # level-m torsion field of the height-one base model
-    chain = base_chain if base_chain is not None else \
-        locate_base_torsion_chain(Tm, m)
-    varpi_m = chain[-1]
+    varpi_m = locate_base_torsion_chain(Tm.field, m)[-1]
     ratio_val = prod.valuation() - varpi_m.valuation()
     if ratio_val != 0:
         raise ValuationMismatch("product/uniformizer has valuation %s, expected 0"
@@ -293,21 +272,18 @@ def verify_product_formula(X: FormalOModule, m: int, tower=None,
             "ratio_valuation": ratio_val}
 
 
-def base_height_one_polynomial(Tm_or_field, q_root=None):
+def base_height_one_polynomial(field):
     """[t](T) = t*T + T^q of the height-one model over the root field, with
     coefficients embedded in the given field."""
-    field = Tm_or_field.field if hasattr(Tm_or_field, "field") else Tm_or_field
     root = field.root
-    q_root = q_root or root.residue.q
     t_img = root_uniformizer_image(field)
     return AdditivePolynomial(field, (t_img, field.one()), root.residue.f)
 
 
-def locate_base_torsion_chain(Tm_or_field, m):
+def locate_base_torsion_chain(field, m):
     """mu_1, ..., mu_m inside the given field: [t](mu_1) = 0, mu_1 != 0, and
     [t](mu_k) = mu_{k-1}; mu_k generates the level-k torsion of the height-one
     root model.  Deterministic root choice (smallest series key)."""
-    field = Tm_or_field.field if hasattr(Tm_or_field, "field") else Tm_or_field
     P = base_height_one_polynomial(field)
     out = []
     prev = field.zero()
@@ -362,7 +338,7 @@ def verify_determinant_character(lt: LubinTateTower, min_terms=40) -> Determinan
     base_ring = OModRing(root_res, m)
     big_ring = OModRing(lt.base.residue, m)
     base_units = list(base_ring.units())
-    base_module = _root_height_one_module(lt)
+    base_module = lubin_tate_module(lt.base.root, 1)
     # decode table: c -> [c](mu)
     decode = {}
     for c in base_units:
@@ -387,9 +363,3 @@ def verify_determinant_character(lt: LubinTateTower, min_terms=40) -> Determinan
         # the norm is onto the base units; the decoded values must cover them
         raise DeterminantMismatch("decoded torsion characters do not cover the unit group")
     return witness
-
-
-def _root_height_one_module(lt: LubinTateTower) -> FormalOModule:
-    """The height-one model over the root field, used for [c] with c in o/t^m."""
-    root = lt.base.root
-    return lubin_tate_module(root, 1)

@@ -41,10 +41,6 @@ class NewtonPolygon:
             out.extend([v] * n)
         return out
 
-    @property
-    def total_length(self):
-        return self.vertices[-1][0] - self.vertices[0][0]
-
     def to_json(self):
         return {
             "vertices": [[d, [v.numerator, v.denominator]] for d, v in self.vertices],

@@ -11,11 +11,12 @@ field is chosen.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible)
-from .finitefield import GF, FieldSpec, project_fq
+from .finitefield import GF, FieldSpec, _prime_factors, project_fq
 from .quotring import OModElement, OModRing
 
 ENUMERATION_CAP = 1 << 16
@@ -42,18 +43,6 @@ class UnitGroup:
     def exponent(self):
         return self.invariant_factors[0] if self.invariant_factors else 1
 
-    def element_order(self, a):
-        k = 1
-        acc = a
-        one = self.ring.one().lex_key()
-        while acc.lex_key() != one:
-            acc = acc * a
-            k += 1
-        return k
-
-    def contains(self, a):
-        return a.lex_key() in self.dlog
-
     def to_json(self):
         return {
             "q": self.ring.residue.q, "m": self.ring.m, "order": self.order,
@@ -63,25 +52,25 @@ class UnitGroup:
         }
 
 
-def unit_group(residue_or_pf, m, cap=ENUMERATION_CAP) -> UnitGroup:
-    """Enumerate (o/t^m)^x, verify its order is (q-1) q^(m-1), and compute an
-    explicit basis realizing the invariant-factor decomposition."""
-    if isinstance(residue_or_pf, FieldSpec):
-        residue = residue_or_pf
-    else:
-        p, f = residue_or_pf
-        residue = GF(p, f)
+def unit_group(pf, m) -> UnitGroup:
+    """Enumerate (o/t^m)^x over the residue field GF(*pf), verify its order is
+    (q-1) q^(m-1), and compute an explicit basis realizing the
+    invariant-factor decomposition."""
+    residue = GF(*pf)
     q = residue.q
     expected = (q - 1) * q ** (m - 1)
-    if expected > cap:
-        raise CapExceeded("unit group of order %d exceeds cap %d" % (expected, cap))
+    if expected > ENUMERATION_CAP:
+        raise CapExceeded("unit group of order %d exceeds cap %d"
+                          % (expected, ENUMERATION_CAP))
     ring = OModRing(residue, m)
     elements = sorted(ring.units(), key=lambda a: a.lex_key())
     if len(elements) != expected:
         raise ArithmeticError("unit count %d != (q-1)q^(m-1) = %d"
                               % (len(elements), expected))
-    factors = _invariant_factors(elements, ring)
-    gens, dlog = _generator_basis(elements, ring, factors)
+    one_key = ring.one().lex_key()
+    orders = [_element_order(a, one_key) for a in elements]
+    factors = _invariant_factors(orders)
+    gens, dlog = _generator_basis(elements, ring, factors, orders)
     return UnitGroup(ring, elements, gens, factors, dlog)
 
 
@@ -94,15 +83,12 @@ def _element_order(a, one_key):
     return k
 
 
-def _invariant_factors(elements, ring):
-    """Invariant factors from order statistics: for each prime p, the counts
+def _invariant_factors(orders):
+    """Invariant factors from the element orders: for each prime p, the counts
     |{x : x^(p^k) = 1}| determine the p-partition (they equal
     p^(sum_i min(lambda_i, k))), and aligned products give the factors."""
-    one_key = ring.one().lex_key()
-    orders = [_element_order(a, one_key) for a in elements]
-    n = len(elements)
     partitions = {}
-    for p in _prime_divisors(n):
+    for p in _prime_factors(len(orders)):
         sylow = sum(1 for o in orders if _p_part(o, p) == 1)
         counts = []
         k = 1
@@ -124,19 +110,6 @@ def _invariant_factors(elements, ring):
     return factors
 
 
-def _prime_divisors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _p_part(o, p):
     """The prime-to-p part of o (1 exactly when o is a p-power)."""
     while o % p == 0:
@@ -147,11 +120,12 @@ def _p_part(o, p):
 def _partition_from_counts(counts, p):
     """counts[k-1] = p^(sum_i min(lambda_i, k)) recovers the partition lambda
     (largest first)."""
-    import math
-
     exps = [0]
     for c in counts:
-        exps.append(round(math.log(c, p)))
+        e = 0
+        while p ** e < c:
+            e += 1
+        exps.append(e)
     # exps[k] - exps[k-1] = #{i : lambda_i >= k}
     ge = [exps[k] - exps[k - 1] for k in range(1, len(exps))]
     lam = []
@@ -160,13 +134,12 @@ def _partition_from_counts(counts, p):
     return sorted(lam, reverse=True)
 
 
-def _generator_basis(elements, ring, factors):
+def _generator_basis(elements, ring, factors, orders):
     """Explicit generators matching the invariant factors, verified by
     exhaustive span: the exponent-tuple map must hit every unit exactly once."""
-    one_key = ring.one().lex_key()
     by_order = {}
-    for a in elements:
-        by_order.setdefault(_element_order(a, one_key), []).append(a)
+    for a, o in zip(elements, orders):
+        by_order.setdefault(o, []).append(a)
     chosen = []
 
     def span(gens):
@@ -189,7 +162,7 @@ def _generator_basis(elements, ring, factors):
         for cand in by_order.get(d, []):
             trial = gens + [(cand, d)]
             table = span(trial)
-            if len(table) == _prod(x for _, x in trial):
+            if len(table) == math.prod(x for _, x in trial):
                 deeper = extend_inner(idx + 1, trial)
                 if deeper is not None:
                     return deeper
@@ -200,13 +173,6 @@ def _generator_basis(elements, ring, factors):
         raise ArithmeticError("no generator basis found for factors %r" % (factors,))
     gens, table = found
     return gens, table
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 # --- characters -------------------------------------------------------------------
@@ -369,9 +335,6 @@ class DivisionOrder:
                 out[k % self.n] = out[k % self.n] + coeff
         return tuple(out)
 
-    def add(self, b, c):
-        return tuple(x + y for x, y in zip(b, c))
-
     def is_unit(self, b):
         return b[0].is_unit()
 
@@ -422,7 +385,7 @@ def reduced_norm(order: DivisionOrder, b) -> OModElement:
                               for c in det_lo.coeffs])
 
 
-def norm_one_units(order: DivisionOrder, group: UnitGroup, sample=None):
+def norm_one_units(order: DivisionOrder, group: UnitGroup):
     """Scalar units of reduced norm 1 (exhaustive over o'^x)."""
     one_key = group.ring.one().lex_key()
     out = []
@@ -483,13 +446,6 @@ class Pi0Action:
                           for src, dst in self.component_table(b=b)],
             })
         return doc
-
-    def to_csv_rows(self):
-        out = [("kind", "element", "component", "image")]
-        for idx, g in enumerate(self.gl_gens):
-            for src, dst in self.component_table(g=g):
-                out.append(("gl", "generator-%d" % idx, str(src), str(dst)))
-        return out
 
 
 def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:

@@ -8,7 +8,6 @@ and the multiplication indices [a] of formal modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import MixedFields
 from .finitefield import FieldSpec, embed_fq, project_fq
@@ -60,9 +59,6 @@ class OModRing:
         for a in self.elements():
             if a.is_unit():
                 yield a
-
-    def truncate_ring(self, m):
-        return OModRing(self.residue, m)
 
     def __repr__(self):
         return "O(%r)/t^%d" % (self.residue, self.m)
@@ -191,10 +187,3 @@ class OModElement:
             else:
                 parts.append("%s*t^%d" % (cs, j) if cs != "1" else "t^%d" % j)
         return " + ".join(parts) if parts else "0"
-
-
-@lru_cache(maxsize=None)
-def omod_ring(p, f, m):
-    from .finitefield import GF
-
-    return OModRing(GF(p, f), m)

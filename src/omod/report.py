@@ -36,9 +36,6 @@ class CheckResult:
         if self.status == "fail" and self.witness is None:
             self.witness = "unspecified failure"
 
-    def key(self):
-        return (self.check, self.claim, _param_key(self.parameters))
-
     def to_json(self):
         doc = {
             "check": self.check,
@@ -139,8 +136,7 @@ def merge_documents(docs):
         if doc.get("schema") != SCHEMA:
             raise SchemaMismatch("unknown schema %r" % (doc.get("schema"),))
         for rec in doc["results"]:
-            key = (rec["check"], rec["claim"],
-                   tuple(sorted((k, str(v)) for k, v in rec["parameters"].items())))
+            key = (rec["check"], rec["claim"], _param_key(rec["parameters"]))
             if key in merged:
                 old = merged[key]
                 if old["status"] != rec["status"] or old["computed"] != rec["computed"]:

@@ -21,28 +21,16 @@ from .errors import (DivisionByUncertainZero, MixedFields, NotInTower,
 from .finitefield import FieldSpec, FqElement, GF, embed_fq
 
 
-@dataclass(frozen=True)
-class FqEmbedding:
-    """Canonical residue-field embedding, applied to series coefficients."""
-
-    src: FieldSpec
-    dst: FieldSpec
-
-    def __call__(self, a: FqElement) -> FqElement:
-        return embed_fq(a, self.dst)
-
-
 @dataclass(eq=False)
 class BaseEmbedding:
     """How a base field sits inside an extension.
 
     image_of_base_uniformizer is a series in the extension's uniformizer with
-    valuation equal to the ramification index; coefficient_embedding moves
-    residue-field constants.
+    valuation equal to the ramification index; residue-field constants move
+    by the canonical embedding (embed_fq).
     """
 
     image_of_base_uniformizer: "LocalFieldElement"
-    coefficient_embedding: FqEmbedding
 
 
 @dataclass(eq=False)
@@ -66,15 +54,6 @@ class LocalFieldSpec:
     @property
     def q(self):
         return self.residue.q
-
-    def chain(self):
-        """Field specs from the root down to this one."""
-        out = []
-        spec = self
-        while spec is not None:
-            out.append(spec)
-            spec = spec.base
-        return list(reversed(out))
 
     @property
     def root(self):
@@ -261,15 +240,18 @@ class LocalFieldElement:
         prec = _mul_prec(self, other)
         if not self.coeffs or not other.coeffs:
             return LocalFieldElement(self.field, 0, (), prec)
-        zero = self.field.residue.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        e0 = self.leading_exponent + other.leading_exponent
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        if prec is not None:
+            # coefficients at or beyond u^prec are unknown: never form them
+            n = max(min(n, prec - e0), 0)
+        out = [self.field.residue.zero()] * n
+        for i, a in enumerate(self.coeffs[:n]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs[:n - i]):
                 out[i + j] = out[i + j] + a * b
-        return make_element(self.field, self.leading_exponent + other.leading_exponent,
-                            out, prec)
+        return make_element(self.field, e0, out, prec)
 
     def scale(self, c: FqElement):
         """Multiply by a residue constant."""
@@ -277,11 +259,6 @@ class LocalFieldElement:
             return LocalFieldElement(self.field, 0, (), self.precision)
         return make_element(self.field, self.leading_exponent,
                             tuple(a * c for a in self.coeffs), self.precision)
-
-    def shift(self, k):
-        """Multiply by u^k."""
-        prec = None if self.precision is None else self.precision + k
-        return LocalFieldElement(self.field, self.leading_exponent + k, self.coeffs, prec)
 
     def inv(self, precision=None):
         """Multiplicative inverse.
@@ -359,12 +336,6 @@ class LocalFieldElement:
         if self.precision is not None and self.precision <= precision:
             return self
         return make_element(self.field, self.leading_exponent, self.coeffs, precision)
-
-    def residue_image(self):
-        """Image in the residue field: coefficient of u^0 for integral elements."""
-        if self.coeffs and self.leading_exponent < 0:
-            raise ValueError("element has a pole; no residue image")
-        return self.coeff_at(0)
 
     # --- comparisons ----------------------------------------------------------------
 
@@ -473,12 +444,13 @@ def _mul_prec(a, b):
     return min(candidates) if candidates else None
 
 
-def substitute(x, image_of_uniformizer, coeff_map=None, frobenius_power=0):
+def substitute(x, image_of_uniformizer, frobenius_power=0):
     """Evaluate the series x with its uniformizer replaced by another element.
 
     The replacement element may live in a different field (embedding) or in
-    the same field (automorphism).  Residue coefficients pass through
-    coeff_map, then through the residue Frobenius p^frobenius_power.
+    the same field (automorphism).  Residue coefficients pass through the
+    canonical embedding into the target residue field, then through the
+    residue Frobenius p^frobenius_power.
     Raises PrecisionExhausted when nothing significant survives.
     """
     U = image_of_uniformizer
@@ -492,9 +464,7 @@ def substitute(x, image_of_uniformizer, coeff_map=None, frobenius_power=0):
         return target.zero(precision=x.precision * vU)
 
     def move(c):
-        if coeff_map is not None:
-            c = coeff_map(c)
-        elif c.spec != target.residue:
+        if c.spec != target.residue:
             c = embed_fq(c, target.residue)
         if frobenius_power:
             c = c.frobenius(frobenius_power)

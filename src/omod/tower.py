@@ -17,8 +17,8 @@ from .errors import (ExtensionRequired, MixedFields, NoConvergence,
                      NotInTower, PrecisionExhausted)
 from .finitefield import GF
 from .newton import newton_polygon
-from .series import (BaseEmbedding, FqEmbedding, LocalFieldElement,
-                     LocalFieldSpec, make_element, substitute)
+from .series import (BaseEmbedding, LocalFieldElement, LocalFieldSpec, make_element,
+                     substitute)
 
 FIXED_POINT_EXTRA_ITERATIONS = 8
 
@@ -37,10 +37,7 @@ def unramified_extension(base: LocalFieldSpec, k: int, uniformizer=None):
         base=base,
         default_precision=base.default_precision,
     )
-    spec.embedding = BaseEmbedding(
-        image_of_base_uniformizer=spec.uniformizer_elt(),
-        coefficient_embedding=FqEmbedding(base.residue, new_residue),
-    )
+    spec.embedding = BaseEmbedding(image_of_base_uniformizer=spec.uniformizer_elt())
     return spec
 
 
@@ -82,10 +79,7 @@ def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
             if new.order() != e:
                 raise NoConvergence("relation image has order %r, expected e = %d"
                                     % (new.order_lower_bound(), e))
-            spec.embedding = BaseEmbedding(
-                image_of_base_uniformizer=new,
-                coefficient_embedding=FqEmbedding(base.residue, spec.residue),
-            )
+            spec.embedding = BaseEmbedding(image_of_base_uniformizer=new)
             return spec, spec.embedding
         gain = corr.order_lower_bound()
         if gain <= prev_gain:
@@ -114,8 +108,7 @@ def embed(x: LocalFieldElement, target: LocalFieldSpec) -> LocalFieldElement:
         emb = step.embedding
         if emb is None:
             raise NotInTower("extension %r has no embedding attached" % (step,))
-        x = substitute(x, emb.image_of_base_uniformizer,
-                       coeff_map=emb.coefficient_embedding)
+        x = substitute(x, emb.image_of_base_uniformizer)
     return x
 
 
@@ -217,8 +210,7 @@ def _coefficient_points(coeffs):
     return pts, uncertain
 
 
-def find_integral_roots(coeffs, field, depth=0, max_depth=None, key_terms=64,
-                        min_val_exclusive=None):
+def find_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
     """All roots of sum coeffs[i] T^i with valuation >= 0 lying in `field`.
 
     Strategy: Newton polygon; per integer slope, substitute T = u^s S, read the
@@ -228,12 +220,11 @@ def find_integral_roots(coeffs, field, depth=0, max_depth=None, key_terms=64,
     branches own the rest); that is what min_val_exclusive enforces.  Segments
     with fractional slope (and residue roots missing from the residue field)
     are reported via ExtensionRequired carrying the polygon and whatever was
-    found in the field.
+    found in the field.  Roots are told apart by their first 64 terms.
     """
-    if max_depth is None:
-        max_depth = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
-    if depth > max_depth:
-        raise NoConvergence("root-search recursion exceeded depth %d" % max_depth)
+    depth_limit = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
+    if depth > depth_limit:
+        raise NoConvergence("root-search recursion exceeded depth %d" % depth_limit)
     pts, uncertain = _coefficient_points(coeffs)
     if len(pts) < 2:
         # constant or effectively constant polynomial: no roots (or everything,
@@ -261,8 +252,7 @@ def find_integral_roots(coeffs, field, depth=0, max_depth=None, key_terms=64,
             blocking_polygon = blocking_polygon or polygon
             continue
         try:
-            roots.extend(_roots_on_integer_slope(coeffs, field, int(s), depth,
-                                                 max_depth, key_terms))
+            roots.extend(_roots_on_integer_slope(coeffs, field, int(s), depth))
         except ExtensionRequired as exc:
             # keep what that branch found and report the polygon where the
             # fractional slope actually appeared
@@ -271,7 +261,7 @@ def find_integral_roots(coeffs, field, depth=0, max_depth=None, key_terms=64,
     # dedup across branches
     seen = {}
     for r in roots:
-        seen.setdefault(r.series_key(terms=key_terms), r)
+        seen.setdefault(r.series_key(terms=64), r)
     roots = list(seen.values())
     if blocking_polygon is not None:
         raise ExtensionRequired(blocking_polygon, roots_found=roots,
@@ -291,7 +281,7 @@ def _hull_value_at(polygon, d):
     return None
 
 
-def _roots_on_integer_slope(coeffs, field, s, depth, max_depth, key_terms):
+def _roots_on_integer_slope(coeffs, field, s, depth):
     """Roots of valuation exactly s (an integer, in the field's own units)."""
     orders = []
     for i, c in enumerate(coeffs):
@@ -328,8 +318,7 @@ def _roots_on_integer_slope(coeffs, field, s, depth, max_depth, key_terms):
         else:
             shifted = poly_shift(coeffs, t0)
             try:
-                sub = find_integral_roots(shifted, field, depth + 1, max_depth,
-                                          key_terms, min_val_exclusive=s)
+                sub = find_integral_roots(shifted, field, depth + 1, min_val_exclusive=s)
             except ExtensionRequired as exc:
                 raise ExtensionRequired(
                     exc.polygon,
@@ -416,8 +405,7 @@ def _in_field_count(dense, field):
 class FieldTower:
     """A chain of local fields built over a root, with declared uniformizers.
 
-    Levels are appended as extensions get built; embed_to_top moves elements
-    from any chain field into the current top.
+    Levels are appended as extensions get built.
     """
 
     root: LocalFieldSpec
@@ -440,9 +428,3 @@ class FieldTower:
         for spec in self.levels:
             d *= spec.ramification_index * spec.residue_degree
         return d
-
-    def embed_to_top(self, x):
-        return embed(x, self.top)
-
-    def chain(self):
-        return [self.root] + list(self.levels)

@@ -36,6 +36,22 @@ def test_tower_cm_q2_n2_m2_degrees(capsys):
     assert "[3, 12]" in out
 
 
+def test_tower_build_error_is_one_stderr_line(capsys):
+    # cm_tower(2, 2, 2, 2, 16) raises UncertainValuation inside build_tower
+    code, out, err = run_cli(capsys, "tower", "--q", "4", "--n", "2", "--m", "2",
+                             "--cm", "--prec", "16")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_tower_rejects_csv_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "--q", "3", "--m", "2", "--output", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_valuations_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--m", "1",
                            "--which", "valuations")

@@ -265,5 +265,3 @@ def test_torsion_export_shapes():
     doc = Tm.to_json()
     assert doc["cardinality"] == 4
     assert len(doc["points"]) == 4
-    rows = Tm.to_csv_rows()
-    assert len(rows) == 5  # header + 4 points

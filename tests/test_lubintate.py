@@ -32,6 +32,14 @@ def test_tower_degrees_q2_m3():
     assert [lvl[0].degree_over(lt.base) for lvl in lt.levels] == [1, 2, 4]
 
 
+def test_torsion_at_level_zero_is_the_zero_point():
+    lt = build_tower(base_field(3, 1), 2)
+    T0 = lt.torsion(0)
+    assert T0.level == 0
+    assert len(T0.points) == 1
+    assert lt.torsion().level == 2
+
+
 def test_tower_uniformizer_relation_residual():
     # substituting the stored series back into [t](lam_k) = lam_{k-1}
     lt = build_tower(base_field(2, 1), 2, precision=48)

@@ -194,8 +194,6 @@ def test_action_and_character_exports():
     assert doc["group"]["order"] == 2
     assert any(rec["kind"] == "gl" for rec in doc["generator_actions"])
     assert any(rec["kind"] == "order-scalar" for rec in doc["generator_actions"])
-    rows = action.to_csv_rows()
-    assert rows[0] == ("kind", "element", "component", "image")
     _, _, char_rows = h0_decomposition(3, 1, 2)
     csv_text = characters_to_csv(char_rows)
     assert csv_text.splitlines()[0].startswith("omega_on_generators")

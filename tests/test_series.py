@@ -9,8 +9,8 @@ import pytest
 
 from omod.errors import (DivisionByUncertainZero, MixedFields, UncertainValuation)
 from omod.finitefield import GF
-from omod.quotring import omod_ring
-from omod.series import base_field
+from omod.quotring import OModRing
+from omod.series import LocalFieldElement, _mul_prec, base_field, make_element
 
 
 def F2t(prec=64):
@@ -67,6 +67,54 @@ def test_mul_precision_rule():
     # min(prec_a + v_b, prec_b + v_a) = min(13, 9) = 9
     assert c.precision == 9
     assert c.order() == 5
+
+
+def schoolbook_mul(a, b):
+    """Every coefficient product, clamped to the result precision afterwards:
+    the reference that LocalFieldElement.__mul__ must match term for term."""
+    prec = _mul_prec(a, b)
+    if not a.coeffs or not b.coeffs:
+        return LocalFieldElement(a.field, 0, (), prec)
+    out = [a.field.residue.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return make_element(a.field, a.leading_exponent + b.leading_exponent, out, prec)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_mul_matches_schoolbook_then_clamp(p, f):
+    F = base_field(p, f)
+    rng = random.Random(p * 10 + f)
+
+    def sample():
+        lo = rng.randrange(-6, 6)
+        span = rng.randrange(0, 9)
+        # zero coefficients inside the window, and sometimes everywhere
+        pairs = {k: rng.randrange(F.residue.q) if rng.random() < 0.7 else 0
+                 for k in range(lo, lo + span)}
+        precision = None if rng.random() < 0.3 else lo + rng.randrange(-2, 12)
+        return F.from_int_poly(pairs, precision=precision)
+
+    kinds = set()
+    for _ in range(300):
+        a, b = sample(), sample()
+        kinds.add((a.is_exact(), b.is_exact(),
+                   a.is_zero_mod_precision() or b.is_zero_mod_precision()))
+        assert a * b == schoolbook_mul(a, b)
+    assert len(kinds) == 8   # exact and truncated operands, with and without zeros
+
+
+def test_mul_with_no_known_product_terms():
+    # stored terms at or beyond the precision: prec - e0 <= 0 for the product
+    F = base_field(3, 1)
+    one = F.residue.one()
+    a = LocalFieldElement(F, 4, (one, one), 3)
+    b = F.from_int_poly({-2: 1, 0: 2}, precision=None)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x * y
+        assert got == schoolbook_mul(x, y)
+        assert got.is_zero_mod_precision() and got.precision == _mul_prec(x, y)
 
 
 def test_add_precision_rule():
@@ -183,7 +231,7 @@ def test_serialization_roundtrip():
 
 
 def test_quotring_arithmetic_and_units():
-    R = omod_ring(2, 1, 3)
+    R = OModRing(GF(2, 1), 3)
     units = list(R.units())
     assert len(units) == 4
     one = R.one()
@@ -199,8 +247,8 @@ def test_quotring_arithmetic_and_units():
 
 def test_quotring_norm():
     # N: (o'/t^2)^x -> (o/t^2)^x for residue F_4 over F_2: a * Frob(a)
-    R4 = omod_ring(2, 2, 2)
-    R2 = omod_ring(2, 1, 2)
+    R4 = OModRing(GF(2, 2), 2)
+    R2 = OModRing(GF(2, 1), 2)
     x = R4.residue.gen()
     a = R4.element([R4.residue.one(), x])  # 1 + x t
     n = a.norm_to(GF(2))

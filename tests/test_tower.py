@@ -244,7 +244,7 @@ def test_field_tower_container():
     assert tower.degree() == 2
     assert tower.top is F1
     x = F.uniformizer_elt()
-    assert tower.embed_to_top(x).order() == 2
+    assert embed(x, tower.top).order() == 2
     with pytest.raises(NotInTower):
         other = base_field(3, 1)
         F1b, _ = ramified_extension_by_relation(other, 2, lt_level1_relation(3))
