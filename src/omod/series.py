@@ -6,6 +6,16 @@ precision None means the element is exact (a Laurent polynomial).  "Zero
 modulo u^N" is kept distinct from exact zero: its valuation is only bounded
 below, never reported as an exact number.
 
+Coefficients are stored as codes, one byte each: the code of an F_q element
+is FqElement.to_int(), whose base-p digits are the element's coordinates in
+the polynomial basis (q <= 256).  Series multiplication is one integer
+product (Kronecker substitution): each coefficient's digits go into slots of
+a packed integer, wide enough that no slot overflows, and the product's slots
+are reduced mod p and folded back into F_q.  Per-coefficient maps (negation,
+scaling, Frobenius, embeddings) are byte translation tables built on first
+use.  FqElement stays the type at the boundaries: constructors take
+FqElements, coeff_at and leading_coeff return them.
+
 Every operation computes the exact propagated precision; nothing is truncated
 silently.  All values are immutable.
 """
@@ -14,11 +24,128 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 import math
 
 from .errors import (DivisionByUncertainZero, MixedFields, NotInTower,
                      PrecisionExhausted, UncertainValuation)
 from .finitefield import FieldSpec, FqElement, GF, embed_fq
+
+
+class _Tables:
+    """Code-level arithmetic of one residue field F_q, built on first use."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.p, self.f = spec.p, spec.f
+        self.elements = tuple(spec.elements())      # code -> FqElement
+        self.stride = 2 * spec.f - 1                 # digit slots per packed coefficient
+        # a digit sum in add reaches 2(p - 1): one byte per slot while that fits
+        self.add_width = 1 if 2 * (spec.p - 1) < 256 else 2
+        self.mod_p = bytes(v % spec.p for v in range(256))
+        self.neg = _translation(-a for a in self.elements)
+        if spec.f > 1:
+            self.fold = self._fold_table(spec)
+
+    def _fold_table(self, spec):
+        """Reduced digit slots of a packed product coefficient (a polynomial
+        in x of degree < 2f - 1) -> the code of its class mod the modulus."""
+        f = self.f
+        x_high = [(spec.gen() ** d).coeffs for d in range(f, self.stride)]
+        fold = {}
+        for high in product(range(self.p), repeat=f - 1):
+            extra = [sum(h * x[i] for h, x in zip(high, x_high)) for i in range(f)]
+            for a in self.elements:
+                folded = spec.element([c + e for c, e in zip(a.coeffs, extra)])
+                fold[bytes(a.coeffs) + bytes(high)] = folded.to_int()
+        return fold
+
+    def pack(self, codes, width):
+        """codes as one integer: digit d of coefficient i fills slot
+        i * stride + d, each slot `width` bytes wide."""
+        if self.stride == 1 and width == 1:
+            return int.from_bytes(codes, "little")
+        chunks = _digit_chunks(self.spec, width)
+        return int.from_bytes(b"".join(map(chunks.__getitem__, codes)), "little")
+
+    def unpack(self, value, n, width):
+        """The first n coefficient codes of a packed integer (any slot values
+        below 256**width): slots reduced mod p, then folded into F_q."""
+        size = n * self.stride * width
+        raw = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        if width == 1:
+            digits = raw.translate(self.mod_p)
+        else:
+            digits = bytes([int.from_bytes(raw[i:i + width], "little") % self.p
+                            for i in range(0, size, width)])
+        if self.stride == 1:
+            return digits
+        s, fold = self.stride, self.fold
+        return bytes([fold[digits[i:i + s]] for i in range(0, len(digits), s)])
+
+    def add(self, a, ia, b, ib):
+        """Codes of u^ia * a + u^ib * b (ia, ib >= 0)."""
+        width = self.add_width
+        shift = 8 * self.stride * width
+        x = (self.pack(a, width) << shift * ia) + (self.pack(b, width) << shift * ib)
+        return self.unpack(x, max(ia + len(a), ib + len(b)), width)
+
+    def mul(self, a, b, n):
+        """First n coefficient codes of a * b, by one integer product."""
+        a, b = a[:n], b[:n]
+        bound = min(len(a), len(b)) * self.f * (self.p - 1) ** 2   # largest slot value
+        width = 1
+        while bound >> 8 * width:
+            width *= 2
+        return self.unpack(self.pack(a, width) * self.pack(b, width), n, width)
+
+
+@lru_cache(maxsize=None)
+def _tables(spec: FieldSpec) -> _Tables:
+    return _Tables(spec)
+
+
+@lru_cache(maxsize=None)
+def _digit_chunks(spec: FieldSpec, width: int):
+    """code -> its packed coefficient: f digit slots of `width` bytes, then
+    zero slots up to the stride."""
+    tables = _tables(spec)
+    pad = bytes((tables.stride - tables.f) * width)
+    return tuple(b"".join(d.to_bytes(width, "little") for d in a.coeffs) + pad
+                 for a in tables.elements)
+
+
+@lru_cache(maxsize=None)
+def _scale_table(spec: FieldSpec, c: int):
+    """Translation table of a -> c * a, c a code."""
+    elements = _tables(spec).elements
+    return _translation(a * elements[c] for a in elements)
+
+
+@lru_cache(maxsize=None)
+def _frobenius_table(spec: FieldSpec, j: int):
+    """Translation table of a -> a^(p^j)."""
+    return _translation(a.frobenius(j) for a in _tables(spec).elements)
+
+
+@lru_cache(maxsize=None)
+def _move_table(src: FieldSpec, dst: FieldSpec, frobenius_power: int):
+    """Translation table of c -> Frob^j(embed(c)), src codes to dst codes."""
+    embedded = _translation(embed_fq(a, dst) for a in _tables(src).elements)
+    return embedded.translate(_frobenius_table(dst, frobenius_power))
+
+
+def _translation(elements):
+    """bytes.translate table sending code k to the code of the k-th element."""
+    codes = bytes([c.to_int() for c in elements])
+    return codes + bytes(range(len(codes), 256))
+
+
+def _code(residue: FieldSpec, c: FqElement):
+    if c.spec != residue:
+        raise MixedFields("%r is not in the residue field %r" % (c, residue))
+    return c.to_int()
 
 
 @dataclass(eq=False)
@@ -87,18 +214,16 @@ class LocalFieldSpec:
         return make_element(self, leading_exponent, coeffs, precision)
 
     def zero(self, precision=None):
-        return LocalFieldElement(self, 0, (), precision)
+        return LocalFieldElement(self, 0, b"", precision)
 
     def one(self):
-        return self.constant(self.residue.one())
+        return LocalFieldElement(self, 0, b"\x01", None)
 
     def constant(self, c: FqElement):
-        if c.spec != self.residue:
-            raise MixedFields("constant %r is not in the residue field %r" % (c, self.residue))
         return make_element(self, 0, (c,), None)
 
     def uniformizer_elt(self, power=1):
-        return make_element(self, power, (self.residue.one(),), None)
+        return LocalFieldElement(self, power, b"\x01", None)
 
     def from_int_poly(self, pairs, precision=None):
         """Element from {exponent: residue-integer} data."""
@@ -106,8 +231,9 @@ class LocalFieldSpec:
             return self.zero(precision)
         lo = min(pairs)
         hi = max(pairs)
-        coeffs = [self.residue.from_int(pairs.get(k, 0)) for k in range(lo, hi + 1)]
-        return make_element(self, lo, tuple(coeffs), precision)
+        q = self.residue.q
+        codes = bytes([pairs.get(k, 0) % q for k in range(lo, hi + 1)])
+        return _make(self, lo, codes, precision)
 
     def __repr__(self):
         return "%r((%s))" % (self.residue, self.uniformizer)
@@ -119,21 +245,25 @@ def base_field(p, f=1, precision=64, uniformizer="t"):
 
 
 def make_element(field, e0, coeffs, precision):
-    """Normalize: strip zero coefficients at both ends, clamp to precision."""
-    coeffs = list(coeffs)
+    """Element from FqElement coefficients of the field's residue field
+    (MixedFields otherwise), normalized as _make does."""
+    residue = field.residue
+    return _make(field, e0, bytes([_code(residue, c) for c in coeffs]), precision)
+
+
+def _make(field, e0, codes, precision):
+    """Normalize: clamp to precision, strip zero codes at both ends."""
     if precision is not None:
         # drop stored coefficients at or beyond the truncation order
         keep = precision - e0
-        if keep < len(coeffs):
-            coeffs = coeffs[: max(keep, 0)]
-    while coeffs and coeffs[0].is_zero():
-        coeffs.pop(0)
-        e0 += 1
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if not coeffs:
-        return LocalFieldElement(field, 0, (), precision)
-    return LocalFieldElement(field, e0, tuple(coeffs), precision)
+        if keep < len(codes):
+            codes = codes[: max(keep, 0)]
+    stripped = codes.lstrip(b"\0")
+    e0 += len(codes) - len(stripped)
+    codes = stripped.rstrip(b"\0")
+    if not codes:
+        return LocalFieldElement(field, 0, b"", precision)
+    return LocalFieldElement(field, e0, codes, precision)
 
 
 @dataclass(frozen=True)
@@ -142,8 +272,13 @@ class LocalFieldElement:
 
     field: LocalFieldSpec
     leading_exponent: int
-    coeffs: tuple  # FqElement entries; coeffs[0] != 0 unless the element is zero
+    codes: bytes  # coefficient codes; codes[0] != 0 unless the element is zero
     precision: int | None = None
+
+    @property
+    def coeffs(self):
+        """The stored coefficients as FqElements."""
+        return tuple(map(_tables(self.field.residue).elements.__getitem__, self.codes))
 
     # --- basic queries ----------------------------------------------------------
 
@@ -151,23 +286,23 @@ class LocalFieldElement:
         return self.precision is None
 
     def is_known_nonzero(self):
-        return bool(self.coeffs)
+        return bool(self.codes)
 
     def is_exact_zero(self):
-        return not self.coeffs and self.precision is None
+        return not self.codes and self.precision is None
 
     def is_zero_mod_precision(self):
-        return not self.coeffs
+        return not self.codes
 
     def order_lower_bound(self):
         """u-adic order lower bound; always available."""
-        if self.coeffs:
+        if self.codes:
             return self.leading_exponent
         return math.inf if self.precision is None else self.precision
 
     def order(self):
         """Exact u-adic order.  Raises UncertainValuation for uncertain zeros."""
-        if self.coeffs:
+        if self.codes:
             return self.leading_exponent
         if self.precision is None:
             return math.inf
@@ -188,9 +323,9 @@ class LocalFieldElement:
         return Fraction(o, self.field.absolute_ramification)
 
     def leading_coeff(self):
-        if not self.coeffs:
+        if not self.codes:
             raise UncertainValuation("no known nonzero term")
-        return self.coeffs[0]
+        return _tables(self.field.residue).elements[self.codes[0]]
 
     def coeff_at(self, k):
         """Coefficient of u^k; raises PrecisionExhausted if unknown."""
@@ -198,9 +333,17 @@ class LocalFieldElement:
             raise PrecisionExhausted("coefficient of u^%d unknown (precision %d)"
                                      % (k, self.precision))
         i = k - self.leading_exponent
-        if not self.coeffs or i < 0 or i >= len(self.coeffs):
-            return self.field.residue.zero()
-        return self.coeffs[i]
+        code = self.codes[i] if 0 <= i < len(self.codes) else 0
+        return _tables(self.field.residue).elements[code]
+
+    def _window(self, lo, end):
+        """Codes of u^lo .. u^(end-1), zero outside the stored terms."""
+        if end <= lo:
+            return b""
+        i = self.leading_exponent - lo
+        w = bytes(i) + self.codes if i >= 0 else self.codes[-i:]
+        w = w[:end - lo]
+        return w + bytes(end - lo - len(w))
 
     def _check(self, other):
         if self.field is not other.field:
@@ -212,25 +355,19 @@ class LocalFieldElement:
     def __add__(self, other):
         self._check(other)
         prec = _min_prec(self.precision, other.precision)
-        if not self.coeffs:
-            return make_element(other.field, other.leading_exponent, other.coeffs, prec)
-        if not other.coeffs:
-            return make_element(self.field, self.leading_exponent, self.coeffs, prec)
+        if not self.codes:
+            return _make(other.field, other.leading_exponent, other.codes, prec)
+        if not other.codes:
+            return _make(self.field, self.leading_exponent, self.codes, prec)
         lo = min(self.leading_exponent, other.leading_exponent)
-        hi = max(self.leading_exponent + len(self.coeffs),
-                 other.leading_exponent + len(other.coeffs))
-        zero = self.field.residue.zero()
-        out = [zero] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.leading_exponent - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.leading_exponent - lo + i
-            out[j] = out[j] + c
-        return make_element(self.field, lo, out, prec)
+        codes = _tables(self.field.residue).add(
+            self.codes, self.leading_exponent - lo, other.codes, other.leading_exponent - lo)
+        return _make(self.field, lo, codes, prec)
 
     def __neg__(self):
         return LocalFieldElement(self.field, self.leading_exponent,
-                                 tuple(-c for c in self.coeffs), self.precision)
+                                 self.codes.translate(_tables(self.field.residue).neg),
+                                 self.precision)
 
     def __sub__(self, other):
         return self + (-other)
@@ -238,27 +375,27 @@ class LocalFieldElement:
     def __mul__(self, other):
         self._check(other)
         prec = _mul_prec(self, other)
-        if not self.coeffs or not other.coeffs:
-            return LocalFieldElement(self.field, 0, (), prec)
+        if not self.codes or not other.codes:
+            return LocalFieldElement(self.field, 0, b"", prec)
         e0 = self.leading_exponent + other.leading_exponent
-        n = len(self.coeffs) + len(other.coeffs) - 1
+        n = len(self.codes) + len(other.codes) - 1
         if prec is not None:
             # coefficients at or beyond u^prec are unknown: never form them
             n = max(min(n, prec - e0), 0)
-        out = [self.field.residue.zero()] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[:n - i]):
-                out[i + j] = out[i + j] + a * b
-        return make_element(self.field, e0, out, prec)
+        codes = _tables(self.field.residue).mul(self.codes, other.codes, n)
+        return _make(self.field, e0, codes, prec)
 
     def scale(self, c: FqElement):
         """Multiply by a residue constant."""
         if c.is_zero():
-            return LocalFieldElement(self.field, 0, (), self.precision)
-        return make_element(self.field, self.leading_exponent,
-                            tuple(a * c for a in self.coeffs), self.precision)
+            return LocalFieldElement(self.field, 0, b"", self.precision)
+        return self._scaled(_code(self.field.residue, c))
+
+    def _scaled(self, c):
+        """Multiply by the nonzero residue constant with code c."""
+        table = _scale_table(self.field.residue, c)
+        return _make(self.field, self.leading_exponent, self.codes.translate(table),
+                     self.precision)
 
     def inv(self, precision=None):
         """Multiplicative inverse.
@@ -267,15 +404,17 @@ class LocalFieldElement:
         it is returned at the requested precision (default: the field's
         working precision), and the result's precision field records that.
         """
-        if not self.coeffs:
+        if not self.codes:
             if self.precision is None:
                 raise ZeroDivisionError("inverse of exact zero")
             raise DivisionByUncertainZero(
                 "divisor is zero modulo u^%d" % self.precision)
+        tables = _tables(self.field.residue)
         v = self.leading_exponent
+        b = bytes([self.coeff_at(v).inv().to_int()])
         if self.precision is None:
-            if len(self.coeffs) == 1 and precision is None:
-                return make_element(self.field, -v, (self.coeffs[0].inv(),), None)
+            if len(self.codes) == 1 and precision is None:
+                return LocalFieldElement(self.field, -v, b, None)
             nterms = (precision + v) if precision is not None else self.field.default_precision
             out_prec = -v + nterms
         else:
@@ -284,15 +423,16 @@ class LocalFieldElement:
                 out_prec = min(out_prec, precision)
             nterms = out_prec + v
         nterms = max(nterms, 1)
-        a = [self.coeff_at(v + i) for i in range(nterms)]
-        b0 = a[0].inv()
-        out = [b0] + [self.field.residue.zero()] * (nterms - 1)
-        for k in range(1, nterms):
-            acc = self.field.residue.zero()
-            for j in range(1, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out[k] = -(b0 * acc)
-        return make_element(self.field, -v, out, out_prec)
+        # Newton iteration b <- b (2 - a b): each step doubles the known terms
+        a = self.codes
+        k = 1
+        while k < nterms:
+            k2 = min(2 * k, nterms)
+            # a b = 1 + u^k E mod u^k2, so b (1 - a b) = u^k * b (-E)
+            minus_e = tables.mul(a, b, k2)[k:].translate(tables.neg)
+            b += tables.mul(b, minus_e, k2 - k)
+            k = k2
+        return _make(self.field, -v, b, out_prec)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -319,23 +459,17 @@ class LocalFieldElement:
             return self
         pj = self.field.residue.p ** j
         prec = None if self.precision is None else self.precision * pj
-        if not self.coeffs:
-            return LocalFieldElement(self.field, 0, (), prec)
-        pairs = {}
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                pairs[(self.leading_exponent + i) * pj] = c ** pj
-        lo = min(pairs)
-        hi = max(pairs)
-        zero = self.field.residue.zero()
-        out = [pairs.get(k, zero) for k in range(lo, hi + 1)]
-        return make_element(self.field, lo, out, prec)
+        if not self.codes:
+            return LocalFieldElement(self.field, 0, b"", prec)
+        out = bytearray(pj * (len(self.codes) - 1) + 1)
+        out[::pj] = self.codes.translate(_frobenius_table(self.field.residue, j))
+        return _make(self.field, self.leading_exponent * pj, bytes(out), prec)
 
     def truncate(self, precision):
         """Forget knowledge beyond u^precision."""
         if self.precision is not None and self.precision <= precision:
             return self
-        return make_element(self.field, self.leading_exponent, self.coeffs, precision)
+        return _make(self.field, self.leading_exponent, self.codes, precision)
 
     # --- comparisons ----------------------------------------------------------------
 
@@ -351,7 +485,7 @@ class LocalFieldElement:
         """
         self._check(other)
         prec = self.joint_precision(other)
-        lo_candidates = [x.leading_exponent for x in (self, other) if x.coeffs]
+        lo_candidates = [x.leading_exponent for x in (self, other) if x.codes]
         if not lo_candidates:
             if min_terms is not None and prec is not None and prec < min_terms:
                 raise PrecisionExhausted("joint precision too small to compare")
@@ -362,47 +496,39 @@ class LocalFieldElement:
             if hi is not math.inf and hi - lo < min_terms:
                 raise PrecisionExhausted(
                     "joint window [%d, %s) has fewer than %d terms" % (lo, hi, min_terms))
-        end = max(x.leading_exponent + len(x.coeffs) for x in (self, other))
+        end = max(x.leading_exponent + len(x.codes) for x in (self, other))
         if hi is not math.inf:
             end = min(end, hi)
-        k = lo
-        while k < end:
-            if self.coeff_at(k) != other.coeff_at(k):
-                return False
-            k += 1
-        return True
+        return self._window(lo, end) == other._window(lo, end)
 
     def series_key(self, terms=16):
         """Hashable canonical key: leading exponent plus the first `terms`
         coefficient codes.  Distinct elements whose difference is visible
         within the window get distinct keys.  An uncertain zero is keyed by
         its precision so it never collapses onto the exact zero."""
-        if not self.coeffs:
+        if not self.codes:
             return ("zero",) if self.precision is None else ("zerolb", self.precision)
         lo = self.leading_exponent
-        out = []
-        for k in range(lo, lo + terms):
-            if self.precision is not None and k >= self.precision:
-                break
-            out.append(self.coeff_at(k).to_int())
-        return (lo, tuple(out))
+        end = lo + terms if self.precision is None else min(lo + terms, self.precision)
+        return (lo, tuple(self._window(lo, end)))
 
     def to_json(self):
         return {
-            "leading_exponent": self.leading_exponent if self.coeffs else None,
+            "leading_exponent": self.leading_exponent if self.codes else None,
             "coeffs": [list(c.coeffs) for c in self.coeffs],
             "precision": self.precision,
         }
 
     def __repr__(self):
         name = self.field.uniformizer
-        if not self.coeffs:
+        if not self.codes:
             if self.precision is None:
                 return "0"
             return "O(%s^%d)" % (name, self.precision)
         parts = []
         shown = 0
-        for i, c in enumerate(self.coeffs):
+        coeffs = self.coeffs
+        for i, c in enumerate(coeffs):
             if c.is_zero():
                 continue
             k = self.leading_exponent + i
@@ -413,7 +539,7 @@ class LocalFieldElement:
                 head = "" if cs == "1" else cs + "*"
                 parts.append("%s%s^%d" % (head, name, k) if k != 1 else "%s%s" % (head, name))
             shown += 1
-            if shown >= 8 and i < len(self.coeffs) - 1:
+            if shown >= 8 and i < len(coeffs) - 1:
                 parts.append("...")
                 break
         s = " + ".join(parts)
@@ -455,28 +581,21 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
     """
     U = image_of_uniformizer
     target = U.field
-    if not x.coeffs:
+    if not x.codes:
         if x.precision is None:
             return target.zero()
         vU = U.order_lower_bound()
         if vU is math.inf:
             raise PrecisionExhausted("substituting into an exact zero uniformizer image")
         return target.zero(precision=x.precision * vU)
-
-    def move(c):
-        if c.spec != target.residue:
-            c = embed_fq(c, target.residue)
-        if frobenius_power:
-            c = c.frobenius(frobenius_power)
-        return c
-
+    codes = x.codes.translate(_move_table(x.field.residue, target.residue, frobenius_power))
     e0 = x.leading_exponent
     power = U ** e0 if e0 >= 0 else U.inv() ** (-e0)
     acc = target.zero()
-    for i, c in enumerate(x.coeffs):
-        if not c.is_zero():
-            acc = acc + power.scale(move(c))
-        if i < len(x.coeffs) - 1:
+    for i, c in enumerate(codes):
+        if c:
+            acc = acc + power._scaled(c)
+        if i < len(codes) - 1:
             power = power * U
     # account for the unknown tail of x: beyond u^prec_x, terms have order >= prec_x * v(U)
     if x.precision is not None:

@@ -76,6 +76,10 @@ def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
                 resub = relation(spec, raw) - raw
                 if resub.is_exact_zero():
                     new = raw
+            if new.precision is not None and new.is_zero_mod_precision():
+                raise PrecisionExhausted(
+                    "image of the base uniformizer is zero modulo u^%d: too little"
+                    " precision for ramification index %d" % (precision, e))
             if new.order() != e:
                 raise NoConvergence("relation image has order %r, expected e = %d"
                                     % (new.order_lower_bound(), e))

@@ -37,7 +37,7 @@ def test_tower_cm_q2_n2_m2_degrees(capsys):
 
 
 def test_tower_build_error_is_one_stderr_line(capsys):
-    # cm_tower(2, 2, 2, 2, 16) raises UncertainValuation inside build_tower
+    # cm_tower(2, 2, 2, 2, 16) raises PrecisionExhausted inside build_tower
     code, out, err = run_cli(capsys, "tower", "--q", "4", "--n", "2", "--m", "2",
                              "--cm", "--prec", "16")
     assert code == 1

@@ -2,7 +2,11 @@
 the norm compatibility of the determinant action."""
 
 from fractions import Fraction
+import json
 
+import pytest
+
+from omod.errors import PrecisionExhausted
 from omod.lubintate import (build_tower, character_restriction_consistent,
                             cm_tower, locate_base_torsion_chain,
                             orbit_representatives, verify_character,
@@ -38,6 +42,36 @@ def test_torsion_at_level_zero_is_the_zero_point():
     assert T0.level == 0
     assert len(T0.points) == 1
     assert lt.torsion().level == 2
+
+
+def test_level_series_serialize_unchanged_q4_m2():
+    # the level series and one torsion substitution of the q = 4, m = 2 tower,
+    # as serialized before coefficients were stored as codes
+    lt = build_tower(base_field(2, 2, precision=64), 2, 64)
+    dumps = lambda x: json.dumps(x.to_json(), separators=(",", ":"))
+    level1, level2 = (spec.embedding.image_of_base_uniformizer for spec in lt.tower.levels)
+    assert dumps(level1) == '{"leading_exponent":3,"coeffs":[[1,0]],"precision":null}'
+    assert dumps(level2) == (
+        '{"leading_exponent":4,"coeffs":[[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],'
+        '[0,0],[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[1,0],[0,0],[0,0],'
+        '[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],'
+        '[0,0],[0,0],[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[1,0]],'
+        '"precision":64}')
+    R = lt.unit_ring()
+    sigma = lt.torsion_automorphism(R.element([R.residue.gen(), R.residue.one()]))
+    assert dumps(sigma.image_of_uniformizer) == (
+        '{"leading_exponent":1,"coeffs":[[0,1],[0,0],[0,0],[1,0],[0,0],[0,0],[0,0],[0,0],'
+        '[0,0],[0,0],[0,0],[0,0],[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],'
+        '[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],'
+        '[0,0],[0,0],[0,0],[0,0],[0,0],[1,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],'
+        '[0,0],[1,0]],"precision":73}')
+
+
+def test_cm_tower_below_the_ramification_index_is_a_precision_error():
+    # the level-2 relative ramification index of the q = 4, n = 2 tower is 16,
+    # so at precision 16 the base uniformizer's image is zero modulo u^16
+    with pytest.raises(PrecisionExhausted, match=r"u\^16.*ramification index 16"):
+        cm_tower(2, 2, 2, 2, 16)
 
 
 def test_tower_uniformizer_relation_residual():

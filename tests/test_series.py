@@ -5,12 +5,16 @@ import math
 import operator
 import random
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from omod.errors import (DivisionByUncertainZero, MixedFields, UncertainValuation)
-from omod.finitefield import GF
+from omod.errors import (DivisionByUncertainZero, MixedFields, OmodError,
+                         PrecisionExhausted, UncertainValuation)
+from omod.finitefield import GF, FqElement, embed_fq, field_with_order
 from omod.quotring import OModRing
-from omod.series import LocalFieldElement, _mul_prec, base_field, make_element
+from omod.series import (LocalFieldElement, _min_prec, _mul_prec, base_field, make_element,
+                         substitute)
+from omod.tower import unramified_extension
 
 
 def F2t(prec=64):
@@ -69,17 +73,37 @@ def test_mul_precision_rule():
     assert c.order() == 5
 
 
+def known_terms(x):
+    """{exponent: FqElement} of the stored terms of x below its precision,
+    read through coeff_at."""
+    hi = x.leading_exponent + len(x.coeffs)
+    if x.precision is not None:
+        hi = min(hi, x.precision)
+    return {k: x.coeff_at(k) for k in range(x.leading_exponent, hi)}
+
+
+def from_terms(field, terms, precision):
+    if not terms:
+        return field.zero(precision)
+    zero = field.residue.zero()
+    lo, hi = min(terms), max(terms)
+    return make_element(field, lo, [terms.get(k, zero) for k in range(lo, hi + 1)],
+                        precision)
+
+
 def schoolbook_mul(a, b):
     """Every coefficient product, clamped to the result precision afterwards:
-    the reference that LocalFieldElement.__mul__ must match term for term."""
-    prec = _mul_prec(a, b)
-    if not a.coeffs or not b.coeffs:
-        return LocalFieldElement(a.field, 0, (), prec)
-    out = [a.field.residue.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + x * y
-    return make_element(a.field, a.leading_exponent + b.leading_exponent, out, prec)
+    the reference that LocalFieldElement.__mul__ must match term for term.
+    Stored terms at or beyond an operand's precision would only reach
+    exponents at or beyond the product's precision, so they are left out."""
+    zero = a.field.residue.zero()
+    out = {}
+    for i, x in known_terms(a).items():
+        if x.is_zero():
+            continue
+        for j, y in known_terms(b).items():
+            out[i + j] = out.get(i + j, zero) + x * y
+    return from_terms(a.field, out, _mul_prec(a, b))
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -108,8 +132,7 @@ def test_mul_matches_schoolbook_then_clamp(p, f):
 def test_mul_with_no_known_product_terms():
     # stored terms at or beyond the precision: prec - e0 <= 0 for the product
     F = base_field(3, 1)
-    one = F.residue.one()
-    a = LocalFieldElement(F, 4, (one, one), 3)
+    a = LocalFieldElement(F, 4, b"\x01\x01", 3)
     b = F.from_int_poly({-2: 1, 0: 2}, precision=None)
     for x, y in ((a, b), (b, a), (a, a)):
         got = x * y
@@ -255,3 +278,228 @@ def test_quotring_norm():
     assert n.ring == R2
     # (1 + x t)(1 + x^2 t) = 1 + (x + x^2) t = 1 + t
     assert n.lex_key() == (1, 1)
+
+
+def test_coefficients_leave_as_fq_elements_of_the_residue_field():
+    F = base_field(3, 2)
+    a = F.from_int_poly({-1: 5, 2: 7}, precision=9)
+    for c in (a.leading_coeff(), a.coeff_at(-1), a.coeff_at(0), a.coeff_at(2), a.coeff_at(8)):
+        assert isinstance(c, FqElement) and c.spec == F.residue
+    assert [a.coeff_at(k).to_int() for k in range(-1, 3)] == [5, 0, 0, 7]
+    assert a.leading_coeff() == F.residue.from_int(5)
+
+
+def test_make_element_rejects_coefficients_of_another_residue_field():
+    F = base_field(2, 2)
+    with pytest.raises(MixedFields):
+        make_element(F, 0, [F.residue.one(), GF(2).one()], None)
+    with pytest.raises(MixedFields):
+        F.element(3, [GF(3, 2).one()], 10)
+    with pytest.raises(MixedFields):
+        F.constant(GF(2, 1).one())
+
+
+# --- the packed kernel against references written on FqElement arithmetic ------
+#
+# Each reference reads its operands through coeff_at and builds its result
+# with make_element, so it does not depend on how coefficients are stored.
+
+PROPERTY_QS = (2, 3, 4, 9, 131, 256)
+
+
+def field_of_order(q):
+    spec = field_with_order(q)
+    return base_field(spec.p, spec.f)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the OmodError it raised."""
+    try:
+        return fn(*args)
+    except OmodError as exc:
+        return type(exc)
+
+
+def reference_add(a, b):
+    zero = a.field.residue.zero()
+    out = dict(known_terms(a))
+    for k, c in known_terms(b).items():
+        out[k] = out.get(k, zero) + c
+    return from_terms(a.field, out, _min_prec(a.precision, b.precision))
+
+
+def reference_scale(x, c):
+    if c.is_zero():
+        return x.field.zero(x.precision)
+    return from_terms(x.field, {k: v * c for k, v in known_terms(x).items()}, x.precision)
+
+
+def reference_frobenius_power(x, j):
+    pj = x.field.residue.p ** j
+    prec = None if x.precision is None else x.precision * pj
+    return from_terms(x.field, {k * pj: c ** pj for k, c in known_terms(x).items()}, prec)
+
+
+def reference_inv(x, precision=None):
+    """The recurrence b_k = -b_0 * sum_{j=1..k} a_j b_(k-j), on the same
+    number of terms and with the same result precision as inv."""
+    F = x.field
+    v = x.leading_exponent
+    if x.precision is None:
+        if len(x.coeffs) == 1 and precision is None:
+            return make_element(F, -v, [x.coeff_at(v).inv()], None)
+        nterms = (precision + v) if precision is not None else F.default_precision
+        out_prec = -v + nterms
+    else:
+        out_prec = x.precision - 2 * v
+        if precision is not None:
+            out_prec = min(out_prec, precision)
+        nterms = out_prec + v
+    nterms = max(nterms, 1)
+    a = [x.coeff_at(v + i) for i in range(nterms)]
+    b0 = a[0].inv()
+    out = [b0]
+    for k in range(1, nterms):
+        acc = F.residue.zero()
+        for j in range(1, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-(b0 * acc))
+    return make_element(F, -v, out, out_prec)
+
+
+def reference_pow(x, e):
+    """Square and multiply in the same order as __pow__, so that precisions match."""
+    if e < 0:
+        return reference_pow(reference_inv(x), -e)
+    r, b = x.field.one(), x
+    while e:
+        if e & 1:
+            r = schoolbook_mul(r, b)
+        b = schoolbook_mul(b, b)
+        e >>= 1
+    return r
+
+
+def reference_substitute(x, U, frobenius_power):
+    """sum_k Frob^j(embed(c_k)) U^k over the stored terms of a nonzero x,
+    known up to the order of x's unknown tail."""
+    target = U.field
+
+    def move(c):
+        c = embed_fq(c, target.residue)
+        return c.frobenius(frobenius_power) if frobenius_power else c
+
+    power = reference_pow(U, x.leading_exponent)
+    acc = target.zero()
+    coeffs = x.coeffs
+    for i, c in enumerate(coeffs):
+        if not c.is_zero():
+            acc = reference_add(acc, reference_scale(power, move(c)))
+        if i < len(coeffs) - 1:
+            power = schoolbook_mul(power, U)
+    if x.precision is not None:
+        tail = x.precision * U.order_lower_bound()
+        acc = acc.truncate(tail if acc.precision is None else min(tail, acc.precision))
+    if acc.is_zero_mod_precision() and acc.precision is not None and acc.precision <= 0:
+        raise PrecisionExhausted("substitution lost all significant terms")
+    return acc
+
+
+@st.composite
+def series(draw, F, max_len, lowest=-6, highest=6):
+    """An exact element, a truncated one (uncertain zeros included), or one
+    built directly with stored terms at or beyond its precision."""
+    q = F.residue.q
+    lo = draw(st.integers(lowest, highest))
+    n = draw(st.integers(0, max_len))
+    raw = draw(st.binary(min_size=2 * n, max_size=2 * n))
+    codes = [raw[i + 1] % q if raw[i] & 1 else 0 for i in range(0, 2 * n, 2)]   # half zeros
+    kind = draw(st.sampled_from(("exact", "truncated", "stored beyond precision")))
+    if kind == "stored beyond precision":
+        stored = bytes(codes).strip(b"\0") or b"\x01"
+        return LocalFieldElement(F, lo, stored, lo + draw(st.integers(-3, len(stored) - 1)))
+    precision = None if kind == "exact" else lo + draw(st.integers(-3, n + 3))
+    return F.element(lo, [F.residue.from_int(c) for c in codes], precision)
+
+
+def property_test(examples):
+    return settings(derandomize=True, database=None, max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@pytest.mark.parametrize("q", PROPERTY_QS)
+@property_test(30)
+@given(data=st.data())
+def test_packed_mul_matches_schoolbook(q, data):
+    F = field_of_order(q)
+    a, b = data.draw(series(F, 256)), data.draw(series(F, 256))
+    assert a * b == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("q,length", [(2, 255), (2, 256), (3, 63), (3, 64), (4, 127), (4, 128),
+                                      (9, 31), (9, 32), (256, 31), (256, 32),
+                                      (169, 227), (169, 228), (131, 3), (131, 4)])
+def test_mul_at_slot_width_edges(q, length):
+    # every digit is p - 1, so the middle product coefficient reaches the slot
+    # bound length * f * (p - 1)^2: the first length fills one slot width
+    # exactly, the second needs the next one
+    F = field_of_order(q)
+    a = F.element(0, [F.residue.from_int(q - 1)] * length)
+    b = F.element(-2, [F.residue.from_int(q - 1)] * length, precision=length + 1)
+    for x, y in ((a, a), (a, b)):
+        assert x * y == schoolbook_mul(x, y)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 127, 131, 251, 256])
+def test_add_at_slot_width_edge(q):
+    # every digit is p - 1, so each digit sum is 2(p - 1): one byte holds it
+    # up to p = 127, from p = 131 on it needs two
+    F = field_of_order(q)
+    a = F.element(0, [F.residue.from_int(q - 1)] * 5)
+    b = F.element(2, [F.residue.from_int(q - 1)] * 5, precision=9)
+    for x, y in ((a, a), (a, b), (b, a)):
+        assert x + y == reference_add(x, y)
+        assert x - y == reference_add(x, reference_scale(y, -F.residue.one()))
+
+
+@pytest.mark.parametrize("q", PROPERTY_QS)
+@property_test(60)
+@given(data=st.data())
+def test_packed_add_scale_frobenius_match_references(q, data):
+    F = field_of_order(q)
+    a, b = data.draw(series(F, 256)), data.draw(series(F, 256))
+    c = F.residue.from_int(data.draw(st.integers(0, q - 1)))
+    # at p = 131, j = 2 spreads the terms p^2 apart: too long for the reference
+    j = data.draw(st.integers(1, 1 if F.residue.p > 100 else 2))
+    assert a + b == reference_add(a, b)
+    assert a - b == reference_add(a, reference_scale(b, -F.residue.one()))
+    assert a.scale(c) == reference_scale(a, c)
+    assert a.frobenius_power(j) == reference_frobenius_power(a, j)
+
+
+@pytest.mark.parametrize("q", PROPERTY_QS)
+@property_test(40)
+@given(data=st.data())
+def test_newton_inv_matches_recurrence(q, data):
+    F = field_of_order(q)
+    x = data.draw(series(F, 48))
+    if x.is_zero_mod_precision():
+        x = F.uniformizer_elt(data.draw(st.integers(-6, 6)))
+    precision = data.draw(st.none() | st.integers(-4, 70))
+    assert outcome(x.inv, precision) == outcome(reference_inv, x, precision)
+
+
+@pytest.mark.parametrize("q", PROPERTY_QS)
+@property_test(30)
+@given(data=st.data())
+def test_substitute_matches_reference(q, data):
+    F = field_of_order(q)
+    target = F if q * q > 256 or data.draw(st.booleans()) else unramified_extension(F, 2)
+    x = data.draw(series(F, 10))
+    if x.is_zero_mod_precision():
+        x = F.one()
+    U = data.draw(series(target, 6, lowest=1, highest=3))
+    if U.is_zero_mod_precision():
+        U = target.uniformizer_elt(1)
+    j = data.draw(st.integers(0, target.residue.f - 1))
+    assert outcome(substitute, x, U, j) == outcome(reference_substitute, x, U, j)
