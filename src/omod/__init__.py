@@ -28,6 +28,6 @@ from .lubintate import (CharacterTable, DeterminantWitness,  # noqa: F401
                         verify_character, verify_determinant_character,
                         verify_product_formula, verify_torsion_valuations)
 from .pi0 import (Character, DivisionOrder, Pi0Action, UnitGroup,  # noqa: F401
-                  all_characters, determinant, h0_decomposition,
+                  all_characters, h0_decomposition, matrix_determinant,
                   pi0_action_table, reduced_norm, unit_group)
 from .report import CheckResult, merge_documents, report_document  # noqa: F401

@@ -7,7 +7,8 @@ merge report files.
 
 Exit codes: 0 on success, the number of failed checks (capped at 125) for
 verify/report, 1 when tower cannot build the requested tower, 2 for
-configuration errors reported before any computation.
+configuration errors reported before any computation (among them a --prec at
+or below a ramification index of a tower the run builds).
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def build_parser():
     return parser
 
 
+def min_precision(q, height, level):
+    """Smallest working precision for the height-`height` cm tower to
+    `level` (0 when nothing is built): the precision must exceed every
+    relative ramification index, q^height - 1 at level 1 and q^height above,
+    or the base uniformizer's image vanishes modulo u^precision."""
+    if level < 1:
+        return 0
+    return q ** height + (1 if level >= 2 else 0)
+
+
 class RunConfig:
     def __init__(self, args):
         if args.q is not None:
@@ -104,6 +115,20 @@ class RunConfig:
         if self.q ** (self.n * max(self.m, 1)) > DEGREE_CAP:
             raise ValueError("q^(nm) = %d exceeds the degree cap %d"
                              % (self.q ** (self.n * self.m), DEGREE_CAP))
+        if args.command == "tower":
+            towers = [(self.n if self.cm else 1, self.m)]
+        else:
+            self.which = _parse_which(args.which)
+            towers = [(height, level) for suites, height, level in (
+                ({"character"}, 1, self.m),
+                ({"valuations", "product", "determinant", "level-count"}, self.n, self.m),
+                ({"kernel-height"}, self.n, 1)) if suites & set(self.which)]
+        need = max((min_precision(self.q, height, level) for height, level in towers),
+                   default=0)
+        if self.precision < need:
+            raise ValueError("precision %d does not exceed a ramification index of the"
+                             " tower; the smallest working --prec is %d"
+                             % (self.precision, need))
         self._towers = {}
 
     def as_dict(self):
@@ -325,11 +350,21 @@ RUNNERS = {
 }
 
 
-def cmd_verify(cfg, which) -> int:
+def _parse_which(raw):
+    which = []
+    for chunk in raw or [",".join(WHICH_CHOICES)]:
+        which.extend(w.strip() for w in chunk.split(",") if w.strip())
+    bad = [w for w in which if w not in WHICH_CHOICES]
+    if bad:
+        raise ValueError("unknown suites %s" % bad)
+    return which
+
+
+def cmd_verify(cfg) -> int:
     results = []
-    for name in which:
+    for name in cfg.which:
         results.extend(RUNNERS[name](cfg))
-    doc = report_document(results, dict(cfg.as_dict(), which=list(which)))
+    doc = report_document(results, dict(cfg.as_dict(), which=list(cfg.which)))
     if cfg.output == "json":
         sys.stdout.write(dumps_canonical(doc))
     elif cfg.output == "csv":
@@ -370,15 +405,7 @@ def main(argv=None) -> int:
         except OmodError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
-    which = []
-    raw = args.which or [",".join(WHICH_CHOICES)]
-    for chunk in raw:
-        which.extend(w.strip() for w in chunk.split(",") if w.strip())
-    bad = [w for w in which if w not in WHICH_CHOICES]
-    if bad:
-        print("configuration error: unknown suites %s" % bad, file=sys.stderr)
-        return 2
-    return cmd_verify(cfg, which)
+    return cmd_verify(cfg)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,19 @@ elements mean the same thing everywhere.  The rule behind the table: the
 modulus x^f + c_{f-1}x^{f-1} + ... + c_0 is the one whose little-endian digit
 string (c_0, ..., c_{f-1}) encodes the smallest integer in base p among all
 irreducible choices.  Irreducibility is re-checked at construction time.
+
+The hot loops elsewhere (series, o/t^m) work on codes, not FqElements: the
+code of an element is FqElement.to_int(), one byte since q <= 256.  _Tables
+holds one field's code-level arithmetic, built on first use from integer
+work only: addition tables from base-p digit steps, multiplication, inverse
+and Frobenius tables from discrete logarithms to a primitive element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 from .errors import CapExceeded, MixedFields
 
@@ -337,3 +344,205 @@ def project_fq(a: FqElement, src: FieldSpec) -> FqElement:
         return table[a]
     except KeyError:
         raise MixedFields("%r does not lie in the subfield %r" % (a, src))
+
+
+# --- code-level tables ------------------------------------------------------------
+
+_IDENTITY = bytes(range(256))
+
+
+def _translation(elements):
+    """bytes.translate table sending code k to the code of the k-th element."""
+    codes = bytes([c.to_int() for c in elements])
+    return codes + _IDENTITY[len(codes):]
+
+
+def _code(residue: FieldSpec, c: FqElement):
+    if c.spec != residue:
+        raise MixedFields("%r is not in the residue field %r" % (c, residue))
+    return c.to_int()
+
+
+class _Tables:
+    """Code-level arithmetic of one residue field F_q, built on first use.
+
+    The row tables (add_rows, sub_rows, mul_rows) hold, for each code c, a
+    256-byte bytes.translate table of b -> c + b, c - b, c * b."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.p, self.f, self.q = spec.p, spec.f, spec.q
+        self.elements = tuple(spec.elements())      # code -> FqElement
+        self.stride = 2 * spec.f - 1                 # digit slots per packed coefficient
+        # a digit sum in add reaches 2(p - 1): one byte per slot while that fits
+        self.add_width = 1 if 2 * (spec.p - 1) < 256 else 2
+        self.mod_p = bytes(v % spec.p for v in range(256))
+        self.neg = _translation(-a for a in self.elements)
+
+    @cached_property
+    def add_rows(self):
+        """Row c is row c - p^i followed by a +1 step in digit i, i the
+        lowest nonzero base-p digit of c."""
+        p, q = self.p, self.q
+        steps = []
+        w = 1
+        for _ in range(self.f):
+            steps.append(bytes(k - (p - 1) * w if (k // w) % p == p - 1 else k + w
+                               for k in range(q)) + _IDENTITY[q:])
+            w *= p
+        rows = [_IDENTITY]
+        for c in range(1, q):
+            i, w = 0, 1
+            while c // w % p == 0:
+                i, w = i + 1, w * p
+            rows.append(rows[c - w].translate(steps[i]))
+        return tuple(rows)
+
+    @cached_property
+    def sub_rows(self):
+        return tuple(self.neg.translate(row) for row in self.add_rows)
+
+    @cached_property
+    def _exp_log(self):
+        """(exp, log): exp[k] is the code of g^k for the primitive element g
+        with the smallest code; log inverts it on nonzero codes, log[0] = 255."""
+        p, q, low = self.p, self.q, self.spec.modulus
+
+        def digits(k):
+            return tuple(k // p ** i % p for i in range(self.f))
+
+        for g in range(1 if q == 2 else 2, q):
+            exp, x = [1], digits(1)
+            while True:
+                x = _poly_mul_mod(x, digits(g), low, p)
+                c = sum(d * p ** i for i, d in enumerate(x))
+                if c == 1:
+                    break
+                exp.append(c)
+            if len(exp) == q - 1:
+                break
+        log = bytearray([255]) * 256
+        for k, c in enumerate(exp):
+            log[c] = k
+        return bytes(exp), bytes(log)
+
+    @cached_property
+    def mul_rows(self):
+        """Row c is log followed by a rotation of exp by log(c)."""
+        exp, log = self._exp_log
+        q = self.q
+        twice = exp + exp
+        rows = [bytes(q) + _IDENTITY[q:]]
+        for c in range(1, q):
+            rotated = twice[log[c]:log[c] + q - 1] + bytes(257 - q)   # index 255 -> 0
+            rows.append(log[:q].translate(rotated) + _IDENTITY[q:])
+        return tuple(rows)
+
+    @cached_property
+    def inv(self):
+        """code -> code of its inverse (0 -> 0)."""
+        exp, log = self._exp_log
+        return bytes([0]) + bytes(exp[-log[c] % (self.q - 1)] for c in range(1, self.q))
+
+    def invertible(self, rows):
+        """Whether a square matrix of codes (rows of ints) is invertible over
+        F_q, by Gaussian elimination."""
+        rows = [list(r) for r in rows]
+        n = len(rows)
+        add, mul = self.add_rows, self.mul_rows
+        for c in range(n):
+            r = next((r for r in range(c, n) if rows[r][c]), None)
+            if r is None:
+                return False
+            pivot = rows[r]
+            rows[r] = rows[c]
+            minus_inv = mul[self.neg[self.inv[pivot[c]]]]
+            for row in rows[c + 1:]:
+                if row[c]:
+                    factor = mul[minus_inv[row[c]]]
+                    for k in range(c + 1, n):
+                        row[k] = add[row[k]][factor[pivot[k]]]
+        return True
+
+    @cached_property
+    def fold(self):
+        """Reduced digit slots of a packed product coefficient (a polynomial
+        in x of degree < 2f - 1) -> the code of its class mod the modulus."""
+        spec, f = self.spec, self.f
+        x_high = [(spec.gen() ** d).coeffs for d in range(f, self.stride)]
+        fold = {}
+        for high in product(range(self.p), repeat=f - 1):
+            extra = [sum(h * x[i] for h, x in zip(high, x_high)) for i in range(f)]
+            for a in self.elements:
+                folded = spec.element([c + e for c, e in zip(a.coeffs, extra)])
+                fold[bytes(a.coeffs) + bytes(high)] = folded.to_int()
+        return fold
+
+    def pack(self, codes, width):
+        """codes as one integer: digit d of coefficient i fills slot
+        i * stride + d, each slot `width` bytes wide."""
+        if self.stride == 1 and width == 1:
+            return int.from_bytes(codes, "little")
+        chunks = _digit_chunks(self.spec, width)
+        return int.from_bytes(b"".join(map(chunks.__getitem__, codes)), "little")
+
+    def unpack(self, value, n, width):
+        """The first n coefficient codes of a packed integer (any slot values
+        below 256**width): slots reduced mod p, then folded into F_q."""
+        size = n * self.stride * width
+        raw = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        if width == 1:
+            digits = raw.translate(self.mod_p)
+        else:
+            digits = bytes([int.from_bytes(raw[i:i + width], "little") % self.p
+                            for i in range(0, size, width)])
+        if self.stride == 1:
+            return digits
+        s, fold = self.stride, self.fold
+        return bytes([fold[digits[i:i + s]] for i in range(0, len(digits), s)])
+
+    def add(self, a, ia, b, ib):
+        """Codes of u^ia * a + u^ib * b (ia, ib >= 0)."""
+        width = self.add_width
+        shift = 8 * self.stride * width
+        x = (self.pack(a, width) << shift * ia) + (self.pack(b, width) << shift * ib)
+        return self.unpack(x, max(ia + len(a), ib + len(b)), width)
+
+    def mul(self, a, b, n):
+        """First n coefficient codes of a * b, by one integer product."""
+        a, b = a[:n], b[:n]
+        bound = min(len(a), len(b)) * self.f * (self.p - 1) ** 2   # largest slot value
+        width = 1
+        while bound >> 8 * width:
+            width *= 2
+        return self.unpack(self.pack(a, width) * self.pack(b, width), n, width)
+
+
+@lru_cache(maxsize=None)
+def _tables(spec: FieldSpec) -> _Tables:
+    return _Tables(spec)
+
+
+@lru_cache(maxsize=None)
+def _digit_chunks(spec: FieldSpec, width: int):
+    """code -> its packed coefficient: f digit slots of `width` bytes, then
+    zero slots up to the stride."""
+    tables = _tables(spec)
+    pad = bytes((tables.stride - tables.f) * width)
+    return tuple(b"".join(d.to_bytes(width, "little") for d in a.coeffs) + pad
+                 for a in tables.elements)
+
+
+@lru_cache(maxsize=None)
+def _frobenius_table(spec: FieldSpec, j: int):
+    """Translation table of a -> a^(p^j)."""
+    exp, log = _tables(spec)._exp_log
+    q, e = spec.q, spec.p ** (j % spec.f)
+    return bytes([0]) + bytes(exp[log[c] * e % (q - 1)] for c in range(1, q)) + _IDENTITY[q:]
+
+
+@lru_cache(maxsize=None)
+def _move_table(src: FieldSpec, dst: FieldSpec, frobenius_power: int):
+    """Translation table of c -> Frob^j(embed(c)), src codes to dst codes."""
+    embedded = _translation(embed_fq(a, dst) for a in _tables(src).elements)
+    return embedded.translate(_frobenius_table(dst, frobenius_power))

@@ -602,8 +602,12 @@ def _residue_degree(poly):
 
 def count_level_structures(Tm: TorsionModule) -> int:
     """Number of o-module isomorphisms (t^-m o/o)^n -> torsion on an etale
-    generic fibre: candidates are all basis-image tuples; a candidate counts
-    when its induced map hits every torsion point exactly once."""
+    generic fibre.  Candidates are all tuples of n basis images.  Once the
+    coordinates are checked to biject onto (o/t^m)^n, a candidate's induced
+    map is v -> M v, M the matrix whose columns are the images' coordinates;
+    it hits every torsion point exactly once when M is invertible over
+    o/t^m, that is when M mod t is invertible over F_q.  Each candidate is
+    tested by that rank test."""
     X = Tm.module
     if connected_height(X, fibre="generic") != 0:
         raise ValueError("generic fibre is not etale")
@@ -611,27 +615,15 @@ def count_level_structures(Tm: TorsionModule) -> int:
     size = len(Tm.points)
     if size ** n > 1 << 16:
         raise CapExceeded("%d candidate maps exceed cap %d" % (size ** n, 1 << 16))
-    index = Tm.point_key_index()
-    keys = sorted(Tm.points)
-    coord_vecs = [Tm.coords[k] for k in keys]
-    count = 0
-    ring = Tm.ring
-
-    # precompute [a]-action on coordinates: scaling coordinates componentwise
-    def induced_images(images_coords):
-        seen = set()
-        for vec in coord_vecs:
-            acc = [ring.zero()] * n
-            for j, v in enumerate(vec):
-                for i in range(n):
-                    acc[i] = acc[i] + images_coords[j][i] * v
-            seen.add(coord_key(tuple(acc)))
-        return seen
-
-    for images in itertools.product(coord_vecs, repeat=n):
-        if len(induced_images(images)) == size:
-            count += 1
-    return count
+    coord_vecs = [Tm.coords[k] for k in sorted(Tm.points)]
+    every_vector = set(itertools.product([a.lex_key() for a in Tm.ring.elements()], repeat=n))
+    if len(coord_vecs) != len(every_vector) or \
+            {coord_key(v) for v in coord_vecs} != every_vector:
+        raise StructureViolation("torsion coordinates do not biject onto (o/t^m)^%d" % n)
+    residues = [[x.codes[0] for x in v] for v in coord_vecs]
+    # M mod t is invertible iff its transpose, the rows of image residues, is
+    invertible = Tm.ring.tables.invertible
+    return sum(1 for images in itertools.product(residues, repeat=n) if invertible(images))
 
 
 def kernel_rank(phi: LevelStructure, reduction="closed"):

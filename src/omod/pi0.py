@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible)
-from .finitefield import GF, FieldSpec, _prime_factors, project_fq
+from .finitefield import GF, FieldSpec, _prime_factors
 from .quotring import OModElement, OModRing
 
 ENUMERATION_CAP = 1 << 16
@@ -218,34 +218,30 @@ def all_characters(group: UnitGroup):
 
 
 def matrix_determinant(g, ring: OModRing) -> OModElement:
-    """Leibniz determinant over the truncated ring (no division)."""
-    n = len(g)
-    total = ring.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = ring.one()
-        for i in range(n):
-            term = term * g[i][perm[i]]
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def determinant(g, ring: OModRing) -> OModElement:
-    """Determinant of a matrix over o/t^m; NotInvertible when it is not a
-    unit (g outside GL_n)."""
-    d = matrix_determinant(g, ring)
-    if not d.is_unit():
-        raise NotInvertible("determinant %r is not a unit" % (d,))
-    return d
+    """Exact determinant of a matrix in GL_n(o/t^m), by Gaussian elimination
+    with unit pivots.  o/t^m is local with residue field F_q, so g is
+    invertible exactly when its reduction mod t is, and then every column
+    has a unit pivot.  Otherwise the determinant is a non-unit, which no
+    caller uses, and NotInvertible is raised (g outside GL_n)."""
+    rows = [list(row) for row in g]
+    n = len(rows)
+    det = ring.one()
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c].is_unit()), None)
+        if r is None:
+            raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        pivot = rows[c]
+        det = det * pivot[c]
+        pivot_inv = pivot[c].inv()
+        for row in rows[c + 1:]:
+            if not row[c].is_zero():
+                factor = row[c] * pivot_inv
+                for k in range(c + 1, n):
+                    row[k] = row[k] - factor * pivot[k]
+    return det
 
 
 def matrix_mul(a, b, ring):
@@ -282,10 +278,12 @@ def gl_generators(ring: OModRing, n: int, unit_gens):
 
 
 def random_gl_element(ring, n, rng, max_tries=64):
+    """A uniform sample of GL_n(o/t^m): uniform matrices until one is
+    invertible mod t."""
     for _ in range(max_tries):
         g = tuple(tuple(ring.from_int_digits(rng.randrange(ring.size))
                         for _ in range(n)) for _ in range(n))
-        if matrix_determinant(g, ring).is_unit():
+        if ring.tables.invertible([[x.codes[0] for x in row] for row in g]):
             return g
     raise NotInvertible("no invertible sample found")
 
@@ -380,9 +378,7 @@ def reduced_norm(order: DivisionOrder, b) -> OModElement:
     if det_lo.frobenius(order.frob_step).lex_key() != det_lo.lex_key():
         raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
                                            % (b, det_lo))
-    base_ring = OModRing(order.base_residue, order.big.m)
-    return base_ring.element([project_fq(c, order.base_residue)
-                              for c in det_lo.coeffs])
+    return det_lo.descend_to(order.base_residue)
 
 
 def norm_one_units(order: DivisionOrder, group: UnitGroup):
@@ -411,7 +407,7 @@ class Pi0Action:
     def act(self, c: OModElement, g=None, b=None, tau_chi=None) -> OModElement:
         out = c
         if g is not None:
-            out = determinant(g, self.group.ring) * out
+            out = matrix_determinant(g, self.group.ring) * out
         if b is not None:
             out = reduced_norm(self.order, b).inv() * out
         if tau_chi is not None:
@@ -464,16 +460,16 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
     # det is multiplicative: all generator pairs + random samples
     for a in gl:
         for b in gl:
-            lhs = determinant(matrix_mul(a, b, ring), ring)
-            rhs = determinant(a, ring) * determinant(b, ring)
+            lhs = matrix_determinant(matrix_mul(a, b, ring), ring)
+            rhs = matrix_determinant(a, ring) * matrix_determinant(b, ring)
             if lhs.lex_key() != rhs.lex_key():
                 raise NotInvertible("det not multiplicative on generators")
             report["det_pairs"] += 1
     for _ in range(pair_samples):
         a = random_gl_element(ring, n, rng)
         b = random_gl_element(ring, n, rng)
-        lhs = determinant(matrix_mul(a, b, ring), ring)
-        rhs = determinant(a, ring) * determinant(b, ring)
+        lhs = matrix_determinant(matrix_mul(a, b, ring), ring)
+        rhs = matrix_determinant(a, ring) * matrix_determinant(b, ring)
         if lhs.lex_key() != rhs.lex_key():
             raise NotInvertible("det not multiplicative on a sampled pair")
         report["det_pairs"] += 1
@@ -501,7 +497,7 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
     # SL_n (elementaries) and norm-one scalars act trivially
     c0 = group.elements[0]
     for g in gl[: n * (n - 1)]:
-        if determinant(g, ring).lex_key() != ring.one().lex_key():
+        if matrix_determinant(g, ring).lex_key() != ring.one().lex_key():
             raise NotInvertible("elementary generator has det != 1")
     ones = norm_one_units(order, group)
     expected_norm_one = ((p ** (f * n) - 1) // (p ** f - 1)) * \

@@ -3,14 +3,24 @@
 Elements are written a_0 + a_1 t + ... + a_{m-1} t^{m-1} with a_j in F_q.
 This ring underlies unit groups, torsion-point coordinates, matrix entries
 and the multiplication indices [a] of formal modules.
+
+An element stores its digits as codes, a bytes string of length m whose
+j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
+shared with the series kernel).  At these lengths schoolbook arithmetic on
+table lookups is the fast path: add, subtract and multiply index the
+field's row tables, inversion runs the power-series recurrence, and the
+per-digit maps (Frobenius, embedding, projection) are bytes.translate
+tables.  FqElement stays the type at the boundaries: ring.element takes
+FqElements, and the read-only coeffs view returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import MixedFields
-from .finitefield import FieldSpec, embed_fq, project_fq
+from .finitefield import FieldSpec, _code, _frobenius_table, _move_table, _tables
 
 
 @dataclass(frozen=True)
@@ -24,28 +34,31 @@ class OModRing:
         if self.m < 1:
             raise ValueError("truncation level m must be >= 1")
 
+    @cached_property
+    def tables(self):
+        return _tables(self.residue)
+
     @property
     def size(self):
         return self.residue.q ** self.m
 
     def element(self, coeffs):
-        coeffs = list(coeffs)[: self.m]
-        coeffs += [self.residue.zero()] * (self.m - len(coeffs))
-        return OModElement(self, tuple(coeffs))
+        codes = bytes([_code(self.residue, c) for c in list(coeffs)[: self.m]])
+        return OModElement(self, codes + bytes(self.m - len(codes)))
 
     def from_int_digits(self, k):
         """Element whose t-digits are the base-q digits of k (q = residue order)."""
-        digs = []
-        for _ in range(self.m):
-            digs.append(self.residue.from_int(k % self.residue.q))
-            k //= self.residue.q
-        return OModElement(self, tuple(digs))
+        q = self.residue.q
+        codes = bytearray(self.m)
+        for j in range(self.m):
+            k, codes[j] = divmod(k, q)
+        return OModElement(self, bytes(codes))
 
     def zero(self):
-        return self.from_int_digits(0)
+        return OModElement(self, bytes(self.m))
 
     def one(self):
-        return self.from_int_digits(1)
+        return OModElement(self, b"\x01" + bytes(self.m - 1))
 
     def t(self):
         return self.from_int_digits(self.residue.q) if self.m > 1 else self.zero()
@@ -67,62 +80,71 @@ class OModRing:
 @dataclass(frozen=True)
 class OModElement:
     ring: OModRing
-    coeffs: tuple  # length m, FqElement entries
+    codes: bytes  # length m: codes[j] is the code of the coefficient of t^j
+
+    @property
+    def coeffs(self):
+        """The coefficients as FqElements."""
+        return tuple(map(self.ring.tables.elements.__getitem__, self.codes))
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise MixedFields("elements of %r and %r" % (self.ring, other.ring))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.codes)
 
     def is_unit(self):
-        return not self.coeffs[0].is_zero()
+        return self.codes[0] != 0
 
     def level(self):
         """Exact t-order: min j with a_j != 0, or m if zero."""
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return j
-        return self.ring.m
+        return len(self.codes) - len(self.codes.lstrip(b"\0"))
 
     def __add__(self, other):
         self._check(other)
-        return OModElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        rows = self.ring.tables.add_rows
+        return OModElement(self.ring, bytes([rows[x][y] for x, y in zip(self.codes, other.codes)]))
 
     def __sub__(self, other):
         self._check(other)
-        return OModElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        rows = self.ring.tables.sub_rows
+        return OModElement(self.ring, bytes([rows[x][y] for x, y in zip(self.codes, other.codes)]))
 
     def __neg__(self):
-        return OModElement(self.ring, tuple(-a for a in self.coeffs))
+        return OModElement(self.ring, self.codes.translate(self.ring.tables.neg))
 
     def __mul__(self, other):
+        """Schoolbook product truncated at t^m."""
         self._check(other)
-        m = self.ring.m
-        zero = self.ring.residue.zero()
-        out = [zero] * m
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= m:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return OModElement(self.ring, tuple(out))
+        a, b = self.codes, other.codes
+        m = len(a)
+        tables = self.ring.tables
+        add, mul = tables.add_rows, tables.mul_rows
+        out = [0] * m
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j in range(m - i):
+                    out[i + j] = add[out[i + j]][row[b[j]]]
+        return OModElement(self.ring, bytes(out))
 
     def inv(self):
+        """b_0 = 1/a_0 and b_k = -b_0 (a_1 b_(k-1) + ... + a_k b_0)."""
         if not self.is_unit():
             raise ZeroDivisionError("non-unit %r has no inverse" % (self,))
-        m = self.ring.m
-        b0 = self.coeffs[0].inv()
-        out = [b0] + [self.ring.residue.zero()] * (m - 1)
-        for k in range(1, m):
-            acc = self.ring.residue.zero()
+        a = self.codes
+        tables = self.ring.tables
+        add, mul = tables.add_rows, tables.mul_rows
+        b0 = tables.inv[a[0]]
+        minus_b0 = mul[tables.neg[b0]]
+        out = [b0]
+        for k in range(1, len(a)):
+            acc = 0
             for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(b0 * acc)
-        return OModElement(self.ring, tuple(out))
+                acc = add[acc][mul[a[j]][out[k - j]]]
+            out.append(minus_b0[acc])
+        return OModElement(self.ring, bytes(out))
 
     def __pow__(self, e):
         if e < 0:
@@ -138,7 +160,8 @@ class OModElement:
 
     def frobenius(self, j=1):
         """Coefficient-wise a_i -> a_i^(p^j)."""
-        return OModElement(self.ring, tuple(c.frobenius(j) for c in self.coeffs))
+        table = _frobenius_table(self.ring.residue, j)
+        return OModElement(self.ring, self.codes.translate(table))
 
     def norm_to(self, sub_residue: FieldSpec):
         """Product of the coefficient-Frobenius conjugates over the subring.
@@ -154,22 +177,29 @@ class OModElement:
         acc = self.ring.one()
         for j in range(n):
             acc = acc * self.frobenius(f_sub * j)
-        sub_ring = OModRing(sub_residue, self.ring.m)
-        return sub_ring.element(tuple(project_fq(c, sub_residue) for c in acc.coeffs))
+        return acc.descend_to(sub_residue)
+
+    def descend_to(self, sub_residue: FieldSpec):
+        """This element as one of o_sub/t^m, when every digit lies in the
+        canonically embedded subfield sub_residue (MixedFields otherwise)."""
+        codes = self.codes.translate(_projection_table(sub_residue, self.ring.residue))
+        if sub_residue != self.ring.residue and 255 in codes:
+            raise MixedFields("%r does not lie in o/t^m over %r" % (self, sub_residue))
+        return OModElement(OModRing(sub_residue, self.ring.m), codes)
 
     def lift_to(self, ring: OModRing):
         """Canonical lift/extension: reinterpret digits in a compatible ring."""
-        if ring.residue == self.ring.residue:
-            coeffs = list(self.coeffs[: ring.m])
-        else:
-            coeffs = [embed_fq(c, ring.residue) for c in self.coeffs[: ring.m]]
-        return ring.element(coeffs)
+        codes = self.codes[: ring.m]
+        if ring.residue != self.ring.residue:
+            codes = codes.translate(_move_table(self.ring.residue, ring.residue, 0))
+        return OModElement(ring, codes + bytes(ring.m - len(codes)))
 
     def reduce_to(self, m):
-        return OModRing(self.ring.residue, m).element(self.coeffs[:m])
+        codes = self.codes[:m]
+        return OModElement(OModRing(self.ring.residue, m), codes + bytes(m - len(codes)))
 
     def lex_key(self):
-        return tuple(c.to_int() for c in self.coeffs)
+        return tuple(self.codes)
 
     def to_json(self):
         return {"m": self.ring.m, "coeffs": [list(c.coeffs) for c in self.coeffs]}
@@ -187,3 +217,13 @@ class OModElement:
             else:
                 parts.append("%s*t^%d" % (cs, j) if cs != "1" else "t^%d" % j)
         return " + ".join(parts) if parts else "0"
+
+
+@lru_cache(maxsize=None)
+def _projection_table(sub: FieldSpec, big: FieldSpec):
+    """Translation table of big codes to sub codes on the embedded subfield,
+    255 elsewhere (no code of a proper subfield, whose q is at most 16)."""
+    table = bytearray([255]) * 256
+    for code, image in enumerate(_move_table(sub, big, 0)[: sub.q]):
+        table[image] = code
+    return bytes(table)

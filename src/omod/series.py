@@ -12,9 +12,10 @@ the polynomial basis (q <= 256).  Series multiplication is one integer
 product (Kronecker substitution): each coefficient's digits go into slots of
 a packed integer, wide enough that no slot overflows, and the product's slots
 are reduced mod p and folded back into F_q.  Per-coefficient maps (negation,
-scaling, Frobenius, embeddings) are byte translation tables built on first
-use.  FqElement stays the type at the boundaries: constructors take
-FqElements, coeff_at and leading_coeff return them.
+scaling, Frobenius, embeddings) are byte translation tables; all tables are
+finitefield's, built on first use and shared with o/t^m.  FqElement stays
+the type at the boundaries: constructors take FqElements, coeff_at and
+leading_coeff return them.
 
 Every operation computes the exact propagated precision; nothing is truncated
 silently.  All values are immutable.
@@ -24,128 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 import math
 
 from .errors import (DivisionByUncertainZero, MixedFields, NotInTower,
                      PrecisionExhausted, UncertainValuation)
-from .finitefield import FieldSpec, FqElement, GF, embed_fq
-
-
-class _Tables:
-    """Code-level arithmetic of one residue field F_q, built on first use."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p, self.f = spec.p, spec.f
-        self.elements = tuple(spec.elements())      # code -> FqElement
-        self.stride = 2 * spec.f - 1                 # digit slots per packed coefficient
-        # a digit sum in add reaches 2(p - 1): one byte per slot while that fits
-        self.add_width = 1 if 2 * (spec.p - 1) < 256 else 2
-        self.mod_p = bytes(v % spec.p for v in range(256))
-        self.neg = _translation(-a for a in self.elements)
-        if spec.f > 1:
-            self.fold = self._fold_table(spec)
-
-    def _fold_table(self, spec):
-        """Reduced digit slots of a packed product coefficient (a polynomial
-        in x of degree < 2f - 1) -> the code of its class mod the modulus."""
-        f = self.f
-        x_high = [(spec.gen() ** d).coeffs for d in range(f, self.stride)]
-        fold = {}
-        for high in product(range(self.p), repeat=f - 1):
-            extra = [sum(h * x[i] for h, x in zip(high, x_high)) for i in range(f)]
-            for a in self.elements:
-                folded = spec.element([c + e for c, e in zip(a.coeffs, extra)])
-                fold[bytes(a.coeffs) + bytes(high)] = folded.to_int()
-        return fold
-
-    def pack(self, codes, width):
-        """codes as one integer: digit d of coefficient i fills slot
-        i * stride + d, each slot `width` bytes wide."""
-        if self.stride == 1 and width == 1:
-            return int.from_bytes(codes, "little")
-        chunks = _digit_chunks(self.spec, width)
-        return int.from_bytes(b"".join(map(chunks.__getitem__, codes)), "little")
-
-    def unpack(self, value, n, width):
-        """The first n coefficient codes of a packed integer (any slot values
-        below 256**width): slots reduced mod p, then folded into F_q."""
-        size = n * self.stride * width
-        raw = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        if width == 1:
-            digits = raw.translate(self.mod_p)
-        else:
-            digits = bytes([int.from_bytes(raw[i:i + width], "little") % self.p
-                            for i in range(0, size, width)])
-        if self.stride == 1:
-            return digits
-        s, fold = self.stride, self.fold
-        return bytes([fold[digits[i:i + s]] for i in range(0, len(digits), s)])
-
-    def add(self, a, ia, b, ib):
-        """Codes of u^ia * a + u^ib * b (ia, ib >= 0)."""
-        width = self.add_width
-        shift = 8 * self.stride * width
-        x = (self.pack(a, width) << shift * ia) + (self.pack(b, width) << shift * ib)
-        return self.unpack(x, max(ia + len(a), ib + len(b)), width)
-
-    def mul(self, a, b, n):
-        """First n coefficient codes of a * b, by one integer product."""
-        a, b = a[:n], b[:n]
-        bound = min(len(a), len(b)) * self.f * (self.p - 1) ** 2   # largest slot value
-        width = 1
-        while bound >> 8 * width:
-            width *= 2
-        return self.unpack(self.pack(a, width) * self.pack(b, width), n, width)
-
-
-@lru_cache(maxsize=None)
-def _tables(spec: FieldSpec) -> _Tables:
-    return _Tables(spec)
-
-
-@lru_cache(maxsize=None)
-def _digit_chunks(spec: FieldSpec, width: int):
-    """code -> its packed coefficient: f digit slots of `width` bytes, then
-    zero slots up to the stride."""
-    tables = _tables(spec)
-    pad = bytes((tables.stride - tables.f) * width)
-    return tuple(b"".join(d.to_bytes(width, "little") for d in a.coeffs) + pad
-                 for a in tables.elements)
-
-
-@lru_cache(maxsize=None)
-def _scale_table(spec: FieldSpec, c: int):
-    """Translation table of a -> c * a, c a code."""
-    elements = _tables(spec).elements
-    return _translation(a * elements[c] for a in elements)
-
-
-@lru_cache(maxsize=None)
-def _frobenius_table(spec: FieldSpec, j: int):
-    """Translation table of a -> a^(p^j)."""
-    return _translation(a.frobenius(j) for a in _tables(spec).elements)
-
-
-@lru_cache(maxsize=None)
-def _move_table(src: FieldSpec, dst: FieldSpec, frobenius_power: int):
-    """Translation table of c -> Frob^j(embed(c)), src codes to dst codes."""
-    embedded = _translation(embed_fq(a, dst) for a in _tables(src).elements)
-    return embedded.translate(_frobenius_table(dst, frobenius_power))
-
-
-def _translation(elements):
-    """bytes.translate table sending code k to the code of the k-th element."""
-    codes = bytes([c.to_int() for c in elements])
-    return codes + bytes(range(len(codes), 256))
-
-
-def _code(residue: FieldSpec, c: FqElement):
-    if c.spec != residue:
-        raise MixedFields("%r is not in the residue field %r" % (c, residue))
-    return c.to_int()
+from .finitefield import (FieldSpec, FqElement, GF, _code, _frobenius_table, _move_table,
+                          _tables)
 
 
 @dataclass(eq=False)
@@ -393,7 +278,7 @@ class LocalFieldElement:
 
     def _scaled(self, c):
         """Multiply by the nonzero residue constant with code c."""
-        table = _scale_table(self.field.residue, c)
+        table = _tables(self.field.residue).mul_rows[c]
         return _make(self.field, self.leading_exponent, self.codes.translate(table),
                      self.precision)
 

@@ -1,0 +1,109 @@
+"""Boxed reference arithmetic for o/t^m: every operation on tuples of
+FqElement coefficients, the way OModElement computed before it stored codes.
+The Leibniz determinant and the brute-force level count are the oracles for
+unit-pivot elimination and the rank test mod t."""
+
+import itertools
+
+from omod.finitefield import embed_fq, project_fq
+from omod.formalmod import coord_key
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    m = len(a)
+    out = [a[0].spec.zero()] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: m - i]):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def ref_one(residue, m):
+    return (residue.one(),) + (residue.zero(),) * (m - 1)
+
+
+def ref_inv(a):
+    b0 = a[0].inv()
+    out = [b0]
+    for k in range(1, len(a)):
+        acc = a[0].spec.zero()
+        for j in range(1, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-(b0 * acc))
+    return tuple(out)
+
+
+def ref_pow(a, e):
+    if e < 0:
+        a, e = ref_inv(a), -e
+    out = ref_one(a[0].spec, len(a))
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_frobenius(a, j):
+    return tuple(c.frobenius(j) for c in a)
+
+
+def ref_descend_to(a, sub):
+    return tuple(project_fq(c, sub) for c in a)
+
+
+def ref_norm_to(a, sub):
+    acc = ref_one(a[0].spec, len(a))
+    for j in range(a[0].spec.f // sub.f):
+        acc = ref_mul(acc, ref_frobenius(a, sub.f * j))
+    return ref_descend_to(acc, sub)
+
+
+def ref_lift_to(a, residue, m):
+    coeffs = tuple(embed_fq(c, residue) for c in a[:m])
+    return coeffs + (residue.zero(),) * (m - len(coeffs))
+
+
+def ref_reduce_to(a, m):
+    return a[:m] + (a[0].spec.zero(),) * (m - len(a[:m]))
+
+
+def leibniz_determinant(matrix):
+    """sum over permutations of sign * prod_i g[i][perm(i)], on coefficient
+    tuples."""
+    n = len(matrix)
+    residue, m = matrix[0][0][0].spec, len(matrix[0][0])
+    total = (residue.zero(),) * m
+    for perm in itertools.permutations(range(n)):
+        term = ref_one(residue, m)
+        for i in range(n):
+            term = ref_mul(term, matrix[i][perm[i]])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = ref_sub(total, term) if inversions % 2 else ref_add(total, term)
+    return total
+
+
+def brute_force_level_count(Tm):
+    """Candidates are all tuples of n basis images; one counts when its
+    induced map hits every torsion point exactly once."""
+    n, size, ring = Tm.rank, len(Tm.points), Tm.ring
+    coord_vecs = [Tm.coords[k] for k in sorted(Tm.points)]
+
+    def induced_images(images_coords):
+        seen = set()
+        for vec in coord_vecs:
+            acc = [ring.zero()] * n
+            for j, v in enumerate(vec):
+                for i in range(n):
+                    acc[i] = acc[i] + images_coords[j][i] * v
+            seen.add(coord_key(tuple(acc)))
+        return seen
+
+    return sum(1 for images in itertools.product(coord_vecs, repeat=n)
+               if len(induced_images(images)) == size)

@@ -36,13 +36,38 @@ def test_tower_cm_q2_n2_m2_degrees(capsys):
     assert "[3, 12]" in out
 
 
-def test_tower_build_error_is_one_stderr_line(capsys):
-    # cm_tower(2, 2, 2, 2, 16) raises PrecisionExhausted inside build_tower
-    code, out, err = run_cli(capsys, "tower", "--q", "4", "--n", "2", "--m", "2",
-                             "--cm", "--prec", "16")
+def test_tower_build_error_is_one_stderr_line(capsys, monkeypatch):
+    import omod.cli as cli_mod
+    from omod.errors import PrecisionExhausted
+
+    def failing_cm_tower(*args):
+        raise PrecisionExhausted("image of the base uniformizer is zero modulo u^16")
+
+    monkeypatch.setattr(cli_mod, "cm_tower", failing_cm_tower)
+    code, out, err = run_cli(capsys, "tower", "--q", "4", "--n", "2", "--m", "2", "--cm")
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_precision_at_a_ramification_index_exits_2_before_building(capsys, monkeypatch):
+    # the height-2 tower over F_4 has relative ramification indices 15 and 16
+    import omod.cli as cli_mod
+
+    def no_build(*args):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(cli_mod, "cm_tower", no_build)
+    for argv in (("tower", "--q", "4", "--n", "2", "--m", "2", "--cm", "--prec", "16"),
+                 ("verify", "--q", "4", "--n", "2", "--m", "2", "--prec", "16",
+                  "--which", "valuations,product")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and "--prec is 17" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify", "--q", "4", "--n", "2", "--m", "2", "--prec", "17",
+                           "--which", "valuations,product", "--output", "json")
+    assert code == 0 and json.loads(out)["failures"] == 0
 
 
 def test_tower_rejects_csv_output(capsys):

@@ -12,9 +12,12 @@ from omod.formalmod import (LevelStructure, TorsionModule,
                             lubin_tate_module, module_from_unit_coefficients,
                             multiply_by, omodule_structure_check, torsion_points,
                             verify_level_structure, zero_level_structure)
+from omod.lubintate import cm_tower
 from omod.quotring import OModRing
 from omod.series import base_field
 from omod.tower import FieldTower, unramified_extension
+
+from quotring_reference import brute_force_level_count
 
 
 def cm_module(q_p, q_f, n, precision=64):
@@ -222,6 +225,21 @@ def test_count_level_structures_height1_m2():
     X = lubin_tate_module(F, 1)
     Tm = torsion_points(X, 2)
     assert count_level_structures(Tm) == 6
+
+
+@pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 1), ((2, 1), 1, 2), ((3, 1), 2, 1),
+                                      ((2, 1), 3, 1), ((2, 1), 2, 2)])
+def test_count_level_structures_matches_brute_force(q_pf, n, m):
+    Tm = cm_tower(*q_pf, n, m).torsion(m)
+    assert count_level_structures(Tm) == brute_force_level_count(Tm)
+
+
+def test_count_level_structures_rejects_non_bijective_coordinates():
+    Tm = torsion_points(cm_module(2, 1, 2), 1)
+    key = sorted(Tm.coords)[1]
+    Tm.coords[key] = Tm.coords[sorted(Tm.coords)[2]]
+    with pytest.raises(StructureViolation):
+        count_level_structures(Tm)
 
 
 def test_kernel_rank_three_specializations():

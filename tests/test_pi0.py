@@ -1,15 +1,19 @@
 """Unit groups, determinant, reduced norm, the component action, characters."""
 
+import itertools
 import random
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import NotAUnit, NotInvertible
 from omod.finitefield import GF
-from omod.pi0 import (DivisionOrder, all_characters, determinant,
-                      h0_decomposition, matrix_mul, norm_one_units,
-                      pi0_action_table, reduced_norm, unit_group)
+from omod.pi0 import (DivisionOrder, all_characters, h0_decomposition,
+                      matrix_determinant, matrix_mul, norm_one_units, pi0_action_table,
+                      random_gl_element, reduced_norm, unit_group)
 from omod.quotring import OModRing
+
+from quotring_reference import leibniz_determinant
 
 
 def test_unit_group_q2_m3_cyclic4():
@@ -51,28 +55,75 @@ def test_determinant_examples():
     R = OModRing(GF(2), 2)
     one, zero, t = R.one(), R.zero(), R.t()
     ident = ((one, zero), (zero, one))
-    assert determinant(ident, R).lex_key() == one.lex_key()
+    assert matrix_determinant(ident, R).lex_key() == one.lex_key()
     u = R.element([R.residue.one(), R.residue.one()])  # 1 + t
     diag = ((u, zero), (zero, one))
-    assert determinant(diag, R).lex_key() == u.lex_key()
+    assert matrix_determinant(diag, R).lex_key() == u.lex_key()
     # [[1, t], [1, 1]]: det = 1 - t = 1 + t over o/t^2 in characteristic 2
     g = ((one, t), (one, one))
-    assert determinant(g, R).lex_key() == (1, 1)
+    assert matrix_determinant(g, R).lex_key() == (1, 1)
     with pytest.raises(NotInvertible):
-        determinant(((t, zero), (zero, one)), R)
+        matrix_determinant(((t, zero), (zero, one)), R)
 
 
 def test_det_multiplicative_random():
     rng = random.Random(11)
     R = OModRing(GF(2), 2)
-    from omod.pi0 import random_gl_element
-
     for _ in range(200):
         a = random_gl_element(R, 2, rng)
         b = random_gl_element(R, 2, rng)
-        lhs = determinant(matrix_mul(a, b, R), R)
-        rhs = determinant(a, R) * determinant(b, R)
+        lhs = matrix_determinant(matrix_mul(a, b, R), R)
+        rhs = matrix_determinant(a, R) * matrix_determinant(b, R)
         assert lhs.lex_key() == rhs.lex_key()
+
+
+def assert_matches_leibniz(g, ring):
+    want = leibniz_determinant([[x.coeffs for x in row] for row in g])
+    # the determinant mod t is the determinant of the residue matrix
+    if want[0].is_zero():
+        with pytest.raises(NotInvertible):
+            matrix_determinant(g, ring)
+    else:
+        assert matrix_determinant(g, ring).coeffs == want
+
+
+def test_determinant_matches_leibniz_on_every_2x2_over_o_mod_t2():
+    R = OModRing(GF(2), 2)
+    elements = list(R.elements())
+    for entries in itertools.product(elements, repeat=4):
+        assert_matches_leibniz((entries[:2], entries[2:]), R)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(1, 3),
+       st.integers(3, 4), st.data())
+def test_determinant_matches_leibniz_sampled(pf, m, n, data):
+    R = OModRing(GF(*pf), m)
+    # residues drawn from {0, 1}, so singular reductions are common
+    digits = st.tuples(st.integers(0, 1), st.integers(0, R.size // R.residue.q - 1))
+    g = tuple(tuple(R.from_int_digits(low + R.residue.q * high)
+                    for low, high in data.draw(st.lists(digits, min_size=n, max_size=n)))
+              for _ in range(n))
+    assert_matches_leibniz(g, R)
+
+
+@pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 2), ((2, 1), 4, 1), ((3, 1), 3, 2),
+                                      ((2, 2), 2, 3)])
+def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
+    R = OModRing(GF(*q_pf), m)
+
+    def leibniz_sample(rng):
+        while True:
+            g = tuple(tuple(R.from_int_digits(rng.randrange(R.size)) for _ in range(n))
+                      for _ in range(n))
+            if not leibniz_determinant([[x.coeffs for x in row] for row in g])[0].is_zero():
+                return g
+
+    ours, reference = random.Random(5), random.Random(5)
+    for _ in range(20):
+        assert random_gl_element(R, n, ours) == leibniz_sample(reference)
+    assert ours.getstate() == reference.getstate()
 
 
 def test_reduced_norm_scalar_is_norm():

@@ -1,0 +1,139 @@
+"""o/t^m on codes against the boxed FqElement reference, and the lazily built
+code tables."""
+
+import os
+import subprocess
+import sys
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+
+from omod.errors import MixedFields
+from omod.finitefield import GF, FqElement, _Tables
+from omod.quotring import OModRing
+
+from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_lift_to, ref_mul,
+                                ref_descend_to, ref_norm_to, ref_pow, ref_reduce_to,
+                                ref_sub)
+
+FIELDS = [(2, 1), (2, 4), (3, 2), (5, 1), (2, 8)]
+# proper subfields (norm targets) and overfields with q <= 256 (lift targets)
+SUBFIELDS = {(2, 1): [(2, 1)], (2, 4): [(2, 1), (2, 2), (2, 4)], (3, 2): [(3, 1), (3, 2)],
+             (5, 1): [(5, 1)], (2, 8): [(2, 1), (2, 2), (2, 4), (2, 8)]}
+OVERFIELDS = {(2, 1): [(2, 1), (2, 2), (2, 8)], (2, 4): [(2, 4), (2, 8)],
+              (3, 2): [(3, 2), (3, 4)], (5, 1): [(5, 1), (5, 2), (5, 3)], (2, 8): [(2, 8)]}
+
+property_test = settings(derandomize=True, database=None, max_examples=150, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def ring_and_elements(draw, count):
+    pf = draw(st.sampled_from(FIELDS))
+    ring = OModRing(GF(*pf), draw(st.integers(1, 6)))
+    q = ring.residue.q
+    values = []
+    for _ in range(count):
+        # about half the digits zero, so non-units and t-multiples occur
+        digits = draw(st.lists(st.one_of(st.just(0), st.integers(0, q - 1)),
+                               min_size=ring.m, max_size=ring.m))
+        values.append(ring.element([ring.residue.from_int(d) for d in digits]))
+    return pf, ring, values
+
+
+@property_test
+@given(ring_and_elements(2))
+def test_ring_operations_match_reference(drawn):
+    _pf, ring, (a, b) = drawn
+    assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+    assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
+    assert (-a).coeffs == ref_sub(ring.zero().coeffs, a.coeffs)
+    assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+    assert (a * b).lex_key() == tuple(c.to_int() for c in ref_mul(a.coeffs, b.coeffs))
+    assert a.is_zero() == all(c.is_zero() for c in a.coeffs)
+    assert a.level() == next((j for j, c in enumerate(a.coeffs) if not c.is_zero()), ring.m)
+
+
+@property_test
+@given(ring_and_elements(1), st.integers(-4, 20))
+def test_inv_and_pow_match_reference(drawn, e):
+    _pf, ring, (a,) = drawn
+    if not a.is_unit():
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+        e = abs(e)
+    else:
+        assert a.inv().coeffs == ref_inv(a.coeffs)
+    assert (a ** e).coeffs == ref_pow(a.coeffs, e)
+
+
+@property_test
+@given(ring_and_elements(1), st.integers(0, 9), st.data())
+def test_digit_maps_match_reference(drawn, j, data):
+    pf, ring, (a,) = drawn
+    assert a.frobenius(j).coeffs == ref_frobenius(a.coeffs, j)
+    sub = GF(*data.draw(st.sampled_from(SUBFIELDS[pf])))
+    norm = a.norm_to(sub)
+    assert norm.ring == OModRing(sub, ring.m)
+    assert norm.coeffs == ref_norm_to(a.coeffs, sub)
+    big, m = GF(*data.draw(st.sampled_from(OVERFIELDS[pf]))), data.draw(st.integers(1, 6))
+    lifted = a.lift_to(OModRing(big, m))
+    assert lifted.ring == OModRing(big, m)
+    assert lifted.coeffs == ref_lift_to(a.coeffs, big, m)
+    reduced = a.reduce_to(m)
+    assert reduced.ring == OModRing(ring.residue, m)
+    assert reduced.coeffs == ref_reduce_to(a.coeffs, m)
+
+
+def test_descend_to_rejects_digits_outside_the_subfield():
+    ring = OModRing(GF(2, 4), 2)
+    inside = ring.element([ring.residue.one(), ring.residue.gen() ** 5])   # x^5 lies in F_4
+    assert inside.descend_to(GF(2, 2)).coeffs == ref_descend_to(inside.coeffs, GF(2, 2))
+    with pytest.raises(MixedFields):
+        ring.element([ring.residue.one(), ring.residue.gen()]).descend_to(GF(2, 2))
+
+
+def test_element_rejects_coefficients_of_another_field():
+    with pytest.raises(MixedFields):
+        OModRing(GF(2, 2), 2).element([GF(2, 1).one()])
+
+
+def test_elements_leave_and_serialize_as_fq_elements():
+    ring = OModRing(GF(3, 2), 3)
+    a = ring.from_int_digits(5 + 9 * 7)
+    assert all(isinstance(c, FqElement) and c.spec == ring.residue for c in a.coeffs)
+    assert a.lex_key() == (5, 7, 0)
+    assert a.to_json() == {"m": 3, "coeffs": [[2, 1], [1, 2], [0, 0]]}
+    assert repr(a) == "Fq(2,1) + Fq(1,2)*t"
+
+
+def test_no_table_is_built_at_import():
+    code = ("import omod, omod.cli\n"
+            "from omod.finitefield import _tables, _frobenius_table, _move_table\n"
+            "assert (_tables.cache_info().currsize, _frobenius_table.cache_info().currsize,"
+            " _move_table.cache_info().currsize) == (0, 0, 0)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+
+
+@pytest.mark.parametrize("pf", [(2, 8), (3, 5), (13, 2), (251, 1)])
+def test_tables_are_built_without_fq_products(pf, monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("boxed product while building tables")
+
+    tables = _Tables(GF(*pf))
+    monkeypatch.setattr(FqElement, "__mul__", no_products)
+    monkeypatch.setattr(FqElement, "__pow__", no_products)
+    rows = (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.inv)
+    monkeypatch.undo()
+    add_rows, sub_rows, mul_rows, inv = rows
+    elements = tables.elements
+    for a in range(0, tables.q, 7):
+        for b in range(0, tables.q, 5):
+            x, y = elements[a], elements[b]
+            assert add_rows[a][b] == (x + y).to_int()
+            assert sub_rows[a][b] == (x - y).to_int()
+            assert mul_rows[a][b] == (x * y).to_int()
+        if a:
+            assert inv[a] == elements[a].inv().to_int()
