@@ -38,6 +38,9 @@ class LubinTateTower:
     levels: list                      # [(field_k, lam_k in field_k)]
     m_max: int
     precision: int
+    # (ring, codes) of a -> [a], and of a unit a -> its torsion automorphism
+    _multiplications: dict = dc_field(default_factory=dict, init=False, repr=False)
+    _automorphisms: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
@@ -62,15 +65,23 @@ class LubinTateTower:
         return OModRing(self.base.residue, self.m_max if m is None else m)
 
     def multiplication(self, a: OModElement) -> AdditivePolynomial:
-        """[a] with coefficients embedded in the top field."""
-        return multiply_by(a, self.module, target=self.top)
+        """[a] with coefficients embedded in the top field, formed once per a."""
+        key = (a.ring, a.codes)
+        if key not in self._multiplications:
+            self._multiplications[key] = multiply_by(a, self.module, target=self.top)
+        return self._multiplications[key]
 
     def torsion_automorphism(self, a: OModElement) -> FieldAutomorphism:
-        """lam_m -> [a](lam_m), the substitution realizing the Galois action."""
+        """lam_m -> [a](lam_m), the substitution realizing the Galois action.
+        One automorphism per unit and tower, so every check that applies it
+        shares its image's power table."""
         if not a.is_unit():
             raise ValueError("torsion substitutions need a unit index")
-        lam = self.lam(self.m_max)
-        return FieldAutomorphism(self.top, self.multiplication(a)(lam))
+        key = (a.ring, a.codes)
+        if key not in self._automorphisms:
+            lam = self.lam(self.m_max)
+            self._automorphisms[key] = FieldAutomorphism(self.top, self.multiplication(a)(lam))
+        return self._automorphisms[key]
 
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
@@ -132,12 +143,11 @@ def verify_character(lt: LubinTateTower, min_fixed_terms=40) -> CharacterTable:
     min_fixed_terms series terms."""
     m = lt.m_max
     ring = lt.unit_ring(m)
-    lam = lt.lam(m)
     t_img = lt.t_image()
     table = {}
     images = {}
     for a in ring.units():
-        sigma = FieldAutomorphism(lt.top, lt.multiplication(a)(lam))
+        sigma = lt.torsion_automorphism(a)
         moved = apply_automorphism(sigma, t_img)
         if not moved.agrees(t_img, min_terms=min_fixed_terms):
             raise CharacterViolation(

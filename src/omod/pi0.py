@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
-                     NotInvertible)
+                     NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _prime_factors
 from .quotring import OModElement, OModRing
 
@@ -532,7 +532,7 @@ def h0_decomposition(p, f, m, group: UnitGroup | None = None):
     group = group or unit_group((p, f), m)
     chars = all_characters(group)
     if len(chars) != group.order:
-        raise CapExceeded("character count %d != group order %d"
+        raise StructureViolation("character count %d != group order %d"
                           % (len(chars), group.order))
     E = group.exponent
     rows = []
@@ -550,7 +550,7 @@ def h0_decomposition(p, f, m, group: UnitGroup | None = None):
         })
     keys = {tuple(r["omega_on_generators"]) for r in rows}
     if len(keys) != len(rows):
-        raise CapExceeded("characters are not separated on the generators")
+        raise StructureViolation("characters are not separated on the generators")
     return group, chars, rows
 
 

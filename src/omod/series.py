@@ -17,6 +17,17 @@ finitefield's, built on first use and shared with o/t^m.  FqElement stays
 the type at the boundaries: constructors take FqElements, coeff_at and
 leading_coeff return them.
 
+Substitution x(U) = sum_i c_i U^(e0+i) is a linear map once the powers of U
+are known.  Each element used as a uniformizer image keeps a table of its
+powers (the cached property `_powers`), grown on demand by one product per
+new power and reused by every later substitution into the same image: the
+images of embeddings and automorphisms, which the tower code applies many
+times each.  A substitution is then one packed integer accumulation of the
+scaled powers, unpacked once.  The table lives in the image's own __dict__
+(for an embedding's image, in the BaseEmbedding, which hands every copy of
+the image the same table) and refers to no element or field, so it is
+freed together with its image by reference counting.
+
 Every operation computes the exact propagated precision; nothing is truncated
 silently.  All values are immutable.
 """
@@ -25,24 +36,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 import math
+import weakref
 
 from .errors import (DivisionByUncertainZero, MixedFields, NotInTower,
                      PrecisionExhausted, UncertainValuation)
-from .finitefield import (FieldSpec, FqElement, GF, _code, _frobenius_table, _move_table,
-                          _tables)
+from .finitefield import (FieldSpec, FqElement, GF, _code, _digit_chunks, _frobenius_table,
+                          _move_table, _tables)
 
 
-@dataclass(eq=False)
 class BaseEmbedding:
     """How a base field sits inside an extension.
 
     image_of_base_uniformizer is a series in the extension's uniformizer with
     valuation equal to the ramification index; residue-field constants move
-    by the canonical embedding (embed_fq).
+    by the canonical embedding (embed_fq).  The extension holds its
+    embedding, so the embedding keeps the image as data with only a weak
+    reference to the extension, and a tower is freed by reference counting.
+    Every copy of the image it hands out shares one power table.
     """
 
-    image_of_base_uniformizer: "LocalFieldElement"
+    def __init__(self, image_of_base_uniformizer):
+        image = image_of_base_uniformizer
+        self._field = weakref.ref(image.field)
+        self._image = (image.leading_exponent, image.codes, image.precision)
+        self._powers = _PowerTable()
+
+    @property
+    def image_of_base_uniformizer(self):
+        image = LocalFieldElement(self._field(), *self._image)
+        image.__dict__["_powers"] = self._powers     # what the cached property would hold
+        return image
 
 
 @dataclass(eq=False)
@@ -164,6 +189,11 @@ class LocalFieldElement:
     def coeffs(self):
         """The stored coefficients as FqElements."""
         return tuple(map(_tables(self.field.residue).elements.__getitem__, self.codes))
+
+    @cached_property
+    def _powers(self):
+        """This element's power table, for substitutions into it."""
+        return _PowerTable()
 
     # --- basic queries ----------------------------------------------------------
 
@@ -455,6 +485,75 @@ def _mul_prec(a, b):
     return min(candidates) if candidates else None
 
 
+class _PowerTable:
+    """The powers U^k of one substitution image U, each formed once: U^0 = 1
+    and U^(k+1) = U^k * U upward, U^-1 = U.inv() and U^(k-1) = U^k * U^-1
+    downward.  For U of nonnegative order with a known leading term, a
+    combination of them equals the power-by-power evaluation from U ** e0,
+    precision included.  Each power is kept as (leading exponent, codes,
+    precision), its codes packed on first use.  The table refers to no
+    element or field: U is passed to every call."""
+
+    def __init__(self):
+        self.powers = {0: (0, b"\x01", None)}
+        self.lo = self.hi = 0                 # the exponents held are lo..hi
+        self.packed = {}                      # (k, width) -> the codes of U^k packed at width
+
+    def power(self, U, k):
+        """(leading exponent, codes, precision) of U^k."""
+        powers = self.powers
+        while k > self.hi:
+            y = LocalFieldElement(U.field, *powers[self.hi]) * U
+            self.hi += 1
+            powers[self.hi] = (y.leading_exponent, y.codes, y.precision)
+        while k < self.lo:
+            step = LocalFieldElement(U.field, *powers[-1]) if self.lo < 0 else U.inv()
+            y = LocalFieldElement(U.field, *powers[self.lo]) * step
+            self.lo -= 1
+            powers[self.lo] = (y.leading_exponent, y.codes, y.precision)
+        return powers[k]
+
+    def combine(self, U, e0, codes):
+        """sum_i codes[i] U^(e0+i) (codes of U's residue field), known to the
+        least precision of the powers it uses: one integer accumulation in
+        the Kronecker layout of _Tables.pack, unpacked once."""
+        prec = None
+        terms = []
+        for i, c in enumerate(codes):
+            if c:
+                lead, power, power_prec = self.power(U, e0 + i)
+                prec = _min_prec(prec, power_prec)
+                if power:
+                    terms.append((e0 + i, lead, power, c))
+        field = U.field
+        if not terms:
+            return field.zero(prec)
+        lo = min(t[1] for t in terms)
+        end = max(lead + len(power) for _, lead, power, _ in terms)
+        n = end - lo if prec is None else min(end, prec) - lo
+        if n <= 0:
+            return field.zero(prec)
+        tables = _tables(field.residue)
+        # a scaled power puts at most f products of digits below p into a slot
+        bound = len(terms) * tables.f * (tables.p - 1) ** 2
+        width = 1
+        while bound >> 8 * width:
+            width *= 2
+        # c as one packed coefficient: multiplying by it shifts digit d of c by d slots
+        scalars = _digit_chunks(field.residue, width)
+        shift = 8 * tables.stride * width
+        packed = self.packed
+        acc = 0
+        for k, lead, power, c in terms:
+            if lead - lo >= n:
+                continue
+            v = packed.get((k, width))
+            if v is None:
+                v = packed[k, width] = tables.pack(power, width)
+            acc += (v * int.from_bytes(scalars[c], "little")) << shift * (lead - lo)
+        return _make(field, lo, tables.unpack(acc, n, width), prec)
+
+
 def substitute(x, image_of_uniformizer, frobenius_power=0):
     """Evaluate the series x with its uniformizer replaced by another element.
 
@@ -463,6 +562,11 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
     canonical embedding into the target residue field, then through the
     residue Frobenius p^frobenius_power.
     Raises PrecisionExhausted when nothing significant survives.
+
+    The powers of the image come from its power table (_PowerTable), which
+    the image keeps for its lifetime: a call forms only the powers no
+    earlier call into the same image needed, and then adds up the scaled
+    powers in one packed integer.
     """
     U = image_of_uniformizer
     target = U.field
@@ -475,13 +579,18 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
         return target.zero(precision=x.precision * vU)
     codes = x.codes.translate(_move_table(x.field.residue, target.residue, frobenius_power))
     e0 = x.leading_exponent
-    power = U ** e0 if e0 >= 0 else U.inv() ** (-e0)
-    acc = target.zero()
-    for i, c in enumerate(codes):
-        if c:
-            acc = acc + power._scaled(c)
-        if i < len(codes) - 1:
+    if U.codes and U.precision is not None and U.precision <= U.leading_exponent:
+        # stored terms but none known (never built by _make): the precisions of
+        # U's powers then depend on how they are formed, so form them as the
+        # power-by-power evaluation does, from U ** e0
+        power = U ** e0 if e0 >= 0 else U.inv() ** (-e0)
+        acc = target.zero()
+        for c in codes:
+            if c:
+                acc = acc + power._scaled(c)
             power = power * U
+    else:
+        acc = U._powers.combine(U, e0, codes)
     # account for the unknown tail of x: beyond u^prec_x, terms have order >= prec_x * v(U)
     if x.precision is not None:
         vU = U.order_lower_bound()

@@ -84,18 +84,49 @@ def test_verify_valuations_passes(capsys):
     assert "PASS" in out and "1/3" in out
 
 
-def test_verify_exit_code_counts_failures(capsys, monkeypatch):
+def test_verify_exit_code_counts_failures(capsys, monkeypatch, tmp_path):
+    # any number of failed checks exits 1, two included (exit 2 is reserved for
+    # configuration errors); the count is the report's `failures`
     import omod.cli as cli_mod
 
     def broken(cfg):
         from omod.report import CheckResult
 
-        return [CheckResult("h0", "claim", {}, 1, 2, "fail", witness="forced")]
+        return [CheckResult("h0", "claim", {"i": i}, 1, 2, "fail", witness="forced")
+                for i in range(2)]
 
     monkeypatch.setitem(cli_mod.RUNNERS, "h0", broken)
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--m", "1",
-                           "--which", "h0")
-    assert code == 1
+                           "--which", "h0", "--output", "json")
+    assert code == 1 and json.loads(out)["failures"] == 2
+    path = tmp_path / "failed.json"
+    path.write_text(out)
+    code, merged, _ = run_cli(capsys, "report", str(path), "--output", "json")
+    assert code == 1 and json.loads(merged)["failures"] == 2
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 4, 2), (3, 2, 2)])
+def test_limits_are_skipped_not_failed(capsys, q, n, m):
+    # roots outside the field (ExtensionRequired) are a limit of the root
+    # search, not a counterexample
+    code, out, _ = run_cli(capsys, "verify", "--q", str(q), "--n", str(n), "--m", str(m),
+                           "--which", "product,determinant", "--output", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["failures"] == 0
+    assert [r["status"] for r in doc["results"]] == ["skipped", "skipped"]
+    assert all(r["computed"].startswith("not computed: ") for r in doc["results"])
+
+
+def test_other_errors_stay_failures(capsys):
+    # q = 8: the wild-branch relation does not converge (NoConvergence), which
+    # is no declared limit, so the unit-coefficient row fails with its witness
+    code, out, _ = run_cli(capsys, "verify", "--q", "8", "--n", "2", "--m", "1",
+                           "--which", "kernel-height", "--output", "json")
+    doc = json.loads(out)
+    (row,) = [r for r in doc["results"]
+              if r["parameters"]["specialization"] == "unit-coefficient"]
+    assert row["status"] == "fail" and "expected e = 7" in row["witness"]
+    assert code == 1 and doc["failures"] == 1
 
 
 def test_config_errors_exit_2(capsys):
@@ -219,7 +250,7 @@ def test_verify_grid_exits_cleanly(capsys, q, n, m):
         assert code == 2 and "configuration error" in err and out == ""
         return
     doc = json.loads(out)
-    assert code == doc["failures"]
+    assert code == (1 if doc["failures"] else 0)
     if n == 1:
         (row,) = [r for r in doc["results"]
                   if r["parameters"].get("specialization") == "unit-coefficient"]

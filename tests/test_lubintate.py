@@ -2,7 +2,9 @@
 the norm compatibility of the determinant action."""
 
 from fractions import Fraction
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -116,6 +118,48 @@ def test_character_q2_m3_cyclic_of_order4():
     assert sq.image_of_uniformizer.agrees(
         table.sigma(g * g).image_of_uniformizer, min_terms=32)
     assert character_restriction_consistent(lt)
+
+
+def test_torsion_automorphisms_are_shared(monkeypatch):
+    # one [a] and one automorphism per unit and tower: the character check and
+    # the restriction check together form [a] once per unit of (o/t^2)^x
+    import omod.lubintate as lubintate_mod
+
+    formed = []
+    real = lubintate_mod.multiply_by
+
+    def counting(a, *args, **kwargs):
+        formed.append(a.lex_key())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(lubintate_mod, "multiply_by", counting)
+    lt = build_tower(base_field(3, 1), 2)
+    table = verify_character(lt)
+    assert character_restriction_consistent(lt)
+    units = list(lt.unit_ring().units())
+    assert len(formed) == len(units) == 6 and len(set(formed)) == 6
+    for a in units:
+        assert lt.torsion_automorphism(a) is lt.torsion_automorphism(a) is table.sigma(a)
+    assert len(formed) == 6
+
+
+def test_power_tables_are_freed_with_their_images():
+    # power tables refer to no element or field, and an extension refers to
+    # its embedding but not back, so dropping the tower frees its fields,
+    # automorphism images and tables by reference counting alone, without
+    # the cycle collector
+    gc.disable()
+    try:
+        lt = build_tower(base_field(3, 1), 2)
+        table = verify_character(lt)
+        assert character_restriction_consistent(lt)
+        images = [sigma.image_of_uniformizer for _, sigma in table.table.values()]
+        assert all("_powers" in vars(image) for image in images)
+        refs = [weakref.ref(x) for x in images + [lt, lt.top, lt.top.embedding]]
+        del lt, table, images
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_character_violation_detected():

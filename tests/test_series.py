@@ -503,3 +503,40 @@ def test_substitute_matches_reference(q, data):
         U = target.uniformizer_elt(1)
     j = data.draw(st.integers(0, target.residue.f - 1))
     assert outcome(substitute, x, U, j) == outcome(reference_substitute, x, U, j)
+
+
+@pytest.mark.parametrize("q", PROPERTY_QS)
+@property_test(20)
+@given(data=st.data())
+def test_substitute_into_one_image_matches_reference(q, data):
+    # one image U for a run of series, in draw order: the image's power table
+    # is reused, and grown whenever a series reaches past every earlier one
+    F = field_of_order(q)
+    target = F if q * q > 256 or data.draw(st.booleans()) else unramified_extension(F, 2)
+    U = data.draw(series(target, 6, lowest=1, highest=3))
+    if U.is_zero_mod_precision():
+        U = target.uniformizer_elt(1)
+    reach = 0
+    for _ in range(data.draw(st.integers(5, 10))):
+        x = data.draw(series(F, 10, lowest=-2, highest=reach + 2))
+        j = data.draw(st.integers(0, target.residue.f - 1))
+        if x.is_zero_mod_precision():
+            # zero below u^prec(x), so zero below u^(prec(x) v(U)) after substitution
+            expected = target.zero(None if x.precision is None
+                                   else x.precision * U.order_lower_bound())
+        else:
+            reach = max(reach, x.leading_exponent + len(x.codes))
+            expected = outcome(reference_substitute, x, U, j)
+        assert outcome(substitute, x, U, j) == expected
+
+
+def test_substitute_into_an_image_with_no_known_term():
+    # an image whose stored terms all lie at or beyond its precision (only
+    # direct construction makes one): its powers keep the precisions of the
+    # power-by-power evaluation, which depend on the exponent it starts from
+    F = field_of_order(3)
+    U = LocalFieldElement(F, 1, b"\x01", 0)
+    for e0 in (0, 1, 2, 3):
+        x = F.uniformizer_elt(e0) + F.uniformizer_elt(e0 + 1)
+        assert outcome(substitute, x, U, 0) == outcome(reference_substitute, x, U, 0)
+    assert "_powers" not in vars(U)
