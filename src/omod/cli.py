@@ -33,7 +33,7 @@ from .lubintate import (build_tower, character_restriction_consistent, cm_tower,
                         expected_primitive_valuation, verify_character,
                         verify_determinant_character, verify_product_formula,
                         verify_torsion_valuations)
-from .pi0 import h0_decomposition, pi0_action_table
+from .pi0 import expected_invariant_factors, h0_decomposition, pi0_action_table
 from .report import (CheckResult, coverage_matrix, dumps_canonical, merge_documents,
                      render_text, report_document, to_csv)
 from .series import base_field
@@ -322,7 +322,7 @@ def run_pi0(cfg):
                  "invariant_factors": action.group.invariant_factors},
                 {"group_order": (cfg.q - 1) * cfg.q ** (cfg.m - 1),
                  "nrd_surjective": True,
-                 "invariant_factors": action.group.invariant_factors})
+                 "invariant_factors": expected_invariant_factors(cfg.p, cfg.f, cfg.m)})
 
     return [_check("pi0", "component maps det, inverse reduced norm, inverse character are"
                    " homomorphisms with the stated trivial kernels",

@@ -501,7 +501,7 @@ class LevelStructure:
         low = [ring.from_int_digits(k) for k in range(ring.residue.q ** level)]
         out = []
         for vec in itertools.product(low, repeat=self.torsion.rank):
-            shifted = tuple(w * ring.t() ** shift if shift else w for w in vec)
+            shifted = tuple(w.shift(shift) for w in vec)
             out.append((shifted, self.image_of(shifted)))
         return out
 

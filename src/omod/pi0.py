@@ -16,8 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
-from .finitefield import GF, FieldSpec, _prime_factors
-from .quotring import OModElement, OModRing
+from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
+from .quotring import (OModElement, OModRing, _add_codes, _inv_codes, _mul_codes, _shift_codes,
+                       _sub_codes)
 
 ENUMERATION_CAP = 1 << 16
 
@@ -72,6 +73,31 @@ def unit_group(pf, m) -> UnitGroup:
     factors = _invariant_factors(orders)
     gens, dlog = _generator_basis(elements, ring, factors, orders)
     return UnitGroup(ring, elements, gens, factors, dlog)
+
+
+def expected_invariant_factors(p, f, m):
+    """Invariant factors of (o/t^m)^x from its structure, without enumerating
+    it: F_q^x x U^1/U^m, where F_q^x is cyclic of order q - 1 and U^1/U^m is,
+    for each j < m prime to p, f copies of Z/p^(k_j), k_j the least k with
+    j p^k >= m."""
+    q = p ** f
+    exponents = {}                    # prime -> exponents of its cyclic factors
+    for r in _prime_factors(q - 1):
+        e, rest = 0, q - 1
+        while rest % r == 0:
+            e, rest = e + 1, rest // r
+        exponents[r] = [e]
+    for j in range(1, m):
+        if j % p:
+            k = 1
+            while j * p ** k < m:
+                k += 1
+            exponents.setdefault(p, []).extend([k] * f)
+    depth = max((len(v) for v in exponents.values()), default=0)
+    for v in exponents.values():
+        v.sort(reverse=True)
+    return [math.prod(r ** v[i] for r, v in exponents.items() if i < len(v))
+            for i in range(depth)]
 
 
 def _element_order(a, one_key):
@@ -223,37 +249,50 @@ def matrix_determinant(g, ring: OModRing) -> OModElement:
     invertible exactly when its reduction mod t is, and then every column
     has a unit pivot.  Otherwise the determinant is a non-unit, which no
     caller uses, and NotInvertible is raised (g outside GL_n)."""
-    rows = [list(row) for row in g]
+    return OModElement(ring, _determinant_codes(ring.tables, [[x.codes for x in row]
+                                                              for row in g]))
+
+
+def _determinant_codes(tables, rows):
+    """matrix_determinant on a matrix of code strings, given as a list of
+    row lists that it overwrites; the result is a code string."""
     n = len(rows)
-    det = ring.one()
+    det = b"\x01" + bytes(len(rows[0][0]) - 1)
     for c in range(n):
-        r = next((r for r in range(c, n) if rows[r][c].is_unit()), None)
-        if r is None:
-            raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
+        r = c
+        while not rows[r][c][0]:
+            r += 1
+            if r == n:
+                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
+        pivot = rows[r]
         if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
-            det = -det
-        pivot = rows[c]
-        det = det * pivot[c]
-        pivot_inv = pivot[c].inv()
+            rows[r] = rows[c]
+            det = det.translate(tables.neg)
+        det = _mul_codes(tables, det, pivot[c])
+        pivot_inv = _inv_codes(tables, pivot[c])
         for row in rows[c + 1:]:
-            if not row[c].is_zero():
-                factor = row[c] * pivot_inv
+            if any(row[c]):
+                factor = _mul_codes(tables, row[c], pivot_inv)
                 for k in range(c + 1, n):
-                    row[k] = row[k] - factor * pivot[k]
+                    row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
     return det
 
 
 def matrix_mul(a, b, ring):
+    tables = ring.tables
+    a = [[x.codes for x in row] for row in a]
+    b = [[x.codes for x in row] for row in b]
     n = len(a)
-    return tuple(tuple(_dot(a, b, i, j, ring, n) for j in range(n)) for i in range(n))
-
-
-def _dot(a, b, i, j, ring, n):
-    acc = ring.zero()
-    for k in range(n):
-        acc = acc + a[i][k] * b[k][j]
-    return acc
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = _mul_codes(tables, a[i][0], b[0][j])
+            for k in range(1, n):
+                acc = _add_codes(tables, acc, _mul_codes(tables, a[i][k], b[k][j]))
+            row.append(OModElement(ring, acc))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def gl_generators(ring: OModRing, n: int, unit_gens):
@@ -279,12 +318,13 @@ def gl_generators(ring: OModRing, n: int, unit_gens):
 
 def random_gl_element(ring, n, rng, max_tries=64):
     """A uniform sample of GL_n(o/t^m): uniform matrices until one is
-    invertible mod t."""
+    invertible mod t.  A draw k is the element with base-q digits k, so its
+    residue code is k % q; only the accepted matrix is built."""
+    q, size = ring.residue.q, ring.size
     for _ in range(max_tries):
-        g = tuple(tuple(ring.from_int_digits(rng.randrange(ring.size))
-                        for _ in range(n)) for _ in range(n))
-        if ring.tables.invertible([[x.codes[0] for x in row] for row in g]):
-            return g
+        draws = [[rng.randrange(size) for _ in range(n)] for _ in range(n)]
+        if ring.tables.invertible([[k % q for k in row] for row in draws]):
+            return tuple(tuple(ring.from_int_digits(k) for k in row) for row in draws)
     raise NotInvertible("no invertible sample found")
 
 
@@ -318,20 +358,25 @@ class DivisionOrder:
         return self.element([a])
 
     def mul(self, b, c):
-        out = [self.big.zero()] * self.n
+        big = self.big
+        tables = big.tables
+        n = self.n
+        out = [bytes(big.m)] * n
         for i, bi in enumerate(b):
-            if bi.is_zero():
+            x = bi.codes
+            if not any(x):
                 continue
+            frob = _frobenius_table(big.residue, self.frob_step * i)
             for j, cj in enumerate(c):
-                if cj.is_zero():
+                y = cj.codes
+                if not any(y):
                     continue
                 k = i + j
-                coeff = bi * cj.frobenius(self.frob_step * i)
-                wrap = k // self.n
-                if wrap:
-                    coeff = coeff * self.big.t() ** wrap
-                out[k % self.n] = out[k % self.n] + coeff
-        return tuple(out)
+                coeff = _mul_codes(tables, x, y.translate(frob))
+                if k >= n:
+                    coeff = _shift_codes(coeff, 1)      # Pi^n = t
+                out[k % n] = _add_codes(tables, out[k % n], coeff)
+        return tuple(OModElement(big, codes) for codes in out)
 
     def is_unit(self, b):
         return b[0].is_unit()
@@ -339,56 +384,41 @@ class DivisionOrder:
     def key(self, b):
         return tuple(x.lex_key() for x in b)
 
-    def unit_scalars(self):
-        """The units of o' inside the order."""
-        return [self.scalar(a) for a in self.big.units()]
-
     def random_unit(self, rng):
+        """Uniform draws of n coefficients until the first is a unit; a draw
+        k is the element with base-q' digits k, a unit when k % q' != 0."""
+        q, size = self.big.residue.q, self.big.size
         while True:
-            b = self.element([self.big.from_int_digits(rng.randrange(self.big.size))
-                              for _ in range(self.n)])
-            if self.is_unit(b):
-                return b
+            draws = [rng.randrange(size) for _ in range(self.n)]
+            if draws[0] % q:
+                return tuple(self.big.from_int_digits(k) for k in draws)
 
 
 def reduced_norm(order: DivisionOrder, b) -> OModElement:
-    """Determinant of right multiplication by b on the basis {Pi^j}, computed
-    over o'/t^(m+1) so the t-carrying entries keep full accuracy, then checked
-    Frobenius-invariant and returned in o/t^m."""
+    """Determinant of right multiplication by b on the basis {Pi^j}, over
+    o'/t^m, checked Frobenius-invariant and returned in o/t^m.  Reduction
+    mod t^m is a ring homomorphism and the determinant a polynomial in the
+    entries, so this equals the determinant over any o'/t^M, M >= m,
+    reduced mod t^m."""
     if not order.is_unit(b):
         raise NotAUnit("reduced norm restricted to units of the order")
     n = order.n
-    big_hi = OModRing(order.big.residue, order.big.m + 1)
-    lift = [a.lift_to(big_hi) for a in b]
-    t_hi = big_hi.t()
-    cols = []
+    big = order.big
+    # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j), and Pi^(i+j) = t Pi^(i+j-n) once
+    # i + j >= n: column j holds each Frob^j(a_i) once, in row (i + j) mod n
+    rows = [[None] * n for _ in range(n)]
     for j in range(n):
-        # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j)
-        col = [big_hi.zero()] * n
-        for i, a in enumerate(lift):
-            k = i + j
-            entry = a.frobenius(order.frob_step * j)
-            if k >= n:
-                entry = entry * t_hi ** (k // n)
-            col[k % n] = col[k % n] + entry
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    det = matrix_determinant(matrix, big_hi)
-    det_lo = det.reduce_to(order.big.m)
-    if det_lo.frobenius(order.frob_step).lex_key() != det_lo.lex_key():
+        frob = _frobenius_table(big.residue, order.frob_step * j)
+        for i, a in enumerate(b):
+            entry = a.codes.translate(frob)
+            if i + j >= n:
+                entry = _shift_codes(entry, 1)
+            rows[(i + j) % n][j] = entry
+    det = _determinant_codes(big.tables, rows)
+    if det.translate(_frobenius_table(big.residue, order.frob_step)) != det:
         raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
-                                           % (b, det_lo))
-    return det_lo.descend_to(order.base_residue)
-
-
-def norm_one_units(order: DivisionOrder, group: UnitGroup):
-    """Scalar units of reduced norm 1 (exhaustive over o'^x)."""
-    one_key = group.ring.one().lex_key()
-    out = []
-    for b in order.unit_scalars():
-        if reduced_norm(order, b).lex_key() == one_key:
-            out.append(b)
-    return out
+                                           % (b, OModElement(big, det)))
+    return OModElement(big, det).descend_to(order.base_residue)
 
 
 # --- the action --------------------------------------------------------------------
@@ -484,6 +514,8 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
             raise FrobeniusInvarianceViolation("Nrd not multiplicative on a sample")
         report["nrd_pairs"] += 1
     image = set()
+    one_key = ring.one().lex_key()
+    norm_one = 0
     for a in big.units():
         got = reduced_norm(order, order.scalar(a))
         want = a.norm_to(ring.residue)
@@ -491,21 +523,20 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
             raise FrobeniusInvarianceViolation(
                 "Nrd(%r) = %r but the coefficient norm is %r" % (a, got, want))
         image.add(got.lex_key())
+        norm_one += got.lex_key() == one_key
     if image != {u.lex_key() for u in group.elements}:
         raise FrobeniusInvarianceViolation("Nrd on o'^x does not cover the unit group")
     report["nrd_surjective"] = True
-    # SL_n (elementaries) and norm-one scalars act trivially
-    c0 = group.elements[0]
+    # SL_n (elementaries) and the scalar units of reduced norm 1 act trivially
     for g in gl[: n * (n - 1)]:
-        if matrix_determinant(g, ring).lex_key() != ring.one().lex_key():
+        if matrix_determinant(g, ring).lex_key() != one_key:
             raise NotInvertible("elementary generator has det != 1")
-    ones = norm_one_units(order, group)
     expected_norm_one = ((p ** (f * n) - 1) // (p ** f - 1)) * \
         (p ** (f * (n - 1))) ** (m - 1)
-    if len(ones) != expected_norm_one:
+    if norm_one != expected_norm_one:
         raise FrobeniusInvarianceViolation(
-            "norm-one scalar count %d, expected %d" % (len(ones), expected_norm_one))
-    report["norm_one_scalars"] = len(ones)
+            "norm-one scalar count %d, expected %d" % (norm_one, expected_norm_one))
+    report["norm_one_scalars"] = norm_one
     # action axioms on sampled triples: composing group elements composes maps
     action = Pi0Action(group, order, gl, report)
     for _ in range(min(pair_samples, 50)):

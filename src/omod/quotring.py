@@ -6,12 +6,18 @@ and the multiplication indices [a] of formal modules.
 
 An element stores its digits as codes, a bytes string of length m whose
 j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
-shared with the series kernel).  At these lengths schoolbook arithmetic on
-table lookups is the fast path: add, subtract and multiply index the
-field's row tables, inversion runs the power-series recurrence, and the
-per-digit maps (Frobenius, embedding, projection) are bytes.translate
-tables.  FqElement stays the type at the boundaries: ring.element takes
-FqElements, and the read-only coeffs view returns them.
+shared with the series kernel).  The ring arithmetic is a small kernel of
+functions on such code strings (_add_codes, _sub_codes, _mul_codes,
+_inv_codes, _shift_codes): at these lengths schoolbook arithmetic on table
+lookups is the fast path.  Add and subtract index the field's row tables,
+the product scales one operand by a bytes.translate row per digit of the
+other, inversion runs the power-series recurrence, and a product by t^w is
+a shift of the digits.  OModElement's operators call the kernel, and so do
+the matrix and order arithmetic of pi0, which work on code lists and build
+an element once, for the result.  The per-digit maps (Frobenius, embedding,
+projection) are bytes.translate tables.  FqElement stays the type at the
+boundaries: ring.element takes FqElements, and the read-only coeffs view
+returns them.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class OModRing:
     def tables(self):
         return _tables(self.residue)
 
-    @property
+    @cached_property
     def size(self):
         return self.residue.q ** self.m
 
@@ -77,10 +83,68 @@ class OModRing:
         return "O(%r)/t^%d" % (self.residue, self.m)
 
 
-@dataclass(frozen=True)
+def _add_codes(tables, a, b):
+    rows = tables.add_rows
+    return bytes([rows[x][y] for x, y in zip(a, b)])
+
+
+def _sub_codes(tables, a, b):
+    rows = tables.sub_rows
+    return bytes([rows[x][y] for x, y in zip(a, b)])
+
+
+def _mul_codes(tables, a, b):
+    """Schoolbook product of two code strings of one length m, truncated at
+    t^m: digit i of a scales b by one translate row, added in at offset i."""
+    add, mul = tables.add_rows, tables.mul_rows
+    out = bytearray(b.translate(mul[a[0]]))
+    m = len(a)
+    for i in range(1, m):
+        x = a[i]
+        if x:
+            scaled = b.translate(mul[x])
+            for j in range(m - i):
+                out[i + j] = add[out[i + j]][scaled[j]]
+    return bytes(out)
+
+
+def _inv_codes(tables, a):
+    """Inverse of a unit's codes: b_0 = 1/a_0 and
+    b_k = -b_0 (a_1 b_(k-1) + ... + a_k b_0)."""
+    add, mul = tables.add_rows, tables.mul_rows
+    b0 = tables.inv[a[0]]
+    minus_b0 = mul[tables.neg[b0]]
+    out = [b0]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = add[acc][mul[a[j]][out[k - j]]]
+        out.append(minus_b0[acc])
+    return bytes(out)
+
+
+def _shift_codes(a, w):
+    """a * t^w (w >= 0), truncated at t^m."""
+    return (bytes(w) + a)[: len(a)]
+
+
 class OModElement:
-    ring: OModRing
-    codes: bytes  # length m: codes[j] is the code of the coefficient of t^j
+    """An element of `ring`, stored as its digit codes.  Two elements are
+    equal exactly when their rings and codes are."""
+
+    __slots__ = ("ring", "codes")
+
+    def __init__(self, ring: OModRing, codes: bytes):
+        self.ring = ring
+        self.codes = codes      # length m: codes[j] is the code of the coefficient of t^j
+
+    def __eq__(self, other):
+        if other.__class__ is not OModElement:
+            return NotImplemented
+        return self.codes == other.codes and self.ring == other.ring
+
+    def __hash__(self):
+        return hash((self.ring, self.codes))
 
     @property
     def coeffs(self):
@@ -103,48 +167,27 @@ class OModElement:
 
     def __add__(self, other):
         self._check(other)
-        rows = self.ring.tables.add_rows
-        return OModElement(self.ring, bytes([rows[x][y] for x, y in zip(self.codes, other.codes)]))
+        return OModElement(self.ring, _add_codes(self.ring.tables, self.codes, other.codes))
 
     def __sub__(self, other):
         self._check(other)
-        rows = self.ring.tables.sub_rows
-        return OModElement(self.ring, bytes([rows[x][y] for x, y in zip(self.codes, other.codes)]))
+        return OModElement(self.ring, _sub_codes(self.ring.tables, self.codes, other.codes))
 
     def __neg__(self):
         return OModElement(self.ring, self.codes.translate(self.ring.tables.neg))
 
     def __mul__(self, other):
-        """Schoolbook product truncated at t^m."""
         self._check(other)
-        a, b = self.codes, other.codes
-        m = len(a)
-        tables = self.ring.tables
-        add, mul = tables.add_rows, tables.mul_rows
-        out = [0] * m
-        for i, x in enumerate(a):
-            if x:
-                row = mul[x]
-                for j in range(m - i):
-                    out[i + j] = add[out[i + j]][row[b[j]]]
-        return OModElement(self.ring, bytes(out))
+        return OModElement(self.ring, _mul_codes(self.ring.tables, self.codes, other.codes))
 
     def inv(self):
-        """b_0 = 1/a_0 and b_k = -b_0 (a_1 b_(k-1) + ... + a_k b_0)."""
         if not self.is_unit():
             raise ZeroDivisionError("non-unit %r has no inverse" % (self,))
-        a = self.codes
-        tables = self.ring.tables
-        add, mul = tables.add_rows, tables.mul_rows
-        b0 = tables.inv[a[0]]
-        minus_b0 = mul[tables.neg[b0]]
-        out = [b0]
-        for k in range(1, len(a)):
-            acc = 0
-            for j in range(1, k + 1):
-                acc = add[acc][mul[a[j]][out[k - j]]]
-            out.append(minus_b0[acc])
-        return OModElement(self.ring, bytes(out))
+        return OModElement(self.ring, _inv_codes(self.ring.tables, self.codes))
+
+    def shift(self, w):
+        """This element times t^w (w >= 0)."""
+        return OModElement(self.ring, _shift_codes(self.codes, w))
 
     def __pow__(self, e):
         if e < 0:

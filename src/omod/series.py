@@ -210,8 +210,12 @@ class LocalFieldElement:
         return not self.codes
 
     def order_lower_bound(self):
-        """u-adic order lower bound; always available."""
+        """u-adic order lower bound; always available.  Stored terms at or
+        beyond the precision (only direct construction makes them) are not
+        known, so the bound is then the precision."""
         if self.codes:
+            if self.precision is not None:
+                return min(self.leading_exponent, self.precision)
             return self.leading_exponent
         return math.inf if self.precision is None else self.precision
 
@@ -579,18 +583,7 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
         return target.zero(precision=x.precision * vU)
     codes = x.codes.translate(_move_table(x.field.residue, target.residue, frobenius_power))
     e0 = x.leading_exponent
-    if U.codes and U.precision is not None and U.precision <= U.leading_exponent:
-        # stored terms but none known (never built by _make): the precisions of
-        # U's powers then depend on how they are formed, so form them as the
-        # power-by-power evaluation does, from U ** e0
-        power = U ** e0 if e0 >= 0 else U.inv() ** (-e0)
-        acc = target.zero()
-        for c in codes:
-            if c:
-                acc = acc + power._scaled(c)
-            power = power * U
-    else:
-        acc = U._powers.combine(U, e0, codes)
+    acc = U._powers.combine(U, e0, codes)
     # account for the unknown tail of x: beyond u^prec_x, terms have order >= prec_x * v(U)
     if x.precision is not None:
         vU = U.order_lower_bound()

@@ -1,12 +1,16 @@
 """Boxed reference arithmetic for o/t^m: every operation on tuples of
 FqElement coefficients, the way OModElement computed before it stored codes.
 The Leibniz determinant and the brute-force level count are the oracles for
-unit-pivot elimination and the rank test mod t."""
+unit-pivot elimination and the rank test mod t.  The endomorphism-order
+product with its t-power wraps, the reduced norm computed one t-adic digit
+higher, and the samplers that build every drawn matrix or coefficient are the
+oracles for pi0's code-level order arithmetic and its samplers."""
 
 import itertools
 
 from omod.finitefield import embed_fq, project_fq
 from omod.formalmod import coord_key
+from omod.quotring import OModRing
 
 
 def ref_add(a, b):
@@ -107,3 +111,58 @@ def brute_force_level_count(Tm):
 
     return sum(1 for images in itertools.product(coord_vecs, repeat=n)
                if len(induced_images(images)) == size)
+
+
+def reference_order_mul(order, b, c):
+    """b * c in the order: Pi^i a Pi^j a' = a Frob^i(a') Pi^(i+j), each
+    Pi^n turned into a product by t() ** wrap."""
+    out = [order.big.zero()] * order.n
+    for i, bi in enumerate(b):
+        for j, cj in enumerate(c):
+            k = i + j
+            coeff = bi * cj.frobenius(order.frob_step * i)
+            wrap = k // order.n
+            if wrap:
+                coeff = coeff * order.big.t() ** wrap
+            out[k % order.n] = out[k % order.n] + coeff
+    return tuple(out)
+
+
+def reference_reduced_norm(order, b):
+    """Nrd(b) as coefficients over o/t^m: the Leibniz determinant of right
+    multiplication by b on {Pi^j}, over o'/t^(m+1), reduced mod t^m."""
+    n, m = order.n, order.big.m
+    big_hi = OModRing(order.big.residue, m + 1)
+    lift = [a.lift_to(big_hi) for a in b]
+    cols = []
+    for j in range(n):
+        col = [big_hi.zero()] * n
+        for i, a in enumerate(lift):
+            k = i + j
+            entry = a.frobenius(order.frob_step * j)
+            if k >= n:
+                entry = entry * big_hi.t() ** (k // n)
+            col[k % n] = col[k % n] + entry
+        cols.append(col)
+    det = ref_reduce_to(leibniz_determinant([[cols[j][i].coeffs for j in range(n)]
+                                             for i in range(n)]), m)
+    assert ref_frobenius(det, order.frob_step) == det
+    return ref_descend_to(det, order.base_residue)
+
+
+def reference_gl_sample(ring, n, rng):
+    """Uniform matrices, each built, until the Leibniz determinant is a unit."""
+    while True:
+        g = tuple(tuple(ring.from_int_digits(rng.randrange(ring.size)) for _ in range(n))
+                  for _ in range(n))
+        if not leibniz_determinant([[x.coeffs for x in row] for row in g])[0].is_zero():
+            return g
+
+
+def reference_unit_sample(order, rng):
+    """Uniform coefficient tuples, each built, until the first is a unit."""
+    while True:
+        b = tuple(order.big.from_int_digits(rng.randrange(order.big.size))
+                  for _ in range(order.n))
+        if b[0].is_unit():
+            return b

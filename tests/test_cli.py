@@ -8,6 +8,7 @@ import pytest
 from omod.cache import tower_cache_name
 from omod.cli import WHICH_CHOICES, main
 from omod.lubintate import cm_tower
+from omod.pi0 import pi0_action_table
 from omod.report import SCHEMA, merge_documents
 from omod.errors import SchemaMismatch
 
@@ -103,6 +104,25 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch, tmp_path):
     path.write_text(out)
     code, merged, _ = run_cli(capsys, "report", str(path), "--output", "json")
     assert code == 1 and json.loads(merged)["failures"] == 2
+
+
+def test_pi0_row_fails_when_the_invariant_factors_are_wrong(capsys, monkeypatch):
+    # the expected invariant factors come from the group's structure, not
+    # from the enumerated group, so a wrong decomposition fails the row
+    import omod.cli as cli_mod
+
+    def wrong_factors(*args, **kwargs):
+        action = pi0_action_table(*args, **kwargs)
+        action.group.invariant_factors = [action.group.order]
+        return action
+
+    monkeypatch.setattr(cli_mod, "pi0_action_table", wrong_factors)
+    code, out, _ = run_cli(capsys, "verify", "--q", "4", "--n", "2", "--m", "2",
+                           "--which", "pi0", "--output", "json")
+    (row,) = json.loads(out)["results"]
+    assert code == 1 and row["status"] == "fail"
+    assert row["computed"]["invariant_factors"] == [12]
+    assert row["expected"]["invariant_factors"] == [6, 2]
 
 
 @pytest.mark.parametrize("q,n,m", [(2, 4, 2), (3, 2, 2)])

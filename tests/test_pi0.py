@@ -1,19 +1,22 @@
 """Unit groups, determinant, reduced norm, the component action, characters."""
 
 import itertools
+import math
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import NotAUnit, NotInvertible
-from omod.finitefield import GF
-from omod.pi0 import (DivisionOrder, all_characters, h0_decomposition,
-                      matrix_determinant, matrix_mul, norm_one_units, pi0_action_table,
-                      random_gl_element, reduced_norm, unit_group)
-from omod.quotring import OModRing
+from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
+from omod.pi0 import (DivisionOrder, _partition_from_counts, all_characters,
+                      expected_invariant_factors, h0_decomposition, matrix_determinant,
+                      matrix_mul, pi0_action_table, random_gl_element, reduced_norm,
+                      unit_group)
+from omod.quotring import OModRing, _mul_codes
 
-from quotring_reference import leibniz_determinant
+from quotring_reference import (leibniz_determinant, reference_gl_sample, reference_order_mul,
+                                reference_reduced_norm, reference_unit_sample)
 
 
 def test_unit_group_q2_m3_cyclic4():
@@ -112,18 +115,64 @@ def test_determinant_matches_leibniz_sampled(pf, m, n, data):
                                       ((2, 2), 2, 3)])
 def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
     R = OModRing(GF(*q_pf), m)
-
-    def leibniz_sample(rng):
-        while True:
-            g = tuple(tuple(R.from_int_digits(rng.randrange(R.size)) for _ in range(n))
-                      for _ in range(n))
-            if not leibniz_determinant([[x.coeffs for x in row] for row in g])[0].is_zero():
-                return g
-
     ours, reference = random.Random(5), random.Random(5)
     for _ in range(20):
-        assert random_gl_element(R, n, ours) == leibniz_sample(reference)
+        assert random_gl_element(R, n, ours) == reference_gl_sample(R, n, reference)
     assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("pf,n,m", [((2, 1), 2, 2), ((3, 1), 3, 2), ((2, 2), 2, 1)])
+def test_random_unit_draws_as_the_boxed_sampler_did(pf, n, m):
+    order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
+    ours, reference = random.Random(6), random.Random(6)
+    for _ in range(20):
+        assert order.random_unit(ours) == reference_unit_sample(order, reference)
+    assert ours.getstate() == reference.getstate()
+
+
+def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
+    p, f, n, m, samples = 2, 2, 2, 2, 60
+    q = p ** f
+    ring = OModRing(GF(p, f), m)
+    order = DivisionOrder(n, OModRing(GF(p, f * n), m), ring.residue)
+    ours, reference = random.Random(9), random.Random(9)
+    pi0_action_table(p, f, n, m, rng=ours, pair_samples=samples)
+    for _ in range(2 * samples):
+        reference_gl_sample(ring, n, reference)
+    for _ in range(2 * samples):
+        reference_unit_sample(order, reference)
+    for _ in range(min(samples, 50)):
+        reference_gl_sample(ring, n, reference)
+        reference_gl_sample(ring, n, reference)
+        reference_unit_sample(order, reference)
+        reference_unit_sample(order, reference)
+        for _ in range(3):
+            reference.randrange((q - 1) * q ** (m - 1))
+    assert ours.getstate() == reference.getstate()
+
+
+ORDER_CASES = st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from([2, 3]),
+                        st.integers(1, 3))
+
+
+def _order_element(data, order, unit):
+    Q, size = order.big.residue.q, order.big.size
+    first = data.draw(st.integers(0, size - 1).filter(lambda k: k % Q) if unit
+                      else st.integers(0, size - 1))
+    rest = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, size - 1)),
+                              min_size=order.n - 1, max_size=order.n - 1))
+    return tuple(order.big.from_int_digits(k) for k in [first] + rest)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ORDER_CASES, st.data())
+def test_order_arithmetic_matches_the_t_power_reference(case, data):
+    pf, n, m = case
+    order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
+    b, c = _order_element(data, order, True), _order_element(data, order, False)
+    assert order.mul(b, c) == reference_order_mul(order, b, c)
+    assert reduced_norm(order, b).coeffs == reference_reduced_norm(order, b)
 
 
 def test_reduced_norm_scalar_is_norm():
@@ -173,8 +222,8 @@ def test_pi_commutation_relation():
 def test_norm_one_units_count():
     big = OModRing(GF(2, 2), 2)
     order = DivisionOrder(2, big, GF(2))
-    G = unit_group((2, 1), 2)
-    ones = norm_one_units(order, G)
+    one = unit_group((2, 1), 2).ring.one()
+    ones = [a for a in big.units() if reduced_norm(order, order.scalar(a)) == one]
     # kernel of the norm on scalars: (q^n-1)/(q-1) * q^((n-1)(m-1)) = 3 * 2 = 6
     assert len(ones) == 6
 
@@ -249,3 +298,56 @@ def test_action_and_character_exports():
     csv_text = characters_to_csv(char_rows)
     assert csv_text.splitlines()[0].startswith("omega_on_generators")
     assert len(csv_text.splitlines()) == 7  # header + 6 characters
+
+
+def _grid_of_unit_groups(max_order):
+    """Every (p, f, m) with a published residue field and (q-1) q^(m-1) <= max_order."""
+    grid = []
+    for p in filter(_is_prime, range(2, RESIDUE_CARDINALITY_CAP + 1)):
+        for f in range(1, RESIDUE_CARDINALITY_CAP.bit_length()):
+            q = p ** f
+            if q > RESIDUE_CARDINALITY_CAP or (f > 1 and (p, f) not in FIXED_MODULI):
+                continue
+            m = 1
+            while (q - 1) * q ** (m - 1) <= max_order:
+                grid.append((p, f, m))
+                m += 1
+    return grid
+
+
+def _power_codes(tables, x, e):
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else _mul_codes(tables, out, x)
+        x = _mul_codes(tables, x, x)
+        e >>= 1
+    return out
+
+
+def _enumerated_invariant_factors(ring, N):
+    """Invariant factors of the units of `ring` (N of them) from the counts
+    |G[r^k]| = #{x : x^(r^k) = 1}, each enumerated by raising every unit to
+    the r-th power k times, and unit_group's partition of such counts."""
+    tables, one = ring.tables, ring.one().codes
+    units = [a.codes for a in ring.units()]
+    assert len(units) == N
+    partitions = []
+    for r in _prime_factors(N):
+        powers, counts = units, []
+        while N % r ** (len(counts) + 1) == 0:
+            powers = [_power_codes(tables, x, r) for x in powers]
+            counts.append(powers.count(one))
+        partitions.append((r, _partition_from_counts(counts, r)))
+    depth = max((len(part) for _, part in partitions), default=0)
+    return [math.prod(r ** part[i] for r, part in partitions if i < len(part))
+            for i in range(depth)]
+
+
+@pytest.mark.parametrize("p,f,m", _grid_of_unit_groups(5000))
+def test_expected_invariant_factors_match_the_enumerated_group(p, f, m):
+    ring = OModRing(GF(p, f), m)
+    N = (ring.residue.q - 1) * ring.residue.q ** (m - 1)
+    assert expected_invariant_factors(p, f, m) == _enumerated_invariant_factors(ring, N)
+    if N <= 64:
+        assert expected_invariant_factors(p, f, m) == unit_group((p, f), m).invariant_factors

@@ -137,3 +137,24 @@ def test_tables_are_built_without_fq_products(pf, monkeypatch):
             assert mul_rows[a][b] == (x * y).to_int()
         if a:
             assert inv[a] == elements[a].inv().to_int()
+
+
+def test_elements_are_values_of_ring_and_codes():
+    ring = OModRing(GF(3, 2), 2)
+    a, same = ring.from_int_digits(1 + 9 * 2), OModRing(GF(3, 2), 2).from_int_digits(1 + 9 * 2)
+    assert a == same and hash(a) == hash(same) and a is not same
+    assert a != ring.from_int_digits(2 + 9 * 2)
+    # the same codes in o/t^2 over F_3: another ring, so another element
+    over_f3 = OModRing(GF(3), 2).from_int_digits(1 + 3 * 2)
+    assert over_f3.codes == a.codes and over_f3 != a
+    assert a != a.codes and a != a.lex_key()
+    table = {a: "a"}
+    assert table[same] == "a" and over_f3 not in table and ring.zero() not in table
+
+
+@property_test
+@given(ring_and_elements(1))
+def test_shift_is_a_product_by_a_power_of_t(drawn):
+    _pf, ring, (a,) = drawn
+    for w in range(ring.m + 2):
+        assert a.shift(w) == a * ring.t() ** w

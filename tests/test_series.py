@@ -532,11 +532,21 @@ def test_substitute_into_one_image_matches_reference(q, data):
 
 def test_substitute_into_an_image_with_no_known_term():
     # an image whose stored terms all lie at or beyond its precision (only
-    # direct construction makes one): its powers keep the precisions of the
-    # power-by-power evaluation, which depend on the exponent it starts from
+    # direct construction makes one): its order bound is its precision, so
+    # the power table agrees with the power-by-power evaluation from any
+    # starting exponent
     F = field_of_order(3)
     U = LocalFieldElement(F, 1, b"\x01", 0)
     for e0 in (0, 1, 2, 3):
         x = F.uniformizer_elt(e0) + F.uniformizer_elt(e0 + 1)
         assert outcome(substitute, x, U, 0) == outcome(reference_substitute, x, U, 0)
-    assert "_powers" not in vars(U)
+
+
+def test_a_product_of_terms_beyond_precision_knows_nothing():
+    # t + O(t^0) is only known to have order >= 0, so its square is O(t^0),
+    # not O(t^1)
+    F = field_of_order(3)
+    U = LocalFieldElement(F, 1, b"\x01", 0)
+    assert U.order_lower_bound() == 0
+    square = U * U
+    assert square.is_zero_mod_precision() and square.precision == 0
