@@ -444,26 +444,6 @@ class _Tables:
         exp, log = self._exp_log
         return bytes([0]) + bytes(exp[-log[c] % (self.q - 1)] for c in range(1, self.q))
 
-    def invertible(self, rows):
-        """Whether a square matrix of codes (rows of ints) is invertible over
-        F_q, by Gaussian elimination."""
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        add, mul = self.add_rows, self.mul_rows
-        for c in range(n):
-            r = next((r for r in range(c, n) if rows[r][c]), None)
-            if r is None:
-                return False
-            pivot = rows[r]
-            rows[r] = rows[c]
-            minus_inv = mul[self.neg[self.inv[pivot[c]]]]
-            for row in rows[c + 1:]:
-                if row[c]:
-                    factor = mul[minus_inv[row[c]]]
-                    for k in range(c + 1, n):
-                        row[k] = add[row[k]][factor[pivot[k]]]
-        return True
-
     @cached_property
     def fold(self):
         """Reduced digit slots of a packed product coefficient (a polynomial

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
-                     StructureViolation)
+                     NotInvertible, StructureViolation)
 from .finitefield import embed_fq
-from .quotring import OModElement, OModRing
+from .quotring import OModElement, OModRing, _determinant_codes
 from .series import LocalFieldElement, LocalFieldSpec
 from .tower import (FieldTower, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
@@ -620,10 +620,18 @@ def count_level_structures(Tm: TorsionModule) -> int:
     if len(coord_vecs) != len(every_vector) or \
             {coord_key(v) for v in coord_vecs} != every_vector:
         raise StructureViolation("torsion coordinates do not biject onto (o/t^m)^%d" % n)
-    residues = [[x.codes[0] for x in v] for v in coord_vecs]
-    # M mod t is invertible iff its transpose, the rows of image residues, is
-    invertible = Tm.ring.tables.invertible
-    return sum(1 for images in itertools.product(residues, repeat=n) if invertible(images))
+    residues = [[x.codes[:1] for x in v] for v in coord_vecs]
+    # M mod t is invertible iff its transpose, the rows of image residues, is:
+    # iff the unit-pivot elimination over F_q = o/t finds a pivot in every column
+    tables = Tm.ring.tables
+    count = 0
+    for images in itertools.product(residues, repeat=n):
+        try:
+            _determinant_codes(tables, images)
+        except NotInvertible:
+            continue
+        count += 1
+    return count
 
 
 def kernel_rank(phi: LevelStructure, reduction="closed"):

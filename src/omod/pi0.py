@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import (OModElement, OModRing, _add_codes, _inv_codes, _mul_codes, _shift_codes,
-                       _sub_codes)
+from .quotring import (OModElement, OModRing, _add_codes, _determinant_codes, _inv_codes,
+                       _mul_codes, _pow_codes, _projection_table, _shift_codes)
 
 ENUMERATION_CAP = 1 << 16
 
@@ -68,8 +69,8 @@ def unit_group(pf, m) -> UnitGroup:
     if len(elements) != expected:
         raise ArithmeticError("unit count %d != (q-1)q^(m-1) = %d"
                               % (len(elements), expected))
-    one_key = ring.one().lex_key()
-    orders = [_element_order(a, one_key) for a in elements]
+    one = ring.one().codes
+    orders = [_element_order(ring.tables, a.codes, expected, one) for a in elements]
     factors = _invariant_factors(orders)
     gens, dlog = _generator_basis(elements, ring, factors, orders)
     return UnitGroup(ring, elements, gens, factors, dlog)
@@ -100,13 +101,15 @@ def expected_invariant_factors(p, f, m):
             for i in range(depth)]
 
 
-def _element_order(a, one_key):
-    k = 1
-    acc = a
-    while acc.lex_key() != one_key:
-        acc = acc * a
-        k += 1
-    return k
+def _element_order(tables, a, group_order, one):
+    """Order of the unit with codes a, which divides the group order: descend
+    from the group order over its prime factors r, dividing by r while
+    a^(order / r) = 1 (square-and-multiply powers)."""
+    order = group_order
+    for r in _prime_factors(group_order):
+        while order % r == 0 and _pow_codes(tables, a, order // r) == one:
+            order //= r
+    return order
 
 
 def _invariant_factors(orders):
@@ -245,54 +248,25 @@ def all_characters(group: UnitGroup):
 
 def matrix_determinant(g, ring: OModRing) -> OModElement:
     """Exact determinant of a matrix in GL_n(o/t^m), by Gaussian elimination
-    with unit pivots.  o/t^m is local with residue field F_q, so g is
-    invertible exactly when its reduction mod t is, and then every column
-    has a unit pivot.  Otherwise the determinant is a non-unit, which no
-    caller uses, and NotInvertible is raised (g outside GL_n)."""
+    with unit pivots (_determinant_codes).  NotInvertible is raised when g is
+    singular modulo t, that is outside GL_n."""
     return OModElement(ring, _determinant_codes(ring.tables, [[x.codes for x in row]
                                                               for row in g]))
 
 
-def _determinant_codes(tables, rows):
-    """matrix_determinant on a matrix of code strings, given as a list of
-    row lists that it overwrites; the result is a code string."""
-    n = len(rows)
-    det = b"\x01" + bytes(len(rows[0][0]) - 1)
-    for c in range(n):
-        r = c
-        while not rows[r][c][0]:
-            r += 1
-            if r == n:
-                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
-        pivot = rows[r]
-        if r != c:
-            rows[r] = rows[c]
-            det = det.translate(tables.neg)
-        det = _mul_codes(tables, det, pivot[c])
-        pivot_inv = _inv_codes(tables, pivot[c])
-        for row in rows[c + 1:]:
-            if any(row[c]):
-                factor = _mul_codes(tables, row[c], pivot_inv)
-                for k in range(c + 1, n):
-                    row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
-    return det
-
-
-def matrix_mul(a, b, ring):
-    tables = ring.tables
-    a = [[x.codes for x in row] for row in a]
-    b = [[x.codes for x in row] for row in b]
+def _matrix_mul_codes(tables, a, b):
+    """Product of two square matrices of code strings, as row lists."""
     n = len(a)
     out = []
-    for i in range(n):
-        row = []
+    for row in a:
+        out_row = []
         for j in range(n):
-            acc = _mul_codes(tables, a[i][0], b[0][j])
+            acc = _mul_codes(tables, row[0], b[0][j])
             for k in range(1, n):
-                acc = _add_codes(tables, acc, _mul_codes(tables, a[i][k], b[k][j]))
-            row.append(OModElement(ring, acc))
-        out.append(tuple(row))
-    return tuple(out)
+                acc = _add_codes(tables, acc, _mul_codes(tables, row[k], b[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def gl_generators(ring: OModRing, n: int, unit_gens):
@@ -316,15 +290,19 @@ def gl_generators(ring: OModRing, n: int, unit_gens):
     return out
 
 
-def random_gl_element(ring, n, rng, max_tries=64):
-    """A uniform sample of GL_n(o/t^m): uniform matrices until one is
-    invertible mod t.  A draw k is the element with base-q digits k, so its
-    residue code is k % q; only the accepted matrix is built."""
-    q, size = ring.residue.q, ring.size
-    for _ in range(max_tries):
-        draws = [[rng.randrange(size) for _ in range(n)] for _ in range(n)]
-        if ring.tables.invertible([[k % q for k in row] for row in draws]):
-            return tuple(tuple(ring.from_int_digits(k) for k in row) for row in draws)
+def _gl_sample(ring, n, rng):
+    """A uniform sample of GL_n(o/t^m) with its determinant, both as codes:
+    uniform matrices (n^2 draws each, row by row), at most 64 of them, until
+    one is invertible.  A draw k is the element with base-q digits k, read
+    from ring.digit_codes.  The unit-pivot elimination decides invertibility,
+    so the determinant that accepts a matrix comes with it."""
+    size, draw, tables = ring.size, ring.digit_codes, ring.tables
+    for _ in range(64):
+        rows = [[draw[rng.randrange(size)] for _ in range(n)] for _ in range(n)]
+        try:
+            return rows, _determinant_codes(tables, rows)
+        except NotInvertible:
+            pass
     raise NotInvertible("no invertible sample found")
 
 
@@ -344,6 +322,16 @@ class DivisionOrder:
     def frob_step(self):
         return self.base_residue.f
 
+    @cached_property
+    def conjugations(self):
+        """Translation tables of Frob^j, j = 0..n-1, on o'/t^m codes."""
+        return [_frobenius_table(self.big.residue, self.frob_step * j) for j in range(self.n)]
+
+    @cached_property
+    def projection(self):
+        """Translation table of o'/t^m codes to o/t^m codes on the Frobenius-fixed digits."""
+        return _projection_table(self.base_residue, self.big.residue)
+
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
         return tuple(coeffs[: self.n])
@@ -357,41 +345,39 @@ class DivisionOrder:
     def scalar(self, a: OModElement):
         return self.element([a])
 
-    def mul(self, b, c):
-        big = self.big
-        tables = big.tables
-        n = self.n
-        out = [bytes(big.m)] * n
-        for i, bi in enumerate(b):
-            x = bi.codes
-            if not any(x):
+
+def _order_mul_codes(order, b, c):
+    """b * c in the order, on tuples of o'/t^m code strings:
+    a Pi^i a' Pi^j = a Frob^i(a') Pi^(i+j), and Pi^n = t."""
+    big = order.big
+    tables = big.tables
+    n = order.n
+    out = [bytes(big.m)] * n
+    for i, x in enumerate(b):
+        if not any(x):
+            continue
+        frob = order.conjugations[i]
+        for j, y in enumerate(c):
+            if not any(y):
                 continue
-            frob = _frobenius_table(big.residue, self.frob_step * i)
-            for j, cj in enumerate(c):
-                y = cj.codes
-                if not any(y):
-                    continue
-                k = i + j
-                coeff = _mul_codes(tables, x, y.translate(frob))
-                if k >= n:
-                    coeff = _shift_codes(coeff, 1)      # Pi^n = t
-                out[k % n] = _add_codes(tables, out[k % n], coeff)
-        return tuple(OModElement(big, codes) for codes in out)
+            k = i + j
+            coeff = _mul_codes(tables, x, y.translate(frob))
+            if k >= n:
+                coeff = _shift_codes(coeff, 1)      # Pi^n = t
+            out[k % n] = _add_codes(tables, out[k % n], coeff)
+    return tuple(out)
 
-    def is_unit(self, b):
-        return b[0].is_unit()
 
-    def key(self, b):
-        return tuple(x.lex_key() for x in b)
-
-    def random_unit(self, rng):
-        """Uniform draws of n coefficients until the first is a unit; a draw
-        k is the element with base-q' digits k, a unit when k % q' != 0."""
-        q, size = self.big.residue.q, self.big.size
-        while True:
-            draws = [rng.randrange(size) for _ in range(self.n)]
-            if draws[0] % q:
-                return tuple(self.big.from_int_digits(k) for k in draws)
+def _unit_sample(order, rng):
+    """A uniform unit of the order as a tuple of o'/t^m code strings: uniform
+    draws of n coefficients until the first is a unit.  A draw k is the
+    element with base-q' digits k (big.digit_codes[k]), a unit when
+    k % q' != 0."""
+    q, size, draw = order.big.residue.q, order.big.size, order.big.digit_codes
+    while True:
+        draws = [rng.randrange(size) for _ in range(order.n)]
+        if draws[0] % q:
+            return tuple(draw[k] for k in draws)
 
 
 def reduced_norm(order: DivisionOrder, b) -> OModElement:
@@ -400,28 +386,43 @@ def reduced_norm(order: DivisionOrder, b) -> OModElement:
     mod t^m is a ring homomorphism and the determinant a polynomial in the
     entries, so this equals the determinant over any o'/t^M, M >= m,
     reduced mod t^m."""
-    if not order.is_unit(b):
+    if not b[0].is_unit():
         raise NotAUnit("reduced norm restricted to units of the order")
+    return OModElement(OModRing(order.base_residue, order.big.m),
+                       _reduced_norm_codes(order, tuple(a.codes for a in b)))
+
+
+def _reduced_norm_codes(order, b):
+    """reduced_norm of a unit b given as o'/t^m code strings; the result is
+    the o/t^m code string."""
     n = order.n
-    big = order.big
     # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j), and Pi^(i+j) = t Pi^(i+j-n) once
     # i + j >= n: column j holds each Frob^j(a_i) once, in row (i + j) mod n
     rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        frob = _frobenius_table(big.residue, order.frob_step * j)
+    for j, frob in enumerate(order.conjugations):
         for i, a in enumerate(b):
-            entry = a.codes.translate(frob)
+            entry = a.translate(frob)
             if i + j >= n:
                 entry = _shift_codes(entry, 1)
             rows[(i + j) % n][j] = entry
-    det = _determinant_codes(big.tables, rows)
-    if det.translate(_frobenius_table(big.residue, order.frob_step)) != det:
+    det = _determinant_codes(order.big.tables, rows)
+    # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)
+    if n > 1 and det.translate(order.conjugations[1]) != det:
+        big = order.big
         raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
-                                           % (b, OModElement(big, det)))
-    return OModElement(big, det).descend_to(order.base_residue)
+                                           % (tuple(OModElement(big, a) for a in b),
+                                              OModElement(big, det)))
+    return det.translate(order.projection)
 
 
 # --- the action --------------------------------------------------------------------
+
+
+def _action_codes(tables, det, nrd, chi):
+    """Codes of det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
+    det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every component."""
+    return _mul_codes(tables, _mul_codes(tables, det, _inv_codes(tables, nrd)),
+                      _inv_codes(tables, chi))
 
 
 @dataclass(eq=False)
@@ -434,22 +435,17 @@ class Pi0Action:
     gl_gens: list
     report: dict = dc_field(default_factory=dict)
 
-    def act(self, c: OModElement, g=None, b=None, tau_chi=None) -> OModElement:
-        out = c
-        if g is not None:
-            out = matrix_determinant(g, self.group.ring) * out
-        if b is not None:
-            out = reduced_norm(self.order, b).inv() * out
-        if tau_chi is not None:
-            out = tau_chi.inv() * out
-        return out
-
     def component_table(self, g=None, b=None, tau_chi=None):
         """Full table component -> image component for one group element."""
-        rows = []
-        for c in self.group.elements:
-            rows.append((c.lex_key(), self.act(c, g, b, tau_chi).lex_key()))
-        return rows
+        ring = self.group.ring
+        unit = ring.one()
+        if g is not None:
+            unit = matrix_determinant(g, ring) * unit
+        if b is not None:
+            unit = reduced_norm(self.order, b).inv() * unit
+        if tau_chi is not None:
+            unit = tau_chi.inv() * unit
+        return [(c.lex_key(), (unit * c).lex_key()) for c in self.group.elements]
 
     def to_json(self):
         """Action of the generator set on components, in deterministic
@@ -477,59 +473,64 @@ class Pi0Action:
 def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
     """Build the three structure maps, verify each is a homomorphism
     (exhaustive on generators, sampled on pair_samples random pairs), verify
-    the trivial kernels, and return the assembled action."""
+    the trivial kernels, and return the assembled action.  The checks run on
+    code strings: each sampled matrix comes with the determinant that
+    accepted it, and elements are built only for the returned action."""
     import random as _random
 
     rng = rng or _random.Random(0)
     group = unit_group((p, f), m)
     ring = group.ring
+    tables = ring.tables
     big = OModRing(GF(p, f * n), m)
     order = DivisionOrder(n, big, ring.residue)
     gl = gl_generators(ring, n, [g for g, _ in group.generators])
     report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}
     # det is multiplicative: all generator pairs + random samples
-    for a in gl:
-        for b in gl:
-            lhs = matrix_determinant(matrix_mul(a, b, ring), ring)
-            rhs = matrix_determinant(a, ring) * matrix_determinant(b, ring)
-            if lhs.lex_key() != rhs.lex_key():
+    gl_codes = [[[x.codes for x in row] for row in g] for g in gl]
+    gl_dets = [_determinant_codes(tables, g) for g in gl_codes]
+    for a, det_a in zip(gl_codes, gl_dets):
+        for b, det_b in zip(gl_codes, gl_dets):
+            lhs = _determinant_codes(tables, _matrix_mul_codes(tables, a, b))
+            if lhs != _mul_codes(tables, det_a, det_b):
                 raise NotInvertible("det not multiplicative on generators")
             report["det_pairs"] += 1
     for _ in range(pair_samples):
-        a = random_gl_element(ring, n, rng)
-        b = random_gl_element(ring, n, rng)
-        lhs = matrix_determinant(matrix_mul(a, b, ring), ring)
-        rhs = matrix_determinant(a, ring) * matrix_determinant(b, ring)
-        if lhs.lex_key() != rhs.lex_key():
+        a, det_a = _gl_sample(ring, n, rng)
+        b, det_b = _gl_sample(ring, n, rng)
+        lhs = _determinant_codes(tables, _matrix_mul_codes(tables, a, b))
+        if lhs != _mul_codes(tables, det_a, det_b):
             raise NotInvertible("det not multiplicative on a sampled pair")
         report["det_pairs"] += 1
     # Nrd is multiplicative on sampled unit pairs; restricted to o'^x it is
     # the coefficient-Frobenius norm, exhaustively
     for _ in range(pair_samples):
-        b = order.random_unit(rng)
-        c = order.random_unit(rng)
-        lhs = reduced_norm(order, order.mul(b, c))
-        rhs = reduced_norm(order, b) * reduced_norm(order, c)
-        if lhs.lex_key() != rhs.lex_key():
+        b = _unit_sample(order, rng)
+        c = _unit_sample(order, rng)
+        lhs = _reduced_norm_codes(order, _order_mul_codes(order, b, c))
+        rhs = _mul_codes(tables, _reduced_norm_codes(order, b), _reduced_norm_codes(order, c))
+        if lhs != rhs:
             raise FrobeniusInvarianceViolation("Nrd not multiplicative on a sample")
         report["nrd_pairs"] += 1
     image = set()
-    one_key = ring.one().lex_key()
+    one = ring.one().codes
+    zeros = (bytes(m),) * (n - 1)
     norm_one = 0
     for a in big.units():
-        got = reduced_norm(order, order.scalar(a))
+        got = _reduced_norm_codes(order, (a.codes,) + zeros)
         want = a.norm_to(ring.residue)
-        if got.lex_key() != want.lex_key():
+        if got != want.codes:
             raise FrobeniusInvarianceViolation(
-                "Nrd(%r) = %r but the coefficient norm is %r" % (a, got, want))
-        image.add(got.lex_key())
-        norm_one += got.lex_key() == one_key
-    if image != {u.lex_key() for u in group.elements}:
+                "Nrd(%r) = %r but the coefficient norm is %r"
+                % (a, OModElement(ring, got), want))
+        image.add(got)
+        norm_one += got == one
+    if image != {u.codes for u in group.elements}:
         raise FrobeniusInvarianceViolation("Nrd on o'^x does not cover the unit group")
     report["nrd_surjective"] = True
     # SL_n (elementaries) and the scalar units of reduced norm 1 act trivially
-    for g in gl[: n * (n - 1)]:
-        if matrix_determinant(g, ring).lex_key() != one_key:
+    for det in gl_dets[: n * (n - 1)]:
+        if det != one:
             raise NotInvertible("elementary generator has det != 1")
     expected_norm_one = ((p ** (f * n) - 1) // (p ** f - 1)) * \
         (p ** (f * (n - 1))) ** (m - 1)
@@ -538,21 +539,21 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
             "norm-one scalar count %d, expected %d" % (norm_one, expected_norm_one))
     report["norm_one_scalars"] = norm_one
     # action axioms on sampled triples: composing group elements composes maps
-    action = Pi0Action(group, order, gl, report)
     for _ in range(min(pair_samples, 50)):
-        g1 = random_gl_element(ring, n, rng)
-        g2 = random_gl_element(ring, n, rng)
-        b1 = order.random_unit(rng)
-        b2 = order.random_unit(rng)
-        t1 = group.elements[rng.randrange(group.order)]
-        t2 = group.elements[rng.randrange(group.order)]
-        c = group.elements[rng.randrange(group.order)]
-        once = action.act(action.act(c, g2, b2, t2), g1, b1, t1)
-        combined = action.act(c, matrix_mul(g1, g2, ring), order.mul(b1, b2), t1 * t2)
-        if once.lex_key() != combined.lex_key():
+        g1, det1 = _gl_sample(ring, n, rng)
+        g2, det2 = _gl_sample(ring, n, rng)
+        b1 = _unit_sample(order, rng)
+        b2 = _unit_sample(order, rng)
+        t1, t2, c = (group.elements[rng.randrange(group.order)].codes for _ in range(3))
+        by_1 = _action_codes(tables, det1, _reduced_norm_codes(order, b1), t1)
+        by_2 = _action_codes(tables, det2, _reduced_norm_codes(order, b2), t2)
+        by_12 = _action_codes(tables, _determinant_codes(tables, _matrix_mul_codes(tables, g1, g2)),
+                              _reduced_norm_codes(order, _order_mul_codes(order, b1, b2)),
+                              _mul_codes(tables, t1, t2))
+        if _mul_codes(tables, by_1, _mul_codes(tables, by_2, c)) != _mul_codes(tables, by_12, c):
             raise NotInvertible("action does not compose on a sampled triple")
         report["action_triples"] += 1
-    return action
+    return Pi0Action(group, order, gl, report)
 
 
 def h0_decomposition(p, f, m, group: UnitGroup | None = None):

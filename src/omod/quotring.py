@@ -8,24 +8,26 @@ An element stores its digits as codes, a bytes string of length m whose
 j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
 shared with the series kernel).  The ring arithmetic is a small kernel of
 functions on such code strings (_add_codes, _sub_codes, _mul_codes,
-_inv_codes, _shift_codes): at these lengths schoolbook arithmetic on table
-lookups is the fast path.  Add and subtract index the field's row tables,
-the product scales one operand by a bytes.translate row per digit of the
-other, inversion runs the power-series recurrence, and a product by t^w is
-a shift of the digits.  OModElement's operators call the kernel, and so do
-the matrix and order arithmetic of pi0, which work on code lists and build
-an element once, for the result.  The per-digit maps (Frobenius, embedding,
-projection) are bytes.translate tables.  FqElement stays the type at the
-boundaries: ring.element takes FqElements, and the read-only coeffs view
-returns them.
+_inv_codes, _pow_codes, _shift_codes, and _determinant_codes for square
+matrices): at these lengths schoolbook arithmetic on table lookups is the
+fast path.  Add and subtract index the field's row tables, the product
+scales one operand by a bytes.translate row per digit of the other,
+inversion runs the power-series recurrence, and a product by t^w is a shift
+of the digits.  OModElement's operators call the kernel.  pi0's sampled
+checks call it directly, on code strings from draw to comparison, and build
+elements only for the action they return.  The per-digit maps (Frobenius,
+embedding, projection) are bytes.translate tables.  FqElement stays the type
+at the boundaries: ring.element takes FqElements, and the read-only coeffs
+view returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
-from .errors import MixedFields
+from .errors import MixedFields, NotInvertible
 from .finitefield import FieldSpec, _code, _frobenius_table, _move_table, _tables
 
 
@@ -47,6 +49,13 @@ class OModRing:
     @cached_property
     def size(self):
         return self.residue.q ** self.m
+
+    @cached_property
+    def digit_codes(self):
+        """The codes of every element, indexed by k: entry k is the codes of
+        from_int_digits(k)."""
+        return tuple(bytes(digits[::-1])
+                     for digits in product(range(self.residue.q), repeat=self.m))
 
     def element(self, coeffs):
         codes = bytes([_code(self.residue, c) for c in list(coeffs)[: self.m]])
@@ -71,8 +80,8 @@ class OModRing:
 
     def elements(self):
         """All q^m elements in lexicographic coefficient order."""
-        for k in range(self.size):
-            yield self.from_int_digits(k)
+        for codes in self.digit_codes:
+            yield OModElement(self, codes)
 
     def units(self):
         for a in self.elements():
@@ -121,6 +130,50 @@ def _inv_codes(tables, a):
             acc = add[acc][mul[a[j]][out[k - j]]]
         out.append(minus_b0[acc])
     return bytes(out)
+
+
+def _pow_codes(tables, a, e):
+    """a^e (e >= 0) by square-and-multiply."""
+    out = b"\x01" + bytes(len(a) - 1)
+    while e:
+        if e & 1:
+            out = _mul_codes(tables, out, a)
+        a = _mul_codes(tables, a, a)
+        e >>= 1
+    return out
+
+
+def _determinant_codes(tables, rows):
+    """Determinant of a square matrix of code strings (a list of rows, left
+    unchanged), by Gaussian elimination with unit pivots.  o/t^m is local
+    with residue field F_q, so the matrix is invertible exactly when its
+    reduction mod t is, and then every column has a unit pivot; otherwise
+    NotInvertible is raised, so the elimination itself decides invertibility.
+    The product starts from the first pivot (negated on a row swap), and the
+    last pivot is not inverted: no row lies below it."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = None
+    for c in range(n):
+        r = c
+        while not rows[r][c][0]:
+            r += 1
+            if r == n:
+                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
+        pivot = rows[r]
+        entry = pivot[c]
+        if r != c:
+            rows[r] = rows[c]
+            entry = entry.translate(tables.neg)
+        det = entry if det is None else _mul_codes(tables, det, entry)
+        if c + 1 < n:
+            pivot_inv = _inv_codes(tables, pivot[c])
+            for row in rows[c + 1:]:
+                if any(row[c]):
+                    factor = _mul_codes(tables, row[c], pivot_inv)
+                    for k in range(c + 1, n):
+                        row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
+    return det
 
 
 def _shift_codes(a, w):
@@ -192,14 +245,7 @@ class OModElement:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        r = self.ring.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return OModElement(self.ring, _pow_codes(self.ring.tables, self.codes, e))
 
     def frobenius(self, j=1):
         """Coefficient-wise a_i -> a_i^(p^j)."""

@@ -4,12 +4,17 @@ The Leibniz determinant and the brute-force level count are the oracles for
 unit-pivot elimination and the rank test mod t.  The endomorphism-order
 product with its t-power wraps, the reduced norm computed one t-adic digit
 higher, and the samplers that build every drawn matrix or coefficient are the
-oracles for pi0's code-level order arithmetic and its samplers."""
+oracles for pi0's code-level order arithmetic and its samplers; with the
+matrix product on coefficient tuples they make reference_pi0_action_table,
+the oracle for pi0_action_table's sampled loops on codes.  Element orders by
+repeated multiplication are the oracle for unit_group's prime-factor
+descent."""
 
 import itertools
 
-from omod.finitefield import embed_fq, project_fq
+from omod.finitefield import GF, embed_fq, project_fq
 from omod.formalmod import coord_key
+from omod.pi0 import DivisionOrder, gl_generators, unit_group
 from omod.quotring import OModRing
 
 
@@ -166,3 +171,89 @@ def reference_unit_sample(order, rng):
                   for _ in range(order.n))
         if b[0].is_unit():
             return b
+
+
+def reference_matrix_mul(a, b):
+    """Product of two square matrices of coefficient tuples."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ref_mul(a[i][0], b[0][j])
+            for k in range(1, n):
+                acc = ref_add(acc, ref_mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_pi0_action_table(p, f, n, m, rng, pair_samples):
+    """pi0_action_table's checks and report from boxed samples: every drawn
+    matrix and order element is built, determinants are Leibniz sums, norms
+    reference_reduced_norm, and the action multiplies by one factor at a
+    time."""
+    group = unit_group((p, f), m)
+    ring = group.ring
+    order = DivisionOrder(n, OModRing(GF(p, f * n), m), ring.residue)
+    one = ref_one(ring.residue, m)
+
+    def boxed(g):
+        return tuple(tuple(x.coeffs for x in row) for row in g)
+
+    def det_is_multiplicative(a, b):
+        return leibniz_determinant(reference_matrix_mul(a, b)) == \
+            ref_mul(leibniz_determinant(a), leibniz_determinant(b))
+
+    def act(c, g, b, tau):
+        out = ref_mul(leibniz_determinant(g), c)
+        out = ref_mul(ref_inv(reference_reduced_norm(order, b)), out)
+        return ref_mul(ref_inv(tau), out)
+
+    gl = [boxed(g) for g in gl_generators(ring, n, [g for g, _ in group.generators])]
+    report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}
+    for a in gl:
+        for b in gl:
+            assert det_is_multiplicative(a, b)
+            report["det_pairs"] += 1
+    for _ in range(pair_samples):
+        a = boxed(reference_gl_sample(ring, n, rng))
+        assert det_is_multiplicative(a, boxed(reference_gl_sample(ring, n, rng)))
+        report["det_pairs"] += 1
+    for _ in range(pair_samples):
+        b = reference_unit_sample(order, rng)
+        c = reference_unit_sample(order, rng)
+        assert reference_reduced_norm(order, reference_order_mul(order, b, c)) == \
+            ref_mul(reference_reduced_norm(order, b), reference_reduced_norm(order, c))
+        report["nrd_pairs"] += 1
+    norms = []
+    for a in order.big.units():
+        norms.append(reference_reduced_norm(order, order.scalar(a)))
+        assert norms[-1] == ref_norm_to(a.coeffs, ring.residue)
+    assert set(norms) == {u.coeffs for u in group.elements}
+    report["nrd_surjective"] = True
+    assert all(leibniz_determinant(g) == one for g in gl[: n * (n - 1)])
+    report["norm_one_scalars"] = norms.count(one)
+    assert report["norm_one_scalars"] == \
+        ((p ** (f * n) - 1) // (p ** f - 1)) * (p ** (f * (n - 1))) ** (m - 1)
+    for _ in range(min(pair_samples, 50)):
+        g1 = boxed(reference_gl_sample(ring, n, rng))
+        g2 = boxed(reference_gl_sample(ring, n, rng))
+        b1 = reference_unit_sample(order, rng)
+        b2 = reference_unit_sample(order, rng)
+        t1, t2, c = (group.elements[rng.randrange(group.order)].coeffs for _ in range(3))
+        assert act(act(c, g2, b2, t2), g1, b1, t1) == \
+            act(c, reference_matrix_mul(g1, g2), reference_order_mul(order, b1, b2),
+                ref_mul(t1, t2))
+        report["action_triples"] += 1
+    return report
+
+
+def reference_element_order(a):
+    """The order of a unit: multiply it by itself until the product is 1."""
+    one = a.ring.one()
+    k, acc = 1, a
+    while acc != one:
+        acc = acc * a
+        k += 1
+    return k

@@ -7,16 +7,29 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from omod.errors import NotAUnit, NotInvertible
+from omod import pi0
+from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
-from omod.pi0 import (DivisionOrder, _partition_from_counts, all_characters,
+from omod.pi0 import (DivisionOrder, _element_order, _gl_sample, _matrix_mul_codes,
+                      _order_mul_codes, _partition_from_counts, _unit_sample, all_characters,
                       expected_invariant_factors, h0_decomposition, matrix_determinant,
-                      matrix_mul, pi0_action_table, random_gl_element, reduced_norm,
-                      unit_group)
-from omod.quotring import OModRing, _mul_codes
+                      pi0_action_table, reduced_norm, unit_group)
+from omod.quotring import (OModElement, OModRing, _determinant_codes, _inv_codes, _mul_codes,
+                           _sub_codes)
 
-from quotring_reference import (leibniz_determinant, reference_gl_sample, reference_order_mul,
-                                reference_reduced_norm, reference_unit_sample)
+from quotring_reference import (leibniz_determinant, reference_element_order, reference_gl_sample,
+                                reference_matrix_mul, reference_order_mul,
+                                reference_pi0_action_table, reference_reduced_norm,
+                                reference_unit_sample)
+
+
+def codes(elements):
+    return tuple(x.codes for x in elements)
+
+
+def boxed(ring, rows):
+    """A matrix of code strings as coefficient tuples."""
+    return tuple(tuple(OModElement(ring, x).coeffs for x in row) for row in rows)
 
 
 def test_unit_group_q2_m3_cyclic4():
@@ -73,11 +86,11 @@ def test_det_multiplicative_random():
     rng = random.Random(11)
     R = OModRing(GF(2), 2)
     for _ in range(200):
-        a = random_gl_element(R, 2, rng)
-        b = random_gl_element(R, 2, rng)
-        lhs = matrix_determinant(matrix_mul(a, b, R), R)
-        rhs = matrix_determinant(a, R) * matrix_determinant(b, R)
-        assert lhs.lex_key() == rhs.lex_key()
+        a, det_a = _gl_sample(R, 2, rng)
+        b, det_b = _gl_sample(R, 2, rng)
+        product = _matrix_mul_codes(R.tables, a, b)
+        assert boxed(R, product) == reference_matrix_mul(boxed(R, a), boxed(R, b))
+        assert _determinant_codes(R.tables, product) == _mul_codes(R.tables, det_a, det_b)
 
 
 def assert_matches_leibniz(g, ring):
@@ -117,7 +130,11 @@ def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
     R = OModRing(GF(*q_pf), m)
     ours, reference = random.Random(5), random.Random(5)
     for _ in range(20):
-        assert random_gl_element(R, n, ours) == reference_gl_sample(R, n, reference)
+        rows, det = _gl_sample(R, n, ours)
+        g = reference_gl_sample(R, n, reference)
+        assert rows == [list(codes(row)) for row in g]
+        # the determinant that accepted the sample is the sample's determinant
+        assert OModElement(R, det).coeffs == leibniz_determinant(boxed(R, rows))
     assert ours.getstate() == reference.getstate()
 
 
@@ -126,7 +143,7 @@ def test_random_unit_draws_as_the_boxed_sampler_did(pf, n, m):
     order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
     ours, reference = random.Random(6), random.Random(6)
     for _ in range(20):
-        assert order.random_unit(ours) == reference_unit_sample(order, reference)
+        assert _unit_sample(order, ours) == codes(reference_unit_sample(order, reference))
     assert ours.getstate() == reference.getstate()
 
 
@@ -151,6 +168,73 @@ def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
     assert ours.getstate() == reference.getstate()
 
 
+# (p, f, n, m): n = 3 and odd characteristic, where a row swap's sign matters
+ORACLE_CASES = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (2, 1, 3, 1), (2, 1, 3, 2),
+                (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (5, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("p,f,n,m", ORACLE_CASES)
+def test_pi0_action_table_matches_the_boxed_reference(p, f, n, m):
+    for seed in (1, 2, 3):
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert pi0_action_table(p, f, n, m, rng=ours, pair_samples=30).report == \
+            reference_pi0_action_table(p, f, n, m, reference, 30)
+        assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("p,f,n,m", ORACLE_CASES)
+def test_digit_codes_are_the_codes_from_int_digits_builds(p, f, n, m):
+    for ring in (OModRing(GF(p, f), m), OModRing(GF(p, f * n), m)):
+        assert len(ring.digit_codes) == ring.size
+        for k in range(ring.size):
+            assert ring.digit_codes[k] == ring.from_int_digits(k).codes
+
+
+def _determinant_without_the_swap_sign(tables, rows):
+    """Unit-pivot elimination that forgets to negate on a row swap."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = b"\x01" + bytes(len(rows[0][0]) - 1)
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c][0]), None)
+        if r is None:
+            raise NotInvertible("singular modulo t")
+        pivot = rows[r]
+        rows[r] = rows[c]
+        det = _mul_codes(tables, det, pivot[c])
+        pivot_inv = _inv_codes(tables, pivot[c])
+        for row in rows[c + 1:]:
+            factor = _mul_codes(tables, row[c], pivot_inv)
+            for k in range(c + 1, n):
+                row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
+    return det
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_determinant_without_the_swap_sign_fails_the_det_check(m, monkeypatch):
+    # the sampler's determinant comes from the same kernel as the product's,
+    # so this shows that reusing it leaves the check able to fail
+    pi0_action_table(3, 1, 2, m, rng=random.Random(0))
+    monkeypatch.setattr(pi0, "_determinant_codes", _determinant_without_the_swap_sign)
+    with pytest.raises(NotInvertible, match="det not multiplicative on a sampled pair"):
+        pi0_action_table(3, 1, 2, m, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_wrong_norm_past_the_frobenius_check_fails_the_exhaustive_norm_loop(m, monkeypatch):
+    real = pi0._reduced_norm_codes
+
+    def squared_norm(order, b):
+        # Nrd(b)^2 is Frobenius-fixed and multiplicative: neither the
+        # Frobenius check nor the sampled Nrd pairs can see that it is wrong
+        nrd = real(order, b)
+        return _mul_codes(OModRing(order.base_residue, order.big.m).tables, nrd, nrd)
+
+    monkeypatch.setattr(pi0, "_reduced_norm_codes", squared_norm)
+    with pytest.raises(FrobeniusInvarianceViolation, match="but the coefficient norm is"):
+        pi0_action_table(3, 1, 2, m, rng=random.Random(0))
+
+
 ORDER_CASES = st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from([2, 3]),
                         st.integers(1, 3))
 
@@ -171,7 +255,7 @@ def test_order_arithmetic_matches_the_t_power_reference(case, data):
     pf, n, m = case
     order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
     b, c = _order_element(data, order, True), _order_element(data, order, False)
-    assert order.mul(b, c) == reference_order_mul(order, b, c)
+    assert _order_mul_codes(order, codes(b), codes(c)) == codes(reference_order_mul(order, b, c))
     assert reduced_norm(order, b).coeffs == reference_reduced_norm(order, b)
 
 
@@ -202,11 +286,9 @@ def test_order_associativity_sampled():
     big = OModRing(GF(2, 2), 2)
     order = DivisionOrder(2, big, GF(2))
     for _ in range(50):
-        a = order.random_unit(rng)
-        b = order.random_unit(rng)
-        c = order.random_unit(rng)
-        assert order.key(order.mul(order.mul(a, b), c)) == \
-            order.key(order.mul(a, order.mul(b, c)))
+        a, b, c = (_unit_sample(order, rng) for _ in range(3))
+        assert _order_mul_codes(order, _order_mul_codes(order, a, b), c) == \
+            _order_mul_codes(order, a, _order_mul_codes(order, b, c))
 
 
 def test_pi_commutation_relation():
@@ -214,9 +296,9 @@ def test_pi_commutation_relation():
     big = OModRing(GF(2, 2), 2)
     order = DivisionOrder(2, big, GF(2))
     x = big.element([big.residue.gen()])
-    lhs = order.mul(order.pi(), order.scalar(x))
-    rhs = order.mul(order.scalar(x.frobenius(1)), order.pi())
-    assert order.key(lhs) == order.key(rhs)
+    lhs = _order_mul_codes(order, codes(order.pi()), codes(order.scalar(x)))
+    rhs = _order_mul_codes(order, codes(order.scalar(x.frobenius(1))), codes(order.pi()))
+    assert lhs == rhs
 
 
 def test_norm_one_units_count():
@@ -351,3 +433,12 @@ def test_expected_invariant_factors_match_the_enumerated_group(p, f, m):
     assert expected_invariant_factors(p, f, m) == _enumerated_invariant_factors(ring, N)
     if N <= 64:
         assert expected_invariant_factors(p, f, m) == unit_group((p, f), m).invariant_factors
+
+
+@pytest.mark.parametrize("p,f,m", _grid_of_unit_groups(1000))
+def test_element_orders_match_repeated_multiplication(p, f, m):
+    ring = OModRing(GF(p, f), m)
+    N = (ring.residue.q - 1) * ring.residue.q ** (m - 1)
+    one = ring.one().codes
+    for a in ring.units():
+        assert _element_order(ring.tables, a.codes, N, one) == reference_element_order(a)
