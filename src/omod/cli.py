@@ -33,7 +33,7 @@ from .lubintate import (build_tower, character_restriction_consistent, cm_tower,
                         expected_primitive_valuation, verify_character,
                         verify_determinant_character, verify_product_formula,
                         verify_torsion_valuations)
-from .pi0 import expected_invariant_factors, h0_decomposition, pi0_action_table
+from .pi0 import expected_invariant_factors, h0_decomposition, pi0_action_table, unit_group
 from .report import (CheckResult, coverage_matrix, dumps_canonical, merge_documents,
                      render_text, report_document, to_csv)
 from .series import base_field
@@ -131,6 +131,7 @@ class RunConfig:
                              " tower; the smallest working --prec is %d"
                              % (self.precision, need))
         self._towers = {}
+        self._unit_group = None
 
     def as_dict(self):
         return {"p": self.p, "f": self.f, "q": self.q, "n": self.n, "m": self.m,
@@ -157,6 +158,12 @@ class RunConfig:
                     save_tower(self.cache_dir, lt, self.p, self.f, n)
             self._towers[n] = (lt, from_cache)
         return self._towers[n]
+
+    def unit_group(self):
+        """(o/t^m)^x, built once per run and shared by the pi0 and h0 suites."""
+        if self._unit_group is None:
+            self._unit_group = unit_group((self.p, self.f), self.m)
+        return self._unit_group
 
 
 def cmd_tower(cfg) -> int:
@@ -316,7 +323,8 @@ def run_kernel_height(cfg):
 
 def run_pi0(cfg):
     def compute():
-        action = pi0_action_table(cfg.p, cfg.f, cfg.n, cfg.m, rng=random.Random(cfg.seed))
+        action = pi0_action_table(cfg.p, cfg.f, cfg.n, cfg.m, rng=random.Random(cfg.seed),
+                                  group=cfg.unit_group())
         return ({"group_order": action.group.order,
                  "nrd_surjective": action.report["nrd_surjective"],
                  "invariant_factors": action.group.invariant_factors},
@@ -334,7 +342,7 @@ def run_h0(cfg):
     order = (cfg.q - 1) * cfg.q ** (cfg.m - 1)
 
     def compute():
-        _group, _chars, rows = h0_decomposition(cfg.p, cfg.f, cfg.m)
+        _group, _chars, rows = h0_decomposition(cfg.p, cfg.f, cfg.m, group=cfg.unit_group())
         distinct = len({tuple(r["omega_on_generators"]) for r in rows})
         return ({"characters": len(rows), "distinct_on_generators": distinct},
                 {"characters": order, "distinct_on_generators": order})

@@ -357,6 +357,26 @@ def _translation(elements):
     return codes + _IDENTITY[len(codes):]
 
 
+def _add_rows(p, digits):
+    """Addition rows of (Z/p)^digits on codes k < p^digits, added digit by
+    base-p digit: row c is row c - p^i followed by a +1 step in digit i, i
+    the lowest nonzero base-p digit of c."""
+    size = p ** digits
+    steps = []
+    w = 1
+    for _ in range(digits):
+        steps.append(bytes(k - (p - 1) * w if (k // w) % p == p - 1 else k + w
+                           for k in range(size)) + _IDENTITY[size:])
+        w *= p
+    rows = [_IDENTITY]
+    for c in range(1, size):
+        i, w = 0, 1
+        while c // w % p == 0:
+            i, w = i + 1, w * p
+        rows.append(rows[c - w].translate(steps[i]))
+    return tuple(rows)
+
+
 def _code(residue: FieldSpec, c: FqElement):
     if c.spec != residue:
         raise MixedFields("%r is not in the residue field %r" % (c, residue))
@@ -381,22 +401,7 @@ class _Tables:
 
     @cached_property
     def add_rows(self):
-        """Row c is row c - p^i followed by a +1 step in digit i, i the
-        lowest nonzero base-p digit of c."""
-        p, q = self.p, self.q
-        steps = []
-        w = 1
-        for _ in range(self.f):
-            steps.append(bytes(k - (p - 1) * w if (k // w) % p == p - 1 else k + w
-                               for k in range(q)) + _IDENTITY[q:])
-            w *= p
-        rows = [_IDENTITY]
-        for c in range(1, q):
-            i, w = 0, 1
-            while c // w % p == 0:
-                i, w = i + 1, w * p
-            rows.append(rows[c - w].translate(steps[i]))
-        return tuple(rows)
+        return _add_rows(self.p, self.f)
 
     @cached_property
     def sub_rows(self):

@@ -17,7 +17,7 @@ from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
                      NotInvertible, StructureViolation)
 from .finitefield import embed_fq
-from .quotring import OModElement, OModRing, _determinant_codes
+from .quotring import OModElement, OModRing, _determinant_bytes
 from .series import LocalFieldElement, LocalFieldSpec
 from .tower import (FieldTower, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
@@ -620,14 +620,14 @@ def count_level_structures(Tm: TorsionModule) -> int:
     if len(coord_vecs) != len(every_vector) or \
             {coord_key(v) for v in coord_vecs} != every_vector:
         raise StructureViolation("torsion coordinates do not biject onto (o/t^m)^%d" % n)
-    residues = [[x.codes[:1] for x in v] for v in coord_vecs]
+    residues = [[x.codes[0] for x in v] for v in coord_vecs]
     # M mod t is invertible iff its transpose, the rows of image residues, is:
     # iff the unit-pivot elimination over F_q = o/t finds a pivot in every column
     tables = Tm.ring.tables
     count = 0
     for images in itertools.product(residues, repeat=n):
         try:
-            _determinant_codes(tables, images)
+            _determinant_bytes(tables, images)
         except NotInvertible:
             continue
         count += 1

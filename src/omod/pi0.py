@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import (OModElement, OModRing, _add_codes, _determinant_codes, _inv_codes,
-                       _mul_codes, _pow_codes, _projection_table, _shift_codes)
+from .quotring import (OModElement, OModRing, _add_codes, _byte_code, _determinant_bytes,
+                       _determinant_codes, _digitwise, _inv_codes, _move_table, _mul_codes,
+                       _pow_codes, _projection_table, _shift_codes)
 
 ENUMERATION_CAP = 1 << 16
 
@@ -164,44 +165,47 @@ def _partition_from_counts(counts, p):
 
 
 def _generator_basis(elements, ring, factors, orders):
-    """Explicit generators matching the invariant factors, verified by
-    exhaustive span: the exponent-tuple map must hit every unit exactly once."""
+    """Explicit generators matching the invariant factors, by depth-first
+    search over candidates of each factor's order.  A candidate c of order
+    d extends the span S of the generators before it to S c^0, ..., S c^(d-1)
+    in exponent-tuple order, and is rejected at the first collision: the
+    span has size prod(orders) exactly when the exponent-tuple map is
+    injective.  The final span must hit every unit exactly once."""
     by_order = {}
     for a, o in zip(elements, orders):
         by_order.setdefault(o, []).append(a)
-    chosen = []
+    tables = ring.tables
 
-    def span(gens):
-        table = {}
-        ranges = [range(d) for _, d in gens]
-        for exps in itertools.product(*ranges):
-            acc = ring.one()
-            for (g, _), e in zip(gens, exps):
-                acc = acc * (g ** e)
-            table.setdefault(acc.lex_key(), exps)
-        return table
+    def extend(span, c, d):
+        powers = [ring.one().codes]
+        for _ in range(d - 1):
+            powers.append(_mul_codes(tables, powers[-1], c))
+        out = {}
+        for s, exps in span.items():
+            for e, power in enumerate(powers):
+                key = _mul_codes(tables, s, power)
+                if key in out:
+                    return None
+                out[key] = exps + (e,)
+        return out
 
-    def extend_inner(idx, gens):
+    def search(idx, gens, span):
         if idx == len(factors):
-            table = span(gens)
-            if len(table) == len(elements):
-                return gens, table
-            return None
+            return (gens, span) if len(span) == len(elements) else None
         d = factors[idx]
         for cand in by_order.get(d, []):
-            trial = gens + [(cand, d)]
-            table = span(trial)
-            if len(table) == math.prod(x for _, x in trial):
-                deeper = extend_inner(idx + 1, trial)
-                if deeper is not None:
-                    return deeper
+            trial = extend(span, cand.codes, d)
+            if trial is not None:
+                found = search(idx + 1, gens + [(cand, d)], trial)
+                if found is not None:
+                    return found
         return None
 
-    found = extend_inner(0, [])
+    found = search(0, [], {ring.one().codes: ()})
     if found is None:
         raise ArithmeticError("no generator basis found for factors %r" % (factors,))
-    gens, table = found
-    return gens, table
+    gens, span = found
+    return gens, {tuple(key): exps for key, exps in span.items()}
 
 
 # --- characters -------------------------------------------------------------------
@@ -290,20 +294,20 @@ def gl_generators(ring: OModRing, n: int, unit_gens):
     return out
 
 
-def _gl_sample(ring, n, rng):
-    """A uniform sample of GL_n(o/t^m) with its determinant, both as codes:
-    uniform matrices (n^2 draws each, row by row), at most 64 of them, until
-    one is invertible.  A draw k is the element with base-q digits k, read
-    from ring.digit_codes.  The unit-pivot elimination decides invertibility,
-    so the determinant that accepts a matrix comes with it."""
-    size, draw, tables = ring.size, ring.digit_codes, ring.tables
-    for _ in range(64):
-        rows = [[draw[rng.randrange(size)] for _ in range(n)] for _ in range(n)]
-        try:
-            return rows, _determinant_codes(tables, rows)
-        except NotInvertible:
-            pass
-    raise NotInvertible("no invertible sample found")
+def _matrix_mul_bytes(tables, a, b):
+    """_matrix_mul_codes on one-byte codes."""
+    add, mul = tables.add_rows, tables.mul_rows
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = mul[row[0]][col[0]]
+            for x, y in zip(row[1:], col[1:]):
+                acc = add[acc][mul[x][y]]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 # --- the endomorphism order --------------------------------------------------------
@@ -331,6 +335,25 @@ class DivisionOrder:
     def projection(self):
         """Translation table of o'/t^m codes to o/t^m codes on the Frobenius-fixed digits."""
         return _projection_table(self.base_residue, self.big.residue)
+
+    @cached_property
+    def byte_conjugations(self):
+        """conjugations on one-byte o'/t^m codes."""
+        Q, size = self.big.residue.q, self.big.size
+        return [_digitwise(frob, Q, size) for frob in self.conjugations]
+
+    @cached_property
+    def byte_projection(self):
+        """projection on one-byte codes: the inverse of the embedding
+        o/t^m -> o'/t^m, 255 off its image (o/t^m has at most 16 elements
+        when n > 1)."""
+        q, Q = self.base_residue.q, self.big.residue.q
+        embedding = _digitwise(_move_table(self.base_residue, self.big.residue, 0), q,
+                               q ** self.big.m, Q)
+        table = bytearray([255]) * 256
+        for k in range(q ** self.big.m):
+            table[embedding[k]] = k
+        return bytes(table)
 
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
@@ -368,16 +391,26 @@ def _order_mul_codes(order, b, c):
     return tuple(out)
 
 
-def _unit_sample(order, rng):
-    """A uniform unit of the order as a tuple of o'/t^m code strings: uniform
-    draws of n coefficients until the first is a unit.  A draw k is the
-    element with base-q' digits k (big.digit_codes[k]), a unit when
-    k % q' != 0."""
-    q, size, draw = order.big.residue.q, order.big.size, order.big.digit_codes
-    while True:
-        draws = [rng.randrange(size) for _ in range(order.n)]
-        if draws[0] % q:
-            return tuple(draw[k] for k in draws)
+def _order_mul_bytes(order, b, c):
+    """_order_mul_codes on one-byte o'/t^m codes."""
+    tables = order.big.byte_tables
+    add, mul, shift = tables.add_rows, tables.mul_rows, tables.shift
+    n = order.n
+    out = [0] * n
+    for i, x in enumerate(b):
+        if not x:
+            continue
+        row, frob = mul[x], order.byte_conjugations[i]
+        for j, y in enumerate(c):
+            if not y:
+                continue
+            k = i + j
+            coeff = row[frob[y]]
+            if k >= n:
+                k -= n
+                coeff = shift[coeff]                 # Pi^n = t
+            out[k] = add[out[k]][coeff]
+    return tuple(out)
 
 
 def reduced_norm(order: DivisionOrder, b) -> OModElement:
@@ -415,14 +448,136 @@ def _reduced_norm_codes(order, b):
     return det.translate(order.projection)
 
 
+def _reduced_norm_bytes(order, b):
+    """_reduced_norm_codes on one-byte codes."""
+    n, tables = order.n, order.big.byte_tables
+    rows = [[0] * n for _ in range(n)]
+    for j, frob in enumerate(order.byte_conjugations):
+        for i, a in enumerate(b):
+            entry = frob[a]
+            if i + j >= n:
+                entry = tables.shift[entry]
+            rows[(i + j) % n][j] = entry
+    det = _determinant_bytes(tables, rows)
+    if n > 1 and order.byte_conjugations[1][det] != det:
+        draw = order.big.digit_codes
+        raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
+                                           % (tuple(OModElement(order.big, draw[a]) for a in b),
+                                              OModElement(order.big, draw[det])))
+    return order.byte_projection[det]
+
+
 # --- the action --------------------------------------------------------------------
 
 
-def _action_codes(tables, det, nrd, chi):
-    """Codes of det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
-    det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every component."""
-    return _mul_codes(tables, _mul_codes(tables, det, _inv_codes(tables, nrd)),
-                      _inv_codes(tables, chi))
+class _Codes:
+    """pi0_action_table's kernel: o/t^m and o'/t^m in one code encoding.  A
+    draw k is the element with base-q digits k, whose code is draw[k]
+    (big_draw[k] in o'/t^m).  mul, det, matrix_mul, order_mul and nrd are
+    the ring product, the unit-pivot determinant, the matrix and order
+    products and the reduced norm on these codes."""
+
+    def __init__(self, ring, order):
+        self.ring, self.order = ring, order
+
+    def gl_sample(self, rng):
+        """A uniform sample of GL_n(o/t^m) with its determinant: uniform
+        matrices (n^2 draws each, row by row), at most 64 of them, until one
+        is invertible.  The unit-pivot elimination decides invertibility, so
+        the determinant that accepts a matrix comes with it."""
+        n, size, draw = self.order.n, self.ring.size, self.draw
+        for _ in range(64):
+            rows = [[draw[rng.randrange(size)] for _ in range(n)] for _ in range(n)]
+            try:
+                return rows, self.det(rows)
+            except NotInvertible:
+                pass
+        raise NotInvertible("no invertible sample found")
+
+    def unit_sample(self, rng):
+        """A uniform unit of the order: uniform draws of n coefficients
+        until the first is a unit, that is a draw k with k % q' != 0."""
+        big = self.order.big
+        q, size, draw = big.residue.q, big.size, self.big_draw
+        while True:
+            draws = [rng.randrange(size) for _ in range(self.order.n)]
+            if draws[0] % q:
+                return tuple(draw[k] for k in draws)
+
+    def big_units(self):
+        """The units of o'/t^m, in the order of big.units()."""
+        big = self.order.big
+        return [self.big_draw[k] for k in range(big.size) if k % big.residue.q]
+
+
+class _DigitCodes(_Codes):
+    """Digit codes: an element is its code string (OModElement.codes), and
+    the arithmetic is quotring's digit kernel."""
+
+    def __init__(self, ring, order):
+        super().__init__(ring, order)
+        tables = self.tables = ring.tables
+        self.draw, self.big_draw = ring.digit_codes, order.big.digit_codes
+        self.mul, self.det = partial(_mul_codes, tables), partial(_determinant_codes, tables)
+        self.matrix_mul = partial(_matrix_mul_codes, tables)
+        self.order_mul = partial(_order_mul_codes, order)
+        self.nrd = partial(_reduced_norm_codes, order)
+
+    def encode(self, a):
+        return a.codes
+
+    def decode(self, ring, a):
+        return OModElement(ring, a)
+
+    def action(self, det, nrd, chi):
+        """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
+        det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every
+        component."""
+        tables = self.tables
+        return _mul_codes(tables, _mul_codes(tables, det, _inv_codes(tables, nrd)),
+                          _inv_codes(tables, chi))
+
+    def norm(self, a):
+        """The coefficient norm of a unit a of o'/t^m, in o/t^m."""
+        return OModElement(self.order.big, a).norm_to(self.ring.residue).codes
+
+
+class _ByteCodes(_Codes):
+    """One-byte codes, for o'/t^m with at most 256 elements: code k is the
+    element with base-q digits k, so a draw is its own code, and a ring
+    operation is a lookup in byte_tables."""
+
+    def __init__(self, ring, order):
+        super().__init__(ring, order)
+        tables = ring.byte_tables
+        self.draw, self.big_draw = range(ring.size), range(order.big.size)
+        self.mul_rows, self.inv = tables.mul_rows, tables.inv
+        self.det = partial(_determinant_bytes, tables)
+        self.matrix_mul = partial(_matrix_mul_bytes, tables)
+        self.order_mul = partial(_order_mul_bytes, order)
+        self.nrd = partial(_reduced_norm_bytes, order)
+
+    def encode(self, a):
+        return _byte_code(a.ring.residue.q, a.codes)
+
+    def decode(self, ring, a):
+        return OModElement(ring, ring.digit_codes[a])
+
+    def mul(self, a, b):
+        return self.mul_rows[a][b]
+
+    def action(self, det, nrd, chi):
+        mul, inv = self.mul_rows, self.inv
+        return mul[mul[det][inv[nrd]]][inv[chi]]
+
+    def norm(self, a):
+        """The product of the Frobenius conjugates of a, projected to o/t^m."""
+        order = self.order
+        mul = order.big.byte_tables.mul_rows
+        acc = a
+        for frob in order.byte_conjugations[1:]:
+            acc = mul[acc][frob[a]]
+        return order.byte_projection[acc]
 
 
 @dataclass(eq=False)
@@ -470,67 +625,67 @@ class Pi0Action:
         return doc
 
 
-def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
+def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
+                     group: UnitGroup | None = None) -> Pi0Action:
     """Build the three structure maps, verify each is a homomorphism
     (exhaustive on generators, sampled on pair_samples random pairs), verify
     the trivial kernels, and return the assembled action.  The checks run on
-    code strings: each sampled matrix comes with the determinant that
+    codes, one-byte codes when o'/t^m has at most 256 elements and digit code
+    strings otherwise: each sampled matrix comes with the determinant that
     accepted it, and elements are built only for the returned action."""
     import random as _random
 
     rng = rng or _random.Random(0)
-    group = unit_group((p, f), m)
+    group = group or unit_group((p, f), m)
     ring = group.ring
-    tables = ring.tables
     big = OModRing(GF(p, f * n), m)
     order = DivisionOrder(n, big, ring.residue)
     gl = gl_generators(ring, n, [g for g, _ in group.generators])
+    codes = (_ByteCodes if big.size <= 256 else _DigitCodes)(ring, order)
+    det, mul, matrix_mul = codes.det, codes.mul, codes.matrix_mul
+    nrd, order_mul, action = codes.nrd, codes.order_mul, codes.action
     report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}
     # det is multiplicative: all generator pairs + random samples
-    gl_codes = [[[x.codes for x in row] for row in g] for g in gl]
-    gl_dets = [_determinant_codes(tables, g) for g in gl_codes]
+    gl_codes = [[[codes.encode(x) for x in row] for row in g] for g in gl]
+    gl_dets = [det(g) for g in gl_codes]
     for a, det_a in zip(gl_codes, gl_dets):
         for b, det_b in zip(gl_codes, gl_dets):
-            lhs = _determinant_codes(tables, _matrix_mul_codes(tables, a, b))
-            if lhs != _mul_codes(tables, det_a, det_b):
+            if det(matrix_mul(a, b)) != mul(det_a, det_b):
                 raise NotInvertible("det not multiplicative on generators")
             report["det_pairs"] += 1
     for _ in range(pair_samples):
-        a, det_a = _gl_sample(ring, n, rng)
-        b, det_b = _gl_sample(ring, n, rng)
-        lhs = _determinant_codes(tables, _matrix_mul_codes(tables, a, b))
-        if lhs != _mul_codes(tables, det_a, det_b):
+        a, det_a = codes.gl_sample(rng)
+        b, det_b = codes.gl_sample(rng)
+        if det(matrix_mul(a, b)) != mul(det_a, det_b):
             raise NotInvertible("det not multiplicative on a sampled pair")
         report["det_pairs"] += 1
     # Nrd is multiplicative on sampled unit pairs; restricted to o'^x it is
     # the coefficient-Frobenius norm, exhaustively
     for _ in range(pair_samples):
-        b = _unit_sample(order, rng)
-        c = _unit_sample(order, rng)
-        lhs = _reduced_norm_codes(order, _order_mul_codes(order, b, c))
-        rhs = _mul_codes(tables, _reduced_norm_codes(order, b), _reduced_norm_codes(order, c))
-        if lhs != rhs:
+        b = codes.unit_sample(rng)
+        c = codes.unit_sample(rng)
+        if nrd(order_mul(b, c)) != mul(nrd(b), nrd(c)):
             raise FrobeniusInvarianceViolation("Nrd not multiplicative on a sample")
         report["nrd_pairs"] += 1
     image = set()
-    one = ring.one().codes
-    zeros = (bytes(m),) * (n - 1)
+    one = codes.encode(ring.one())
+    zeros = (codes.encode(big.zero()),) * (n - 1)
     norm_one = 0
-    for a in big.units():
-        got = _reduced_norm_codes(order, (a.codes,) + zeros)
-        want = a.norm_to(ring.residue)
-        if got != want.codes:
+    for a in codes.big_units():
+        got, want = nrd((a,) + zeros), codes.norm(a)
+        if got != want:
             raise FrobeniusInvarianceViolation(
                 "Nrd(%r) = %r but the coefficient norm is %r"
-                % (a, OModElement(ring, got), want))
+                % (codes.decode(big, a), codes.decode(ring, got), codes.decode(ring, want)))
         image.add(got)
         norm_one += got == one
-    if image != {u.codes for u in group.elements}:
+    units = [codes.encode(u) for u in group.elements]
+    if image != set(units):
         raise FrobeniusInvarianceViolation("Nrd on o'^x does not cover the unit group")
     report["nrd_surjective"] = True
     # SL_n (elementaries) and the scalar units of reduced norm 1 act trivially
-    for det in gl_dets[: n * (n - 1)]:
-        if det != one:
+    for det_g in gl_dets[: n * (n - 1)]:
+        if det_g != one:
             raise NotInvertible("elementary generator has det != 1")
     expected_norm_one = ((p ** (f * n) - 1) // (p ** f - 1)) * \
         (p ** (f * (n - 1))) ** (m - 1)
@@ -540,17 +695,15 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200) -> Pi0Action:
     report["norm_one_scalars"] = norm_one
     # action axioms on sampled triples: composing group elements composes maps
     for _ in range(min(pair_samples, 50)):
-        g1, det1 = _gl_sample(ring, n, rng)
-        g2, det2 = _gl_sample(ring, n, rng)
-        b1 = _unit_sample(order, rng)
-        b2 = _unit_sample(order, rng)
-        t1, t2, c = (group.elements[rng.randrange(group.order)].codes for _ in range(3))
-        by_1 = _action_codes(tables, det1, _reduced_norm_codes(order, b1), t1)
-        by_2 = _action_codes(tables, det2, _reduced_norm_codes(order, b2), t2)
-        by_12 = _action_codes(tables, _determinant_codes(tables, _matrix_mul_codes(tables, g1, g2)),
-                              _reduced_norm_codes(order, _order_mul_codes(order, b1, b2)),
-                              _mul_codes(tables, t1, t2))
-        if _mul_codes(tables, by_1, _mul_codes(tables, by_2, c)) != _mul_codes(tables, by_12, c):
+        g1, det1 = codes.gl_sample(rng)
+        g2, det2 = codes.gl_sample(rng)
+        b1 = codes.unit_sample(rng)
+        b2 = codes.unit_sample(rng)
+        t1, t2, c = (units[rng.randrange(group.order)] for _ in range(3))
+        by_1 = action(det1, nrd(b1), t1)
+        by_2 = action(det2, nrd(b2), t2)
+        by_12 = action(det(matrix_mul(g1, g2)), nrd(order_mul(b1, b2)), mul(t1, t2))
+        if mul(by_1, mul(by_2, c)) != mul(by_12, c):
             raise NotInvertible("action does not compose on a sampled triple")
         report["action_triples"] += 1
     return Pi0Action(group, order, gl, report)

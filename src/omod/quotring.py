@@ -9,16 +9,21 @@ j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
 shared with the series kernel).  The ring arithmetic is a small kernel of
 functions on such code strings (_add_codes, _sub_codes, _mul_codes,
 _inv_codes, _pow_codes, _shift_codes, and _determinant_codes for square
-matrices): at these lengths schoolbook arithmetic on table lookups is the
-fast path.  Add and subtract index the field's row tables, the product
-scales one operand by a bytes.translate row per digit of the other,
-inversion runs the power-series recurrence, and a product by t^w is a shift
-of the digits.  OModElement's operators call the kernel.  pi0's sampled
-checks call it directly, on code strings from draw to comparison, and build
-elements only for the action they return.  The per-digit maps (Frobenius,
-embedding, projection) are bytes.translate tables.  FqElement stays the type
-at the boundaries: ring.element takes FqElements, and the read-only coeffs
-view returns them.
+matrices), schoolbook arithmetic on table lookups.  Add and subtract index
+the field's row tables, the product scales one operand by a bytes.translate
+row per digit of the other, inversion runs the power-series recurrence, and
+a product by t^w is a shift of the digits.  OModElement's operators call the
+kernel.  The per-digit maps (Frobenius, embedding, projection) are
+bytes.translate tables.  FqElement stays the type at the boundaries:
+ring.element takes FqElements, and the read-only coeffs view returns them.
+
+A ring of at most 256 elements (q^m <= 256) is also a ring of one-byte
+codes, the way finitefield treats F_q: code k is the element with base-q
+digits k (digit_codes[k]), and OModRing.byte_tables holds its row tables,
+so a sum or product is one lookup and _determinant_bytes eliminates on
+them.  pi0's sampled checks run on these codes when its rings are that
+small and on digit code strings otherwise, from draw to comparison, and
+build elements only for the action they return.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import MixedFields, NotInvertible
-from .finitefield import FieldSpec, _code, _frobenius_table, _move_table, _tables
+from .finitefield import (_IDENTITY, FieldSpec, _add_rows, _code, _frobenius_table, _move_table,
+                          _tables)
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,11 @@ class OModRing:
     @cached_property
     def size(self):
         return self.residue.q ** self.m
+
+    @cached_property
+    def byte_tables(self):
+        """The one-byte code tables of a ring of at most 256 elements."""
+        return _RingTables(self)
 
     @cached_property
     def digit_codes(self):
@@ -306,6 +317,100 @@ class OModElement:
             else:
                 parts.append("%s*t^%d" % (cs, j) if cs != "1" else "t^%d" % j)
         return " + ".join(parts) if parts else "0"
+
+
+# --- one-byte codes ---------------------------------------------------------------
+
+
+class _RingTables:
+    """Code-level arithmetic of o/t^m on one-byte codes, when q^m <= 256,
+    with _Tables' row tables (add_rows, sub_rows, mul_rows: row c is the
+    bytes.translate table of b -> c + b, c - b, c * b), neg, inv (0 on
+    non-units) and shift (times t).  q is the residue field's order, so code
+    k is a unit exactly when k % q != 0, as in F_q.  For m = 1 the tables
+    are F_q's own."""
+
+    def __init__(self, ring: OModRing):
+        field, size = ring.tables, ring.size
+        if size > 256:
+            raise ValueError("%r has %d > 256 elements: no one-byte codes" % (ring, size))
+        self.q = q = field.q
+        self.shift = bytes(k * q % size for k in range(size)) + _IDENTITY[size:]
+        if ring.m == 1:
+            self.neg, self.inv = field.neg, field.inv
+            self.add_rows, self.sub_rows, self.mul_rows = \
+                field.add_rows, field.sub_rows, field.mul_rows
+            return
+        self.neg = _digitwise(field.neg, q, size)
+        # the additive group is (Z/p)^(fm) on the base-p digits of k
+        self.add_rows = _add_rows(field.p, field.f * ring.m)
+        self.sub_rows = tuple(self.neg.translate(row) for row in self.add_rows)
+        # row a at b = b_0 + t b' is b_0 a + t (a b'): its entries b < q^k
+        # come from those b' < q^(k-1), shifted, by one translate per digit b_0
+        scalars = [_digitwise(row, q, size) for row in field.mul_rows]   # b_0 times every digit
+        rows = []
+        for a in range(size):
+            low = bytes([scalar[a] for scalar in scalars])
+            row = low
+            while len(row) < size:
+                shifted = row.translate(self.shift)
+                row = bytearray(q * len(row))
+                for b0, c in enumerate(low):
+                    row[b0::q] = shifted.translate(self.add_rows[c])
+                row = bytes(row)
+            rows.append(row + _IDENTITY[size:])
+        self.mul_rows = tuple(rows)
+        self.inv = bytes(row.find(1) if a % q else 0 for a, row in enumerate(rows))
+
+
+def _digitwise(table, q, size, q_out=None):
+    """Translation table of one-byte codes k < size = q^m that applies the
+    map `table` of F_q codes to each base-q digit of k, the image digits
+    read in base q_out (q by default)."""
+    q_out = q_out or q
+    out = list(table[:q])
+    for k in range(q, size):
+        out.append(table[k % q] + q_out * out[k // q])
+    return bytes(out) + _IDENTITY[size:]
+
+
+def _byte_code(q, codes):
+    """The one-byte code of the element with digit codes `codes`."""
+    k = 0
+    for d in reversed(codes):
+        k = k * q + d
+    return k
+
+
+def _determinant_bytes(tables, rows):
+    """_determinant_codes on one-byte codes (a list of rows of codes, left
+    unchanged), over F_q's _Tables or a small ring's byte_tables: code k is
+    a unit exactly when k % tables.q != 0.  NotInvertible is raised when the
+    matrix is singular modulo t."""
+    q, neg, inv, mul, sub = tables.q, tables.neg, tables.inv, tables.mul_rows, tables.sub_rows
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = None
+    for c in range(n):
+        r = c
+        while not rows[r][c] % q:
+            r += 1
+            if r == n:
+                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
+        pivot = rows[r]
+        entry = pivot[c]
+        if r != c:
+            rows[r] = rows[c]
+            entry = neg[entry]
+        det = entry if det is None else mul[det][entry]
+        if c + 1 < n:
+            pivot_inv = mul[inv[pivot[c]]]
+            for row in rows[c + 1:]:
+                if row[c]:
+                    factor = mul[pivot_inv[row[c]]]
+                    for k in range(c + 1, n):
+                        row[k] = sub[row[k]][factor[pivot[k]]]
+    return det
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,11 @@ oracles for pi0's code-level order arithmetic and its samplers; with the
 matrix product on coefficient tuples they make reference_pi0_action_table,
 the oracle for pi0_action_table's sampled loops on codes.  Element orders by
 repeated multiplication are the oracle for unit_group's prime-factor
-descent."""
+descent, and the generator search that spans every trial tuple from
+scratch the oracle for its incremental spans."""
 
 import itertools
+import math
 
 from omod.finitefield import GF, embed_fq, project_fq
 from omod.formalmod import coord_key
@@ -257,3 +259,45 @@ def reference_element_order(a):
         acc = acc * a
         k += 1
     return k
+
+
+def reference_generator_basis(elements, ring, factors, orders):
+    """Explicit generators matching the invariant factors: each trial
+    generator tuple is spanned from scratch, over every exponent tuple, and
+    kept when the span has prod(orders) elements; the final span must hit
+    every unit exactly once."""
+    by_order = {}
+    for a, o in zip(elements, orders):
+        by_order.setdefault(o, []).append(a)
+
+    def span(gens):
+        table = {}
+        ranges = [range(d) for _, d in gens]
+        for exps in itertools.product(*ranges):
+            acc = ring.one()
+            for (g, _), e in zip(gens, exps):
+                acc = acc * (g ** e)
+            table.setdefault(acc.lex_key(), exps)
+        return table
+
+    def extend_inner(idx, gens):
+        if idx == len(factors):
+            table = span(gens)
+            if len(table) == len(elements):
+                return gens, table
+            return None
+        d = factors[idx]
+        for cand in by_order.get(d, []):
+            trial = gens + [(cand, d)]
+            table = span(trial)
+            if len(table) == math.prod(x for _, x in trial):
+                deeper = extend_inner(idx + 1, trial)
+                if deeper is not None:
+                    return deeper
+        return None
+
+    found = extend_inner(0, [])
+    if found is None:
+        raise ArithmeticError("no generator basis found for factors %r" % (factors,))
+    gens, table = found
+    return gens, table

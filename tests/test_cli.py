@@ -296,6 +296,29 @@ def test_verify_builds_one_tower_per_height_per_run(capsys, monkeypatch):
     assert first == second
 
 
+def test_verify_builds_one_unit_group_per_run(capsys, monkeypatch):
+    import omod.cli as cli_mod
+    from omod.pi0 import unit_group
+
+    args = ("verify", "--q", "3", "--n", "2", "--m", "2", "--which", "pi0,h0",
+            "--output", "json", "--seed", "7")
+    # one group per suite, as each suite built its own
+    monkeypatch.setattr(cli_mod.RunConfig, "unit_group",
+                        lambda cfg: unit_group((cfg.p, cfg.f), cfg.m))
+    code_apart, apart, _ = run_cli(capsys, *args)
+    monkeypatch.undo()
+    built = []
+
+    def counting_unit_group(pf, m):
+        built.append((pf, m))
+        return unit_group(pf, m)
+
+    monkeypatch.setattr(cli_mod, "unit_group", counting_unit_group)
+    code, shared, _ = run_cli(capsys, *args)
+    assert built == [((3, 1), 2)]
+    assert code == code_apart == 0 and shared == apart
+
+
 def test_all_suites_report_equals_single_suite_reports(capsys):
     base = ("verify", "--q", "2", "--n", "2", "--m", "2", "--output", "json", "--seed", "7")
     _, out, _ = run_cli(capsys, *base)

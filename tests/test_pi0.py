@@ -10,26 +10,44 @@ import pytest
 from omod import pi0
 from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
-from omod.pi0 import (DivisionOrder, _element_order, _gl_sample, _matrix_mul_codes,
-                      _order_mul_codes, _partition_from_counts, _unit_sample, all_characters,
-                      expected_invariant_factors, h0_decomposition, matrix_determinant,
-                      pi0_action_table, reduced_norm, unit_group)
-from omod.quotring import (OModElement, OModRing, _determinant_codes, _inv_codes, _mul_codes,
+from omod.pi0 import (DivisionOrder, _ByteCodes, _DigitCodes, _element_order, _generator_basis,
+                      _partition_from_counts, all_characters, expected_invariant_factors,
+                      h0_decomposition, matrix_determinant, pi0_action_table, reduced_norm,
+                      unit_group)
+from omod.quotring import (OModRing, _byte_code, _determinant_bytes, _inv_codes, _mul_codes,
                            _sub_codes)
 
-from quotring_reference import (leibniz_determinant, reference_element_order, reference_gl_sample,
+from quotring_reference import (leibniz_determinant, reference_element_order,
+                                reference_generator_basis, reference_gl_sample,
                                 reference_matrix_mul, reference_order_mul,
                                 reference_pi0_action_table, reference_reduced_norm,
                                 reference_unit_sample)
 
 
-def codes(elements):
-    return tuple(x.codes for x in elements)
+def encodings(residue, n, m):
+    """pi0_action_table's kernels for o/t^m over `residue` and its order of
+    height n: digit codes always, one-byte codes when o'/t^m has at most 256
+    elements (the rings on which pi0_action_table picks them)."""
+    ring = OModRing(residue, m)
+    order = DivisionOrder(n, OModRing(GF(residue.p, residue.f * n), m), residue)
+    kernels = [_DigitCodes(ring, order)]
+    if order.big.size <= 256:
+        kernels.append(_ByteCodes(ring, order))
+    return kernels
 
 
-def boxed(ring, rows):
-    """A matrix of code strings as coefficient tuples."""
-    return tuple(tuple(OModElement(ring, x).coeffs for x in row) for row in rows)
+def codes(kernel, elements):
+    return tuple(kernel.encode(x) for x in elements)
+
+
+def digits(kernel, ring, values):
+    """Codes of `kernel` as digit code strings."""
+    return tuple(kernel.decode(ring, x).codes for x in values)
+
+
+def boxed(kernel, ring, rows):
+    """A matrix of codes of `kernel` as coefficient tuples."""
+    return tuple(tuple(kernel.decode(ring, x).coeffs for x in row) for row in rows)
 
 
 def test_unit_group_q2_m3_cyclic4():
@@ -83,24 +101,32 @@ def test_determinant_examples():
 
 
 def test_det_multiplicative_random():
-    rng = random.Random(11)
-    R = OModRing(GF(2), 2)
-    for _ in range(200):
-        a, det_a = _gl_sample(R, 2, rng)
-        b, det_b = _gl_sample(R, 2, rng)
-        product = _matrix_mul_codes(R.tables, a, b)
-        assert boxed(R, product) == reference_matrix_mul(boxed(R, a), boxed(R, b))
-        assert _determinant_codes(R.tables, product) == _mul_codes(R.tables, det_a, det_b)
+    for kernel in encodings(GF(2), 2, 2):
+        rng, R = random.Random(11), kernel.ring
+        for _ in range(200):
+            a, det_a = kernel.gl_sample(rng)
+            b, det_b = kernel.gl_sample(rng)
+            product = kernel.matrix_mul(a, b)
+            assert boxed(kernel, R, product) == \
+                reference_matrix_mul(boxed(kernel, R, a), boxed(kernel, R, b))
+            assert kernel.det(product) == kernel.mul(det_a, det_b)
 
 
 def assert_matches_leibniz(g, ring):
+    """Both unit-pivot eliminations, on digit codes and on one-byte codes,
+    against the Leibniz sum."""
     want = leibniz_determinant([[x.coeffs for x in row] for row in g])
+    on_bytes = [[_byte_code(ring.residue.q, x.codes) for x in row] for row in g]
     # the determinant mod t is the determinant of the residue matrix
     if want[0].is_zero():
         with pytest.raises(NotInvertible):
             matrix_determinant(g, ring)
+        with pytest.raises(NotInvertible):
+            _determinant_bytes(ring.byte_tables, on_bytes)
     else:
         assert matrix_determinant(g, ring).coeffs == want
+        det = _determinant_bytes(ring.byte_tables, on_bytes)
+        assert ring.from_int_digits(det).coeffs == want
 
 
 def test_determinant_matches_leibniz_on_every_2x2_over_o_mod_t2():
@@ -127,24 +153,26 @@ def test_determinant_matches_leibniz_sampled(pf, m, n, data):
 @pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 2), ((2, 1), 4, 1), ((3, 1), 3, 2),
                                       ((2, 2), 2, 3)])
 def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
-    R = OModRing(GF(*q_pf), m)
-    ours, reference = random.Random(5), random.Random(5)
-    for _ in range(20):
-        rows, det = _gl_sample(R, n, ours)
-        g = reference_gl_sample(R, n, reference)
-        assert rows == [list(codes(row)) for row in g]
-        # the determinant that accepted the sample is the sample's determinant
-        assert OModElement(R, det).coeffs == leibniz_determinant(boxed(R, rows))
-    assert ours.getstate() == reference.getstate()
+    for kernel in encodings(GF(*q_pf), n, m):
+        R = kernel.ring
+        ours, reference = random.Random(5), random.Random(5)
+        for _ in range(20):
+            rows, det = kernel.gl_sample(ours)
+            g = reference_gl_sample(R, n, reference)
+            assert rows == [list(codes(kernel, row)) for row in g]
+            # the determinant that accepted the sample is the sample's determinant
+            assert kernel.decode(R, det).coeffs == leibniz_determinant(boxed(kernel, R, rows))
+        assert ours.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("pf,n,m", [((2, 1), 2, 2), ((3, 1), 3, 2), ((2, 2), 2, 1)])
 def test_random_unit_draws_as_the_boxed_sampler_did(pf, n, m):
-    order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
-    ours, reference = random.Random(6), random.Random(6)
-    for _ in range(20):
-        assert _unit_sample(order, ours) == codes(reference_unit_sample(order, reference))
-    assert ours.getstate() == reference.getstate()
+    for kernel in encodings(GF(*pf), n, m):
+        ours, reference = random.Random(6), random.Random(6)
+        for _ in range(20):
+            assert kernel.unit_sample(ours) == \
+                codes(kernel, reference_unit_sample(kernel.order, reference))
+        assert ours.getstate() == reference.getstate()
 
 
 def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
@@ -168,9 +196,11 @@ def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
     assert ours.getstate() == reference.getstate()
 
 
-# (p, f, n, m): n = 3 and odd characteristic, where a row swap's sign matters
+# (p, f, n, m): n = 3 and odd characteristic, where a row swap's sign matters;
+# the last two have q^(nm) > 256, so they run on digit codes
 ORACLE_CASES = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (2, 1, 3, 1), (2, 1, 3, 2),
-                (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (5, 1, 2, 1)]
+                (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (5, 1, 2, 1), (2, 1, 3, 3),
+                (3, 1, 2, 3)]
 
 
 @pytest.mark.parametrize("p,f,n,m", ORACLE_CASES)
@@ -191,7 +221,7 @@ def test_digit_codes_are_the_codes_from_int_digits_builds(p, f, n, m):
 
 
 def _determinant_without_the_swap_sign(tables, rows):
-    """Unit-pivot elimination that forgets to negate on a row swap."""
+    """Unit-pivot elimination on digit codes that forgets to negate on a row swap."""
     rows = [list(row) for row in rows]
     n = len(rows)
     det = b"\x01" + bytes(len(rows[0][0]) - 1)
@@ -210,27 +240,61 @@ def _determinant_without_the_swap_sign(tables, rows):
     return det
 
 
-@pytest.mark.parametrize("m", [1, 2])
+def _determinant_bytes_without_the_swap_sign(tables, rows):
+    """The same on one-byte codes."""
+    mul, sub = tables.mul_rows, tables.sub_rows
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if rows[r][c] % tables.q), None)
+        if r is None:
+            raise NotInvertible("singular modulo t")
+        pivot = rows[r]
+        rows[r] = rows[c]
+        det = mul[det][pivot[c]]
+        pivot_inv = tables.inv[pivot[c]]
+        for row in rows[c + 1:]:
+            factor = mul[row[c]][pivot_inv]
+            for k in range(c + 1, n):
+                row[k] = sub[row[k]][mul[factor][pivot[k]]]
+    return det
+
+
+def _on_bytes(m):
+    """pi0_action_table(3, 1, 2, m) runs on one-byte codes for m = 1, 2
+    (q^(nm) = 9, 81) and on digit codes for m = 3 (729)."""
+    return 3 ** (2 * m) <= 256
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_determinant_without_the_swap_sign_fails_the_det_check(m, monkeypatch):
     # the sampler's determinant comes from the same kernel as the product's,
     # so this shows that reusing it leaves the check able to fail
     pi0_action_table(3, 1, 2, m, rng=random.Random(0))
-    monkeypatch.setattr(pi0, "_determinant_codes", _determinant_without_the_swap_sign)
+    if _on_bytes(m):
+        monkeypatch.setattr(pi0, "_determinant_bytes", _determinant_bytes_without_the_swap_sign)
+    else:
+        monkeypatch.setattr(pi0, "_determinant_codes", _determinant_without_the_swap_sign)
     with pytest.raises(NotInvertible, match="det not multiplicative on a sampled pair"):
         pi0_action_table(3, 1, 2, m, rng=random.Random(0))
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_wrong_norm_past_the_frobenius_check_fails_the_exhaustive_norm_loop(m, monkeypatch):
-    real = pi0._reduced_norm_codes
+    kernel = "_reduced_norm_bytes" if _on_bytes(m) else "_reduced_norm_codes"
+    real = getattr(pi0, kernel)
 
     def squared_norm(order, b):
         # Nrd(b)^2 is Frobenius-fixed and multiplicative: neither the
         # Frobenius check nor the sampled Nrd pairs can see that it is wrong
         nrd = real(order, b)
-        return _mul_codes(OModRing(order.base_residue, order.big.m).tables, nrd, nrd)
+        ring = OModRing(order.base_residue, order.big.m)
+        if _on_bytes(m):
+            return ring.byte_tables.mul_rows[nrd][nrd]
+        return _mul_codes(ring.tables, nrd, nrd)
 
-    monkeypatch.setattr(pi0, "_reduced_norm_codes", squared_norm)
+    monkeypatch.setattr(pi0, kernel, squared_norm)
     with pytest.raises(FrobeniusInvarianceViolation, match="but the coefficient norm is"):
         pi0_action_table(3, 1, 2, m, rng=random.Random(0))
 
@@ -253,10 +317,15 @@ def _order_element(data, order, unit):
 @given(ORDER_CASES, st.data())
 def test_order_arithmetic_matches_the_t_power_reference(case, data):
     pf, n, m = case
-    order = DivisionOrder(n, OModRing(GF(pf[0], pf[1] * n), m), GF(*pf))
+    kernels = encodings(GF(*pf), n, m)
+    order = kernels[0].order
     b, c = _order_element(data, order, True), _order_element(data, order, False)
-    assert _order_mul_codes(order, codes(b), codes(c)) == codes(reference_order_mul(order, b, c))
-    assert reduced_norm(order, b).coeffs == reference_reduced_norm(order, b)
+    want = reference_reduced_norm(order, b)
+    assert reduced_norm(order, b).coeffs == want
+    for kernel in kernels:
+        assert kernel.order_mul(codes(kernel, b), codes(kernel, c)) == \
+            codes(kernel, reference_order_mul(order, b, c))
+        assert kernel.decode(kernel.ring, kernel.nrd(codes(kernel, b))).coeffs == want
 
 
 def test_reduced_norm_scalar_is_norm():
@@ -282,23 +351,22 @@ def test_reduced_norm_identity_and_nonunit():
 
 
 def test_order_associativity_sampled():
-    rng = random.Random(5)
-    big = OModRing(GF(2, 2), 2)
-    order = DivisionOrder(2, big, GF(2))
-    for _ in range(50):
-        a, b, c = (_unit_sample(order, rng) for _ in range(3))
-        assert _order_mul_codes(order, _order_mul_codes(order, a, b), c) == \
-            _order_mul_codes(order, a, _order_mul_codes(order, b, c))
+    for kernel in encodings(GF(2), 2, 2):
+        rng, mul = random.Random(5), kernel.order_mul
+        for _ in range(50):
+            a, b, c = (kernel.unit_sample(rng) for _ in range(3))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_pi_commutation_relation():
     # Pi * a = Frob(a) * Pi
-    big = OModRing(GF(2, 2), 2)
-    order = DivisionOrder(2, big, GF(2))
-    x = big.element([big.residue.gen()])
-    lhs = _order_mul_codes(order, codes(order.pi()), codes(order.scalar(x)))
-    rhs = _order_mul_codes(order, codes(order.scalar(x.frobenius(1))), codes(order.pi()))
-    assert lhs == rhs
+    for kernel in encodings(GF(2), 2, 2):
+        order = kernel.order
+        x = order.big.element([order.big.residue.gen()])
+        lhs = kernel.order_mul(codes(kernel, order.pi()), codes(kernel, order.scalar(x)))
+        rhs = kernel.order_mul(codes(kernel, order.scalar(x.frobenius(1))),
+                               codes(kernel, order.pi()))
+        assert lhs == rhs
 
 
 def test_norm_one_units_count():
@@ -442,3 +510,58 @@ def test_element_orders_match_repeated_multiplication(p, f, m):
     one = ring.one().codes
     for a in ring.units():
         assert _element_order(ring.tables, a.codes, N, one) == reference_element_order(a)
+
+
+@pytest.mark.parametrize("p,f,m", _grid_of_unit_groups(1000))
+def test_generators_and_dlog_match_the_spans_from_scratch(p, f, m):
+    G = unit_group((p, f), m)
+    one = G.ring.one().codes
+    orders = [_element_order(G.ring.tables, a.codes, G.order, one) for a in G.elements]
+    gens, dlog = reference_generator_basis(G.elements, G.ring, G.invariant_factors, orders)
+    assert G.generators == gens
+    assert list(G.dlog.items()) == list(dlog.items())       # key order too
+    assert _generator_basis(G.elements, G.ring, G.invariant_factors, orders)[0] == gens
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(2, 1, 2, 1), (2, 1, 2, 3), (2, 2, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2),
+                        (2, 1, 1, 8), (5, 1, 1, 3), (2, 4, 1, 2)]), st.integers(0, 2 ** 32))
+def test_byte_and_digit_kernels_agree(case, seed):
+    # the same draws give the same values on both encodings
+    p, f, n, m = case
+    by_digits, by_bytes = encodings(GF(p, f), n, m)
+    ring, big = by_digits.ring, by_digits.order.big
+    rng_d, rng_b = random.Random(seed), random.Random(seed)
+
+    def same(values_b, values_d, on=ring):
+        return digits(by_bytes, on, values_b) == tuple(values_d)
+
+    (a, det_a), (b, det_b) = (by_digits.gl_sample(rng_d) for _ in range(2))
+    (a_b, det_a_b), (b_b, det_b_b) = (by_bytes.gl_sample(rng_b) for _ in range(2))
+    assert all(same(x, y) for x, y in zip(a_b + b_b, a + b))
+    assert same([det_a_b, det_b_b], [det_a, det_b])
+    product, product_b = by_digits.matrix_mul(a, b), by_bytes.matrix_mul(a_b, b_b)
+    assert all(same(x, y) for x, y in zip(product_b, product))
+    assert same([by_bytes.det(product_b)], [by_digits.det(product)])
+    u, v = by_digits.unit_sample(rng_d), by_digits.unit_sample(rng_d)
+    u_b, v_b = by_bytes.unit_sample(rng_b), by_bytes.unit_sample(rng_b)
+    assert same(u_b + v_b, u + v, on=big)
+    assert same(by_bytes.order_mul(u_b, v_b), by_digits.order_mul(u, v), on=big)
+    assert same([by_bytes.nrd(u_b), by_bytes.norm(u_b[0]), by_bytes.mul(det_a_b, det_b_b),
+                 by_bytes.action(det_a_b, by_bytes.nrd(v_b), det_b_b)],
+                [by_digits.nrd(u), by_digits.norm(u[0]), by_digits.mul(det_a, det_b),
+                 by_digits.action(det_a, by_digits.nrd(v), det_b)])
+    assert same(by_bytes.big_units(), by_digits.big_units(), on=big)
+    assert rng_d.getstate() == rng_b.getstate()
+
+
+def test_a_given_unit_group_is_used_and_changes_nothing():
+    group = unit_group((2, 1), 3)
+    ours, again = random.Random(4), random.Random(4)
+    given_group = pi0_action_table(2, 1, 2, 3, rng=ours, group=group)
+    own_group = pi0_action_table(2, 1, 2, 3, rng=again)
+    assert given_group.group is group
+    assert given_group.report == own_group.report
+    assert given_group.to_json() == own_group.to_json()
+    assert ours.getstate() == again.getstate()

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import MixedFields
-from omod.finitefield import GF, FqElement, _Tables
-from omod.quotring import OModRing
+from omod.finitefield import FIXED_MODULI, GF, FqElement, _is_prime, _Tables
+from omod.quotring import (OModRing, _add_codes, _inv_codes, _mul_codes, _shift_codes,
+                           _sub_codes)
 
 from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_lift_to, ref_mul,
                                 ref_descend_to, ref_norm_to, ref_pow, ref_reduce_to,
@@ -158,3 +159,36 @@ def test_shift_is_a_product_by_a_power_of_t(drawn):
     _pf, ring, (a,) = drawn
     for w in range(ring.m + 2):
         assert a.shift(w) == a * ring.t() ** w
+
+
+def _rings_of_at_most_256_elements():
+    """Every (p, f, m) with a published residue field and q^m <= 256."""
+    fields = [(p, 1) for p in range(2, 257) if _is_prime(p)] + sorted(FIXED_MODULI)
+    return [(p, f, m) for p, f in fields for m in range(1, 9) if p ** (f * m) <= 256]
+
+
+@pytest.mark.parametrize("p,f,m", _rings_of_at_most_256_elements())
+def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
+    ring = OModRing(GF(p, f), m)
+    tables, field = ring.byte_tables, ring.tables
+    assert tables.q == ring.residue.q
+    assert tables.shift[: ring.size] == bytes(k * tables.q % ring.size for k in range(ring.size))
+    if m == 1:
+        # F_q's own tables, checked against FqElement in test_finitefield
+        assert (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.neg, tables.inv) == \
+            (field.add_rows, field.sub_rows, field.mul_rows, field.neg, field.inv)
+        return
+    digit, size = ring.digit_codes, ring.size
+    code = {c: k for k, c in enumerate(digit)}
+    for a, x in enumerate(digit):
+        assert tables.neg[a] == code[x.translate(field.neg)]
+        assert tables.shift[a] == code[_shift_codes(x, 1)]
+        assert tables.inv[a] == (code[_inv_codes(field, x)] if x[0] else 0)
+        for rows, kernel in ((tables.add_rows, _add_codes), (tables.sub_rows, _sub_codes),
+                             (tables.mul_rows, _mul_codes)):
+            assert rows[a][:size] == bytes(code[kernel(field, x, y)] for y in digit)
+
+
+def test_no_byte_tables_beyond_256_elements():
+    with pytest.raises(ValueError):
+        OModRing(GF(3), 6).byte_tables
