@@ -11,13 +11,24 @@ code of an element is FqElement.to_int(), one byte since q <= 256.  _Tables
 holds one field's code-level arithmetic, built on first use from integer
 work only: addition tables from base-p digit steps, multiplication, inverse
 and Frobenius tables from discrete logarithms to a primitive element.
+
+_Tables also holds the packed series kernel.  A series is packed into one
+integer, digit d of coefficient i in slot i * (2f - 1) + d, and a product is
+one integer product.  Pack, unpack and the fold into F_q work on byte
+planes, never per coefficient: pack fills each digit's plane by one strided
+slice assignment of a translated code string; unpack reduces a slot mod p
+from its byte planes (each translated to a residue, the planes added as
+integers, every byte kept below 256), then folds each product coefficient's
+2f - 1 digits into a code with the digits of x^f .. x^(2f - 2) mod the
+modulus: one integer product by a constant and one translate per part of
+the code (fold_plan).  Only for p >= 131, where two residues overflow a
+byte, are slots wider than a byte reduced one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import CapExceeded, MixedFields
 
@@ -450,41 +461,93 @@ class _Tables:
         return bytes([0]) + bytes(exp[-log[c] % (self.q - 1)] for c in range(1, self.q))
 
     @cached_property
-    def fold(self):
-        """Reduced digit slots of a packed product coefficient (a polynomial
-        in x of degree < 2f - 1) -> the code of its class mod the modulus."""
-        spec, f = self.spec, self.f
-        x_high = [(spec.gen() ** d).coeffs for d in range(f, self.stride)]
-        fold = {}
-        for high in product(range(self.p), repeat=f - 1):
-            extra = [sum(h * x[i] for h, x in zip(high, x_high)) for i in range(f)]
-            for a in self.elements:
-                folded = spec.element([c + e for c, e in zip(a.coeffs, extra)])
-                fold[bytes(a.coeffs) + bytes(high)] = folded.to_int()
-        return fold
+    def digit_rows(self):
+        """digit_rows[d] is the translate table of code -> its base-p digit d."""
+        p = self.p
+        return tuple(bytes(c // p ** d % p for c in range(256)) for d in range(self.f))
+
+    @cached_property
+    def fold_plan(self):
+        """How unpack folds the stride reduced digits v_d of a product
+        coefficient, the polynomial sum_d v_d x^d, into the code of its class
+        mod the modulus.  Digit i of that code is u_i mod p, where u_i =
+        sum_d c_di v_d and c_di is the x^i coefficient of x^d mod the modulus,
+        so u_i < r_i = (p - 1) sum_d c_di + 1.  The digits are grouped into
+        parts whose mixed-radix index sum_i w_i u_i (w_i the product of the
+        radixes before i in its part) stays below 256.  A part is
+        (multiplier, table).  The digit string, read as an integer, times
+        multiplier = sum_(i, d) w_i c_di 256^(stride - 1 - d) holds the part's
+        index of coefficient k in byte k * stride + stride - 1, and no byte
+        carries; table maps an index to the part's share of the code.  F_4,
+        F_8, F_9, F_16 and F_25 take one part, F_256 three."""
+        p, f, s, spec = self.p, self.f, self.stride, self.spec
+        x_powers = [(spec.gen() ** d).coeffs for d in range(s)]
+        parts, part, span = [], [], 1
+        for i in range(f):
+            column = [x[i] for x in x_powers]
+            radix = (p - 1) * sum(column) + 1
+            if span * radix > 256:
+                parts.append(part)
+                part, span = [], 1
+            part.append((i, column, span, radix))
+            span *= radix
+        parts.append(part)
+        plan = []
+        for part in parts:
+            multiplier = sum(w * c << 8 * (s - 1 - d)
+                             for _, column, w, _ in part for d, c in enumerate(column))
+            table = bytes(sum(k // w % r % p * p ** i for i, _, w, r in part) for k in range(256))
+            plan.append((multiplier, table))
+        return tuple(plan)
 
     def pack(self, codes, width):
         """codes as one integer: digit d of coefficient i fills slot
-        i * stride + d, each slot `width` bytes wide."""
+        i * stride + d, each slot `width` bytes wide.  One strided slice
+        assignment per digit plane."""
         if self.stride == 1 and width == 1:
             return int.from_bytes(codes, "little")
-        chunks = _digit_chunks(self.spec, width)
-        return int.from_bytes(b"".join(map(chunks.__getitem__, codes)), "little")
+        step = self.stride * width
+        buf = bytearray(len(codes) * step)
+        for d, row in enumerate(self.digit_rows):
+            buf[d * width::step] = codes.translate(row)
+        return int.from_bytes(buf, "little")
 
     def unpack(self, value, n, width):
         """The first n coefficient codes of a packed integer (any slot values
-        below 256**width): slots reduced mod p, then folded into F_q."""
-        size = n * self.stride * width
+        below 256**width): slots reduced mod p, then folded into F_q, both on
+        byte planes.  A wide slot is the sum of its byte planes raw[k::width]
+        times 256^k, each translated to a residue mod p.  For p <= 127 a byte
+        holds the sum of two or more residues, so the planes add as integers,
+        reduced every `lanes` planes; from p = 131 on two residues overflow a
+        byte, and each wide slot is reduced alone."""
+        s, p = self.stride, self.p
+        slots = n * s
+        size = slots * width
         raw = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
         if width == 1:
             digits = raw.translate(self.mod_p)
+        elif p < 128:
+            lanes = 255 // (p - 1)
+            total = count = 0
+            for k, table in _plane_residues(p, width):
+                if count == lanes:
+                    total = int.from_bytes(total.to_bytes(slots, "little").translate(self.mod_p),
+                                           "little")
+                    count = 1
+                total += int.from_bytes(raw[k::width].translate(table), "little")
+                count += 1
+            digits = total.to_bytes(slots, "little").translate(self.mod_p)
         else:
-            digits = bytes([int.from_bytes(raw[i:i + width], "little") % self.p
+            digits = bytes([int.from_bytes(raw[i:i + width], "little") % p
                             for i in range(0, size, width)])
-        if self.stride == 1:
+        if s == 1:
             return digits
-        s, fold = self.stride, self.fold
-        return bytes([fold[digits[i:i + s]] for i in range(0, len(digits), s)])
+        x = int.from_bytes(digits, "little")
+        code = 0
+        for multiplier, table in self.fold_plan:
+            part = (x * multiplier).to_bytes(slots + s - 1, "little")[s - 1::s].translate(table)
+            code += int.from_bytes(part, "little")
+        return code.to_bytes(n, "little")
 
     def add(self, a, ia, b, ib):
         """Codes of u^ia * a + u^ib * b (ia, ib >= 0)."""
@@ -506,6 +569,18 @@ class _Tables:
 @lru_cache(maxsize=None)
 def _tables(spec: FieldSpec) -> _Tables:
     return _Tables(spec)
+
+
+@lru_cache(maxsize=None)
+def _plane_residues(p, width):
+    """(k, table) for each byte plane k of a `width`-byte slot whose weight
+    256^k is not 0 mod p: table sends a byte b to b * 256^k mod p."""
+    out = []
+    for k in range(width):
+        r = pow(256, k, p)
+        if r:
+            out.append((k, bytes(b * r % p for b in range(256))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

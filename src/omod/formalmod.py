@@ -374,7 +374,6 @@ def _adjoin_wild_branch(X, tower, e, precision):
                 raise CapExceeded("wild relation requires constant coefficients")
             acc = acc + cc * base_pt.frobenius_power(P.qexp * i)
         num = -acc
-        c0_lead = P.coeffs[0]
         # t * (s0 + pi) = num, and c_0 = t * (unit series in t): at level 1 the
         # c_0 coefficient is the embedded uniformizer itself
         return num * base_pt.inv(precision=fld.default_precision)

@@ -58,15 +58,15 @@ class OModRing:
 
     @cached_property
     def byte_tables(self):
-        """The one-byte code tables of a ring of at most 256 elements."""
-        return _RingTables(self)
+        """The one-byte code tables of a ring of at most 256 elements, shared
+        by every equal ring."""
+        return _ring_tables(self.residue, self.m)
 
     @cached_property
     def digit_codes(self):
         """The codes of every element, indexed by k: entry k is the codes of
-        from_int_digits(k)."""
-        return tuple(bytes(digits[::-1])
-                     for digits in product(range(self.residue.q), repeat=self.m))
+        from_int_digits(k).  Shared by every equal ring."""
+        return _digit_codes(self.residue, self.m)
 
     def element(self, coeffs):
         codes = bytes([_code(self.residue, c) for c in list(coeffs)[: self.m]])
@@ -101,6 +101,16 @@ class OModRing:
 
     def __repr__(self):
         return "O(%r)/t^%d" % (self.residue, self.m)
+
+
+@lru_cache(maxsize=None)
+def _ring_tables(residue: FieldSpec, m: int):
+    return _RingTables(residue, m)
+
+
+@lru_cache(maxsize=None)
+def _digit_codes(residue: FieldSpec, m: int):
+    return tuple(bytes(digits[::-1]) for digits in product(range(residue.q), repeat=m))
 
 
 def _add_codes(tables, a, b):
@@ -330,20 +340,21 @@ class _RingTables:
     k is a unit exactly when k % q != 0, as in F_q.  For m = 1 the tables
     are F_q's own."""
 
-    def __init__(self, ring: OModRing):
-        field, size = ring.tables, ring.size
+    def __init__(self, residue: FieldSpec, m: int):
+        field, size = _tables(residue), residue.q ** m
         if size > 256:
-            raise ValueError("%r has %d > 256 elements: no one-byte codes" % (ring, size))
+            raise ValueError("O(%r)/t^%d has %d > 256 elements: no one-byte codes"
+                             % (residue, m, size))
         self.q = q = field.q
         self.shift = bytes(k * q % size for k in range(size)) + _IDENTITY[size:]
-        if ring.m == 1:
+        if m == 1:
             self.neg, self.inv = field.neg, field.inv
             self.add_rows, self.sub_rows, self.mul_rows = \
                 field.add_rows, field.sub_rows, field.mul_rows
             return
         self.neg = _digitwise(field.neg, q, size)
         # the additive group is (Z/p)^(fm) on the base-p digits of k
-        self.add_rows = _add_rows(field.p, field.f * ring.m)
+        self.add_rows = _add_rows(field.p, field.f * m)
         self.sub_rows = tuple(self.neg.translate(row) for row in self.add_rows)
         # row a at b = b_0 + t b' is b_0 a + t (a b'): its entries b < q^k
         # come from those b' < q^(k-1), shifted, by one translate per digit b_0

@@ -11,7 +11,9 @@ is FqElement.to_int(), whose base-p digits are the element's coordinates in
 the polynomial basis (q <= 256).  Series multiplication is one integer
 product (Kronecker substitution): each coefficient's digits go into slots of
 a packed integer, wide enough that no slot overflows, and the product's slots
-are reduced mod p and folded back into F_q.  Per-coefficient maps (negation,
+are reduced mod p and folded back into F_q, on byte planes by translate
+tables and integer adds rather than coefficient by coefficient (finitefield's
+_Tables.pack and unpack).  Per-coefficient maps (negation,
 scaling, Frobenius, embeddings) are byte translation tables; all tables are
 finitefield's, built on first use and shared with o/t^m.  FqElement stays
 the type at the boundaries: constructors take FqElements, coeff_at and

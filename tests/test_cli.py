@@ -137,6 +137,15 @@ def test_limits_are_skipped_not_failed(capsys, q, n, m):
     assert all(r["computed"].startswith("not computed: ") for r in doc["results"])
 
 
+def test_wide_slot_product_and_determinant_pass(capsys):
+    # at --prec 128 the packed series products of (2, 2, 3) need 2-byte slots
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--m", "3", "--prec", "128",
+                           "--which", "product,determinant", "--output", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert [r["status"] for r in doc["results"]] == ["pass", "pass"]
+
+
 def test_other_errors_stay_failures(capsys):
     # q = 8: the wild-branch relation does not converge (NoConvergence), which
     # is no declared limit, so the unit-coefficient row fails with its witness

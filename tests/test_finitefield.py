@@ -1,10 +1,12 @@
 """Finite-field arithmetic: exhaustive axioms for q <= 16, Frobenius, moduli."""
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import CapExceeded, MixedFields
-from omod.finitefield import (GF, embed_fq, field_with_order, is_irreducible, project_fq,
-                              subfield_embedding_image)
+from omod.finitefield import (FIXED_MODULI, GF, _is_prime, _tables, embed_fq, field_with_order,
+                              is_irreducible, project_fq, subfield_embedding_image)
+from packed_reference import ref_add, ref_mul, ref_pack, ref_unpack
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
                 (2, 2), (2, 3), (2, 4), (3, 2)]
@@ -138,3 +140,27 @@ def test_serialization_roundtrip():
     assert doc["coeffs"] == [1, 0, 1]
     assert doc["field"] == {"p": 2, "f": 3, "modulus": [1, 1, 0]}
     assert F8.element(doc["coeffs"]) == a
+
+
+# every (p, f) with q <= 256: the primes, and the moduli table's keys
+ALL_FIELDS = [(p, 1) for p in range(2, 257) if _is_prime(p)] + sorted(FIXED_MODULI)
+
+
+@pytest.mark.parametrize("p,f", ALL_FIELDS)
+@settings(derandomize=True, database=None, max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_packed_kernel_matches_the_per_slot_and_dict_fold_oracles(p, f, data):
+    tables = _tables(GF(p, f))
+    codes = st.lists(st.integers(0, p ** f - 1), max_size=70).map(bytes)
+    a, b = data.draw(codes), data.draw(codes)
+    for width in (1, 2, 4):
+        assert tables.pack(a, width) == ref_pack(tables, a, width)
+        # any slot values below 256**width, and bytes beyond the n coefficients
+        size = len(a) * tables.stride * width
+        value = int.from_bytes(data.draw(st.binary(min_size=size, max_size=size + 4)), "little")
+        assert tables.unpack(value, len(a), width) == ref_unpack(tables, value, len(a), width)
+    n = data.draw(st.integers(0, len(a) + 2))
+    assert tables.mul(a, b, n) == ref_mul(tables, a, b, n)
+    ia, ib = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assert tables.add(a, ia, b, ib) == ref_add(tables, a, ia, b, ib)

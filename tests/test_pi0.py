@@ -7,7 +7,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from omod import pi0
+from omod import pi0, quotring
 from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
 from omod.pi0 import (DivisionOrder, _ByteCodes, _DigitCodes, _element_order, _generator_basis,
@@ -218,6 +218,26 @@ def test_digit_codes_are_the_codes_from_int_digits_builds(p, f, n, m):
         assert len(ring.digit_codes) == ring.size
         for k in range(ring.size):
             assert ring.digit_codes[k] == ring.from_int_digits(k).codes
+
+
+def test_ring_tables_are_built_once_per_field_and_level(monkeypatch):
+    # for n = 1, o'/t^m is another OModRing instance equal to the group's ring
+    built = []
+
+    class CountedTables(quotring._RingTables):
+        def __init__(self, residue, m):
+            built.append((residue, m))
+            super().__init__(residue, m)
+
+    monkeypatch.setattr(quotring, "_RingTables", CountedTables)
+    quotring._ring_tables.cache_clear()
+    try:
+        pi0_action_table(2, 1, 1, 8, rng=random.Random(0))
+        assert built == [(GF(2), 8)]
+        assert OModRing(GF(3), 2).byte_tables is OModRing(GF(3), 2).byte_tables
+        assert OModRing(GF(3), 2).digit_codes is OModRing(GF(3), 2).digit_codes
+    finally:
+        quotring._ring_tables.cache_clear()
 
 
 def _determinant_without_the_swap_sign(tables, rows):

@@ -437,12 +437,14 @@ def test_packed_mul_matches_schoolbook(q, data):
 
 
 @pytest.mark.parametrize("q,length", [(2, 255), (2, 256), (3, 63), (3, 64), (4, 127), (4, 128),
-                                      (9, 31), (9, 32), (256, 31), (256, 32),
+                                      (8, 85), (8, 86), (9, 31), (9, 32), (27, 21), (27, 22),
+                                      (32, 51), (32, 52), (125, 5), (125, 6), (243, 12), (243, 13),
+                                      (256, 31), (256, 32),
                                       (169, 227), (169, 228), (131, 3), (131, 4)])
 def test_mul_at_slot_width_edges(q, length):
     # every digit is p - 1, so the middle product coefficient reaches the slot
-    # bound length * f * (p - 1)^2: the first length fills one slot width
-    # exactly, the second needs the next one
+    # bound length * f * (p - 1)^2: the first length is the longest that one
+    # slot width holds, the second needs the next one
     F = field_of_order(q)
     a = F.element(0, [F.residue.from_int(q - 1)] * length)
     b = F.element(-2, [F.residue.from_int(q - 1)] * length, precision=length + 1)
