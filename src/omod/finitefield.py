@@ -341,22 +341,6 @@ def embed_fq(a: FqElement, dst: FieldSpec) -> FqElement:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _subfield_preimage_table(src: FieldSpec, dst: FieldSpec):
-    return {embed_fq(a, dst): a for a in src.elements()}
-
-
-def project_fq(a: FqElement, src: FieldSpec) -> FqElement:
-    """Inverse of embed_fq on its image; raises if a is not in the subfield."""
-    if a.spec == src:
-        return a
-    table = _subfield_preimage_table(src, a.spec)
-    try:
-        return table[a]
-    except KeyError:
-        raise MixedFields("%r does not lie in the subfield %r" % (a, src))
-
-
 # --- code-level tables ------------------------------------------------------------
 
 _IDENTITY = bytes(range(256))

@@ -659,47 +659,25 @@ def kernel_rank(phi: LevelStructure, reduction="closed"):
         raise NotASummand("kernel has %d elements, not a power q^(mh)" % size)
     if h == 0:
         return 0
-    # find h kernel generators whose span is the kernel and which extend to a
-    # basis of (o/t^m)^n by unit-vector completion
-    gens = _summand_generators(kernel, ring, n, h)
-    if gens is None:
-        raise NotASummand("kernel admits no generating set of %d unit rows" % h)
-    return h
-
-
-def _summand_generators(kernel, ring, n, h):
-    """Greedy: pick kernel vectors with a unit in a fresh coordinate (after
-    reduction by already-chosen ones); such a set generates a free summand."""
-    kernel_keys = {coord_key(v) for v in kernel}
-    for combo in itertools.combinations(kernel, h):
-        # unit-pivot test: the h x n matrix has h columns with unit pivots in
-        # distinct positions
-        pivots = []
-        used = set()
-        ok = True
-        rows = [list(v) for v in combo]
-        for r in rows:
-            pos = next((j for j, x in enumerate(r) if x.is_unit() and j not in used), None)
-            if pos is None:
-                ok = False
-                break
-            used.add(pos)
-            pivots.append(pos)
-        if not ok:
+    # By Nakayama, h vectors with F_q-independent residues span a free summand
+    # of q^(mh) elements: the kernel is one exactly when the first h such
+    # kernel vectors exist and their span lies in the kernel.
+    add, mul = ring.tables.add_rows, ring.tables.mul_rows
+    gens, residues = [], {bytes(n)}
+    for vec in kernel:
+        r = bytes(x.codes[0] for x in vec)
+        if r in residues:
             continue
-        # span check: all o/t^m-combinations of combo stay inside the kernel set
-        span = set()
-        good = True
-        for coeffs in itertools.product(ring.elements(), repeat=h):
-            acc = [ring.zero()] * n
-            for c, vec in zip(coeffs, combo):
-                for i in range(n):
-                    acc[i] = acc[i] + c * vec[i]
-            k = coord_key(tuple(acc))
-            span.add(k)
-            if k not in kernel_keys:
-                good = False
-                break
-        if good and len(span) == len(kernel):
-            return list(combo)
-    return None
+        gens.append(vec)
+        if len(gens) == h:
+            break
+        residues = {bytes(add[a][b] for a, b in zip(s, r.translate(mul[c])))
+                    for s in residues for c in range(q)}
+    if len(gens) == h:
+        span = [(ring.zero(),) * n]
+        for g in gens:
+            span = [tuple(a + c * x for a, x in zip(s, g)) for s in span for c in ring.elements()]
+        kernel_keys = {coord_key(v) for v in kernel}
+        if all(coord_key(v) in kernel_keys for v in span):
+            return h
+    raise NotASummand("kernel admits no generating set of %d unit rows" % h)

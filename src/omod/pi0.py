@@ -223,15 +223,6 @@ class Character:
         E = self.group.exponent
         return sum(e * v for e, v in zip(exps, self.generator_values)) % E
 
-    def is_multiplicative(self):
-        els = self.group.elements
-        E = self.group.exponent
-        for a in els:
-            for b in els:
-                if (self.value(a) + self.value(b)) % E != self.value(a * b):
-                    return False
-        return True
-
     def key(self):
         return tuple(self.generator_values)
 

@@ -9,12 +9,16 @@ matrix product on coefficient tuples they make reference_pi0_action_table,
 the oracle for pi0_action_table's sampled loops on codes.  Element orders by
 repeated multiplication are the oracle for unit_group's prime-factor
 descent, and the generator search that spans every trial tuple from
-scratch the oracle for its incremental spans."""
+scratch the oracle for its incremental spans.  Projection from a field to a
+subfield by a preimage table backs ref_descend_to, and the search over every
+h-subset of a kernel is the oracle for kernel_rank's residue span."""
 
+from functools import lru_cache
 import itertools
 import math
 
-from omod.finitefield import GF, embed_fq, project_fq
+from omod.errors import MixedFields, NotASummand
+from omod.finitefield import GF, FieldSpec, FqElement, embed_fq
 from omod.formalmod import coord_key
 from omod.pi0 import DivisionOrder, gl_generators, unit_group
 from omod.quotring import OModRing
@@ -63,6 +67,22 @@ def ref_pow(a, e):
 
 def ref_frobenius(a, j):
     return tuple(c.frobenius(j) for c in a)
+
+
+@lru_cache(maxsize=None)
+def _subfield_preimage_table(src: FieldSpec, dst: FieldSpec):
+    return {embed_fq(a, dst): a for a in src.elements()}
+
+
+def project_fq(a: FqElement, src: FieldSpec) -> FqElement:
+    """Inverse of embed_fq on its image; raises if a is not in the subfield."""
+    if a.spec == src:
+        return a
+    table = _subfield_preimage_table(src, a.spec)
+    try:
+        return table[a]
+    except KeyError:
+        raise MixedFields("%r does not lie in the subfield %r" % (a, src))
 
 
 def ref_descend_to(a, sub):
@@ -118,6 +138,74 @@ def brute_force_level_count(Tm):
 
     return sum(1 for images in itertools.product(coord_vecs, repeat=n)
                if len(induced_images(images)) == size)
+
+
+def reference_kernel_rank(phi, reduction="closed"):
+    """kernel_rank with the kernel generators found by reference_summand_generators."""
+    Tm = phi.torsion
+    ring = Tm.ring
+    n = Tm.rank
+    kernel = []
+    for key, vec in sorted(Tm.coords.items()):
+        pt = phi.image_of(vec)
+        if reduction == "closed":
+            dies = pt.order_lower_bound() > 0
+        else:
+            dies = pt.is_zero_mod_precision()
+        if dies:
+            kernel.append(vec)
+    size = len(kernel)
+    q = ring.residue.q
+    m = ring.m
+    h = 0
+    while q ** (m * h) < size:
+        h += 1
+    if q ** (m * h) != size:
+        raise NotASummand("kernel has %d elements, not a power q^(mh)" % size)
+    if h == 0:
+        return 0
+    gens = reference_summand_generators(kernel, ring, n, h)
+    if gens is None:
+        raise NotASummand("kernel admits no generating set of %d unit rows" % h)
+    return h
+
+
+def reference_summand_generators(kernel, ring, n, h):
+    """Greedy: pick kernel vectors with a unit in a fresh coordinate (after
+    reduction by already-chosen ones); such a set generates a free summand."""
+    kernel_keys = {coord_key(v) for v in kernel}
+    for combo in itertools.combinations(kernel, h):
+        # unit-pivot test: the h x n matrix has h columns with unit pivots in
+        # distinct positions
+        pivots = []
+        used = set()
+        ok = True
+        rows = [list(v) for v in combo]
+        for r in rows:
+            pos = next((j for j, x in enumerate(r) if x.is_unit() and j not in used), None)
+            if pos is None:
+                ok = False
+                break
+            used.add(pos)
+            pivots.append(pos)
+        if not ok:
+            continue
+        # span check: all o/t^m-combinations of combo stay inside the kernel set
+        span = set()
+        good = True
+        for coeffs in itertools.product(ring.elements(), repeat=h):
+            acc = [ring.zero()] * n
+            for c, vec in zip(coeffs, combo):
+                for i in range(n):
+                    acc[i] = acc[i] + c * vec[i]
+            k = coord_key(tuple(acc))
+            span.add(k)
+            if k not in kernel_keys:
+                good = False
+                break
+        if good and len(span) == len(kernel):
+            return list(combo)
+    return None
 
 
 def reference_order_mul(order, b, c):

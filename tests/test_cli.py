@@ -355,3 +355,20 @@ def test_warm_cache_verify_is_byte_identical(capsys, monkeypatch, tmp_path, q, n
     monkeypatch.setattr(cli_mod, "cm_tower", no_build)
     code_warm, warm, err = run_cli(capsys, *args)
     assert code_warm == code_cold and warm == cold and err == ""
+
+
+# the whole report at (2, 6, 1), byte for byte: the closed-fibre row spans a
+# rank-6 summand over all 64 kernel vectors
+KERNEL_HEIGHT_2_6_1 = (
+    '{"config":{"cm":false,"degree_cap":4096,"f":1,"m":1,"n":6,"p":2,"precision":64,"q":2,"seed":0,"which":["kernel-height"]},"failures":0,"results":['
+    '{"check":"kernel-height","claim":"kernel rank of the level structure equals the connected height","computed":{"closed_fibre":[6,6],"etale":[0,0]},"expected":{"closed_fibre":[6,6],"etale":[0,0]},"parameters":{"m":1,"n":6,"q":2,"specialization":"etale+closed"},"source":"construction","status":"pass"},'
+    '{"check":"kernel-height","claim":"kernel rank of the level structure equals the connected height","computed":"not computed: only 4 of 64 polygon-predicted roots lie in the field (residue enlargement needed)","expected":"rank = height","parameters":{"m":1,"n":6,"q":2,"specialization":"unit-coefficient"},"source":"construction","status":"skipped"}],"schema":"omod-verify-report/1"}\n'
+)
+
+
+def test_kernel_height_at_height_six(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "6", "--m", "1",
+                           "--which", "kernel-height", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["computed"]["closed_fibre"] == [6, 6]
+    assert out == KERNEL_HEIGHT_2_6_1

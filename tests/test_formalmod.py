@@ -1,13 +1,16 @@
 """Formal o-modules: multiplication, heights, torsion, level structures."""
 
 from fractions import Fraction
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from omod.errors import CapExceeded, StructureViolation
+from omod.errors import CapExceeded, NotASummand, StructureViolation
+from omod.finitefield import GF
 from omod.formalmod import (LevelStructure, TorsionModule,
-                            bijective_level_structure, connected_height,
+                            bijective_level_structure, coord_key, connected_height,
                             count_level_structures, kernel_rank,
                             lubin_tate_module, module_from_unit_coefficients,
                             multiply_by, omodule_structure_check, torsion_points,
@@ -17,7 +20,7 @@ from omod.quotring import OModRing
 from omod.series import base_field
 from omod.tower import FieldTower, unramified_extension
 
-from quotring_reference import brute_force_level_count
+from quotring_reference import brute_force_level_count, reference_kernel_rank
 
 
 def cm_module(q_p, q_f, n, precision=64):
@@ -283,3 +286,98 @@ def test_torsion_export_shapes():
     doc = Tm.to_json()
     assert doc["cardinality"] == 4
     assert len(doc["points"]) == 4
+
+
+class _StubPoint:
+    def __init__(self, dies):
+        self.dies = dies
+
+    def order_lower_bound(self):
+        return 1 if self.dies else 0
+
+    def is_zero_mod_precision(self):
+        return self.dies
+
+
+class _StubLevelStructure:
+    """Everything kernel_rank reads of a level structure on (o/t^m)^n:
+    coordinate vectors keyed by coord_key, and images that vanish exactly on
+    `kernel`."""
+
+    def __init__(self, ring, n, kernel):
+        vectors = itertools.product(ring.elements(), repeat=n)
+        self.torsion = SimpleNamespace(ring=ring, rank=n,
+                                       coords={coord_key(v): v for v in vectors})
+        self.kernel = {coord_key(v) for v in kernel}
+
+    def image_of(self, vector):
+        return _StubPoint(coord_key(vector) in self.kernel)
+
+
+def _span(ring, n, gens):
+    span = {(ring.zero(),) * n}
+    for g in gens:
+        span = {tuple(a + c * x for a, x in zip(s, g)) for s in span for c in ring.elements()}
+    return span
+
+
+def _rank_or_error(rank, phi):
+    try:
+        return rank(phi)
+    except NotASummand as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 1), ((2, 1), 3, 1), ((3, 1), 2, 1),
+                                      ((2, 2), 2, 1), ((2, 1), 2, 2), ((2, 1), 1, 3),
+                                      ((2, 1), 3, 2)])
+def test_kernel_rank_matches_combination_search(q_pf, n, m):
+    # random spans (free summands or not) and random subsets of size q^(mh)
+    ring = OModRing(GF(*q_pf), m)
+    vectors = list(itertools.product(ring.elements(), repeat=n))
+    rng = random.Random("%r %d %d" % (q_pf, n, m))
+    outcomes = []
+    for trial in range(16):
+        h = rng.randrange(n + 1)
+        if trial % 2:
+            kernel = rng.sample(vectors, ring.size ** h)
+        else:
+            kernel = _span(ring, n, [rng.choice(vectors) for _ in range(h)])
+        phi = _StubLevelStructure(ring, n, kernel)
+        outcome = _rank_or_error(kernel_rank, phi)
+        assert outcome == _rank_or_error(reference_kernel_rank, phi)
+        outcomes.append(outcome)
+    assert any(isinstance(o, int) and o > 0 for o in outcomes)
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+def test_kernel_rank_rejects_a_kernel_that_is_not_free():
+    # t (o/t^2)^2 has q^(m*1) = 4 elements but no vector with a unit entry
+    ring = OModRing(GF(2), 2)
+    kernel = [(a.shift(1), b.shift(1)) for a in ring.elements() for b in ring.elements()]
+    assert len({coord_key(v) for v in kernel}) == 4
+    phi = _StubLevelStructure(ring, 2, kernel)
+    with pytest.raises(NotASummand, match="^kernel admits no generating set of 1 unit rows$"):
+        kernel_rank(phi)
+
+
+def test_kernel_rank_rejects_a_size_that_is_not_a_power():
+    ring = OModRing(GF(2), 2)
+    kernel = [(ring.zero(), ring.zero()), (ring.one(), ring.zero())]
+    phi = _StubLevelStructure(ring, 2, kernel)
+    with pytest.raises(NotASummand, match=r"^kernel has 2 elements, not a power q\^\(mh\)$"):
+        kernel_rank(phi)
+
+
+def test_kernel_rank_walk_skips_residues_already_spanned():
+    # (0,0,2) follows (0,0,1) and adds nothing mod t; the walk must pass over
+    # it to (1,1,1), whose span with (0,0,1) leaves this 9-element kernel
+    ring = OModRing(GF(3), 1)
+    kernel = [tuple(ring.from_int_digits(d) for d in v) for v in
+              [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, 2), (1, 2, 0),
+               (2, 0, 0), (2, 1, 1), (2, 2, 2)]]
+    phi = _StubLevelStructure(ring, 3, kernel)
+    with pytest.raises(NotASummand, match="^kernel admits no generating set of 2 unit rows$"):
+        kernel_rank(phi)
+    with pytest.raises(NotASummand, match="^kernel admits no generating set of 2 unit rows$"):
+        reference_kernel_rank(phi)

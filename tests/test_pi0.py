@@ -434,8 +434,10 @@ def test_characters_multiplicative_and_separated():
     G = unit_group((3, 1), 2)
     chars = all_characters(G)
     assert len(chars) == 6
+    E = G.exponent
     for om in chars:
-        assert om.is_multiplicative()
+        assert all((om.value(a) + om.value(b)) % E == om.value(a * b)
+                   for a in G.elements for b in G.elements)
     assert len({om.key() for om in chars}) == 6
 
 
