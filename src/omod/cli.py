@@ -24,7 +24,7 @@ from fractions import Fraction
 from .cache import CACHE_ENV_VAR, load_tower, save_tower, tower_cache_name
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, OmodError,
                      SchemaMismatch)
-from .finitefield import field_with_order
+from .finitefield import GF, field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,
                         module_from_unit_coefficients, torsion_points)
@@ -90,16 +90,20 @@ def min_precision(q, height, level):
 
 class RunConfig:
     def __init__(self, args):
-        if args.q is not None:
-            spec = field_with_order(args.q)
-            self.p, self.f = spec.p, spec.f
-            if args.p is not None and args.p != spec.p:
-                raise ValueError("--q and --p disagree")
-        elif args.p is not None:
-            self.p, self.f = args.p, args.f
-        else:
+        if args.q is None and args.p is None:
             raise ValueError("one of --q or --p is required")
-        self.q = self.p ** self.f
+        if args.q is None and args.f < 1:
+            raise ValueError("f must be >= 1")
+        if args.n < 1:
+            raise ValueError("n must be >= 1")
+        try:     # GF rejects a non-prime p by ValueError, an unsupported field by CapExceeded
+            spec = field_with_order(args.q) if args.q is not None else GF(args.p, args.f)
+        except CapExceeded as exc:
+            raise ValueError(str(exc)) from None
+        if args.p is not None and args.p != spec.p:
+            raise ValueError("--q and --p disagree")
+        self.p, self.f = spec.p, spec.f
+        self.q = spec.q
         self.n = args.n
         self.m = args.m
         self.precision = args.prec
@@ -370,6 +374,8 @@ def _parse_which(raw):
     bad = [w for w in which if w not in WHICH_CHOICES]
     if bad:
         raise ValueError("unknown suites %s" % bad)
+    if not which:
+        raise ValueError("--which selects no suite")
     return which
 
 

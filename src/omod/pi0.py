@@ -56,24 +56,29 @@ class UnitGroup:
 
 
 def unit_group(pf, m) -> UnitGroup:
-    """Enumerate (o/t^m)^x over the residue field GF(*pf), verify its order is
-    (q-1) q^(m-1), and compute an explicit basis realizing the
-    invariant-factor decomposition."""
+    """Enumerate (o/t^m)^x over the residue field GF(*pf) and realize its
+    closed-form invariant factors (expected_invariant_factors) by explicit
+    generators.  The factors must multiply to (q-1) q^(m-1), each dividing the
+    one before it, and the units must number (q-1) q^(m-1); _generator_basis
+    then finds generators of exactly those orders whose span is the whole
+    group, which exist only when the factors are the group's own (invariant
+    factors are unique).  Each failure raises StructureViolation."""
     residue = GF(*pf)
     q = residue.q
     expected = (q - 1) * q ** (m - 1)
     if expected > ENUMERATION_CAP:
         raise CapExceeded("unit group of order %d exceeds cap %d"
                           % (expected, ENUMERATION_CAP))
+    factors = expected_invariant_factors(residue.p, residue.f, m)
+    if math.prod(factors) != expected or any(d % e for d, e in zip(factors, factors[1:])):
+        raise StructureViolation("invariant factors %r are not a divisor chain of product"
+                                 " (q-1)q^(m-1) = %d" % (factors, expected))
     ring = OModRing(residue, m)
     elements = sorted(ring.units(), key=lambda a: a.lex_key())
     if len(elements) != expected:
-        raise ArithmeticError("unit count %d != (q-1)q^(m-1) = %d"
-                              % (len(elements), expected))
-    one = ring.one().codes
-    orders = [_element_order(ring.tables, a.codes, expected, one) for a in elements]
-    factors = _invariant_factors(orders)
-    gens, dlog = _generator_basis(elements, ring, factors, orders)
+        raise StructureViolation("unit count %d != (q-1)q^(m-1) = %d"
+                                 % (len(elements), expected))
+    gens, dlog = _generator_basis(elements, ring, factors)
     return UnitGroup(ring, elements, gens, factors, dlog)
 
 
@@ -102,82 +107,24 @@ def expected_invariant_factors(p, f, m):
             for i in range(depth)]
 
 
-def _element_order(tables, a, group_order, one):
-    """Order of the unit with codes a, which divides the group order: descend
-    from the group order over its prime factors r, dividing by r while
-    a^(order / r) = 1 (square-and-multiply powers)."""
-    order = group_order
-    for r in _prime_factors(group_order):
-        while order % r == 0 and _pow_codes(tables, a, order // r) == one:
-            order //= r
-    return order
-
-
-def _invariant_factors(orders):
-    """Invariant factors from the element orders: for each prime p, the counts
-    |{x : x^(p^k) = 1}| determine the p-partition (they equal
-    p^(sum_i min(lambda_i, k))), and aligned products give the factors."""
-    partitions = {}
-    for p in _prime_factors(len(orders)):
-        sylow = sum(1 for o in orders if _p_part(o, p) == 1)
-        counts = []
-        k = 1
-        while True:
-            c = sum(1 for o in orders if _p_part(o, p) == 1 and o <= p ** k)
-            counts.append(c)
-            if c == sylow:
-                break
-            k += 1
-        partitions[p] = _partition_from_counts(counts, p)
-    depth = max((len(v) for v in partitions.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = 1
-        for p, part in partitions.items():
-            if i < len(part):
-                d *= p ** part[i]
-        factors.append(d)
-    return factors
-
-
-def _p_part(o, p):
-    """The prime-to-p part of o (1 exactly when o is a p-power)."""
-    while o % p == 0:
-        o //= p
-    return o
-
-
-def _partition_from_counts(counts, p):
-    """counts[k-1] = p^(sum_i min(lambda_i, k)) recovers the partition lambda
-    (largest first)."""
-    exps = [0]
-    for c in counts:
-        e = 0
-        while p ** e < c:
-            e += 1
-        exps.append(e)
-    # exps[k] - exps[k-1] = #{i : lambda_i >= k}
-    ge = [exps[k] - exps[k - 1] for k in range(1, len(exps))]
-    lam = []
-    for i in range(ge[0] if ge else 0):
-        lam.append(sum(1 for g in ge if g > i))
-    return sorted(lam, reverse=True)
-
-
-def _generator_basis(elements, ring, factors, orders):
-    """Explicit generators matching the invariant factors, by depth-first
-    search over candidates of each factor's order.  A candidate c of order
-    d extends the span S of the generators before it to S c^0, ..., S c^(d-1)
-    in exponent-tuple order, and is rejected at the first collision: the
-    span has size prod(orders) exactly when the exponent-tuple map is
-    injective.  The final span must hit every unit exactly once."""
-    by_order = {}
-    for a, o in zip(elements, orders):
-        by_order.setdefault(o, []).append(a)
+def _generator_basis(elements, ring, factors):
+    """Explicit generators for the invariant factors, by depth-first search
+    over `elements` in their order.  For factor d only candidates of exact
+    order d are tried (c^d = 1 and c^(d/r) != 1 for each prime r | d, by
+    square-and-multiply powers).  A candidate c extends the span S of the
+    generators before it to S c^0, ..., S c^(d-1) in exponent-tuple order,
+    and is rejected at the first collision: the span has size prod(factors)
+    exactly when the exponent-tuple map is injective.  The final span must
+    hit every unit exactly once, or StructureViolation is raised."""
     tables = ring.tables
+    one = ring.one().codes
+
+    def has_order(c, d):
+        return (_pow_codes(tables, c, d) == one
+                and all(_pow_codes(tables, c, d // r) != one for r in _prime_factors(d)))
 
     def extend(span, c, d):
-        powers = [ring.one().codes]
+        powers = [one]
         for _ in range(d - 1):
             powers.append(_mul_codes(tables, powers[-1], c))
         out = {}
@@ -193,7 +140,9 @@ def _generator_basis(elements, ring, factors, orders):
         if idx == len(factors):
             return (gens, span) if len(span) == len(elements) else None
         d = factors[idx]
-        for cand in by_order.get(d, []):
+        for cand in elements:
+            if not has_order(cand.codes, d):
+                continue
             trial = extend(span, cand.codes, d)
             if trial is not None:
                 found = search(idx + 1, gens + [(cand, d)], trial)
@@ -201,9 +150,9 @@ def _generator_basis(elements, ring, factors, orders):
                     return found
         return None
 
-    found = search(0, [], {ring.one().codes: ()})
+    found = search(0, [], {one: ()})
     if found is None:
-        raise ArithmeticError("no generator basis found for factors %r" % (factors,))
+        raise StructureViolation("no generator basis found for factors %r" % (factors,))
     gens, span = found
     return gens, {tuple(key): exps for key, exps in span.items()}
 

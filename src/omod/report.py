@@ -128,13 +128,34 @@ def to_csv(results) -> str:
 # --- merging ------------------------------------------------------------------------
 
 
+RECORD_FIELDS = {"check", "claim", "parameters", "status", "computed"}
+
+
+def _check_document(doc):
+    """SchemaMismatch unless doc is a report object of this schema whose
+    results are records: string check, claim and status, a parameters
+    object, and a computed value."""
+    if not isinstance(doc, dict):
+        raise SchemaMismatch("report document is not a JSON object")
+    if doc.get("schema") != SCHEMA:
+        raise SchemaMismatch("unknown schema %r" % (doc.get("schema"),))
+    if not isinstance(doc.get("results"), list):
+        raise SchemaMismatch("report document has no results list")
+    for i, rec in enumerate(doc["results"]):
+        if not (isinstance(rec, dict) and RECORD_FIELDS <= rec.keys()
+                and isinstance(rec["parameters"], dict)
+                and all(isinstance(rec[k], str) for k in ("check", "claim", "status"))):
+            raise SchemaMismatch("result %d is not a record of %s"
+                                 % (i, ", ".join(sorted(RECORD_FIELDS))))
+
+
 def merge_documents(docs):
     """Union of result records; identical duplicates collapse, conflicting
-    duplicates (same key, different status or computed value) are an error."""
+    duplicates (same key, different status or computed value) are an error,
+    and so is a document that is not a report (_check_document)."""
     merged = {}
     for doc in docs:
-        if doc.get("schema") != SCHEMA:
-            raise SchemaMismatch("unknown schema %r" % (doc.get("schema"),))
+        _check_document(doc)
         for rec in doc["results"]:
             key = (rec["check"], rec["claim"], _param_key(rec["parameters"]))
             if key in merged:

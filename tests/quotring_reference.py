@@ -7,11 +7,13 @@ higher, and the samplers that build every drawn matrix or coefficient are the
 oracles for pi0's code-level order arithmetic and its samplers; with the
 matrix product on coefficient tuples they make reference_pi0_action_table,
 the oracle for pi0_action_table's sampled loops on codes.  Element orders by
-repeated multiplication are the oracle for unit_group's prime-factor
-descent, and the generator search that spans every trial tuple from
-scratch the oracle for its incremental spans.  Projection from a field to a
-subfield by a preimage table backs ref_descend_to, and the search over every
-h-subset of a kernel is the oracle for kernel_rank's residue span."""
+repeated multiplication and the generator search that spans every trial
+tuple from scratch are the oracle for unit_group's exact-order test and
+incremental spans; the p-partition read from the counts |G[p^k]| backs the
+enumerated invariant factors that check unit_group's closed form.
+Projection from a field to a subfield by a preimage table backs
+ref_descend_to, and the search over every h-subset of a kernel is the oracle
+for kernel_rank's residue span."""
 
 from functools import lru_cache
 import itertools
@@ -347,6 +349,23 @@ def reference_element_order(a):
         acc = acc * a
         k += 1
     return k
+
+
+def _partition_from_counts(counts, p):
+    """counts[k-1] = p^(sum_i min(lambda_i, k)) recovers the partition lambda
+    (largest first)."""
+    exps = [0]
+    for c in counts:
+        e = 0
+        while p ** e < c:
+            e += 1
+        exps.append(e)
+    # exps[k] - exps[k-1] = #{i : lambda_i >= k}
+    ge = [exps[k] - exps[k - 1] for k in range(1, len(exps))]
+    lam = []
+    for i in range(ge[0] if ge else 0):
+        lam.append(sum(1 for g in ge if g > i))
+    return sorted(lam, reverse=True)
 
 
 def reference_generator_basis(elements, ring, factors, orders):

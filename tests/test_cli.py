@@ -125,6 +125,21 @@ def test_pi0_row_fails_when_the_invariant_factors_are_wrong(capsys, monkeypatch)
     assert row["expected"]["invariant_factors"] == [6, 2]
 
 
+def test_wrong_closed_form_factors_fail_the_pi0_and_h0_rows(capsys, monkeypatch):
+    # unit_group realizes the closed-form factors; [12] at (q, m) = (4, 2),
+    # whose factors are [6, 2], has no generator basis
+    import omod.pi0 as pi0_mod
+
+    monkeypatch.setattr(pi0_mod, "expected_invariant_factors", lambda p, f, m: [12])
+    code, out, _ = run_cli(capsys, "verify", "--q", "4", "--n", "2", "--m", "2",
+                           "--which", "pi0,h0", "--output", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["failures"] == 2
+    assert [r["check"] for r in doc["results"]] == ["pi0", "h0"]
+    assert all(r["status"] == "fail" and "no generator basis" in r["witness"]
+               for r in doc["results"])
+
+
 @pytest.mark.parametrize("q,n,m", [(2, 4, 2), (3, 2, 2)])
 def test_limits_are_skipped_not_failed(capsys, q, n, m):
     # roots outside the field (ExtensionRequired) are a limit of the root
@@ -168,6 +183,43 @@ def test_config_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--m", "1",
                            "--which", "nonsense")
     assert code == 2
+
+
+_RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
+           "expected": 1, "status": "pass", "source": "enumeration"}
+
+
+@pytest.mark.parametrize("argv,document", [
+    (("verify", "--q", "2", "--n", "0", "--m", "1"), None),
+    (("verify", "--p", "2", "--f", "0", "--m", "1"), None),
+    (("verify", "--q", "2", "--n", "-1", "--m", "1"), None),
+    (("verify", "--p", "4", "--m", "1"), None),
+    (("verify", "--p", "1", "--m", "1"), None),
+    (("verify", "--q", "257", "--m", "1"), None),
+    (("tower", "--p", "4"), None),
+    (("verify", "--q", "2", "--m", "1", "--which", ","), None),
+    (("report",), []),
+    (("report",), {"schema": SCHEMA, "config": {}}),
+    (("report",), {"schema": SCHEMA, "config": {}, "failures": 0,
+                   "results": [{k: v for k, v in _RECORD.items() if k != "claim"}]}),
+])
+def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
+                                                            argv, document):
+    import omod.cli as cli_mod
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("cm_tower", "unit_group", "pi0_action_table", "h0_decomposition"):
+        monkeypatch.setattr(cli_mod, name, no_computation)
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = argv + (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("configuration error:", "i/o error:"))
 
 
 def test_json_reports_are_byte_identical(capsys):

@@ -8,18 +8,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod import pi0, quotring
-from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible
+from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible, StructureViolation
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
-from omod.pi0 import (DivisionOrder, _ByteCodes, _DigitCodes, _element_order, _generator_basis,
-                      _partition_from_counts, all_characters, expected_invariant_factors,
-                      h0_decomposition, matrix_determinant, pi0_action_table, reduced_norm,
-                      unit_group)
+from omod.pi0 import (DivisionOrder, _ByteCodes, _DigitCodes, _generator_basis, all_characters,
+                      expected_invariant_factors, h0_decomposition, matrix_determinant,
+                      pi0_action_table, reduced_norm, unit_group)
 from omod.quotring import (OModRing, _byte_code, _determinant_bytes, _inv_codes, _mul_codes,
                            _sub_codes)
 
-from quotring_reference import (leibniz_determinant, reference_element_order,
-                                reference_generator_basis, reference_gl_sample,
-                                reference_matrix_mul, reference_order_mul,
+from quotring_reference import (_partition_from_counts, leibniz_determinant,
+                                reference_element_order, reference_generator_basis,
+                                reference_gl_sample, reference_matrix_mul, reference_order_mul,
                                 reference_pi0_action_table, reference_reduced_norm,
                                 reference_unit_sample)
 
@@ -527,22 +526,33 @@ def test_expected_invariant_factors_match_the_enumerated_group(p, f, m):
 
 @pytest.mark.parametrize("p,f,m", _grid_of_unit_groups(1000))
 def test_element_orders_match_repeated_multiplication(p, f, m):
-    ring = OModRing(GF(p, f), m)
-    N = (ring.residue.q - 1) * ring.residue.q ** (m - 1)
-    one = ring.one().codes
-    for a in ring.units():
-        assert _element_order(ring.tables, a.codes, N, one) == reference_element_order(a)
+    # the order of a unit read from its exponents over the generators,
+    # lcm_i d_i / gcd(e_i, d_i), is its order by repeated multiplication
+    G = unit_group((p, f), m)
+    for a in G.elements:
+        exps = G.dlog[a.lex_key()]
+        order = math.lcm(*(d // math.gcd(e, d) for e, (_, d) in zip(exps, G.generators)))
+        assert order == reference_element_order(a)
 
 
 @pytest.mark.parametrize("p,f,m", _grid_of_unit_groups(1000))
 def test_generators_and_dlog_match_the_spans_from_scratch(p, f, m):
     G = unit_group((p, f), m)
-    one = G.ring.one().codes
-    orders = [_element_order(G.ring.tables, a.codes, G.order, one) for a in G.elements]
+    assert G.invariant_factors == _enumerated_invariant_factors(G.ring, G.order)
+    orders = [reference_element_order(a) for a in G.elements]
     gens, dlog = reference_generator_basis(G.elements, G.ring, G.invariant_factors, orders)
     assert G.generators == gens
     assert list(G.dlog.items()) == list(dlog.items())       # key order too
-    assert _generator_basis(G.elements, G.ring, G.invariant_factors, orders)[0] == gens
+    assert _generator_basis(G.elements, G.ring, G.invariant_factors)[0] == gens
+
+
+@pytest.mark.parametrize("factors", [[12], [2, 6], [6]])
+def test_unit_group_rejects_factors_that_are_not_the_groups(monkeypatch, factors):
+    # (o/t^2)^x over F_4 is Z/6 x Z/2: [12] passes the pre-check but has no
+    # generator of order 12, [2, 6] is not a divisor chain, [6] has the wrong product
+    monkeypatch.setattr(pi0, "expected_invariant_factors", lambda p, f, m: list(factors))
+    with pytest.raises(StructureViolation):
+        unit_group((2, 2), 2)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
