@@ -24,7 +24,7 @@ from fractions import Fraction
 from .cache import CACHE_ENV_VAR, load_tower, save_tower, tower_cache_name
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, OmodError,
                      SchemaMismatch)
-from .finitefield import GF, field_with_order
+from .finitefield import GF, RESIDUE_CARDINALITY_CAP, field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,
                         module_from_unit_coefficients, torsion_points)
@@ -96,6 +96,10 @@ class RunConfig:
             raise ValueError("f must be >= 1")
         if args.n < 1:
             raise ValueError("n must be >= 1")
+        if args.p is not None and args.p > RESIDUE_CARDINALITY_CAP:
+            # p^f >= p exceeds the cap; testing a large p for primality takes sqrt(p) steps
+            raise ValueError("residue cardinality %s exceeds cap %d" % (
+                args.p if args.f == 1 else "%d^%d" % (args.p, args.f), RESIDUE_CARDINALITY_CAP))
         try:     # GF rejects a non-prime p by ValueError, an unsupported field by CapExceeded
             spec = field_with_order(args.q) if args.q is not None else GF(args.p, args.f)
         except CapExceeded as exc:

@@ -27,6 +27,7 @@ byte, are slots wider than a byte reduced one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -217,24 +218,27 @@ def GF(p, f=1):
     try:
         low = FIXED_MODULI[(p, f)]
     except KeyError:
+        if not _is_prime(p):
+            raise ValueError("p = %r is not prime" % (p,)) from None
         raise CapExceeded("no published modulus for (p, f) = (%d, %d); cap is q <= %d"
                           % (p, f, RESIDUE_CARDINALITY_CAP))
     return FieldSpec(p, f, low)
 
 
 def field_with_order(q):
-    """GF(p, f) for q = p^f; rejects non-prime-powers."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            f = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                f += 1
-            if qq != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return GF(p, f)
-    raise ValueError("%d is not a prime power" % q)
+    """GF(p, f) for q = p^f; rejects non-prime-powers.  p is the smallest
+    divisor of q from 2, found by trial division up to isqrt(q) (q itself
+    when there is none)."""
+    if q < 2:
+        raise ValueError("%d is not a prime power" % q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    f, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        f += 1
+    if rest != 1:
+        raise ValueError("%d is not a prime power" % q)
+    return GF(p, f)
 
 
 @dataclass(frozen=True)

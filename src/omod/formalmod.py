@@ -17,7 +17,7 @@ from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
                      NotInvertible, StructureViolation)
 from .finitefield import embed_fq
-from .quotring import OModElement, OModRing, _determinant_bytes
+from .quotring import OModElement, OModRing, _determinant
 from .series import LocalFieldElement, LocalFieldSpec
 from .tower import (FieldTower, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
@@ -626,7 +626,7 @@ def count_level_structures(Tm: TorsionModule) -> int:
     count = 0
     for images in itertools.product(residues, repeat=n):
         try:
-            _determinant_bytes(tables, images)
+            _determinant(tables, images)
         except NotInvertible:
             continue
         count += 1

@@ -18,9 +18,7 @@ from functools import cached_property, partial
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import (OModElement, OModRing, _add_codes, _byte_code, _determinant_bytes,
-                       _determinant_codes, _digitwise, _inv_codes, _move_table, _mul_codes,
-                       _pow_codes, _projection_table, _shift_codes)
+from .quotring import OModElement, OModRing, _determinant, _move_table, _mul_codes, _pow_codes
 
 ENUMERATION_CAP = 1 << 16
 
@@ -192,22 +190,24 @@ def all_characters(group: UnitGroup):
 
 def matrix_determinant(g, ring: OModRing) -> OModElement:
     """Exact determinant of a matrix in GL_n(o/t^m), by Gaussian elimination
-    with unit pivots (_determinant_codes).  NotInvertible is raised when g is
-    singular modulo t, that is outside GL_n."""
-    return OModElement(ring, _determinant_codes(ring.tables, [[x.codes for x in row]
-                                                              for row in g]))
+    with unit pivots on the ring's codes (_determinant).  NotInvertible is
+    raised when g is singular modulo t, that is outside GL_n."""
+    tables = ring.code_tables
+    det = _determinant(tables, [[tables.encode(x.codes) for x in row] for row in g])
+    return OModElement(ring, tables.decode(det))
 
 
-def _matrix_mul_codes(tables, a, b):
-    """Product of two square matrices of code strings, as row lists."""
-    n = len(a)
+def _matrix_mul(tables, a, b):
+    """Product of two square matrices of codes, as row lists."""
+    add, mul = tables.add_rows, tables.mul_rows
+    cols = list(zip(*b))
     out = []
     for row in a:
         out_row = []
-        for j in range(n):
-            acc = _mul_codes(tables, row[0], b[0][j])
-            for k in range(1, n):
-                acc = _add_codes(tables, acc, _mul_codes(tables, row[k], b[k][j]))
+        for col in cols:
+            acc = mul[row[0]][col[0]]
+            for x, y in zip(row[1:], col[1:]):
+                acc = add[acc][mul[x][y]]
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -234,22 +234,6 @@ def gl_generators(ring: OModRing, n: int, unit_gens):
     return out
 
 
-def _matrix_mul_bytes(tables, a, b):
-    """_matrix_mul_codes on one-byte codes."""
-    add, mul = tables.add_rows, tables.mul_rows
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = mul[row[0]][col[0]]
-            for x, y in zip(row[1:], col[1:]):
-                acc = add[acc][mul[x][y]]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 # --- the endomorphism order --------------------------------------------------------
 
 
@@ -267,33 +251,24 @@ class DivisionOrder:
         return self.base_residue.f
 
     @cached_property
+    def ring(self):
+        """o/t^m, where the reduced norm lies."""
+        return OModRing(self.base_residue, self.big.m)
+
+    @cached_property
     def conjugations(self):
-        """Translation tables of Frob^j, j = 0..n-1, on o'/t^m codes."""
-        return [_frobenius_table(self.big.residue, self.frob_step * j) for j in range(self.n)]
+        """Frob^j, j = 0..n-1, on o'/t^m codes (big.code_tables)."""
+        tables = self.big.code_tables
+        return [tables.digitwise(_frobenius_table(self.big.residue, self.frob_step * j))
+                for j in range(self.n)]
 
     @cached_property
     def projection(self):
-        """Translation table of o'/t^m codes to o/t^m codes on the Frobenius-fixed digits."""
-        return _projection_table(self.base_residue, self.big.residue)
-
-    @cached_property
-    def byte_conjugations(self):
-        """conjugations on one-byte o'/t^m codes."""
-        Q, size = self.big.residue.q, self.big.size
-        return [_digitwise(frob, Q, size) for frob in self.conjugations]
-
-    @cached_property
-    def byte_projection(self):
-        """projection on one-byte codes: the inverse of the embedding
-        o/t^m -> o'/t^m, 255 off its image (o/t^m has at most 16 elements
-        when n > 1)."""
-        q, Q = self.base_residue.q, self.big.residue.q
-        embedding = _digitwise(_move_table(self.base_residue, self.big.residue, 0), q,
-                               q ** self.big.m, Q)
-        table = bytearray([255]) * 256
-        for k in range(q ** self.big.m):
-            table[embedding[k]] = k
-        return bytes(table)
+        """o'/t^m codes to o/t^m codes on the Frobenius-fixed elements: the
+        inverse of the embedding o/t^m -> o'/t^m."""
+        small, big = self.ring.code_tables, self.big.code_tables
+        embedding = _move_table(self.base_residue, self.big.residue, 0)
+        return {big.encode(small.decode(k).translate(embedding)): k for k in small.draw}
 
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
@@ -309,38 +284,17 @@ class DivisionOrder:
         return self.element([a])
 
 
-def _order_mul_codes(order, b, c):
-    """b * c in the order, on tuples of o'/t^m code strings:
+def _order_mul(order, b, c):
+    """b * c in the order, on tuples of o'/t^m codes:
     a Pi^i a' Pi^j = a Frob^i(a') Pi^(i+j), and Pi^n = t."""
-    big = order.big
-    tables = big.tables
-    n = order.n
-    out = [bytes(big.m)] * n
-    for i, x in enumerate(b):
-        if not any(x):
-            continue
-        frob = order.conjugations[i]
-        for j, y in enumerate(c):
-            if not any(y):
-                continue
-            k = i + j
-            coeff = _mul_codes(tables, x, y.translate(frob))
-            if k >= n:
-                coeff = _shift_codes(coeff, 1)      # Pi^n = t
-            out[k % n] = _add_codes(tables, out[k % n], coeff)
-    return tuple(out)
-
-
-def _order_mul_bytes(order, b, c):
-    """_order_mul_codes on one-byte o'/t^m codes."""
-    tables = order.big.byte_tables
+    tables = order.big.code_tables
     add, mul, shift = tables.add_rows, tables.mul_rows, tables.shift
     n = order.n
     out = [0] * n
     for i, x in enumerate(b):
         if not x:
             continue
-        row, frob = mul[x], order.byte_conjugations[i]
+        row, frob = mul[x], order.conjugations[i]
         for j, y in enumerate(c):
             if not y:
                 continue
@@ -361,71 +315,88 @@ def reduced_norm(order: DivisionOrder, b) -> OModElement:
     reduced mod t^m."""
     if not b[0].is_unit():
         raise NotAUnit("reduced norm restricted to units of the order")
-    return OModElement(OModRing(order.base_residue, order.big.m),
-                       _reduced_norm_codes(order, tuple(a.codes for a in b)))
+    encode = order.big.code_tables.encode
+    nrd = _reduced_norm(order, tuple(encode(a.codes) for a in b))
+    return OModElement(order.ring, order.ring.code_tables.decode(nrd))
 
 
-def _reduced_norm_codes(order, b):
-    """reduced_norm of a unit b given as o'/t^m code strings; the result is
-    the o/t^m code string."""
-    n = order.n
+def _reduced_norm(order, b):
+    """reduced_norm of a unit b given as o'/t^m codes; the result is the
+    o/t^m code."""
+    n, tables = order.n, order.big.code_tables
     # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j), and Pi^(i+j) = t Pi^(i+j-n) once
     # i + j >= n: column j holds each Frob^j(a_i) once, in row (i + j) mod n
-    rows = [[None] * n for _ in range(n)]
-    for j, frob in enumerate(order.conjugations):
-        for i, a in enumerate(b):
-            entry = a.translate(frob)
-            if i + j >= n:
-                entry = _shift_codes(entry, 1)
-            rows[(i + j) % n][j] = entry
-    det = _determinant_codes(order.big.tables, rows)
-    # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)
-    if n > 1 and det.translate(order.conjugations[1]) != det:
-        big = order.big
-        raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
-                                           % (tuple(OModElement(big, a) for a in b),
-                                              OModElement(big, det)))
-    return det.translate(order.projection)
-
-
-def _reduced_norm_bytes(order, b):
-    """_reduced_norm_codes on one-byte codes."""
-    n, tables = order.n, order.big.byte_tables
     rows = [[0] * n for _ in range(n)]
-    for j, frob in enumerate(order.byte_conjugations):
+    for j, frob in enumerate(order.conjugations):
         for i, a in enumerate(b):
             entry = frob[a]
             if i + j >= n:
                 entry = tables.shift[entry]
             rows[(i + j) % n][j] = entry
-    det = _determinant_bytes(tables, rows)
-    if n > 1 and order.byte_conjugations[1][det] != det:
-        draw = order.big.digit_codes
+    det = _determinant(tables, rows)
+    # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)
+    if n > 1 and order.conjugations[1][det] != det:
+        big = order.big
         raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
-                                           % (tuple(OModElement(order.big, draw[a]) for a in b),
-                                              OModElement(order.big, draw[det])))
-    return order.byte_projection[det]
+                                           % (tuple(OModElement(big, tables.decode(a))
+                                                    for a in b),
+                                              OModElement(big, tables.decode(det))))
+    return order.projection[det]
 
 
 # --- the action --------------------------------------------------------------------
 
 
 class _Codes:
-    """pi0_action_table's kernel: o/t^m and o'/t^m in one code encoding.  A
-    draw k is the element with base-q digits k, whose code is draw[k]
-    (big_draw[k] in o'/t^m).  mul, det, matrix_mul, order_mul and nrd are
-    the ring product, the unit-pivot determinant, the matrix and order
+    """pi0_action_table's kernel: o/t^m and o'/t^m each on its own integer
+    codes (code_tables: one-byte codes up to 256 elements, wide codes
+    beyond), so the GL half stays on one-byte codes when only o'/t^m is
+    large.  A draw k is the element with base-q digits k, whose code is
+    tables.draw[k] (big_tables.draw[k] in o'/t^m).  det, matrix_mul,
+    order_mul and nrd are the unit-pivot determinant, the matrix and order
     products and the reduced norm on these codes."""
 
-    def __init__(self, ring, order):
-        self.ring, self.order = ring, order
+    def __init__(self, order):
+        self.order, self.ring = order, order.ring
+        tables = self.tables = order.ring.code_tables
+        self.big_tables = order.big.code_tables
+        self.mul_rows, self.inv = tables.mul_rows, tables.inv
+        self.det = partial(_determinant, tables)
+        self.matrix_mul = partial(_matrix_mul, tables)
+        self.order_mul = partial(_order_mul, order)
+        self.nrd = partial(_reduced_norm, order)
+
+    def encode(self, a):
+        return a.ring.code_tables.encode(a.codes)
+
+    def decode(self, ring, a):
+        return OModElement(ring, ring.code_tables.decode(a))
+
+    def mul(self, a, b):
+        return self.mul_rows[a][b]
+
+    def action(self, det, nrd, chi):
+        """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
+        det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every
+        component."""
+        mul, inv = self.mul_rows, self.inv
+        return mul[mul[det][inv[nrd]]][inv[chi]]
+
+    def norm(self, a):
+        """The coefficient norm of a unit a of o'/t^m (the product of its
+        Frobenius conjugates), in o/t^m."""
+        order, mul = self.order, self.big_tables.mul_rows
+        acc = a
+        for frob in order.conjugations[1:]:
+            acc = mul[acc][frob[a]]
+        return order.projection[acc]
 
     def gl_sample(self, rng):
         """A uniform sample of GL_n(o/t^m) with its determinant: uniform
         matrices (n^2 draws each, row by row), at most 64 of them, until one
         is invertible.  The unit-pivot elimination decides invertibility, so
         the determinant that accepts a matrix comes with it."""
-        n, size, draw = self.order.n, self.ring.size, self.draw
+        n, size, draw = self.order.n, self.ring.size, self.tables.draw
         for _ in range(64):
             rows = [[draw[rng.randrange(size)] for _ in range(n)] for _ in range(n)]
             try:
@@ -438,7 +409,7 @@ class _Codes:
         """A uniform unit of the order: uniform draws of n coefficients
         until the first is a unit, that is a draw k with k % q' != 0."""
         big = self.order.big
-        q, size, draw = big.residue.q, big.size, self.big_draw
+        q, size, draw = big.residue.q, big.size, self.big_tables.draw
         while True:
             draws = [rng.randrange(size) for _ in range(self.order.n)]
             if draws[0] % q:
@@ -447,77 +418,8 @@ class _Codes:
     def big_units(self):
         """The units of o'/t^m, in the order of big.units()."""
         big = self.order.big
-        return [self.big_draw[k] for k in range(big.size) if k % big.residue.q]
-
-
-class _DigitCodes(_Codes):
-    """Digit codes: an element is its code string (OModElement.codes), and
-    the arithmetic is quotring's digit kernel."""
-
-    def __init__(self, ring, order):
-        super().__init__(ring, order)
-        tables = self.tables = ring.tables
-        self.draw, self.big_draw = ring.digit_codes, order.big.digit_codes
-        self.mul, self.det = partial(_mul_codes, tables), partial(_determinant_codes, tables)
-        self.matrix_mul = partial(_matrix_mul_codes, tables)
-        self.order_mul = partial(_order_mul_codes, order)
-        self.nrd = partial(_reduced_norm_codes, order)
-
-    def encode(self, a):
-        return a.codes
-
-    def decode(self, ring, a):
-        return OModElement(ring, a)
-
-    def action(self, det, nrd, chi):
-        """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
-        det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every
-        component."""
-        tables = self.tables
-        return _mul_codes(tables, _mul_codes(tables, det, _inv_codes(tables, nrd)),
-                          _inv_codes(tables, chi))
-
-    def norm(self, a):
-        """The coefficient norm of a unit a of o'/t^m, in o/t^m."""
-        return OModElement(self.order.big, a).norm_to(self.ring.residue).codes
-
-
-class _ByteCodes(_Codes):
-    """One-byte codes, for o'/t^m with at most 256 elements: code k is the
-    element with base-q digits k, so a draw is its own code, and a ring
-    operation is a lookup in byte_tables."""
-
-    def __init__(self, ring, order):
-        super().__init__(ring, order)
-        tables = ring.byte_tables
-        self.draw, self.big_draw = range(ring.size), range(order.big.size)
-        self.mul_rows, self.inv = tables.mul_rows, tables.inv
-        self.det = partial(_determinant_bytes, tables)
-        self.matrix_mul = partial(_matrix_mul_bytes, tables)
-        self.order_mul = partial(_order_mul_bytes, order)
-        self.nrd = partial(_reduced_norm_bytes, order)
-
-    def encode(self, a):
-        return _byte_code(a.ring.residue.q, a.codes)
-
-    def decode(self, ring, a):
-        return OModElement(ring, ring.digit_codes[a])
-
-    def mul(self, a, b):
-        return self.mul_rows[a][b]
-
-    def action(self, det, nrd, chi):
-        mul, inv = self.mul_rows, self.inv
-        return mul[mul[det][inv[nrd]]][inv[chi]]
-
-    def norm(self, a):
-        """The product of the Frobenius conjugates of a, projected to o/t^m."""
-        order = self.order
-        mul = order.big.byte_tables.mul_rows
-        acc = a
-        for frob in order.byte_conjugations[1:]:
-            acc = mul[acc][frob[a]]
-        return order.byte_projection[acc]
+        draw = self.big_tables.draw
+        return [draw[k] for k in range(big.size) if k % big.residue.q]
 
 
 @dataclass(eq=False)
@@ -570,9 +472,9 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     """Build the three structure maps, verify each is a homomorphism
     (exhaustive on generators, sampled on pair_samples random pairs), verify
     the trivial kernels, and return the assembled action.  The checks run on
-    codes, one-byte codes when o'/t^m has at most 256 elements and digit code
-    strings otherwise: each sampled matrix comes with the determinant that
-    accepted it, and elements are built only for the returned action."""
+    each ring's integer codes (_Codes): each sampled matrix comes with the
+    determinant that accepted it, and elements are built only for the
+    returned action."""
     import random as _random
 
     rng = rng or _random.Random(0)
@@ -581,7 +483,7 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     big = OModRing(GF(p, f * n), m)
     order = DivisionOrder(n, big, ring.residue)
     gl = gl_generators(ring, n, [g for g, _ in group.generators])
-    codes = (_ByteCodes if big.size <= 256 else _DigitCodes)(ring, order)
+    codes = _Codes(order)
     det, mul, matrix_mul = codes.det, codes.mul, codes.matrix_mul
     nrd, order_mul, action = codes.nrd, codes.order_mul, codes.action
     report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}

@@ -8,22 +8,24 @@ An element stores its digits as codes, a bytes string of length m whose
 j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
 shared with the series kernel).  The ring arithmetic is a small kernel of
 functions on such code strings (_add_codes, _sub_codes, _mul_codes,
-_inv_codes, _pow_codes, _shift_codes, and _determinant_codes for square
-matrices), schoolbook arithmetic on table lookups.  Add and subtract index
-the field's row tables, the product scales one operand by a bytes.translate
-row per digit of the other, inversion runs the power-series recurrence, and
-a product by t^w is a shift of the digits.  OModElement's operators call the
-kernel.  The per-digit maps (Frobenius, embedding, projection) are
-bytes.translate tables.  FqElement stays the type at the boundaries:
-ring.element takes FqElements, and the read-only coeffs view returns them.
+_inv_codes, _pow_codes, _shift_codes), schoolbook arithmetic on table
+lookups.  Add and subtract index the field's row tables, the product scales
+one operand by a bytes.translate row per digit of the other, inversion runs
+the power-series recurrence, and a product by t^w is a shift of the digits.
+OModElement's operators call the kernel.  The per-digit maps (Frobenius,
+embedding, projection) are bytes.translate tables.  FqElement stays the type
+at the boundaries: ring.element takes FqElements, and the read-only coeffs
+view returns them.
 
-A ring of at most 256 elements (q^m <= 256) is also a ring of one-byte
-codes, the way finitefield treats F_q: code k is the element with base-q
-digits k (digit_codes[k]), and OModRing.byte_tables holds its row tables,
-so a sum or product is one lookup and _determinant_bytes eliminates on
-them.  pi0's sampled checks run on these codes when its rings are that
-small and on digit code strings otherwise, from draw to comparison, and
-build elements only for the action they return.
+Each ring is also a ring of integer codes, OModRing.code_tables, with the
+row tables of F_q's _Tables (add_rows, sub_rows, mul_rows, neg, inv, shift),
+so a sum or product is one lookup.  A ring of at most 256 elements has
+one-byte codes, the way finitefield treats F_q: code k is the element with
+base-q digits k, and the tables are built in full.  A larger ring has wide
+codes, int.from_bytes(digit codes, "little"), whose tables run the digit
+kernel on first lookup.  In both, zero is 0 and a code is a unit exactly
+when code % tables.q != 0.  _determinant eliminates on either, and pi0's
+sampled checks run on these codes from draw to comparison.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ class OModRing:
         return self.residue.q ** self.m
 
     @cached_property
-    def byte_tables(self):
-        """The one-byte code tables of a ring of at most 256 elements, shared
-        by every equal ring."""
-        return _ring_tables(self.residue, self.m)
+    def code_tables(self):
+        """The integer code tables: one-byte codes for a ring of at most 256
+        elements, wide codes beyond.  Shared by every equal ring."""
+        return _code_tables(self.residue, self.m)
 
     @cached_property
     def digit_codes(self):
@@ -104,8 +106,8 @@ class OModRing:
 
 
 @lru_cache(maxsize=None)
-def _ring_tables(residue: FieldSpec, m: int):
-    return _RingTables(residue, m)
+def _code_tables(residue: FieldSpec, m: int):
+    return (_RingTables if residue.q ** m <= 256 else _WideTables)(residue, m)
 
 
 @lru_cache(maxsize=None)
@@ -162,39 +164,6 @@ def _pow_codes(tables, a, e):
         a = _mul_codes(tables, a, a)
         e >>= 1
     return out
-
-
-def _determinant_codes(tables, rows):
-    """Determinant of a square matrix of code strings (a list of rows, left
-    unchanged), by Gaussian elimination with unit pivots.  o/t^m is local
-    with residue field F_q, so the matrix is invertible exactly when its
-    reduction mod t is, and then every column has a unit pivot; otherwise
-    NotInvertible is raised, so the elimination itself decides invertibility.
-    The product starts from the first pivot (negated on a row swap), and the
-    last pivot is not inverted: no row lies below it."""
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    det = None
-    for c in range(n):
-        r = c
-        while not rows[r][c][0]:
-            r += 1
-            if r == n:
-                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
-        pivot = rows[r]
-        entry = pivot[c]
-        if r != c:
-            rows[r] = rows[c]
-            entry = entry.translate(tables.neg)
-        det = entry if det is None else _mul_codes(tables, det, entry)
-        if c + 1 < n:
-            pivot_inv = _inv_codes(tables, pivot[c])
-            for row in rows[c + 1:]:
-                if any(row[c]):
-                    factor = _mul_codes(tables, row[c], pivot_inv)
-                    for k in range(c + 1, n):
-                        row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
-    return det
 
 
 def _shift_codes(a, w):
@@ -329,7 +298,7 @@ class OModElement:
         return " + ".join(parts) if parts else "0"
 
 
-# --- one-byte codes ---------------------------------------------------------------
+# --- integer codes ---------------------------------------------------------------
 
 
 class _RingTables:
@@ -337,28 +306,27 @@ class _RingTables:
     with _Tables' row tables (add_rows, sub_rows, mul_rows: row c is the
     bytes.translate table of b -> c + b, c - b, c * b), neg, inv (0 on
     non-units) and shift (times t).  q is the residue field's order, so code
-    k is a unit exactly when k % q != 0, as in F_q.  For m = 1 the tables
-    are F_q's own."""
+    k is a unit exactly when k % q != 0, as in F_q; code k is draw[k] = k,
+    the element with base-q digits k.  For m = 1 the tables are F_q's own."""
 
     def __init__(self, residue: FieldSpec, m: int):
-        field, size = _tables(residue), residue.q ** m
-        if size > 256:
-            raise ValueError("O(%r)/t^%d has %d > 256 elements: no one-byte codes"
-                             % (residue, m, size))
+        field = _tables(residue)
         self.q = q = field.q
+        self.size = size = q ** m
+        self.draw, self.digits = range(size), _digit_codes(residue, m)
         self.shift = bytes(k * q % size for k in range(size)) + _IDENTITY[size:]
         if m == 1:
             self.neg, self.inv = field.neg, field.inv
             self.add_rows, self.sub_rows, self.mul_rows = \
                 field.add_rows, field.sub_rows, field.mul_rows
             return
-        self.neg = _digitwise(field.neg, q, size)
+        self.neg = self.digitwise(field.neg)
         # the additive group is (Z/p)^(fm) on the base-p digits of k
         self.add_rows = _add_rows(field.p, field.f * m)
         self.sub_rows = tuple(self.neg.translate(row) for row in self.add_rows)
         # row a at b = b_0 + t b' is b_0 a + t (a b'): its entries b < q^k
         # come from those b' < q^(k-1), shifted, by one translate per digit b_0
-        scalars = [_digitwise(row, q, size) for row in field.mul_rows]   # b_0 times every digit
+        scalars = [self.digitwise(row) for row in field.mul_rows]   # b_0 times every digit
         rows = []
         for a in range(size):
             low = bytes([scalar[a] for scalar in scalars])
@@ -373,31 +341,92 @@ class _RingTables:
         self.mul_rows = tuple(rows)
         self.inv = bytes(row.find(1) if a % q else 0 for a, row in enumerate(rows))
 
+    def encode(self, codes):
+        """The code of the element with digit codes `codes`."""
+        k = 0
+        for d in reversed(codes):
+            k = k * self.q + d
+        return k
 
-def _digitwise(table, q, size, q_out=None):
-    """Translation table of one-byte codes k < size = q^m that applies the
-    map `table` of F_q codes to each base-q digit of k, the image digits
-    read in base q_out (q by default)."""
-    q_out = q_out or q
-    out = list(table[:q])
-    for k in range(q, size):
-        out.append(table[k % q] + q_out * out[k // q])
-    return bytes(out) + _IDENTITY[size:]
+    def decode(self, k):
+        """The digit codes of code k."""
+        return self.digits[k]
+
+    def digitwise(self, table):
+        """Translation table of codes that applies the map `table` of F_q
+        codes to each base-q digit."""
+        q = self.q
+        out = list(table[:q])
+        for k in range(q, self.size):
+            out.append(table[k % q] + q * out[k // q])
+        return bytes(out) + _IDENTITY[self.size:]
 
 
-def _byte_code(q, codes):
-    """The one-byte code of the element with digit codes `codes`."""
-    k = 0
-    for d in reversed(codes):
-        k = k * q + d
-    return k
+class _Lookup(dict):
+    """A table filled on first lookup: table[a] = op(a)."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, a):
+        value = self[a] = self.op(a)
+        return value
 
 
-def _determinant_bytes(tables, rows):
-    """_determinant_codes on one-byte codes (a list of rows of codes, left
-    unchanged), over F_q's _Tables or a small ring's byte_tables: code k is
-    a unit exactly when k % tables.q != 0.  NotInvertible is raised when the
-    matrix is singular modulo t."""
+class _WideTables:
+    """_RingTables' interface on wide codes, for rings of more than 256
+    elements: the code of an element is int.from_bytes(its digit codes,
+    "little"), so zero is 0 and a code is a unit exactly when its low byte,
+    the code of a_0, is nonzero (q = 256).  Each lookup runs the digit
+    kernel once and keeps its value; draw[k] is the code of the element with
+    base-q digits k."""
+
+    q = 256
+
+    def __init__(self, residue: FieldSpec, m: int):
+        self.residue, self.m = residue, m
+        field = _tables(residue)
+
+        def rows(kernel):
+            def row(a):
+                x = self.decode(a)
+                return _Lookup(lambda b: self.encode(kernel(field, x, self.decode(b))))
+            return _Lookup(row)
+
+        self.add_rows, self.sub_rows, self.mul_rows = \
+            rows(_add_codes), rows(_sub_codes), rows(_mul_codes)
+        self.neg = self.digitwise(field.neg)
+        self.inv = _Lookup(lambda a: self.encode(_inv_codes(field, self.decode(a)))
+                           if a & 255 else 0)
+        self.shift = _Lookup(lambda a: self.encode(_shift_codes(self.decode(a), 1)))
+
+    @cached_property
+    def draw(self):
+        return tuple(map(self.encode, _digit_codes(self.residue, self.m)))
+
+    @staticmethod
+    def encode(codes):
+        return int.from_bytes(codes, "little")
+
+    def decode(self, k):
+        return k.to_bytes(self.m, "little")
+
+    def digitwise(self, table):
+        return _Lookup(lambda a: self.encode(self.decode(a).translate(table)))
+
+
+def _determinant(tables, rows):
+    """Determinant of a square matrix of integer codes (a list of rows, left
+    unchanged) over F_q's _Tables or a ring's code_tables, by Gaussian
+    elimination with unit pivots: code k is a unit exactly when
+    k % tables.q != 0.  o/t^m is local with residue field F_q, so the matrix
+    is invertible exactly when its reduction mod t is, and then every column
+    has a unit pivot; otherwise NotInvertible is raised, so the elimination
+    itself decides invertibility.  The product starts from the first pivot
+    (negated on a row swap), and a pivot is inverted only when a row below
+    it has a nonzero entry to clear."""
     q, neg, inv, mul, sub = tables.q, tables.neg, tables.inv, tables.mul_rows, tables.sub_rows
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -414,13 +443,14 @@ def _determinant_bytes(tables, rows):
             rows[r] = rows[c]
             entry = neg[entry]
         det = entry if det is None else mul[det][entry]
-        if c + 1 < n:
-            pivot_inv = mul[inv[pivot[c]]]
-            for row in rows[c + 1:]:
-                if row[c]:
-                    factor = mul[pivot_inv[row[c]]]
-                    for k in range(c + 1, n):
-                        row[k] = sub[row[k]][factor[pivot[k]]]
+        pivot_inv = None
+        for row in rows[c + 1:]:
+            if row[c]:
+                if pivot_inv is None:
+                    pivot_inv = mul[inv[pivot[c]]]
+                factor = mul[pivot_inv[row[c]]]
+                for k in range(c + 1, n):
+                    row[k] = sub[row[k]][factor[pivot[k]]]
     return det
 
 

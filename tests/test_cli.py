@@ -180,6 +180,9 @@ def test_config_errors_exit_2(capsys):
     assert code == 2 and "precision" in err
     code, _, err = run_cli(capsys, "verify", "--q", "12", "--m", "1")
     assert code == 2
+    for f in ("1", "2"):
+        code, _, err = run_cli(capsys, "verify", "--p", "4", "--f", f, "--m", "1")
+        assert code == 2 and "p = 4 is not prime" in err
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--m", "1",
                            "--which", "nonsense")
     assert code == 2
@@ -202,6 +205,11 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
     (("report",), {"schema": SCHEMA, "config": {}}),
     (("report",), {"schema": SCHEMA, "config": {}, "failures": 0,
                    "results": [{k: v for k, v in _RECORD.items() if k != "claim"}]}),
+    # field arguments fail fast: a large q or p is not searched or tested up to itself
+    (("verify", "--q", "1000003", "--m", "1"), None),
+    (("verify", "--q", "10000019", "--m", "1"), None),
+    (("verify", "--p", "1000000000000037", "--m", "1"), None),
+    (("verify", "--p", "4", "--f", "2", "--m", "1"), None),
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):

@@ -10,11 +10,10 @@ import pytest
 from omod import pi0, quotring
 from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible, StructureViolation
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
-from omod.pi0 import (DivisionOrder, _ByteCodes, _DigitCodes, _generator_basis, all_characters,
+from omod.pi0 import (DivisionOrder, _Codes, _generator_basis, all_characters,
                       expected_invariant_factors, h0_decomposition, matrix_determinant,
                       pi0_action_table, reduced_norm, unit_group)
-from omod.quotring import (OModRing, _byte_code, _determinant_bytes, _inv_codes, _mul_codes,
-                           _sub_codes)
+from omod.quotring import OModElement, OModRing, _determinant, _mul_codes, _WideTables
 
 from quotring_reference import (_partition_from_counts, leibniz_determinant,
                                 reference_element_order, reference_generator_basis,
@@ -24,19 +23,27 @@ from quotring_reference import (_partition_from_counts, leibniz_determinant,
 
 
 def encodings(residue, n, m):
-    """pi0_action_table's kernels for o/t^m over `residue` and its order of
-    height n: digit codes always, one-byte codes when o'/t^m has at most 256
-    elements (the rings on which pi0_action_table picks them)."""
-    ring = OModRing(residue, m)
-    order = DivisionOrder(n, OModRing(GF(residue.p, residue.f * n), m), residue)
-    kernels = [_DigitCodes(ring, order)]
-    if order.big.size <= 256:
-        kernels.append(_ByteCodes(ring, order))
-    return kernels
+    """pi0_action_table's kernel for o/t^m over `residue` and its order of
+    height n, on each ring's own codes, and the same kernel with both rings
+    forced onto wide codes (another encoding wherever a ring has at most 256
+    elements): the code_tables cached property is set on that order's two
+    ring instances."""
+    def order():
+        return DivisionOrder(n, OModRing(GF(residue.p, residue.f * n), m), residue)
+
+    forced = order()
+    for ring in (forced.ring, forced.big):
+        ring.__dict__["code_tables"] = _WideTables(ring.residue, ring.m)
+    return [_Codes(order()), _Codes(forced)]
 
 
 def codes(kernel, elements):
-    return tuple(kernel.encode(x) for x in elements)
+    """Elements of o/t^m or o'/t^m as codes of `kernel`'s ring instances."""
+    def encode(x):
+        ring = kernel.ring if x.ring.residue == kernel.ring.residue else kernel.order.big
+        return ring.code_tables.encode(x.codes)
+
+    return tuple(map(encode, elements))
 
 
 def digits(kernel, ring, values):
@@ -112,20 +119,21 @@ def test_det_multiplicative_random():
 
 
 def assert_matches_leibniz(g, ring):
-    """Both unit-pivot eliminations, on digit codes and on one-byte codes,
+    """The unit-pivot elimination, on the ring's own codes and on wide codes,
     against the Leibniz sum."""
     want = leibniz_determinant([[x.coeffs for x in row] for row in g])
-    on_bytes = [[_byte_code(ring.residue.q, x.codes) for x in row] for row in g]
+    wide = _WideTables(ring.residue, ring.m)
+    on_wide = [[wide.encode(x.codes) for x in row] for row in g]
     # the determinant mod t is the determinant of the residue matrix
     if want[0].is_zero():
         with pytest.raises(NotInvertible):
             matrix_determinant(g, ring)
         with pytest.raises(NotInvertible):
-            _determinant_bytes(ring.byte_tables, on_bytes)
+            _determinant(wide, on_wide)
     else:
         assert matrix_determinant(g, ring).coeffs == want
-        det = _determinant_bytes(ring.byte_tables, on_bytes)
-        assert ring.from_int_digits(det).coeffs == want
+        det = _determinant(wide, on_wide)
+        assert OModElement(ring, wide.decode(det)).coeffs == want
 
 
 def test_determinant_matches_leibniz_on_every_2x2_over_o_mod_t2():
@@ -137,9 +145,12 @@ def test_determinant_matches_leibniz_on_every_2x2_over_o_mod_t2():
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(1, 3),
+@given(st.one_of(st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(1, 3)),
+                 # more than 256 elements: wide codes; (3, 1) shows a swap's sign
+                 st.sampled_from([((2, 1), 9), ((3, 1), 6), ((2, 2), 5)])),
        st.integers(3, 4), st.data())
-def test_determinant_matches_leibniz_sampled(pf, m, n, data):
+def test_determinant_matches_leibniz_sampled(case, n, data):
+    pf, m = case
     R = OModRing(GF(*pf), m)
     # residues drawn from {0, 1}, so singular reductions are common
     digits = st.tuples(st.integers(0, 1), st.integers(0, R.size // R.residue.q - 1))
@@ -196,10 +207,11 @@ def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
 
 
 # (p, f, n, m): n = 3 and odd characteristic, where a row swap's sign matters;
-# the last two have q^(nm) > 256, so they run on digit codes
+# (2, 1, 3, 3) and (3, 1, 2, 3) have q^(nm) > 256, so o'/t^m runs on wide codes,
+# and (2, 1, 1, 9) has q^m > 256, so both rings do
 ORACLE_CASES = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (2, 1, 3, 1), (2, 1, 3, 2),
                 (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (5, 1, 2, 1), (2, 1, 3, 3),
-                (3, 1, 2, 3)]
+                (3, 1, 2, 3), (2, 1, 1, 9)]
 
 
 @pytest.mark.parametrize("p,f,n,m", ORACLE_CASES)
@@ -229,38 +241,18 @@ def test_ring_tables_are_built_once_per_field_and_level(monkeypatch):
             super().__init__(residue, m)
 
     monkeypatch.setattr(quotring, "_RingTables", CountedTables)
-    quotring._ring_tables.cache_clear()
+    quotring._code_tables.cache_clear()
     try:
         pi0_action_table(2, 1, 1, 8, rng=random.Random(0))
         assert built == [(GF(2), 8)]
-        assert OModRing(GF(3), 2).byte_tables is OModRing(GF(3), 2).byte_tables
+        assert OModRing(GF(3), 2).code_tables is OModRing(GF(3), 2).code_tables
         assert OModRing(GF(3), 2).digit_codes is OModRing(GF(3), 2).digit_codes
     finally:
-        quotring._ring_tables.cache_clear()
+        quotring._code_tables.cache_clear()
 
 
 def _determinant_without_the_swap_sign(tables, rows):
-    """Unit-pivot elimination on digit codes that forgets to negate on a row swap."""
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    det = b"\x01" + bytes(len(rows[0][0]) - 1)
-    for c in range(n):
-        r = next((r for r in range(c, n) if rows[r][c][0]), None)
-        if r is None:
-            raise NotInvertible("singular modulo t")
-        pivot = rows[r]
-        rows[r] = rows[c]
-        det = _mul_codes(tables, det, pivot[c])
-        pivot_inv = _inv_codes(tables, pivot[c])
-        for row in rows[c + 1:]:
-            factor = _mul_codes(tables, row[c], pivot_inv)
-            for k in range(c + 1, n):
-                row[k] = _sub_codes(tables, row[k], _mul_codes(tables, factor, pivot[k]))
-    return det
-
-
-def _determinant_bytes_without_the_swap_sign(tables, rows):
-    """The same on one-byte codes."""
+    """Unit-pivot elimination on codes that forgets to negate on a row swap."""
     mul, sub = tables.mul_rows, tables.sub_rows
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -280,46 +272,38 @@ def _determinant_bytes_without_the_swap_sign(tables, rows):
     return det
 
 
-def _on_bytes(m):
-    """pi0_action_table(3, 1, 2, m) runs on one-byte codes for m = 1, 2
-    (q^(nm) = 9, 81) and on digit codes for m = 3 (729)."""
-    return 3 ** (2 * m) <= 256
-
-
+# pi0_action_table(3, 1, 2, m): o'/t^m has 9 and 81 elements for m = 1, 2
+# (one-byte codes) and 729 for m = 3 (wide codes)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_determinant_without_the_swap_sign_fails_the_det_check(m, monkeypatch):
     # the sampler's determinant comes from the same kernel as the product's,
     # so this shows that reusing it leaves the check able to fail
     pi0_action_table(3, 1, 2, m, rng=random.Random(0))
-    if _on_bytes(m):
-        monkeypatch.setattr(pi0, "_determinant_bytes", _determinant_bytes_without_the_swap_sign)
-    else:
-        monkeypatch.setattr(pi0, "_determinant_codes", _determinant_without_the_swap_sign)
+    monkeypatch.setattr(pi0, "_determinant", _determinant_without_the_swap_sign)
     with pytest.raises(NotInvertible, match="det not multiplicative on a sampled pair"):
         pi0_action_table(3, 1, 2, m, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_wrong_norm_past_the_frobenius_check_fails_the_exhaustive_norm_loop(m, monkeypatch):
-    kernel = "_reduced_norm_bytes" if _on_bytes(m) else "_reduced_norm_codes"
-    real = getattr(pi0, kernel)
+    real = pi0._reduced_norm
 
     def squared_norm(order, b):
         # Nrd(b)^2 is Frobenius-fixed and multiplicative: neither the
         # Frobenius check nor the sampled Nrd pairs can see that it is wrong
         nrd = real(order, b)
-        ring = OModRing(order.base_residue, order.big.m)
-        if _on_bytes(m):
-            return ring.byte_tables.mul_rows[nrd][nrd]
-        return _mul_codes(ring.tables, nrd, nrd)
+        return order.ring.code_tables.mul_rows[nrd][nrd]
 
-    monkeypatch.setattr(pi0, kernel, squared_norm)
+    monkeypatch.setattr(pi0, "_reduced_norm", squared_norm)
     with pytest.raises(FrobeniusInvarianceViolation, match="but the coefficient norm is"):
         pi0_action_table(3, 1, 2, m, rng=random.Random(0))
 
 
-ORDER_CASES = st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from([2, 3]),
-                        st.integers(1, 3))
+ORDER_CASES = st.one_of(
+    st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from([2, 3]),
+              st.integers(1, 3)),
+    # o/t^m has more than 256 elements: both rings on wide codes
+    st.sampled_from([((2, 1), 2, 9), ((3, 1), 2, 6), ((2, 2), 2, 5)]))
 
 
 def _order_element(data, order, unit):
@@ -560,32 +544,34 @@ def test_unit_group_rejects_factors_that_are_not_the_groups(monkeypatch, factors
 @given(st.sampled_from([(2, 1, 2, 1), (2, 1, 2, 3), (2, 2, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2),
                         (2, 1, 1, 8), (5, 1, 1, 3), (2, 4, 1, 2)]), st.integers(0, 2 ** 32))
 def test_byte_and_digit_kernels_agree(case, seed):
-    # the same draws give the same values on both encodings
+    # the same draws give the same values on one-byte codes and on wide codes
+    # (the digit kernel behind each lookup)
     p, f, n, m = case
-    by_digits, by_bytes = encodings(GF(p, f), n, m)
-    ring, big = by_digits.ring, by_digits.order.big
-    rng_d, rng_b = random.Random(seed), random.Random(seed)
+    by_bytes, by_wide = encodings(GF(p, f), n, m)
+    assert isinstance(by_bytes.tables, quotring._RingTables)
+    rng_b, rng_w = random.Random(seed), random.Random(seed)
 
-    def same(values_b, values_d, on=ring):
-        return digits(by_bytes, on, values_b) == tuple(values_d)
+    def same(values_b, values_w, big=False):
+        ring_b, ring_w = (k.order.big if big else k.ring for k in (by_bytes, by_wide))
+        return digits(by_bytes, ring_b, values_b) == digits(by_wide, ring_w, values_w)
 
-    (a, det_a), (b, det_b) = (by_digits.gl_sample(rng_d) for _ in range(2))
     (a_b, det_a_b), (b_b, det_b_b) = (by_bytes.gl_sample(rng_b) for _ in range(2))
+    (a, det_a), (b, det_b) = (by_wide.gl_sample(rng_w) for _ in range(2))
     assert all(same(x, y) for x, y in zip(a_b + b_b, a + b))
     assert same([det_a_b, det_b_b], [det_a, det_b])
-    product, product_b = by_digits.matrix_mul(a, b), by_bytes.matrix_mul(a_b, b_b)
+    product_b, product = by_bytes.matrix_mul(a_b, b_b), by_wide.matrix_mul(a, b)
     assert all(same(x, y) for x, y in zip(product_b, product))
-    assert same([by_bytes.det(product_b)], [by_digits.det(product)])
-    u, v = by_digits.unit_sample(rng_d), by_digits.unit_sample(rng_d)
+    assert same([by_bytes.det(product_b)], [by_wide.det(product)])
     u_b, v_b = by_bytes.unit_sample(rng_b), by_bytes.unit_sample(rng_b)
-    assert same(u_b + v_b, u + v, on=big)
-    assert same(by_bytes.order_mul(u_b, v_b), by_digits.order_mul(u, v), on=big)
+    u, v = by_wide.unit_sample(rng_w), by_wide.unit_sample(rng_w)
+    assert same(u_b + v_b, u + v, big=True)
+    assert same(by_bytes.order_mul(u_b, v_b), by_wide.order_mul(u, v), big=True)
     assert same([by_bytes.nrd(u_b), by_bytes.norm(u_b[0]), by_bytes.mul(det_a_b, det_b_b),
                  by_bytes.action(det_a_b, by_bytes.nrd(v_b), det_b_b)],
-                [by_digits.nrd(u), by_digits.norm(u[0]), by_digits.mul(det_a, det_b),
-                 by_digits.action(det_a, by_digits.nrd(v), det_b)])
-    assert same(by_bytes.big_units(), by_digits.big_units(), on=big)
-    assert rng_d.getstate() == rng_b.getstate()
+                [by_wide.nrd(u), by_wide.norm(u[0]), by_wide.mul(det_a, det_b),
+                 by_wide.action(det_a, by_wide.nrd(v), det_b)])
+    assert same(by_bytes.big_units(), by_wide.big_units(), big=True)
+    assert rng_b.getstate() == rng_w.getstate()
 
 
 def test_a_given_unit_group_is_used_and_changes_nothing():

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import MixedFields
-from omod.finitefield import FIXED_MODULI, GF, FqElement, _is_prime, _Tables
-from omod.quotring import (OModRing, _add_codes, _inv_codes, _mul_codes, _shift_codes,
-                           _sub_codes)
+from omod.finitefield import FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables
+from omod.quotring import (OModRing, _add_codes, _inv_codes, _mul_codes, _RingTables,
+                           _shift_codes, _sub_codes, _WideTables)
 
 from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_lift_to, ref_mul,
                                 ref_descend_to, ref_norm_to, ref_pow, ref_reduce_to,
@@ -170,25 +170,43 @@ def _rings_of_at_most_256_elements():
 @pytest.mark.parametrize("p,f,m", _rings_of_at_most_256_elements())
 def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     ring = OModRing(GF(p, f), m)
-    tables, field = ring.byte_tables, ring.tables
-    assert tables.q == ring.residue.q
+    tables, field = ring.code_tables, ring.tables
+    assert isinstance(tables, _RingTables) and tables.q == ring.residue.q
     assert tables.shift[: ring.size] == bytes(k * tables.q % ring.size for k in range(ring.size))
+    digit = ring.digit_codes
+    frob = _frobenius_table(ring.residue, 1)
+    # the same ring on wide codes, whose lookups run the digit kernel
+    wide = _WideTables(ring.residue, m)
+    assert wide.draw == tuple(map(wide.encode, digit))
+    for a, x in enumerate(digit):
+        assert tables.encode(x) == a and tables.decode(a) == x
+        assert wide.decode(wide.encode(x)) == x
+        assert tables.digitwise(frob)[a] == tables.encode(x.translate(frob))
+        assert wide.digitwise(frob)[wide.encode(x)] == wide.encode(x.translate(frob))
     if m == 1:
         # F_q's own tables, checked against FqElement in test_finitefield
         assert (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.neg, tables.inv) == \
             (field.add_rows, field.sub_rows, field.mul_rows, field.neg, field.inv)
         return
-    digit, size = ring.digit_codes, ring.size
     code = {c: k for k, c in enumerate(digit)}
     for a, x in enumerate(digit):
-        assert tables.neg[a] == code[x.translate(field.neg)]
-        assert tables.shift[a] == code[_shift_codes(x, 1)]
-        assert tables.inv[a] == (code[_inv_codes(field, x)] if x[0] else 0)
-        for rows, kernel in ((tables.add_rows, _add_codes), (tables.sub_rows, _sub_codes),
-                             (tables.mul_rows, _mul_codes)):
-            assert rows[a][:size] == bytes(code[kernel(field, x, y)] for y in digit)
+        w = wide.encode(x)
+        for coded, k, encode in ((tables, a, code.__getitem__), (wide, w, wide.encode)):
+            assert coded.neg[k] == encode(x.translate(field.neg))
+            assert coded.shift[k] == encode(_shift_codes(x, 1))
+            assert coded.inv[k] == (encode(_inv_codes(field, x)) if x[0] else 0)
+        for rows, wide_rows, kernel in ((tables.add_rows, wide.add_rows, _add_codes),
+                                        (tables.sub_rows, wide.sub_rows, _sub_codes),
+                                        (tables.mul_rows, wide.mul_rows, _mul_codes)):
+            want = [kernel(field, x, y) for y in digit]
+            assert rows[a][: len(digit)] == bytes(map(code.__getitem__, want))
+            wide_row = wide_rows[w]
+            assert [wide_row[b] for b in wide.draw] == list(map(wide.encode, want))
 
 
 def test_no_byte_tables_beyond_256_elements():
-    with pytest.raises(ValueError):
-        OModRing(GF(3), 6).byte_tables
+    assert isinstance(OModRing(GF(3), 5).code_tables, _RingTables)
+    tables = OModRing(GF(3), 6).code_tables
+    assert isinstance(tables, _WideTables) and tables.q == 256
+    one = OModRing(GF(3), 6).one()
+    assert tables.encode(one.codes) == 1 and tables.decode(1) == one.codes
