@@ -228,10 +228,15 @@ def GF(p, f=1):
 def field_with_order(q):
     """GF(p, f) for q = p^f; rejects non-prime-powers.  p is the smallest
     divisor of q from 2, found by trial division up to isqrt(q) (q itself
-    when there is none)."""
+    when there is none).  The division stops at the cap: a q above it with
+    no divisor up to the cap is over the cap (CapExceeded), prime power or
+    not."""
     if q < 2:
         raise ValueError("%d is not a prime power" % q)
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    bound = min(math.isqrt(q), RESIDUE_CARDINALITY_CAP)
+    p = next((d for d in range(2, bound + 1) if q % d == 0), q)
+    if p > RESIDUE_CARDINALITY_CAP:
+        raise CapExceeded("residue cardinality %d exceeds cap %d" % (q, RESIDUE_CARDINALITY_CAP))
     f, rest = 0, q
     while rest % p == 0:
         rest //= p

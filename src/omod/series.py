@@ -21,14 +21,18 @@ leading_coeff return them.
 
 Substitution x(U) = sum_i c_i U^(e0+i) is a linear map once the powers of U
 are known.  Each element used as a uniformizer image keeps a table of its
-powers (the cached property `_powers`), grown on demand by one product per
-new power and reused by every later substitution into the same image: the
-images of embeddings and automorphisms, which the tower code applies many
-times each.  A substitution is then one packed integer accumulation of the
-scaled powers, unpacked once.  The table lives in the image's own __dict__
-(for an embedding's image, in the BaseEmbedding, which hands every copy of
-the image the same table) and refers to no element or field, so it is
-freed together with its image by reference counting.
+powers (the cached property `_powers`), reused by every later substitution
+into the same image: the images of embeddings and automorphisms, which the
+tower code applies many times each.  The table forms only the powers a
+substitution uses and the base-p chains below them: U^k is the Frobenius
+twist of U^(k//p) (no product, since x -> x^p is a ring endomorphism in
+characteristic p) times U^(k mod p), the twist truncated to the precision
+consecutive products would give.  A substitution is then one packed
+integer accumulation of the scaled powers, unpacked once.  The table lives
+in the image's own __dict__ (for an embedding's image, in the
+BaseEmbedding, which hands every copy of the image the same table) and
+refers to no element or field, so it is freed together with its image by
+reference counting.
 
 Every operation computes the exact propagated precision; nothing is truncated
 silently.  All values are immutable.
@@ -492,31 +496,64 @@ def _mul_prec(a, b):
 
 
 class _PowerTable:
-    """The powers U^k of one substitution image U, each formed once: U^0 = 1
-    and U^(k+1) = U^k * U upward, U^-1 = U.inv() and U^(k-1) = U^k * U^-1
-    downward.  For U of nonnegative order with a known leading term, a
-    combination of them equals the power-by-power evaluation from U ** e0,
-    precision included.  Each power is kept as (leading exponent, codes,
-    precision), its codes packed on first use.  The table refers to no
-    element or field: U is passed to every call."""
+    """The powers U^k of one substitution image U, each formed once, when a
+    substitution first needs it.  U^0 = 1 and U^k = U^(k-1) * U for
+    0 < k < p.  From k = p on, a U with a known leading term (exact, or
+    leading exponent v below its precision) takes the base-p chain
+    U^k = Frob(U^(k//p)) * U^(k mod p): x -> x^p is a ring endomorphism in
+    characteristic p, so the twist costs no product.  The twist is truncated
+    to prec(U) + (p (k//p) - 1) v, the precision of the consecutive product,
+    so every U^k equals that product, codes and precision both.  A U without
+    a known leading term takes consecutive products for every k.  Downward,
+    U^-1 = U.inv() and U^(k-1) = U^k * U^-1.  For U of nonnegative order
+    with a known leading term, a combination of powers equals the
+    power-by-power evaluation from U ** e0, precision included.  Each power
+    is kept as (leading exponent, codes, precision), its codes packed on
+    first use.  The table refers to no element or field: U is passed to
+    every call."""
 
     def __init__(self):
-        self.powers = {0: (0, b"\x01", None)}
-        self.lo = self.hi = 0                 # the exponents held are lo..hi
+        self.powers = {0: (0, b"\x01", None)}  # k -> U^k, for the k formed so far
+        self.lo = 0                           # every exponent lo..0 is held
         self.packed = {}                      # (k, width) -> the codes of U^k packed at width
 
     def power(self, U, k):
         """(leading exponent, codes, precision) of U^k."""
         powers = self.powers
-        while k > self.hi:
-            y = LocalFieldElement(U.field, *powers[self.hi]) * U
-            self.hi += 1
-            powers[self.hi] = (y.leading_exponent, y.codes, y.precision)
-        while k < self.lo:
-            step = LocalFieldElement(U.field, *powers[-1]) if self.lo < 0 else U.inv()
-            y = LocalFieldElement(U.field, *powers[self.lo]) * step
-            self.lo -= 1
-            powers[self.lo] = (y.leading_exponent, y.codes, y.precision)
+        if k in powers:
+            return powers[k]
+        field = U.field
+        if k < 0:
+            while k < self.lo:
+                step = LocalFieldElement(field, *powers[-1]) if self.lo < 0 else U.inv()
+                y = LocalFieldElement(field, *powers[self.lo]) * step
+                self.lo -= 1
+                powers[self.lo] = (y.leading_exponent, y.codes, y.precision)
+            return powers[k]
+        p = field.residue.p
+        regular = U.precision is None or bool(U.codes) and U.leading_exponent < U.precision
+        if not regular or k < p:
+            # iterative: an image without a known leading term can be asked
+            # for thousands of consecutive powers
+            j = k - 1
+            while j not in powers:
+                j -= 1
+            for j in range(j + 1, k + 1):
+                y = LocalFieldElement(field, *powers[j - 1]) * U
+                powers[j] = (y.leading_exponent, y.codes, y.precision)
+            return powers[k]
+        j, r = divmod(k, p)
+        y = LocalFieldElement(field, *self.power(U, j))
+        if U.precision is None:
+            y = y.frobenius_power(1)
+        else:
+            # v(U^(pj)) = pj v(U), so the consecutive U^(pj) is known to
+            # prec(U) + (pj - 1) v(U), at most p prec(U^j)
+            prec = U.precision + (p * j - 1) * U.leading_exponent
+            y = y.truncate(-(-prec // p)).frobenius_power(1).truncate(prec)
+        if r:
+            y = y * LocalFieldElement(field, *self.power(U, r))
+        powers[k] = (y.leading_exponent, y.codes, y.precision)
         return powers[k]
 
     def combine(self, U, e0, codes):
@@ -570,9 +607,9 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
     Raises PrecisionExhausted when nothing significant survives.
 
     The powers of the image come from its power table (_PowerTable), which
-    the image keeps for its lifetime: a call forms only the powers no
-    earlier call into the same image needed, and then adds up the scaled
-    powers in one packed integer.
+    the image keeps for its lifetime: a call forms only the powers (and
+    their base-p chains) no earlier call into the same image needed, and
+    then adds up the scaled powers in one packed integer.
     """
     U = image_of_uniformizer
     target = U.field

@@ -3,10 +3,16 @@ the way it ran before it worked on byte planes: pack joins one chunk per
 coefficient, unpack reduces each slot by its own `% p` and folds each
 coefficient's digit slots through a dict.  ref_mul and ref_add compose them
 at slot widths wide enough for the operands used in the tests.  The oracles
-for _Tables.pack, unpack, mul and add."""
+for _Tables.pack, unpack, mul and add.
+
+RefPowerTable is series._PowerTable.power the way it ran before the base-p
+chains: every power from its neighbour by one product.  The oracle for the
+powers a substitution reads."""
 
 from functools import lru_cache
 from itertools import product
+
+from omod.series import LocalFieldElement
 
 
 def ref_pack(tables, codes, width):
@@ -51,3 +57,26 @@ def ref_add(tables, a, ia, b, ib, width=2):
     shift = 8 * tables.stride * width
     x = (ref_pack(tables, a, width) << shift * ia) + (ref_pack(tables, b, width) << shift * ib)
     return ref_unpack(tables, x, max(ia + len(a), ib + len(b)), width)
+
+
+class RefPowerTable:
+    """U^0 = 1 and U^(k+1) = U^k * U upward, U^-1 = U.inv() and
+    U^(k-1) = U^k * U^-1 downward, each as (leading exponent, codes,
+    precision)."""
+
+    def __init__(self):
+        self.powers = {0: (0, b"\x01", None)}
+        self.lo = self.hi = 0                 # the exponents held are lo..hi
+
+    def power(self, U, k):
+        powers = self.powers
+        while k > self.hi:
+            y = LocalFieldElement(U.field, *powers[self.hi]) * U
+            self.hi += 1
+            powers[self.hi] = (y.leading_exponent, y.codes, y.precision)
+        while k < self.lo:
+            step = LocalFieldElement(U.field, *powers[-1]) if self.lo < 0 else U.inv()
+            y = LocalFieldElement(U.field, *powers[self.lo]) * step
+            self.lo -= 1
+            powers[self.lo] = (y.leading_exponent, y.codes, y.precision)
+        return powers[k]

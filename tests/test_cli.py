@@ -161,6 +161,29 @@ def test_wide_slot_product_and_determinant_pass(capsys):
     assert [r["status"] for r in doc["results"]] == ["pass", "pass"]
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("q,n,m,prec,which", [
+    (2, 2, 3, 128, "determinant,product"),
+    (3, 2, 2, 256, "determinant,product"),
+    (2, 3, 2, 512, "determinant,product"),
+    (4, 2, 2, 1024, "determinant"),
+])
+def test_high_precision_rows_pass_with_golden_bytes(capsys, q, n, m, prec, which):
+    # substitutions at these precisions reach powers in the hundreds and
+    # thousands; the golden files pin each report byte for byte
+    code, out, _ = run_cli(capsys, "verify", "--q", str(q), "--n", str(n), "--m", str(m),
+                           "--prec", str(prec), "--which", which, "--output", "json",
+                           "--seed", "7")
+    assert code == 0
+    assert [r["status"] for r in json.loads(out)["results"]] == ["pass"] * len(which.split(","))
+    name = "verify_q%d_n%d_m%d_prec%d%s.json" % (q, n, m, prec,
+                                                  "" if "," in which else "_" + which)
+    with open(os.path.join(GOLDEN, name)) as fh:
+        assert out == fh.read()
+
+
 def test_other_errors_stay_failures(capsys):
     # q = 8: the wild-branch relation does not converge (NoConvergence), which
     # is no declared limit, so the unit-coefficient row fails with its witness
@@ -210,6 +233,7 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
     (("verify", "--q", "10000019", "--m", "1"), None),
     (("verify", "--p", "1000000000000037", "--m", "1"), None),
     (("verify", "--p", "4", "--f", "2", "--m", "1"), None),
+    (("verify", "--q", "1000000000000037", "--m", "1"), None),
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):

@@ -130,8 +130,14 @@ def test_embedding_f2_to_f4_fixes_prime_field():
 def test_field_with_order():
     assert field_with_order(8) == GF(2, 3)
     assert field_with_order(9) == GF(3, 2)
-    with pytest.raises(ValueError):
-        field_with_order(12)
+    for q in (12, 600, 257 * 7):
+        with pytest.raises(ValueError, match="not a prime power"):
+            field_with_order(q)
+    # above the cap the trial division stops at the cap: no factor up to it
+    # means over the cap, prime power or not
+    for q in (257, 257 ** 2, 257 * 263, 1000000000000037):
+        with pytest.raises(CapExceeded, match="residue cardinality %d exceeds cap 256" % q):
+            field_with_order(q)
 
 
 def test_serialization_roundtrip():

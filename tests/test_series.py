@@ -12,9 +12,10 @@ from omod.errors import (DivisionByUncertainZero, MixedFields, OmodError,
                          PrecisionExhausted, UncertainValuation)
 from omod.finitefield import GF, FqElement, embed_fq, field_with_order
 from omod.quotring import OModRing
-from omod.series import (LocalFieldElement, _min_prec, _mul_prec, base_field, make_element,
-                         substitute)
+from omod.series import (LocalFieldElement, _PowerTable, _min_prec, _mul_prec, base_field,
+                         make_element, substitute)
 from omod.tower import unramified_extension
+from packed_reference import RefPowerTable
 
 
 def F2t(prec=64):
@@ -422,6 +423,17 @@ def series(draw, F, max_len, lowest=-6, highest=6):
     return F.element(lo, [F.residue.from_int(c) for c in codes], precision)
 
 
+@st.composite
+def sparse_series(draw, F):
+    """A few terms far apart, at exponents up to 70, exact or truncated: the
+    shape of the series the torsion automorphisms substitute."""
+    q = F.residue.q
+    exponents = sorted(draw(st.sets(st.integers(0, 70), min_size=1, max_size=4)))
+    terms = {k: draw(st.integers(1, q - 1)) for k in exponents}
+    precision = draw(st.none() | st.integers(exponents[-1] - 3, exponents[-1] + 5))
+    return F.from_int_poly(terms, precision)
+
+
 def property_test(examples):
     return settings(derandomize=True, database=None, max_examples=examples, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -497,7 +509,7 @@ def test_newton_inv_matches_recurrence(q, data):
 def test_substitute_matches_reference(q, data):
     F = field_of_order(q)
     target = F if q * q > 256 or data.draw(st.booleans()) else unramified_extension(F, 2)
-    x = data.draw(series(F, 10))
+    x = data.draw(series(F, 10) | sparse_series(F))
     if x.is_zero_mod_precision():
         x = F.one()
     U = data.draw(series(target, 6, lowest=1, highest=3))
@@ -520,7 +532,7 @@ def test_substitute_into_one_image_matches_reference(q, data):
         U = target.uniformizer_elt(1)
     reach = 0
     for _ in range(data.draw(st.integers(5, 10))):
-        x = data.draw(series(F, 10, lowest=-2, highest=reach + 2))
+        x = data.draw(series(F, 10, lowest=-2, highest=reach + 2) | sparse_series(F))
         j = data.draw(st.integers(0, target.residue.f - 1))
         if x.is_zero_mod_precision():
             # zero below u^prec(x), so zero below u^(prec(x) v(U)) after substitution
@@ -542,6 +554,56 @@ def test_substitute_into_an_image_with_no_known_term():
     for e0 in (0, 1, 2, 3):
         x = F.uniformizer_elt(e0) + F.uniformizer_elt(e0 + 1)
         assert outcome(substitute, x, U, 0) == outcome(reference_substitute, x, U, 0)
+
+
+@st.composite
+def power_table_image(draw, F):
+    """A substitution image of order -3 to 4 that is exact, truncated (with a
+    known leading term), or has no known term, with a reach R: its powers
+    are compared up to U^(3R).  Truncated images are known to u^(v + R)."""
+    q, p = F.residue.q, F.residue.p
+    reach = draw(st.integers(1 if p < 100 else p // 3 + 1, 120))
+    lead = draw(st.integers(-3, 4))
+    codes = [draw(st.integers(1, q - 1))] + draw(st.lists(st.integers(0, q - 1), max_size=5))
+    kind = draw(st.sampled_from(("exact", "truncated", "no known term")))
+    if kind == "no known term":
+        precision = lead - draw(st.integers(0, 3))
+        U = LocalFieldElement(F, lead, bytes(codes).rstrip(b"\0"), precision)
+        return (F.zero(precision) if draw(st.booleans()) else U), reach
+    precision = None if kind == "exact" else lead + reach
+    return F.element(lead, [F.residue.from_int(c) for c in codes], precision), reach
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9, 251))
+@property_test(25)
+@given(data=st.data())
+def test_power_table_matches_consecutive_products(q, data):
+    # every power the base-p chains form, the intermediate ones included,
+    # is the consecutive product, codes and precision both
+    F = field_of_order(q)
+    U, reach = data.draw(power_table_image(F))
+    regular = U.precision is None or U.leading_exponent < U.precision
+    exponents = st.integers(-4 if regular and U.codes else 0, 3 * reach)
+    table = _PowerTable()
+    for k in data.draw(st.lists(exponents, min_size=1, max_size=8)):
+        table.power(U, k)
+    oracle = RefPowerTable()
+    for k, power in table.powers.items():
+        assert power == oracle.power(U, k), k
+
+
+def test_substitution_forms_only_the_powers_on_its_chain():
+    # p = 2: U^48 = Frob(U^24) = ... = Frob(U^3), and U^3 = Frob(U) * U
+    F = field_of_order(4)
+    U = F.element(1, [F.residue.one(), F.residue.from_int(2)], 64)
+    substitute(F.uniformizer_elt(48), U)
+    assert sorted(U._powers.powers) == [0, 1, 3, 6, 12, 24, 48]
+
+
+def test_consecutive_powers_of_an_image_with_no_known_term_do_not_recurse():
+    F = field_of_order(3)
+    for U in (F.zero(2), LocalFieldElement(F, 1, b"\x01", 0)):
+        assert _PowerTable().power(U, 3000) == RefPowerTable().power(U, 3000)
 
 
 def test_a_product_of_terms_beyond_precision_knows_nothing():
