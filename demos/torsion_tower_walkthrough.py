@@ -28,6 +28,6 @@ for key in sorted(table.table):
 
 # The torsion points of the height-one model have exact valuations
 # 1/((q-1) q^(k-1)) at exact level k (v(t) = 1).
-report = verify_torsion_valuations(lt.module, 2, torsion=lt.torsion(2))
+report = verify_torsion_valuations(lt.torsion(2))
 print("\ntorsion valuations:", report["per_level"],
       "primitive value:", report["primitive_valuation"])

@@ -138,6 +138,9 @@ class RunConfig:
             raise ValueError("precision %d does not exceed a ramification index of the"
                              " tower; the smallest working --prec is %d"
                              % (self.precision, need))
+        if self.cache_dir and towers:
+            # a cache path that is a file or cannot be made fails here, before any build
+            os.makedirs(self.cache_dir, exist_ok=True)
         self._towers = {}
         self._unit_group = None
 
@@ -257,7 +260,7 @@ def run_valuations(cfg):
 
     def compute():
         lt, _ = cfg.tower(cfg.n)
-        report = verify_torsion_valuations(lt.module, cfg.m, torsion=lt.torsion(cfg.m))
+        report = verify_torsion_valuations(lt.torsion(cfg.m))
         return str(report["primitive_valuation"]), expected
 
     return [_check("valuations", "primitive level-m torsion valuation = 1/((q^n-1) q^(n(m-1)))",
@@ -269,7 +272,7 @@ def run_product(cfg):
 
     def compute():
         lt, _ = cfg.tower(n)
-        report = verify_product_formula(lt.module, m, torsion=lt.torsion(m))
+        report = verify_product_formula(lt.torsion(m))
         return ({"rep_count": report["rep_count"],
                  "valuation_sum": str(report["valuation_sum"]),
                  "ratio_valuation": str(report["ratio_valuation"])},

@@ -165,9 +165,6 @@ class TorsionModule:
     def rank(self):
         return len(self.basis)
 
-    def point_key_index(self):
-        return {pt.series_key(terms=48): key for key, pt in self.points.items()}
-
     def act(self, a: OModElement, pt: LocalFieldElement) -> LocalFieldElement:
         """[a] applied to a point, computed in the point field."""
         return multiply_by(a, self.module, target=self.field)(pt)
@@ -192,8 +189,7 @@ def coord_key(coord_vector):
     return tuple(v.lex_key() for v in coord_vector)
 
 
-def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None,
-                   precision=None) -> TorsionModule:
+def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) -> TorsionModule:
     """Enumerate X[t^m] completely, extending the tower as needed.
 
     Orbit path: models t*T + T^(q^n) over a field with residue F_{q^n} get a
@@ -216,9 +212,9 @@ def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None,
     is_orbit_model = all(c.is_exact_zero() for c in mids) and \
         X.field.residue.q == q ** X.n
     if is_orbit_model:
-        basis, generator = _orbit_basis(X, m, tower, precision)
+        basis, generator = _orbit_basis(X, m, tower)
     elif m == 1:
-        basis, generator = _mixed_level1_basis(X, tower, precision)
+        basis, generator = _mixed_level1_basis(X, tower)
     else:
         raise CapExceeded("torsion beyond level 1 is only enumerated for the"
                           " rank-one orbit model")
@@ -298,10 +294,10 @@ def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
     return out
 
 
-def _orbit_basis(X, m, tower, precision):
+def _orbit_basis(X, m, tower):
     """Build the torsion tower for t*T + T^Q and return the o-basis
     {[x^j](lambda_m)} together with the generator lambda_m."""
-    chain = build_torsion_chain(X, m, tower, precision)
+    chain = build_torsion_chain(X, m, tower)
     return _orbit_basis_from_generator(X, m, tower, chain[-1][1])
 
 
@@ -324,11 +320,10 @@ def orbit_torsion_from_generator(X, m, tower, lam) -> TorsionModule:
     return _assemble_from_basis(X, m, tower, basis, lam)
 
 
-def _mixed_level1_basis(X, tower, precision):
+def _mixed_level1_basis(X, tower):
     """Level-1 torsion for models with constant middle coefficients: integral
     slopes found in the field, the inseparable residue direction through a
     declared-uniformizer wild extension with an exact relation."""
-    precision = precision or X.field.default_precision
     for c in X.t_action.coeffs[1:]:
         if not c.is_exact():
             raise CapExceeded("mixed torsion needs exact constant higher coefficients")
@@ -347,12 +342,12 @@ def _mixed_level1_basis(X, tower, precision):
             e = (-frac[0].slope).denominator if frac else 0
             if e < 2:
                 raise
-            _adjoin_wild_branch(X, tower, e, precision)
+            _adjoin_wild_branch(X, tower, e)
     basis = _greedy_basis(roots, X, tower.top)
     return basis, None
 
 
-def _adjoin_wild_branch(X, tower, e, precision):
+def _adjoin_wild_branch(X, tower, e):
     """Extension containing the inseparable-direction roots: with s0 the
     multiple residue root of the slope-0 part, the substitution T = s0 + pi
     turns P(T) = 0 into the exact relation t = -(sum_{i>=1} c_i (s0+pi)^(q^i))
@@ -378,7 +373,8 @@ def _adjoin_wild_branch(X, tower, e, precision):
         # c_0 coefficient is the embedded uniformizer itself
         return num * base_pt.inv(precision=fld.default_precision)
 
-    spec, _ = ramified_extension_by_relation(top, e, relation, precision=precision,
+    spec, _ = ramified_extension_by_relation(top, e, relation,
+                                             precision=X.field.default_precision,
                                              uniformizer="pi")
     tower.push(spec)
     return spec
@@ -432,45 +428,7 @@ def _greedy_basis(roots, X, top):
     return basis
 
 
-# --- structure checks ------------------------------------------------------------
-
-
-def omodule_structure_check(Tm: TorsionModule, rng=None, sample_cap=4096):
-    """Verify the point table is an o/t^m-module isomorphic to (o/t^m)^n:
-    bijectivity of the structure map, closure under addition, and
-    compatibility of the [a]-action, exhaustively up to sample_cap pairs."""
-    if Tm.level == 0:
-        return {"cardinality": 1, "rank": 0, "pairs_checked": 0, "actions_checked": 0}
-    index = Tm.point_key_index()
-    if len(index) != len(Tm.points):
-        raise StructureViolation("structure map is not injective")
-    items = sorted(Tm.coords.items())
-    pairs_checked = 0
-    exhaustive = len(items) ** 2 <= sample_cap
-    if exhaustive:
-        pairs = [(a, b) for a in items for b in items]
-    else:
-        rng = rng or __import__("random").Random(0)
-        pairs = [(items[rng.randrange(len(items))], items[rng.randrange(len(items))])
-                 for _ in range(sample_cap)]
-    for (ka, va), (kb, vb) in pairs:
-        vsum = tuple(x + y for x, y in zip(va, vb))
-        got = Tm.points[ka] + Tm.points[kb]
-        want = Tm.points[coord_key(vsum)]
-        if not got.agrees(want):
-            raise StructureViolation("addition fails at %r + %r" % (ka, kb))
-        pairs_checked += 1
-    actions_checked = 0
-    for a in Tm.ring.elements():
-        for kv, vec in items:
-            scaled = tuple(a * x for x in vec)
-            got = Tm.act(a, Tm.points[kv])
-            want = Tm.points[coord_key(scaled)]
-            if not got.agrees(want):
-                raise StructureViolation("[a]-action fails at a=%r, v=%r" % (a, kv))
-            actions_checked += 1
-    return {"cardinality": len(items), "rank": Tm.rank,
-            "pairs_checked": pairs_checked, "actions_checked": actions_checked}
+# --- level structures ------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -493,17 +451,6 @@ class LevelStructure:
             out.append(acc)
         return self.torsion.points[coord_key(tuple(out))]
 
-    def images_of_level(self, level):
-        """All phi(v) for v in the level-`level` sublattice t^(m-level)*(...)."""
-        ring = self.torsion.ring
-        shift = self.torsion.level - level
-        low = [ring.from_int_digits(k) for k in range(ring.residue.q ** level)]
-        out = []
-        for vec in itertools.product(low, repeat=self.torsion.rank):
-            shifted = tuple(w.shift(shift) for w in vec)
-            out.append((shifted, self.image_of(shifted)))
-        return out
-
 
 def bijective_level_structure(Tm: TorsionModule) -> LevelStructure:
     """The identity-coordinate level structure (phi = the chosen basis)."""
@@ -512,91 +459,6 @@ def bijective_level_structure(Tm: TorsionModule) -> LevelStructure:
     matrix = [[ring.one() if i == j else ring.zero() for j in range(n)]
               for i in range(n)]
     return LevelStructure(Tm, matrix)
-
-
-def zero_level_structure(Tm: TorsionModule) -> LevelStructure:
-    matrix = [[Tm.ring.zero() for _ in range(Tm.rank)] for _ in range(Tm.rank)]
-    return LevelStructure(Tm, matrix)
-
-
-def verify_level_structure(phi: LevelStructure, fibre="generic"):
-    """Drinfeld condition: prod over the level-1 sublattice of (T - phi(v))
-    must divide [t](T); for a bijective phi the product equals [t](T)
-    coefficientwise (both monic of degree q^n)."""
-    Tm = phi.torsion
-    X = Tm.module
-    top = Tm.field
-    level1 = phi.images_of_level(1)
-    prod = [top.one()]  # dense polynomial, constant first
-    for _vec, pt in level1:
-        prod = _poly_mul_dense(prod, [-pt, top.one()])
-    t_dense = X.embedded_t_action(top).to_dense_coeffs()
-    if fibre == "closed":
-        prod_res = [_residue_or_zero(c) for c in prod]
-        t_res = [_residue_or_zero(c) for c in t_dense]
-        divisible, witness = _residue_poly_divides(prod_res, t_res, top.residue)
-        equal = divisible and len(prod_res) == len(t_res) and all(
-            a == b for a, b in zip(prod_res, t_res))
-        return {"divisible": divisible, "equal": equal, "witness": witness,
-                "fibre": "closed"}
-    equal = True
-    witness = None
-    if len(prod) != len(t_dense):
-        equal = False
-    else:
-        for k, (a, b) in enumerate(zip(prod, t_dense)):
-            if not a.agrees(b):
-                equal = False
-                witness = ("coefficient of T^%d" % k, repr(a), repr(b))
-                break
-    # degree q^n on both sides: divisibility of monic polynomials of equal
-    # degree is exactly coefficientwise equality
-    return {"divisible": equal, "equal": equal, "witness": witness,
-            "fibre": "generic"}
-
-
-def _poly_mul_dense(a, b):
-    field = a[0].field
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero_mod_precision() and x.precision is None:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _residue_or_zero(c):
-    if not c.is_known_nonzero():
-        return c.field.residue.zero()
-    if c.order() > 0:
-        return c.field.residue.zero()
-    return c.leading_coeff()
-
-
-def _residue_poly_divides(small, big, res):
-    """Exact division of residue-field polynomials; returns (bool, witness)."""
-    big = list(big)
-    d_small = _residue_degree(small)
-    d_big = _residue_degree(big)
-    if d_small < 0:
-        return (False, "zero divisor polynomial")
-    while True:
-        d_big = _residue_degree(big)
-        if d_big < d_small:
-            break
-        factor = big[d_big] / small[d_small]
-        for i in range(d_small + 1):
-            big[d_big - d_small + i] = big[d_big - d_small + i] - factor * small[i]
-    rem = [c for c in big if not c.is_zero()]
-    return (not rem, None if not rem else "nonzero remainder")
-
-
-def _residue_degree(poly):
-    for d in range(len(poly) - 1, -1, -1):
-        if not poly[d].is_zero():
-            return d
-    return -1
 
 
 def count_level_structures(Tm: TorsionModule) -> int:

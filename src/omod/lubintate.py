@@ -53,13 +53,13 @@ class LubinTateTower:
             return 1
         return self.levels[k - 1][0].degree_over(self.base)
 
-    def lam(self, k, target=None):
-        fld, lam = self.levels[k - 1]
-        target = target or self.top
-        return lam if lam.field is target else embed(lam, target)
+    def lam(self, k):
+        """lam_k embedded into the top field."""
+        lam = self.levels[k - 1][1]
+        return lam if lam.field is self.top else embed(lam, self.top)
 
-    def t_image(self, target=None):
-        return root_uniformizer_image(target or self.top)
+    def t_image(self):
+        return root_uniformizer_image(self.top)
 
     def unit_ring(self, m=None):
         return OModRing(self.base.residue, self.m_max if m is None else m)
@@ -113,34 +113,29 @@ def cm_tower(q_p, q_f, n, m, precision=64):
     return build_tower(Fp, m, precision)
 
 
+# Series terms on which verify_character, character_restriction_consistent
+# and verify_determinant_character require their substitutions to agree.
+CHARACTER_FIXED_TERMS = 40
+RESTRICTION_TERMS = 32
+DETERMINANT_MATCH_TERMS = 40
+
+
 @dataclass(eq=False)
 class CharacterTable:
     """The verified isomorphism a <-> (lam_m -> [a](lam_m)) between the unit
     group of o/t^m and the torsion substitutions over the base."""
 
-    tower: LubinTateTower
-    level: int
     table: dict          # a.lex_key() -> (a, FieldAutomorphism)
-    fixed_terms: int
 
     def sigma(self, a: OModElement) -> FieldAutomorphism:
         return self.table[a.lex_key()][1]
 
-    def to_json(self):
-        rows = []
-        for key in sorted(self.table):
-            a, sigma = self.table[key]
-            rows.append({"unit": list(map(int, key)),
-                         "uniformizer_image": sigma.image_of_uniformizer.to_json()})
-        return {"level": self.level, "order": len(rows),
-                "fixed_terms": self.fixed_terms, "rows": rows}
 
-
-def verify_character(lt: LubinTateTower, min_fixed_terms=40) -> CharacterTable:
+def verify_character(lt: LubinTateTower) -> CharacterTable:
     """Check that a -> (lam_m -> [a](lam_m)) is a group isomorphism from
     (o/t^m)^x onto the substitution group at the tower's top level m, with
     every substitution fixing the embedded base field to at least
-    min_fixed_terms series terms."""
+    CHARACTER_FIXED_TERMS series terms."""
     m = lt.m_max
     ring = lt.unit_ring(m)
     t_img = lt.t_image()
@@ -149,7 +144,7 @@ def verify_character(lt: LubinTateTower, min_fixed_terms=40) -> CharacterTable:
     for a in ring.units():
         sigma = lt.torsion_automorphism(a)
         moved = apply_automorphism(sigma, t_img)
-        if not moved.agrees(t_img, min_terms=min_fixed_terms):
+        if not moved.agrees(t_img, min_terms=CHARACTER_FIXED_TERMS):
             raise CharacterViolation(
                 "substitution by %r moves the embedded base uniformizer: %r vs %r"
                 % (a, moved, t_img))
@@ -164,14 +159,14 @@ def verify_character(lt: LubinTateTower, min_fixed_terms=40) -> CharacterTable:
         for b, sig_b in table.values():
             composed = apply_automorphism(sig_a, sig_b.image_of_uniformizer)
             direct = table[(a * b).lex_key()][1].image_of_uniformizer
-            if not composed.agrees(direct, min_terms=min_fixed_terms):
+            if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation(
                     "composition law fails at (%r, %r): %r vs %r"
                     % (a, b, composed - direct, direct))
-    return CharacterTable(lt, m, table, min_fixed_terms)
+    return CharacterTable(table)
 
 
-def character_restriction_consistent(lt: LubinTateTower, min_terms=32) -> bool:
+def character_restriction_consistent(lt: LubinTateTower) -> bool:
     """Restricting the top-level substitutions to the next generator down
     realizes the lower table through reduction mod t^(m-1)."""
     m = lt.m_max
@@ -183,7 +178,7 @@ def character_restriction_consistent(lt: LubinTateTower, min_terms=32) -> bool:
         sigma = lt.torsion_automorphism(a)
         moved = apply_automorphism(sigma, lam_prev)
         expected = lt.multiplication(a.reduce_to(m - 1).lift_to(ring))(lam_prev)
-        if not moved.agrees(expected, min_terms=min_terms):
+        if not moved.agrees(expected, min_terms=RESTRICTION_TERMS):
             return False
     return True
 
@@ -195,13 +190,12 @@ def expected_primitive_valuation(q, n, m):
     return Fraction(1, (q ** n - 1) * q ** (n * (m - 1)))
 
 
-def verify_torsion_valuations(X: FormalOModule, m: int,
-                              torsion: TorsionModule | None = None):
+def verify_torsion_valuations(Tm: TorsionModule):
     """Every exact-level-k torsion point of the orbit model has valuation
     1/((q^n - 1) q^(n(k-1))), as an exact rational; v(t) = 1."""
-    Tm = torsion if torsion is not None else torsion_points(X, m)
-    q = X.q
-    n = X.n
+    m = Tm.level
+    q = Tm.module.q
+    n = Tm.module.n
     checked = {k: 0 for k in range(1, m + 1)}
     for key, vec in Tm.coords.items():
         level = m - min(v.level() for v in vec) if vec else 0
@@ -246,14 +240,13 @@ def orbit_representatives(ring: OModRing, n: int):
     return reps
 
 
-def verify_product_formula(X: FormalOModule, m: int,
-                           torsion: TorsionModule | None = None):
+def verify_product_formula(Tm: TorsionModule):
     """|R| = (q^n-1) q^(n(m-1)) / ((q-1) q^(m-1)); the valuations of a
     bijective level structure over R sum to 1/((q-1) q^(m-1)) = v(uniformizer
     of the level-m base torsion field); and the actual product differs from
     that embedded uniformizer by a unit."""
-    Tm = torsion if torsion is not None else torsion_points(X, m)
-    q, n = X.q, X.n
+    m = Tm.level
+    q, n = Tm.module.q, Tm.module.n
     reps = orbit_representatives(Tm.ring, n)
     expected_count = Fraction((q ** n - 1) * q ** (n * (m - 1)),
                               (q - 1) * q ** (m - 1))
@@ -313,28 +306,16 @@ def locate_base_torsion_chain(field, m):
 
 @dataclass(eq=False)
 class DeterminantWitness:
-    q: int
-    n: int
-    m: int
-    cm: LubinTateTower
-    mu: object
     rows: list = dc_field(default_factory=list)  # (a, N(a), matched c)
 
-    def to_json(self):
-        return {"q": self.q, "n": self.n, "m": self.m,
-                "cases": [{"a": list(map(int, a.lex_key())),
-                           "norm": list(map(int, na.lex_key())),
-                           "matched": list(map(int, c.lex_key()))}
-                          for a, na, c in self.rows]}
 
-
-def verify_determinant_character(lt: LubinTateTower, min_terms=40) -> DeterminantWitness:
+def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     """At the multiplication-rich height-n point, given its tower lt (as built
     by cm_tower): every torsion substitution sigma_a (a a unit of o'/t^m)
     moves the embedded height-one torsion generator mu by exactly [N(a)], N
     the coefficient-Frobenius norm o'/t^m -> o/t^m.  The match is found by
     decoding, not assumed."""
-    q, n, m = lt.module.q, lt.module.n, lt.m_max
+    m = lt.m_max
     root_res = lt.base.root.residue
     chain = locate_base_torsion_chain(lt.top, m)
     mu = chain[-1]
@@ -353,13 +334,13 @@ def verify_determinant_character(lt: LubinTateTower, min_terms=40) -> Determinan
     decode = {}
     for c in base_units:
         decode[c.lex_key()] = multiply_by(c, base_module, target=lt.top)(mu)
-    witness = DeterminantWitness(q, n, m, lt, mu)
+    witness = DeterminantWitness()
     for a in big_ring.units():
         sigma = lt.torsion_automorphism(a)
         moved = apply_automorphism(sigma, mu)
         matched = None
         for c in base_units:
-            if moved.agrees(decode[c.lex_key()], min_terms=min_terms):
+            if moved.agrees(decode[c.lex_key()], min_terms=DETERMINANT_MATCH_TERMS):
                 matched = c
                 break
         if matched is None:

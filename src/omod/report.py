@@ -82,11 +82,8 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_text(results, config=None) -> str:
-    lines = []
-    if config:
-        lines.append("config: " + ", ".join("%s=%s" % (k, config[k])
-                                            for k in sorted(config)))
+def render_text(results, config) -> str:
+    lines = ["config: " + ", ".join("%s=%s" % (k, config[k]) for k in sorted(config))]
     width = max((len(r.check) for r in results), default=5)
     for r in results:
         elapsed = " (%.2fs)" % r.elapsed if r.elapsed is not None else ""

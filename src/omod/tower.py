@@ -23,7 +23,7 @@ from .series import (BaseEmbedding, LocalFieldElement, LocalFieldSpec, make_elem
 FIXED_POINT_EXTRA_ITERATIONS = 8
 
 
-def unramified_extension(base: LocalFieldSpec, k: int, uniformizer=None):
+def unramified_extension(base: LocalFieldSpec, k: int):
     """Residue field grows by degree k; the uniformizer stays (maps to the
     new field's uniformizer exactly)."""
     if k < 1:
@@ -31,7 +31,7 @@ def unramified_extension(base: LocalFieldSpec, k: int, uniformizer=None):
     new_residue = GF(base.residue.p, base.residue.f * k)  # CapExceeded inside GF
     spec = LocalFieldSpec(
         residue=new_residue,
-        uniformizer=uniformizer or base.uniformizer,
+        uniformizer=base.uniformizer,
         ramification_index=1,
         residue_degree=k,
         base=base,
@@ -332,21 +332,19 @@ def _roots_on_integer_slope(coeffs, field, s, depth):
     return out
 
 
-def _newton_lift(coeffs, x, field, max_iter=None, stop_order=None):
-    """Plain Newton iteration from a simple approximate root.
+def _newton_lift(coeffs, x, field):
+    """Plain Newton iteration from a simple approximate root, stopped at the
+    coefficients' least precision (the field's default for exact ones).
 
-    Iterates are truncated at the working precision: with exact inputs the
-    polynomial degree of the iterate would otherwise double every step.
+    Iterates are truncated at that order: with exact inputs the polynomial
+    degree of the iterate would otherwise double every step.
     """
-    if max_iter is None:
-        max_iter = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
-    if stop_order is None:
-        finite = [c.precision for c in coeffs if c.precision is not None]
-        stop_order = min(finite) if finite else field.default_precision
+    finite = [c.precision for c in coeffs if c.precision is not None]
+    stop_order = min(finite) if finite else field.default_precision
     dcoeffs = poly_derivative(coeffs)
     prev = None
     x = x.truncate(stop_order)
-    for _ in range(max_iter):
+    for _ in range(field.default_precision + FIXED_POINT_EXTRA_ITERATIONS):
         res = poly_eval(coeffs, x)
         if res.is_zero_mod_precision() or res.order_lower_bound() >= stop_order:
             return x
@@ -359,7 +357,7 @@ def _newton_lift(coeffs, x, field, max_iter=None, stop_order=None):
     raise NoConvergence("Newton iteration did not reach working precision")
 
 
-def additive_roots_in_field(P: AdditivePolynomial, rhs, field=None):
+def additive_roots_in_field(P: AdditivePolynomial, rhs):
     """All solutions of P(T) = rhs lying in the polynomial's field.
 
     The polynomial must be separable (nonzero linear coefficient).  Raises
@@ -368,9 +366,7 @@ def additive_roots_in_field(P: AdditivePolynomial, rhs, field=None):
     extensions.
     """
     require_separable(P)
-    field = field or P.field
-    if field is not P.field:
-        raise MixedFields("polynomial coefficients must live in the search field")
+    field = P.field
     dense = P.to_dense_coeffs()
     if rhs is not None:
         dense[0] = dense[0] - rhs

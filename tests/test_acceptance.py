@@ -11,7 +11,8 @@ from omod.formalmod import (bijective_level_structure, connected_height,
                             count_level_structures, kernel_rank,
                             lubin_tate_module, module_from_unit_coefficients,
                             torsion_points)
-from omod.lubintate import (build_tower, cm_tower, expected_primitive_valuation,
+from omod.lubintate import (CHARACTER_FIXED_TERMS, DETERMINANT_MATCH_TERMS,
+                            build_tower, cm_tower, expected_primitive_valuation,
                             verify_character, verify_determinant_character,
                             verify_product_formula, verify_torsion_valuations)
 from omod.pi0 import h0_decomposition, pi0_action_table, unit_group
@@ -59,7 +60,7 @@ def test_criterion_2_torsion_valuation_formula():
         def one_case(q=q, n=n, m=m):
             p, f = PF[q]
             lt = cm_tower(p, f, n, m)
-            report = verify_torsion_valuations(lt.module, m, torsion=lt.torsion(m))
+            report = verify_torsion_valuations(lt.torsion(m))
             want = expected_primitive_valuation(q, n, m)
             assert report["primitive_valuation"] == want
             return "q=%d n=%d m=%d: v = %s on %d primitive points" % (
@@ -73,7 +74,7 @@ def test_criterion_3_product_formula():
         def one_case(q=q, n=n, m=m):
             p, f = PF[q]
             lt = cm_tower(p, f, n, m)
-            report = verify_product_formula(lt.module, m, torsion=lt.torsion(m))
+            report = verify_product_formula(lt.torsion(m))
             want_reps = (q ** n - 1) * q ** (n * (m - 1)) \
                 // ((q - 1) * q ** (m - 1))
             want_sum = Fraction(1, (q - 1) * q ** (m - 1))
@@ -87,11 +88,12 @@ def test_criterion_3_product_formula():
 
 
 def test_criterion_4_character_law():
+    assert CHARACTER_FIXED_TERMS == 40
     for (q, m) in [(3, 1), (3, 2), (2, 2), (2, 3)]:
         def one_case(q=q, m=m):
             p, f = PF[q]
             lt = build_tower(base_field(p, f), m)
-            table = verify_character(lt, min_fixed_terms=40)
+            table = verify_character(lt)
             expected = (q - 1) * q ** (m - 1)
             assert len(table.table) == expected
             return "q=%d m=%d: group of order %d verified, base fixed to >= 40 terms" % (
@@ -101,10 +103,11 @@ def test_criterion_4_character_law():
 
 
 def test_criterion_5_determinant_norm_compatibility():
+    assert DETERMINANT_MATCH_TERMS == 40
     for (q, n, m, cases) in [(2, 2, 2, 12), (3, 2, 1, 8)]:
         def one_case(q=q, n=n, m=m, cases=cases):
             p, f = PF[q]
-            witness = verify_determinant_character(cm_tower(p, f, n, m), min_terms=40)
+            witness = verify_determinant_character(cm_tower(p, f, n, m))
             assert len(witness.rows) == cases
             return "q=%d n=%d m=%d: %d/%d norm-compatibility cases" % (
                 q, n, m, len(witness.rows), cases)

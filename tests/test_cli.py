@@ -234,6 +234,9 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
     (("verify", "--p", "1000000000000037", "--m", "1"), None),
     (("verify", "--p", "4", "--f", "2", "--m", "1"), None),
     (("verify", "--q", "1000000000000037", "--m", "1"), None),
+    # a cache directory that is a regular file
+    (("tower", "--q", "3", "--m", "2", "--cache-dir"), ""),
+    (("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations", "--cache-dir"), ""),
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):
@@ -252,6 +255,25 @@ def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(("configuration error:", "i/o error:"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "--q", "3", "--m", "2"),
+    ("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations"),
+])
+def test_cache_dir_that_cannot_be_created_exits_2_before_computing(capsys, monkeypatch,
+                                                                  tmp_path, argv):
+    import omod.cli as cli_mod
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli_mod, "cm_tower", no_computation)
+    path = tmp_path / "file"
+    path.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(path / "cache"))
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error:") and len(err.splitlines()) == 1
 
 
 def test_json_reports_are_byte_identical(capsys):

@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from omod.errors import PrecisionExhausted
+from omod.formalmod import lubin_tate_module, torsion_points
 from omod.lubintate import (build_tower, character_restriction_consistent,
                             cm_tower, locate_base_torsion_chain,
                             orbit_representatives, verify_character,
@@ -182,22 +183,21 @@ def test_character_violation_detected():
 
 def test_torsion_valuations_q2_n2_m1():
     lt = cm_tower(2, 1, 2, 1)
-    X = lt.module
-    report = verify_torsion_valuations(X, 1)
+    report = verify_torsion_valuations(torsion_points(lt.module, 1))
     assert report["primitive_valuation"] == Fraction(1, 3)
     assert report["per_level"] == {1: 3}
 
 
 def test_torsion_valuations_q2_n2_m2():
     lt = cm_tower(2, 1, 2, 2)
-    report = verify_torsion_valuations(lt.module, 2)
+    report = verify_torsion_valuations(torsion_points(lt.module, 2))
     assert report["primitive_valuation"] == Fraction(1, 12)
     assert report["per_level"] == {1: 3, 2: 12}
 
 
 def test_torsion_valuations_q3_n2_m1():
     lt = cm_tower(3, 1, 2, 1)
-    report = verify_torsion_valuations(lt.module, 1)
+    report = verify_torsion_valuations(torsion_points(lt.module, 1))
     assert report["primitive_valuation"] == Fraction(1, 8)
     assert report["per_level"] == {1: 8}
 
@@ -212,7 +212,7 @@ def test_orbit_representatives_counts():
 
 def test_product_formula_q2_n2_m1():
     lt = cm_tower(2, 1, 2, 1)
-    report = verify_product_formula(lt.module, 1)
+    report = verify_product_formula(torsion_points(lt.module, 1))
     assert report["rep_count"] == 3
     assert report["valuation_sum"] == Fraction(1)
     assert report["ratio_valuation"] == 0
@@ -220,12 +220,8 @@ def test_product_formula_q2_n2_m1():
 
 def test_product_formula_q3_n1_m1():
     # height-one self-consistency: one representative, v = 1/2 = v(lam_1)
-    F = base_field(3, 1)
-    lt = build_tower(F, 1)
-    from omod.formalmod import lubin_tate_module
-
-    X = lubin_tate_module(F, 1)
-    report = verify_product_formula(X, 1)
+    X = lubin_tate_module(base_field(3, 1), 1)
+    report = verify_product_formula(torsion_points(X, 1))
     assert report["rep_count"] == 1
     assert report["valuation_sum"] == Fraction(1, 2)
     assert report["ratio_valuation"] == 0
@@ -233,7 +229,7 @@ def test_product_formula_q3_n1_m1():
 
 def test_product_formula_q2_n2_m2():
     lt = cm_tower(2, 1, 2, 2)
-    report = verify_product_formula(lt.module, 2)
+    report = verify_product_formula(torsion_points(lt.module, 2))
     assert report["rep_count"] == 6
     assert report["valuation_sum"] == Fraction(1, 2)
     assert report["uniformizer_valuation"] == Fraction(1, 2)
