@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
                      NotInvertible, StructureViolation)
 from .finitefield import embed_fq
 from .quotring import OModElement, OModRing, _determinant
-from .series import LocalFieldElement, LocalFieldSpec
+from .series import LocalFieldElement, LocalFieldSpec, substitute
 from .tower import (FieldTower, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
 
@@ -36,6 +36,8 @@ class FormalOModule:
     field: LocalFieldSpec
     t_action: AdditivePolynomial
     n: int
+    # target field -> t_action with coefficients embedded there
+    _embedded: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         root = self.field.root
@@ -59,12 +61,15 @@ class FormalOModule:
         return self.field.root.residue.q
 
     def embedded_t_action(self, target: LocalFieldSpec) -> AdditivePolynomial:
-        """The [t]-polynomial with coefficients moved up the tower."""
+        """The [t]-polynomial with coefficients moved up the tower, formed once
+        per target field."""
         if target is self.field:
             return self.t_action
-        return AdditivePolynomial(
-            target, tuple(embed(c, target) for c in self.t_action.coeffs),
-            self.t_action.qexp)
+        if target not in self._embedded:
+            self._embedded[target] = AdditivePolynomial(
+                target, tuple(embed(c, target) for c in self.t_action.coeffs),
+                self.t_action.qexp)
+        return self._embedded[target]
 
 
 def lubin_tate_module(field: LocalFieldSpec, n: int) -> FormalOModule:
@@ -255,10 +260,40 @@ def _assemble_from_basis(X, m, tower, basis, generator):
                          generator=generator, tower=tower)
 
 
+def _solve_torsion_level(T, u, Q, precision):
+    """The fixed point c = F(c) = T(c)*u + u^Q modulo u^precision: u = lam_k,
+    c = lam_{k-1} as a series in u (order Q), T = t as a series in lam_{k-1}.
+
+    Newton steps c <- c - (F(c) - c) / (T'(c)*u - 1) with a unit divisor turn
+    an iterate right modulo u^w into one right modulo u^(2w) (Brent and Kung,
+    J. ACM 25, 1978), from c = u^Q, right modulo u^(Q+1).  So each step
+    declares the iterate known to the doubled w (truncate only lowers
+    precision), uses T's first ceil(w/Q) terms (x^j has order jQ in u), and
+    inverts the divisor only to w - ord(F(c) - c).  T(c) and T'(c) share the
+    iterate's power table."""
+    c = u_Q = u ** Q
+    w = Q + 1
+    while w < precision:
+        w = min(2 * w, precision)
+        c = LocalFieldElement(c.field, c.leading_exponent, c.codes, w)
+        T_w = T.truncate(-(-w // Q))
+        residual = substitute(T_w, c) * u + u_Q - c
+        slope = substitute(T_w.derivative(), c) * u - u.field.one()
+        c = c - residual * slope.inv(precision=w - residual.order_lower_bound())
+    return c.truncate(precision)
+
+
 def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
     """Adjoin torsion generators of the orbit model t*T + T^Q level by level:
     [t](lam_k) = lam_{k-1}, lam_0 = 0.  Extends the tower in place and returns
-    [(field_k, lam_k)], where a degree-one level reuses the current top."""
+    [(field_k, lam_k)], where a degree-one level reuses the current top.
+
+    Level 1 has the exact relation t = -lam_1^(Q-1).  A level k >= 2 relation
+    answers its first call with _solve_torsion_level's Newton solution, and
+    each later call with one plain step t(c)*lam_k + lam_k^Q, t's series in
+    lam_{k-1} evaluated at the current image c.
+    ramified_extension_by_relation accepts the level only once that plain
+    step leaves the image unchanged to the full precision."""
     Q = X.field.residue.q
     precision = precision or X.field.default_precision
     out = []
@@ -274,13 +309,10 @@ def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
             t_prev_series = root_uniformizer_image(tower.top)
 
             def relation(fld, cur, _Q=Q, _prev=t_prev_series):
-                from .series import substitute
                 lam_k = fld.uniformizer_elt()
                 if cur.is_zero_mod_precision():
-                    t_img = fld.zero(precision=cur.precision or fld.default_precision)
-                else:
-                    t_img = substitute(_prev, cur)
-                return t_img * lam_k + lam_k ** _Q
+                    return _solve_torsion_level(_prev, lam_k, _Q, fld.default_precision)
+                return substitute(_prev, cur) * lam_k + lam_k ** _Q
             e = Q
         if e == 1:
             # Q = 2 first level: lambda_1 = t itself, no extension needed

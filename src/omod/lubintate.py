@@ -41,6 +41,7 @@ class LubinTateTower:
     # (ring, codes) of a -> [a], and of a unit a -> its torsion automorphism
     _multiplications: dict = dc_field(default_factory=dict, init=False, repr=False)
     _automorphisms: dict = dc_field(default_factory=dict, init=False, repr=False)
+    _torsion: dict = dc_field(default_factory=dict, init=False, repr=False)  # m -> table
 
     @property
     def top(self):
@@ -85,13 +86,16 @@ class LubinTateTower:
 
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
-        from the existing chain (no new extensions)."""
+        from the existing chain (no new extensions), once per level: the
+        checks that take it only read it."""
         m = self.m_max if m is None else m
         if m > self.m_max:
             raise ValueError("tower only built to level %d" % self.m_max)
-        if m == 0:
-            return torsion_points(self.module, 0, self.tower)
-        return orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m))
+        if m not in self._torsion:
+            self._torsion[m] = (
+                torsion_points(self.module, 0, self.tower) if m == 0 else
+                orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m)))
+        return self._torsion[m]
 
 
 def build_tower(base: LocalFieldSpec, m: int, precision=None) -> LubinTateTower:

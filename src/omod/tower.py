@@ -5,7 +5,9 @@ A ramified extension is always presented by a declared uniformizer together
 with the base uniformizer expressed as a series in it; that makes valuations
 and Galois actions computable by direct substitution.  The series comes from
 a caller-supplied relation solved by fixed-point iteration (exact relations
-converge in one step).
+converge in one step).  A relation may answer its first call with a full
+solution: each torsion level of formalmod.build_torsion_chain is solved by
+Newton steps there, and one plain step then checks it at full precision.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
     a series in the new field, where `current` is the present guess for that
     image (zero on the first call).  Each substitution must strictly increase
     the valuation of the correction; the iteration cap is precision + 8.
+    An image is accepted only when one more call leaves it unchanged modulo
+    u^precision, so a relation that solves on its first call (the Newton
+    solve of a torsion level) is checked by one plain step.  An accepted
+    image known modulo less than u^precision raises PrecisionExhausted.
 
     Returns (spec, embedding).
     """
@@ -80,6 +86,10 @@ def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
                 raise PrecisionExhausted(
                     "image of the base uniformizer is zero modulo u^%d: too little"
                     " precision for ramification index %d" % (precision, e))
+            if new.precision is not None and new.precision < precision:
+                raise PrecisionExhausted(
+                    "image of the base uniformizer is known modulo u^%d only, not"
+                    " u^%d" % (new.precision, precision))
             if new.order() != e:
                 raise NoConvergence("relation image has order %r, expected e = %d"
                                     % (new.order_lower_bound(), e))

@@ -2,12 +2,52 @@
 test oracles: the o/t^m-module structure of the point table (a bijective
 structure map, closure under addition and the [a]-action on every pair and
 every point), and the Drinfeld condition that the level-1 images of a level
-structure multiply out to the [t]-polynomial."""
+structure multiply out to the [t]-polynomial.  Also the torsion chain solved
+by linear fixed-point iteration at every level, the oracle of the Newton solve
+in build_torsion_chain."""
 
 import itertools
 
 from omod.errors import StructureViolation
 from omod.formalmod import LevelStructure, coord_key
+from omod.series import base_field, substitute
+from omod.tower import ramified_extension_by_relation, root_uniformizer_image, \
+    unramified_extension
+
+
+def linear_chain_images(p, f, n, m, precision):
+    """(leading exponent, codes, precision) of the base-uniformizer image of
+    each level of the t*T + T^Q torsion chain over F_(q^n)((t)), q = p^f (None
+    for a degree-one level), each level solved by plain steps
+    c <- t(c)*lam_k + lam_k^Q from c = 0: one step gains v(F'(c)) terms."""
+    F = base_field(p, f, precision=precision)
+    top = unramified_extension(F, n) if n > 1 else F
+    Q = top.residue.q
+    images = []
+    for k in range(1, m + 1):
+        if k == 1:
+            if Q == 2:
+                images.append(None)
+                continue
+            e = Q - 1
+
+            def relation(fld, _cur):
+                return -(fld.uniformizer_elt() ** (Q - 1))
+        else:
+            e = Q
+            t_prev = root_uniformizer_image(top)
+
+            def relation(fld, cur, t_prev=t_prev):
+                lam_k = fld.uniformizer_elt()
+                if cur.is_zero_mod_precision():
+                    t_img = fld.zero(precision=cur.precision)
+                else:
+                    t_img = substitute(t_prev, cur)
+                return t_img * lam_k + lam_k ** Q
+        top, emb = ramified_extension_by_relation(top, e, relation, precision=precision)
+        img = emb.image_of_base_uniformizer
+        images.append((img.leading_exponent, img.codes, img.precision))
+    return images
 
 
 def omodule_structure_check(Tm):

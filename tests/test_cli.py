@@ -184,6 +184,16 @@ def test_high_precision_rows_pass_with_golden_bytes(capsys, q, n, m, prec, which
         assert out == fh.read()
 
 
+def test_high_precision_tower_golden_bytes(capsys):
+    # three levels solved at precision 512; the level series and the 16
+    # torsion points are pinned byte for byte
+    code, out, _ = run_cli(capsys, "tower", "--q", "2", "--m", "4", "--prec", "512",
+                           "--output", "json")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "tower_q2_m4_prec512.json")) as fh:
+        assert out == fh.read()
+
+
 def test_other_errors_stay_failures(capsys):
     # q = 8: the wild-branch relation does not converge (NoConvergence), which
     # is no declared limit, so the unit-coefficient row fails with its witness

@@ -6,7 +6,7 @@ import pytest
 
 from omod.additive import AdditivePolynomial
 from omod.errors import (ExtensionRequired, InseparablePolynomial,
-                         NoConvergence, NotInTower)
+                         NoConvergence, NotInTower, PrecisionExhausted)
 from omod.finitefield import GF
 from omod.series import base_field
 from omod.tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
@@ -101,6 +101,21 @@ def test_non_contracting_relation_rejected():
 
     with pytest.raises(NoConvergence):
         ramified_extension_by_relation(F, 2, bad, precision=16)
+
+
+def test_short_converged_series_rejected():
+    # the relation settles at once, but its image is known modulo u^8 only:
+    # a level asked for at precision 16 is not accepted at 8
+    F = base_field(2, 1, precision=16)
+
+    def short(field, _current):
+        lam = field.uniformizer_elt()
+        return (lam ** 2 + lam ** 3).truncate(8)
+
+    with pytest.raises(PrecisionExhausted, match="modulo u\\^8 only"):
+        ramified_extension_by_relation(F, 2, short, precision=16)
+    _, emb = ramified_extension_by_relation(F, 2, short, precision=8)
+    assert emb.image_of_base_uniformizer.precision == 8
 
 
 def test_embed_transitivity():
