@@ -61,13 +61,7 @@ def tower_from_document(doc) -> LubinTateTower:
         if rec["degree_one"]:
             levels.append((tower.top, root_uniformizer_image(tower.top)))
             continue
-        series = rec["base_uniformizer_series"]
-
-        def relation(fld, _cur, _series=series):
-            coeffs = [fld.residue.element(c) for c in _series["coeffs"]]
-            return fld.element(_series["leading_exponent"], coeffs,
-                               _series["precision"])
-
+        relation = _stored_relation(rec["base_uniformizer_series"])
         spec, _ = ramified_extension_by_relation(
             tower.top, rec["ramification_index"], relation,
             precision=precision, uniformizer=rec["uniformizer"])
@@ -76,6 +70,22 @@ def tower_from_document(doc) -> LubinTateTower:
     lt = LubinTateTower(base, module, tower, levels, m, precision)
     _verify_rebuilt(lt)
     return lt
+
+
+def _stored_relation(series):
+    """The relation of one cached level: the stored image of the base
+    uniformizer, decoded once per field and reused by the calls after."""
+    images = {}
+
+    def relation(fld, _cur):
+        image = images.get(fld)
+        if image is None:
+            coeffs = [fld.residue.element(c) for c in series["coeffs"]]
+            image = images[fld] = fld.element(series["leading_exponent"], coeffs,
+                                              series["precision"])
+        return image
+
+    return relation
 
 
 def _verify_rebuilt(lt: LubinTateTower):
@@ -99,8 +109,8 @@ def save_tower(cache_dir, lt: LubinTateTower, p, f, n):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            # json.dumps runs the C encoder, which json.dump to a file does not
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
-                     NotInvertible, StructureViolation)
+                     StructureViolation)
 from .finitefield import embed_fq
 from .quotring import OModElement, OModRing, _determinant
 from .series import LocalFieldElement, LocalFieldSpec, substitute
@@ -515,16 +515,11 @@ def count_level_structures(Tm: TorsionModule) -> int:
         raise StructureViolation("torsion coordinates do not biject onto (o/t^m)^%d" % n)
     residues = [[x.codes[0] for x in v] for v in coord_vecs]
     # M mod t is invertible iff its transpose, the rows of image residues, is:
-    # iff the unit-pivot elimination over F_q = o/t finds a pivot in every column
+    # iff its determinant over F_q = o/t is a unit, which the unit-pivot
+    # elimination reports as not None
     tables = Tm.ring.tables
-    count = 0
-    for images in itertools.product(residues, repeat=n):
-        try:
-            _determinant(tables, images)
-        except NotInvertible:
-            continue
-        count += 1
-    return count
+    return sum(_determinant(tables, images) is not None
+               for images in itertools.product(residues, repeat=n))
 
 
 def kernel_rank(phi: LevelStructure, reduction="closed"):

@@ -189,11 +189,15 @@ def all_characters(group: UnitGroup):
 
 
 def matrix_determinant(g, ring: OModRing) -> OModElement:
-    """Exact determinant of a matrix in GL_n(o/t^m), by Gaussian elimination
-    with unit pivots on the ring's codes (_determinant).  NotInvertible is
-    raised when g is singular modulo t, that is outside GL_n."""
+    """Exact determinant of a matrix in GL_n(o/t^m), by unit-pivot
+    elimination on the ring's codes that ends with a*d - b*c
+    (_determinant).  The kernel reports a non-unit determinant as None, and
+    NotInvertible is raised then: g is singular modulo t, that is outside
+    GL_n."""
     tables = ring.code_tables
     det = _determinant(tables, [[tables.encode(x.codes) for x in row] for row in g])
+    if det is None:
+        raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
     return OModElement(ring, tables.decode(det))
 
 
@@ -334,6 +338,8 @@ def _reduced_norm(order, b):
                 entry = tables.shift[entry]
             rows[(i + j) % n][j] = entry
     det = _determinant(tables, rows)
+    if det is None:
+        raise NotAUnit("reduced norm restricted to units of the order")
     # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)
     if n > 1 and order.conjugations[1][det] != det:
         big = order.big
@@ -347,14 +353,31 @@ def _reduced_norm(order, b):
 # --- the action --------------------------------------------------------------------
 
 
+def _draws(rng, size, count):
+    """count draws of rng.randrange(size), by randrange's own rule: each is
+    the first of rng.getrandbits(size.bit_length()) below size.  The values
+    and the generator's state afterwards are those of count randrange
+    calls."""
+    getrandbits, k = rng.getrandbits, size.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 class _Codes:
     """pi0_action_table's kernel: o/t^m and o'/t^m each on its own integer
     codes (code_tables: one-byte codes up to 256 elements, wide codes
     beyond), so the GL half stays on one-byte codes when only o'/t^m is
     large.  A draw k is the element with base-q digits k, whose code is
-    tables.draw[k] (big_tables.draw[k] in o'/t^m).  det, matrix_mul,
-    order_mul and nrd are the unit-pivot determinant, the matrix and order
-    products and the reduced norm on these codes."""
+    tables.draw[k] (big_tables.draw[k] in o'/t^m), and the draws k are
+    rng.randrange's own (_draws).  det, matrix_mul, order_mul and nrd are the
+    unit-pivot determinant (None on a non-unit, a*d - b*c on the last 2x2
+    block), the matrix and order products and the reduced norm on these
+    codes."""
 
     def __init__(self, order):
         self.order, self.ring = order, order.ring
@@ -393,16 +416,17 @@ class _Codes:
 
     def gl_sample(self, rng):
         """A uniform sample of GL_n(o/t^m) with its determinant: uniform
-        matrices (n^2 draws each, row by row), at most 64 of them, until one
-        is invertible.  The unit-pivot elimination decides invertibility, so
-        the determinant that accepts a matrix comes with it."""
-        n, size, draw = self.order.n, self.ring.size, self.tables.draw
+        matrices (n^2 randrange draws each, row by row), at most 64 of them,
+        until one is invertible.  The unit-pivot elimination decides
+        invertibility (None on a singular matrix), so the determinant that
+        accepts a matrix comes with it."""
+        n, size, draw, det = self.order.n, self.ring.size, self.tables.draw, self.det
         for _ in range(64):
-            rows = [[draw[rng.randrange(size)] for _ in range(n)] for _ in range(n)]
-            try:
-                return rows, self.det(rows)
-            except NotInvertible:
-                pass
+            entries = list(map(draw.__getitem__, _draws(rng, size, n * n)))
+            rows = [entries[i:i + n] for i in range(0, n * n, n)]
+            value = det(rows)
+            if value is not None:
+                return rows, value
         raise NotInvertible("no invertible sample found")
 
     def unit_sample(self, rng):
@@ -411,9 +435,9 @@ class _Codes:
         big = self.order.big
         q, size, draw = big.residue.q, big.size, self.big_tables.draw
         while True:
-            draws = [rng.randrange(size) for _ in range(self.order.n)]
+            draws = _draws(rng, size, self.order.n)
             if draws[0] % q:
-                return tuple(draw[k] for k in draws)
+                return tuple(map(draw.__getitem__, draws))
 
     def big_units(self):
         """The units of o'/t^m, in the order of big.units()."""
@@ -541,7 +565,7 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
         g2, det2 = codes.gl_sample(rng)
         b1 = codes.unit_sample(rng)
         b2 = codes.unit_sample(rng)
-        t1, t2, c = (units[rng.randrange(group.order)] for _ in range(3))
+        t1, t2, c = (units[k] for k in _draws(rng, group.order, 3))
         by_1 = action(det1, nrd(b1), t1)
         by_2 = action(det2, nrd(b2), t2)
         by_12 = action(det(matrix_mul(g1, g2)), nrd(order_mul(b1, b2)), mul(t1, t2))

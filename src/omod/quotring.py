@@ -24,8 +24,10 @@ one-byte codes, the way finitefield treats F_q: code k is the element with
 base-q digits k, and the tables are built in full.  A larger ring has wide
 codes, int.from_bytes(digit codes, "little"), whose tables run the digit
 kernel on first lookup.  In both, zero is 0 and a code is a unit exactly
-when code % tables.q != 0.  _determinant eliminates on either, and pi0's
-sampled checks run on these codes from draw to comparison.
+when code % tables.q != 0.  _determinant eliminates on either with unit
+pivots and ends with a*d - b*c on the last 2x2 block; it reports a non-unit
+determinant as None rather than raising.  pi0's sampled checks run on these
+codes from draw to comparison.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import MixedFields, NotInvertible
+from .errors import MixedFields
 from .finitefield import (_IDENTITY, FieldSpec, _add_rows, _code, _frobenius_table, _move_table,
                           _tables)
 
@@ -419,39 +421,49 @@ class _WideTables:
 
 def _determinant(tables, rows):
     """Determinant of a square matrix of integer codes (a list of rows, left
-    unchanged) over F_q's _Tables or a ring's code_tables, by Gaussian
-    elimination with unit pivots: code k is a unit exactly when
-    k % tables.q != 0.  o/t^m is local with residue field F_q, so the matrix
-    is invertible exactly when its reduction mod t is, and then every column
-    has a unit pivot; otherwise NotInvertible is raised, so the elimination
-    itself decides invertibility.  The product starts from the first pivot
-    (negated on a row swap), and a pivot is inverted only when a row below
-    it has a nonzero entry to clear."""
-    q, neg, inv, mul, sub = tables.q, tables.neg, tables.inv, tables.mul_rows, tables.sub_rows
-    rows = [list(row) for row in rows]
+    unchanged) over F_q's _Tables or a ring's code_tables when it is a unit,
+    None otherwise; code k is a unit exactly when k % tables.q != 0.  o/t^m
+    is local, so the matrix is invertible exactly when its reduction mod t
+    is, and then every column has a unit pivot.  Gaussian elimination with
+    unit pivots (negated on a row swap, inverted only when a row below has a
+    nonzero entry to clear) runs down to the last 2x2 block [[a, b], [c, d]],
+    and a*d - b*c ends the product of the pivots: a 2x2 matrix needs no pivot
+    search, inverse or copy.  A 1x1 matrix is its entry."""
+    q, mul, sub = tables.q, tables.mul_rows, tables.sub_rows
     n = len(rows)
+    if n == 1:
+        det = rows[0][0]
+        return det if det % q else None
     det = None
-    for c in range(n):
-        r = c
-        while not rows[r][c] % q:
-            r += 1
-            if r == n:
-                raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
-        pivot = rows[r]
-        entry = pivot[c]
-        if r != c:
-            rows[r] = rows[c]
-            entry = neg[entry]
-        det = entry if det is None else mul[det][entry]
-        pivot_inv = None
-        for row in rows[c + 1:]:
-            if row[c]:
-                if pivot_inv is None:
-                    pivot_inv = mul[inv[pivot[c]]]
-                factor = mul[pivot_inv[row[c]]]
-                for k in range(c + 1, n):
-                    row[k] = sub[row[k]][factor[pivot[k]]]
-    return det
+    if n > 2:
+        neg, inv = tables.neg, tables.inv
+        rows = [list(row) for row in rows]
+        for c in range(n - 2):
+            r = c
+            while not rows[r][c] % q:
+                r += 1
+                if r == n:
+                    return None
+            pivot = rows[r]
+            entry = pivot[c]
+            if r != c:
+                rows[r] = rows[c]
+                entry = neg[entry]
+            det = entry if det is None else mul[det][entry]
+            pivot_inv = None
+            for row in rows[c + 1:]:
+                if row[c]:
+                    if pivot_inv is None:
+                        pivot_inv = mul[inv[pivot[c]]]
+                    factor = mul[pivot_inv[row[c]]]
+                    for k in range(c + 1, n):
+                        row[k] = sub[row[k]][factor[pivot[k]]]
+        rows = [row[-2:] for row in rows[-2:]]
+    (a, b), (c, d) = rows
+    last = sub[mul[a][d]][mul[b][c]]
+    if not last % q:
+        return None
+    return last if det is None else mul[det][last]
 
 
 @lru_cache(maxsize=None)

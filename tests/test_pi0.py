@@ -128,8 +128,7 @@ def assert_matches_leibniz(g, ring):
     if want[0].is_zero():
         with pytest.raises(NotInvertible):
             matrix_determinant(g, ring)
-        with pytest.raises(NotInvertible):
-            _determinant(wide, on_wide)
+        assert _determinant(wide, on_wide) is None
     else:
         assert matrix_determinant(g, ring).coeffs == want
         det = _determinant(wide, on_wide)
@@ -139,6 +138,17 @@ def assert_matches_leibniz(g, ring):
 def test_determinant_matches_leibniz_on_every_2x2_over_o_mod_t2():
     R = OModRing(GF(2), 2)
     elements = list(R.elements())
+    for entries in itertools.product(elements, repeat=4):
+        assert_matches_leibniz((entries[:2], entries[2:]), R)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_determinant_matches_leibniz_on_every_1x1_and_2x2_over_gf3(m):
+    # -1 != 1 in GF(3), so a sign slip in a*d - b*c shows here and not over GF(2)
+    R = OModRing(GF(3), m)
+    elements = list(R.elements())
+    for a in elements:
+        assert_matches_leibniz(((a,),), R)
     for entries in itertools.product(elements, repeat=4):
         assert_matches_leibniz((entries[:2], entries[2:]), R)
 
@@ -173,6 +183,17 @@ def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
             # the determinant that accepted the sample is the sample's determinant
             assert kernel.decode(R, det).coeffs == leibniz_determinant(boxed(kernel, R, rows))
         assert ours.getstate() == reference.getstate()
+
+
+def test_draws_are_the_values_and_state_of_randrange():
+    # randrange(size) draws size.bit_length() bits until the value is below
+    # size, so a power of two rejects half its draws
+    for size in list(range(1, 301)) + [512, 4096, 65536]:
+        for count in (1, 3, 16):
+            ours, reference = random.Random(size), random.Random(size)
+            assert pi0._draws(ours, size, count) == \
+                [reference.randrange(size) for _ in range(count)]
+            assert ours.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("pf,n,m", [((2, 1), 2, 2), ((3, 1), 3, 2), ((2, 2), 2, 1)])
@@ -260,7 +281,7 @@ def _determinant_without_the_swap_sign(tables, rows):
     for c in range(n):
         r = next((r for r in range(c, n) if rows[r][c] % tables.q), None)
         if r is None:
-            raise NotInvertible("singular modulo t")
+            return None
         pivot = rows[r]
         rows[r] = rows[c]
         det = mul[det][pivot[c]]
