@@ -40,13 +40,6 @@ class AdditivePolynomial:
     def qdegree(self):
         return len(self.coeffs) - 1
 
-    @property
-    def degree(self):
-        return self.q ** self.qdegree
-
-    def is_separable(self):
-        return self.coeffs[0].is_known_nonzero()
-
     def __call__(self, x: LocalFieldElement) -> LocalFieldElement:
         """Evaluate at a series.  q-power maps are exact in characteristic p,
         so precision loss comes only from coefficient multiplication."""
@@ -89,23 +82,10 @@ class AdditivePolynomial:
                 out[i + j] = out[i + j] + c * d.frobenius_power(self.qexp * i)
         return AdditivePolynomial(self.field, tuple(out), self.qexp)
 
-    def to_dense_coeffs(self):
-        """Plain T-power coefficient list [a_0, a_1, ..., a_deg]."""
-        zero = self.field.zero()
-        out = [zero] * (self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.q ** i] = c
-        return out
-
-    def newton_polygon_of_roots(self, rhs=None):
-        """Polygon of P(T) - rhs as a plain polynomial in T."""
-        pts = []
-        if rhs is not None and not rhs.is_zero_mod_precision():
-            pts.append((0, rhs.valuation() * self.field.absolute_ramification))
-        for i, c in enumerate(self.coeffs):
-            if c.is_known_nonzero():
-                pts.append((self.q ** i, c.order()))
-        return newton_polygon(pts)
+    def newton_polygon_of_roots(self):
+        """Polygon of P(T) as a plain polynomial in T."""
+        return newton_polygon([(self.q ** i, c.order()) for i, c in enumerate(self.coeffs)
+                               if c.is_known_nonzero()])
 
     def __repr__(self):
         parts = []
@@ -117,5 +97,5 @@ class AdditivePolynomial:
 
 
 def require_separable(P: AdditivePolynomial):
-    if not P.is_separable():
+    if not P.coeffs[0].is_known_nonzero():
         raise InseparablePolynomial("linear coefficient is zero (or not known nonzero)")

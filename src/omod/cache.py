@@ -10,7 +10,7 @@ import json
 import os
 import tempfile
 
-from .errors import NoConvergence, SchemaMismatch
+from .errors import NoConvergence, OmodError, SchemaMismatch
 from .formalmod import lubin_tate_module
 from .lubintate import LubinTateTower
 from .series import base_field
@@ -120,8 +120,9 @@ def save_tower(cache_dir, lt: LubinTateTower, p, f, n):
 
 def load_tower(cache_dir, p, f, n, m, precision):
     """The cached tower for this key, or None when there is no file.  Raises
-    SchemaMismatch for a file that is not valid JSON, lacks a field or holds
-    another key, and NoConvergence for one that fails the torsion recursion."""
+    SchemaMismatch for a file that is not valid JSON, lacks a field, holds a
+    field of the wrong type or value, or holds another key, and NoConvergence
+    for one that fails the torsion recursion."""
     path = os.path.join(cache_dir, tower_cache_name(p, f, n, m, precision))
     if not os.path.exists(path):
         return None
@@ -137,3 +138,7 @@ def load_tower(cache_dir, p, f, n, m, precision):
         return tower_from_document(doc)
     except KeyError as exc:
         raise SchemaMismatch("cache file lacks the field %s" % exc) from None
+    except OmodError:
+        raise
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SchemaMismatch("cache file has a malformed field: %s" % exc) from None

@@ -19,7 +19,7 @@ from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASumman
 from .finitefield import embed_fq
 from .quotring import OModElement, OModRing, _determinant
 from .series import LocalFieldElement, LocalFieldSpec, substitute
-from .tower import (FieldTower, additive_roots_in_field, embed,
+from .tower import (FieldTower, _residue_roots, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
 
 DEGREE_CAP = 4096
@@ -414,22 +414,14 @@ def _adjoin_wild_branch(X, tower, e):
 
 def _multiple_residue_root(P):
     """Nonzero residue root of the unit-slope (slope-0) part of P."""
-    res = P.field.residue
-    unit_terms = {}
-    for i, c in enumerate(P.coeffs):
-        if c.is_known_nonzero() and c.order() == 0:
-            unit_terms[i] = c.leading_coeff()
-    for cand in res.elements():
-        if cand.is_zero():
-            continue
-        acc = res.zero()
-        for i, lead in unit_terms.items():
-            acc = acc + lead * cand ** (P.q ** i)
-        if acc.is_zero():
-            return cand
-    raise ExtensionRequired(P.newton_polygon_of_roots(), message=
-                            "no residue root in the residue field; unramified"
-                            " enlargement needed")
+    unit_terms = {P.q ** i: c.leading_coeff() for i, c in enumerate(P.coeffs)
+                  if c.is_known_nonzero() and c.order() == 0}
+    roots = _residue_roots(P.field.residue, unit_terms)
+    if not roots:
+        raise ExtensionRequired(P.newton_polygon_of_roots(), message=
+                                "no residue root in the residue field; unramified"
+                                " enlargement needed")
+    return roots[0]
 
 
 def _greedy_basis(roots, X, top):

@@ -13,6 +13,7 @@ Newton steps there, and one plain step then checks it at full precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .additive import AdditivePolynomial, require_separable
 from .errors import (ExtensionRequired, MixedFields, NoConvergence,
@@ -167,94 +168,52 @@ def apply_automorphism(sigma: FieldAutomorphism, x: LocalFieldElement):
                       frobenius_power=sigma.residue_frobenius_power)
 
 
-# --- polynomial root finding ------------------------------------------------------
+# --- roots of additive polynomials -----------------------------------------------
+#
+# The search runs on P(T) + c for an additive P = sum c_i T^(q^i), whose only
+# nonzero coefficients sit at the degrees 0 and q^i.  Two facts of
+# characteristic p carry it: a shift is a new constant term,
+# P(t0 + y) + c = P(y) + (P(t0) + c), and the derivative is c_0.
 
 
-def poly_eval(coeffs, x):
-    acc = x.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _terms(P, c):
+    """(degree, coefficient) pairs of P(T) + c."""
+    return [(0, c)] + [(P.q ** i, a) for i, a in enumerate(P.coeffs)]
 
 
-def poly_derivative(coeffs):
-    field = coeffs[0].field
-    p = field.residue.p
-    out = []
-    for i in range(1, len(coeffs)):
-        out.append(coeffs[i].scale(field.residue.from_int(i % p)))
-    return out or [field.zero()]
+def find_integral_roots(P, c, depth=0, min_val_exclusive=None):
+    """All roots of P(T) + c with valuation >= 0 lying in P's field.
 
-
-def poly_shift(coeffs, t0):
-    """Coefficients of g(t0 + y) as a polynomial in y."""
-    field = t0.field
-    p = field.residue.p
-    n = len(coeffs)
-    binom = [[0] * n for _ in range(n)]
-    for i in range(n):
-        binom[i][0] = 1
-        for k in range(1, i + 1):
-            binom[i][k] = binom[i - 1][k - 1] + binom[i - 1][k]
-    out = [field.zero() for _ in range(n)]
-    powers = [field.one()]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * t0)
-    for i, c in enumerate(coeffs):
-        if c.is_zero_mod_precision() and c.precision is None:
-            continue
-        for k in range(i + 1):
-            b = binom[i][k] % p
-            if b:
-                term = c.scale(field.residue.from_int(b)) * powers[i - k]
-                out[k] = out[k] + term
-    return out
-
-
-def _coefficient_points(coeffs):
-    """(degree, order) pairs for the polygon; uncertain coefficients must sit
-    above the hull of the known ones, otherwise the polygon is unreliable."""
-    pts = []
-    uncertain = []
-    for i, c in enumerate(coeffs):
-        if c.is_known_nonzero():
-            pts.append((i, c.order()))
-        elif not c.is_exact_zero():
-            uncertain.append((i, c.precision))
-    return pts, uncertain
-
-
-def find_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
-    """All roots of sum coeffs[i] T^i with valuation >= 0 lying in `field`.
-
-    Strategy: Newton polygon; per integer slope, substitute T = u^s S, read the
-    residue equation, lift simple residue roots by Newton iteration, and
-    recurse on a shifted polynomial when a residue root is multiple.  A
+    Strategy: Newton polygon; per integer slope s, read the residue equation
+    of T = u^s S, lift simple residue roots by Newton iteration, and recurse
+    with the constant P(t0) + c when a residue root t0 is multiple.  A
     recursion at scale s only accepts refinements of valuation > s (other
     branches own the rest); that is what min_val_exclusive enforces.  Segments
     with fractional slope (and residue roots missing from the residue field)
     are reported via ExtensionRequired carrying the polygon and whatever was
     found in the field.  Roots are told apart by their first 64 terms.
     """
+    field = P.field
     depth_limit = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
     if depth > depth_limit:
         raise NoConvergence("root-search recursion exceeded depth %d" % depth_limit)
-    pts, uncertain = _coefficient_points(coeffs)
+    terms = _terms(P, c)
+    pts = [(d, a.order()) for d, a in terms if a.is_known_nonzero()]
     if len(pts) < 2:
         # constant or effectively constant polynomial: no roots (or everything,
         # which callers never want)
         return []
     polygon = newton_polygon(pts)
-    for d, pr in uncertain:
-        hull_v = _hull_value_at(polygon, d)
-        if pr is not None and hull_v is not None and pr < hull_v:
-            raise PrecisionExhausted(
-                "coefficient of T^%d only known modulo u^%d, below the hull" % (d, pr))
-    roots = []
+    # uncertain coefficients must sit above the hull of the known ones,
+    # otherwise the polygon is unreliable
+    for d, a in terms:
+        if not a.is_known_nonzero() and not a.is_exact_zero():
+            hull_v = _hull_value_at(polygon, d)
+            if hull_v is not None and a.precision < hull_v:
+                raise PrecisionExhausted("coefficient of T^%d only known modulo u^%d,"
+                                         " below the hull" % (d, a.precision))
+    roots = [field.zero()] if c.is_zero_mod_precision() else []
     blocking_polygon = None
-    ord_t = polygon.vertices[0][0]
-    if ord_t > 0 and coeffs[0].is_zero_mod_precision():
-        roots.append(field.zero())
     for seg in polygon.segments:
         s = -seg.slope
         if s < 0:
@@ -266,7 +225,7 @@ def find_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
             blocking_polygon = blocking_polygon or polygon
             continue
         try:
-            roots.extend(_roots_on_integer_slope(coeffs, field, int(s), depth))
+            roots.extend(_slope_roots(P, c, terms, int(s), depth))
         except ExtensionRequired as exc:
             # keep what that branch found and report the polygon where the
             # fractional slope actually appeared
@@ -285,85 +244,68 @@ def find_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
 
 def _hull_value_at(polygon, d):
     vs = polygon.vertices
-    if d < vs[0][0] or d > vs[-1][0]:
-        return None
     for (d1, v1), (d2, v2) in zip(vs, vs[1:]):
         if d1 <= d <= d2:
-            from fractions import Fraction
-
             return v1 + Fraction(v2 - v1, d2 - d1) * (d - d1)
     return None
 
 
-def _roots_on_integer_slope(coeffs, field, s, depth):
-    """Roots of valuation exactly s (an integer, in the field's own units)."""
-    orders = []
-    for i, c in enumerate(coeffs):
-        if c.is_known_nonzero():
-            orders.append((i, c.order() + s * i))
-    h = min(o for _, o in orders)
-    residue_terms = {}
-    for i, c in enumerate(coeffs):
-        if c.is_known_nonzero() and c.order() + s * i == h:
-            residue_terms[i] = c.leading_coeff()
+def _residue_roots(residue, lead):
+    """The nonzero a in the residue field with sum_d lead[d] * a^d = 0, in
+    the field's element order."""
     out = []
-    for cand in field.residue.elements():
-        if cand.is_zero():
-            continue
-        val = field.residue.zero()
-        deriv = field.residue.zero()
-        power = field.residue.one()
-        prev_power = None
-        for i in range(max(residue_terms) + 1):
-            if i in residue_terms:
-                val = val + residue_terms[i] * power
-                if i % field.residue.p != 0 and prev_power is not None:
-                    deriv = deriv + residue_terms[i] * prev_power * \
-                        field.residue.from_int(i % field.residue.p)
-            prev_power = power
-            power = power * cand
-        if not val.is_zero():
-            continue
-        t0 = make_element(field, s, (cand,), None)
-        if not deriv.is_zero():
-            root = _newton_lift(coeffs, t0, field)
-            if root is not None:
-                out.append(root)
-        else:
-            shifted = poly_shift(coeffs, t0)
-            try:
-                sub = find_integral_roots(shifted, field, depth + 1, min_val_exclusive=s)
-            except ExtensionRequired as exc:
-                raise ExtensionRequired(
-                    exc.polygon,
-                    roots_found=[t0 + y for y in exc.roots_found] + out,
-                    message=str(exc)) from None
-            out.extend(t0 + y for y in sub)
+    for a in residue.elements():
+        acc = residue.zero()
+        for d, b in lead.items():
+            acc = acc + b * a ** d
+        if acc.is_zero() and not a.is_zero():
+            out.append(a)
     return out
 
 
-def _newton_lift(coeffs, x, field):
-    """Plain Newton iteration from a simple approximate root, stopped at the
-    coefficients' least precision (the field's default for exact ones).
+def _slope_roots(P, c, terms, s, depth):
+    """Roots of P(T) + c of valuation exactly s (an integer, in the field's
+    own units).  A residue root is simple exactly when c_0 reaches the
+    lowest level h, since the derivative is c_0."""
+    field = P.field
+    levels = [(d, a.order() + s * d, a) for d, a in terms if a.is_known_nonzero()]
+    h = min(v for _, v, _ in levels)
+    lead = {d: a.leading_coeff() for d, v, a in levels if v == h}
+    out = []
+    for cand in _residue_roots(field.residue, lead):
+        t0 = make_element(field, s, (cand,), None)
+        if 1 in lead:
+            out.append(_newton_root(P, c, t0))
+            continue
+        try:
+            sub = find_integral_roots(P, P(t0) + c, depth + 1, min_val_exclusive=s)
+        except ExtensionRequired as exc:
+            raise ExtensionRequired(
+                exc.polygon,
+                roots_found=[t0 + y for y in exc.roots_found] + out,
+                message=str(exc)) from None
+        out.extend(t0 + y for y in sub)
+    return out
 
-    Iterates are truncated at that order: with exact inputs the polynomial
-    degree of the iterate would otherwise double every step.
-    """
-    finite = [c.precision for c in coeffs if c.precision is not None]
+
+def _newton_root(P, c, x):
+    """Newton iteration x <- x - (P(x) + c) / c_0 from a simple approximate
+    root, stopped at the coefficients' least precision (the field's default
+    for exact ones).  Iterates are truncated at that order."""
+    field = P.field
+    finite = [a.precision for a in (c,) + P.coeffs if a.precision is not None]
     stop_order = min(finite) if finite else field.default_precision
-    dcoeffs = poly_derivative(coeffs)
     prev = None
     x = x.truncate(stop_order)
     for _ in range(field.default_precision + FIXED_POINT_EXTRA_ITERATIONS):
-        res = poly_eval(coeffs, x)
+        res = P(x) + c
         if res.is_zero_mod_precision() or res.order_lower_bound() >= stop_order:
             return x
-        dval = poly_eval(dcoeffs, x)
         o = res.order_lower_bound()
         if prev is not None and o <= prev:
             raise NoConvergence("Newton iteration stalled at residual order %r" % (o,))
         prev = o
-        x = (x - res / dval).truncate(stop_order)
+        x = (x - res / P.coeffs[0]).truncate(stop_order)
     raise NoConvergence("Newton iteration did not reach working precision")
 
 
@@ -376,36 +318,26 @@ def additive_roots_in_field(P: AdditivePolynomial, rhs):
     extensions.
     """
     require_separable(P)
-    field = P.field
-    dense = P.to_dense_coeffs()
+    c = P.field.zero()
     if rhs is not None:
-        dense[0] = dense[0] - rhs
-    roots = find_integral_roots(dense, field)
-    expected = _in_field_count(dense, field)
+        c = c - rhs
+    roots = find_integral_roots(P, c)
+    pts = [(d, a.order()) for d, a in _terms(P, c) if a.is_known_nonzero()]
+    if len(pts) < 2:
+        return roots
+    polygon = newton_polygon(pts)
+    # the polygon puts this many roots at integer slopes, an upper bound for
+    # what can lie in the field: equality is the completeness check (a
+    # separable polynomial has T = 0 once)
+    expected = 1 if c.is_zero_mod_precision() else 0
+    expected += sum(seg.length for seg in polygon.segments
+                    if seg.slope <= 0 and seg.slope.denominator == 1)
     if len(roots) < expected:
-        pts, _ = _coefficient_points(dense)
-        raise ExtensionRequired(newton_polygon(pts), roots_found=roots,
+        raise ExtensionRequired(polygon, roots_found=roots,
                                 message="only %d of %d polygon-predicted roots lie in the"
                                         " field (residue enlargement needed)"
                                         % (len(roots), expected))
     return roots
-
-
-def _in_field_count(dense, field):
-    """Number of roots the polygon puts at integer slopes (an upper bound for
-    what can lie in the field; equality is the completeness check)."""
-    pts, _ = _coefficient_points(dense)
-    if len(pts) < 2:
-        return 0
-    polygon = newton_polygon(pts)
-    count = polygon.vertices[0][0] if dense[0].is_zero_mod_precision() else 0
-    if count:
-        count = 1  # separable case: T = 0 occurs once
-    for seg in polygon.segments:
-        s = -seg.slope
-        if s >= 0 and s.denominator == 1:
-            count += seg.length
-    return count
 
 
 # --- tower container -------------------------------------------------------------

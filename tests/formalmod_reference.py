@@ -14,6 +14,8 @@ from omod.series import base_field, substitute
 from omod.tower import ramified_extension_by_relation, root_uniformizer_image, \
     unramified_extension
 
+from tower_reference import to_dense_coeffs
+
 
 def linear_chain_images(p, f, n, m, precision):
     """(leading exponent, codes, precision) of the base-uniformizer image of
@@ -91,7 +93,7 @@ def verify_level_structure(phi, fibre="generic"):
     prod = [top.one()]  # dense polynomial, constant first
     for pt in level_one_images(phi):
         prod = _poly_mul_dense(prod, [-pt, top.one()])
-    t_dense = phi.torsion.module.embedded_t_action(top).to_dense_coeffs()
+    t_dense = to_dense_coeffs(phi.torsion.module.embedded_t_action(top))
     if fibre == "closed":
         same = lambda a, b: _residue_or_zero(a) == _residue_or_zero(b)
     else:

@@ -49,6 +49,13 @@ def splitting_field(F, k, precision=ORACLE_PRECISION):
     return L
 
 
+def embed_additive(P, L):
+    """P with its coefficients embedded into L."""
+    return AdditivePolynomial(
+        L, tuple(embed(c, L) if not c.is_exact_zero() else L.zero() for c in P.coeffs),
+        P.qexp)
+
+
 def construct_roots(P, fields):
     """Try the splitting candidates in increasing residue degree; return
     (field, roots) on full success, None when the polynomial is wild."""
@@ -56,10 +63,8 @@ def construct_roots(P, fields):
     expected += 1  # the zero root of a separable additive polynomial
     for k in sorted(fields):
         L = fields[k]
-        dense = [embed(c, L) if not c.is_exact_zero() else L.zero()
-                 for c in P.to_dense_coeffs()]
         try:
-            roots = find_integral_roots(dense, L)
+            roots = find_integral_roots(embed_additive(P, L), L.zero())
         except (ExtensionRequired, NoConvergence, PrecisionExhausted):
             continue
         collapsed = sum(1 for r in roots
@@ -75,7 +80,6 @@ def polygon_versus_towers(seed, target_samples=100, max_attempts=600):
     from fractions import Fraction
 
     from omod.series import base_field
-    from omod.tower import poly_eval
 
     rng = random.Random(seed)
     F = base_field(2, 1, precision=ORACLE_PRECISION)
@@ -93,10 +97,9 @@ def polygon_versus_towers(seed, target_samples=100, max_attempts=600):
         got = sorted(Fraction(r.order(), e) for r in roots if r.is_known_nonzero())
         want = sorted(P.newton_polygon_of_roots().root_valuation_list())
         assert got == want, "multiset mismatch for %r: %s vs %s" % (P, got, want)
-        dense = [embed(c, L) if not c.is_exact_zero() else L.zero()
-                 for c in P.to_dense_coeffs()]
+        PL = embed_additive(P, L)
         for r in roots:
-            residual = poly_eval(dense, r)
+            residual = PL(r)
             assert residual.is_zero_mod_precision() or \
                 residual.order_lower_bound() >= 15 * e // TAME_RAMIFICATION, \
                 "root fails to vanish for %r" % (P,)

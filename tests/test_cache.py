@@ -53,5 +53,29 @@ def test_malformed_files_raise_schema_mismatch(saved):
     write(path, {k: v for k, v in clean.items() if k != "levels"})
     with pytest.raises(SchemaMismatch):
         load_tower(cache_dir, P, F, 1, M, PREC)
+    for doc in wrong_typed_variants(clean):
+        write(path, doc)
+        with pytest.raises(SchemaMismatch):
+            load_tower(cache_dir, P, F, 1, M, PREC)
     write(path, clean)
     assert load_tower(cache_dir, P, F, 1, M, PREC) is not None
+
+
+def wrong_typed_variants(clean):
+    """Copies of a saved tower with one field of the wrong type or value."""
+    top = len(clean["levels"]) - 1
+    edits = [(("levels",), 5), (("levels",), []), (("levels", top), None),
+             (("levels", top, "ramification_index"), "2"),
+             (("levels", top, "ramification_index"), 0),
+             (("levels", top, "base_uniformizer_series"), [1])]
+    edits += [(("levels", top, "base_uniformizer_series", field), value)
+              for field, value in (("coeffs", 5), ("coeffs", "x"), ("coeffs", [None]),
+                                   ("leading_exponent", "2"), ("leading_exponent", None),
+                                   ("precision", "64"), ("precision", [1]))]
+    for keys, value in edits:
+        doc = json.loads(json.dumps(clean))
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        yield doc

@@ -369,6 +369,28 @@ def test_report_unknown_schema_rejected():
         merge_documents([{"schema": "bogus/9", "results": []}])
 
 
+def test_wrong_typed_cache_file_is_rebuilt(capsys, tmp_path):
+    cache = str(tmp_path / "towers")
+    args = ("verify", "--q", "3", "--m", "2", "--which", "valuations", "--cache-dir", cache,
+            "--output", "json", "--seed", "7")
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0
+    (path,) = [os.path.join(cache, name) for name in os.listdir(cache)]
+    with open(path) as fh:
+        doc = json.load(fh)
+    top = doc["levels"][-1]
+    for record, field, value in ((top["base_uniformizer_series"], "coeffs", 5),
+                                 (top, "ramification_index", "2")):
+        kept, record[field] = record[field], value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        record[field] = kept
+        code, rebuilt, err = run_cli(capsys, *args)
+        assert code == 0
+        assert len(err.splitlines()) == 1 and err.startswith("warning: rebuilding")
+        assert rebuilt == cold
+
+
 def test_corrupt_cache_file_is_rebuilt(capsys, tmp_path):
     cache = str(tmp_path / "towers")
     args = ("tower", "--q", "3", "--m", "2", "--cache-dir", cache, "--output", "json")

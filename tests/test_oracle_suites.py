@@ -14,9 +14,9 @@ import random
 from omod.additive import AdditivePolynomial
 from omod.errors import ExtensionRequired, NoConvergence, PrecisionExhausted
 from omod.series import base_field
-from omod.tower import embed, find_integral_roots
+from omod.tower import find_integral_roots
 
-from oracle_utils import (polygon_versus_towers, random_additive,
+from oracle_utils import (embed_additive, polygon_versus_towers, random_additive,
                           splitting_field)
 
 
@@ -52,12 +52,8 @@ def test_precision_soundness_root_search():
             F_hi, tuple(F_hi.from_int_poly(d) if d else F_hi.zero()
                         for d in coeff_data), 1)
         try:
-            dense_lo = [embed(c, lo) if not c.is_exact_zero() else lo.zero()
-                        for c in P_lo.to_dense_coeffs()]
-            dense_hi = [embed(c, hi) if not c.is_exact_zero() else hi.zero()
-                        for c in P_hi.to_dense_coeffs()]
-            roots_lo = find_integral_roots(dense_lo, lo)
-            roots_hi = find_integral_roots(dense_hi, hi)
+            roots_lo = find_integral_roots(embed_additive(P_lo, lo), lo.zero())
+            roots_hi = find_integral_roots(embed_additive(P_hi, hi), hi.zero())
         except (ExtensionRequired, NoConvergence, PrecisionExhausted):
             continue
         # root orders reach 21 and the low-precision field holds 30 terms, so

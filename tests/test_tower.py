@@ -2,16 +2,20 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from omod.additive import AdditivePolynomial
 from omod.errors import (ExtensionRequired, InseparablePolynomial,
-                         NoConvergence, NotInTower, PrecisionExhausted)
+                         NoConvergence, NotInTower, OmodError, PrecisionExhausted)
 from omod.finitefield import GF
 from omod.series import base_field
 from omod.tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
                         apply_automorphism, embed, ramified_extension_by_relation,
                         root_uniformizer_image, unramified_extension)
+
+from tower_reference import dense_additive_roots
 
 
 def lt_level1_relation(Q):
@@ -249,6 +253,64 @@ def test_root_completeness_count_matches_polygon():
     keys = {r.series_key() for r in roots}
     assert t.series_key() in keys
     assert F.zero().series_key() in keys
+
+
+def _random_element(F, rng, max_order, exact):
+    """Nonzero element of order <= max_order with up to four more terms,
+    exact or known to 4-29 terms past its order."""
+    order = rng.randrange(max_order + 1)
+    pairs = {order: rng.randrange(1, F.residue.q)}
+    for _ in range(rng.randrange(4)):
+        pairs[order + 1 + rng.randrange(6)] = rng.randrange(F.residue.q)
+    return F.from_int_poly(pairs, precision=None if exact else order + rng.randrange(4, 30))
+
+
+def _search_outcome(search, P, rhs):
+    """Roots as (leading exponent, codes, precision, order bound), or the
+    exception's type and message, with roots_found and polygon vertices."""
+    key = lambda roots: [(r.leading_exponent, r.codes, r.precision, r.order_lower_bound())
+                         for r in roots]
+    try:
+        return ("roots", key(search(P, rhs)))
+    except OmodError as exc:
+        out = (type(exc), str(exc))
+        if isinstance(exc, ExtensionRequired):
+            out += (key(exc.roots_found), exc.polygon.vertices)
+        return out
+
+
+@pytest.mark.parametrize("p,f,max_qdegree", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
+def test_additive_search_matches_dense_oracle(p, f, max_qdegree):
+    # random F_q-linear P over F_q((t)), q = p^f, solved for P(T) = 0 and
+    # P(T) = P(x0).  c_0 and x0 may be inexact; c_1.. are exact, as in every
+    # module omod builds (the dense derivative gave its zero terms
+    # q^j c_j T^(q^j - 1) the precision of an inexact c_j)
+    rng = random.Random(2020 + 10 * p + f)
+    seen = set()
+    for _ in range(100):
+        F = base_field(p, f, precision=rng.choice([24, 40]))
+        n = rng.randrange(1, max_qdegree + 1)
+        coeffs = [_random_element(F, rng, 3, exact=rng.random() < 0.5)]
+        for i in range(1, n + 1):
+            middle = i < n and rng.random() < 0.3
+            coeffs.append(F.zero() if middle else _random_element(F, rng, 3, exact=True))
+        P = AdditivePolynomial(F, tuple(coeffs), f)
+        x0 = _random_element(F, rng, 3, exact=rng.random() < 0.5)
+        for rhs in (None, P(x0)):
+            got = _search_outcome(additive_roots_in_field, P, rhs)
+            assert got == _search_outcome(dense_additive_roots, P, rhs), (P, rhs)
+            seen.add(got[0])
+    assert seen == {"roots", ExtensionRequired}
+
+
+def test_uncertain_coefficient_below_the_hull_raises_as_the_dense_oracle():
+    # P = t^3 T + O(t) T^2 + T^4: O(t) lies below the hull from (1, 3) to (4, 0),
+    # which is 2 at T^2
+    F = base_field(2, 1, precision=24)
+    P = AdditivePolynomial(F, (F.uniformizer_elt(3), F.zero(precision=1), F.one()), 1)
+    got = _search_outcome(additive_roots_in_field, P, None)
+    assert got == (PrecisionExhausted, "coefficient of T^2 only known modulo u^1, below the hull")
+    assert got == _search_outcome(dense_additive_roots, P, None)
 
 
 def test_field_tower_container():
