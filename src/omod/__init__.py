@@ -20,7 +20,7 @@ from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,  # n
 from .formalmod import (FormalOModule, LevelStructure, TorsionModule,  # noqa: F401
                         bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,
-                        module_from_unit_coefficients, multiply_by, torsion_points)
+                        module_from_unit_coefficients, torsion_points)
 from .lubintate import (CharacterTable, DeterminantWitness,  # noqa: F401
                         LubinTateTower, build_tower, cm_tower,
                         verify_character, verify_determinant_character,

@@ -53,20 +53,6 @@ class AdditivePolynomial:
             acc = acc + c * x.frobenius_power(self.qexp * i)
         return acc
 
-    def __add__(self, other):
-        if self.field is not other.field or self.qexp != other.qexp:
-            raise MixedFields("additive polynomials over different structures")
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.field.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        while len(out) > 1 and out[-1].is_zero_mod_precision() and out[-1].precision is None:
-            out.pop()
-        return AdditivePolynomial(self.field, tuple(out), self.qexp)
-
     def compose(self, other):
         """self(other(T)): coefficient at q^(i+j) picks up c_i * d_j^(q^i)."""
         if self.field is not other.field or self.qexp != other.qexp:

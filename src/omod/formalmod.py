@@ -101,34 +101,29 @@ def module_from_unit_coefficients(field: LocalFieldSpec, unit_indices, n: int) -
     return FormalOModule(field, AdditivePolynomial(field, tuple(coeffs), root.residue.f), n)
 
 
-def multiply_by(a: OModElement, X: FormalOModule,
-                target: LocalFieldSpec | None = None) -> AdditivePolynomial:
-    """The multiplication [a] for a = sum a_j t^j in o'/t^M: the sum of
-    scalar-scaled composites a_j * [t]^(o j), truncated nowhere -- composites
-    beyond the degree cap raise CapExceeded."""
-    target = target or X.field
-    P = X.embedded_t_action(target)
-    field = target
-    res = field.residue
-    M = a.ring.m
-    if X.q ** (X.n * (M - 1)) > DEGREE_CAP:
-        raise CapExceeded("[a] would have degree q^(n(M-1)) = %d > cap %d"
-                          % (X.q ** (X.n * (M - 1)), DEGREE_CAP))
+def t_iterates(X: FormalOModule, x: LocalFieldElement, count: int) -> list:
+    """x, [t](x), ..., [t]^(count-1)(x), [t] with coefficients in x's field."""
+    P = X.embedded_t_action(x.field)
+    out = [x]
+    while len(out) < count:
+        out.append(P(out[-1]))
+    return out
 
-    def scalar(c):
-        return AdditivePolynomial(field, (field.constant(embed_fq(c, res)),), P.qexp)
 
-    total = None
-    composite = AdditivePolynomial(field, (field.one(),), P.qexp)  # [t]^0 = T
-    for j, aj in enumerate(a.coeffs):
-        if j > 0:
-            composite = P.compose(composite)
+def act(a: OModElement, iterates) -> LocalFieldElement:
+    """[a](x) for a = sum_j a_j t^j, from x's [t]-iterates (t_iterates, one per
+    coefficient of a up to its last nonzero one).  Every module here is linear
+    over the residue field of its coefficients, so [a](x) = sum_j a_j [t]^j(x)
+    with each a_j a scalar: at most m scalings and additions, no [a]
+    polynomial."""
+    if any(a.codes[len(iterates):]):
+        raise ValueError("[a] needs %d [t]-iterates, got %d" % (a.ring.m, len(iterates)))
+    field = iterates[0].field
+    acc = field.zero()
+    for aj, y in zip(a.coeffs, iterates):
         if not aj.is_zero():
-            term = scalar(aj).compose(composite)
-            total = term if total is None else total + term
-    if total is None:
-        return AdditivePolynomial(field, (field.zero(),), P.qexp)  # the zero map
-    return total
+            acc = acc + y.scale(embed_fq(aj, field.residue))
+    return acc
 
 
 def connected_height(X: FormalOModule, fibre="closed") -> int:
@@ -172,7 +167,7 @@ class TorsionModule:
 
     def act(self, a: OModElement, pt: LocalFieldElement) -> LocalFieldElement:
         """[a] applied to a point, computed in the point field."""
-        return multiply_by(a, self.module, target=self.field)(pt)
+        return act(a, t_iterates(self.module, pt, a.ring.m))
 
     def to_json(self):
         rows = []
@@ -231,22 +226,16 @@ def _assemble_from_basis(X, m, tower, basis, generator):
     ring = OModRing(root.residue, m)
     top = tower.top
     embedded = [b if b.field is top else embed(b, top) for b in basis]
+    # [v](b) for every scalar v and basis point b, from b's [t]-iterates
+    elements = list(ring.elements())
+    images = [[act(v, its) for v in elements]
+              for its in (t_iterates(X, b, m) for b in embedded)]
     points = {}
     coords = {}
-    mult_cache = {}
-
-    def mult(a):
-        k = a.lex_key()
-        if k not in mult_cache:
-            mult_cache[k] = multiply_by(a, X, target=top)
-        return mult_cache[k]
-
-    for vec in itertools.product(ring.elements(), repeat=len(basis)):
-        acc = top.zero()
-        for v, b in zip(vec, embedded):
-            acc = acc + mult(v)(b)
+    for vec, terms in zip(itertools.product(elements, repeat=len(basis)),
+                          itertools.product(*images)):
         key = coord_key(vec)
-        points[key] = acc
+        points[key] = sum(terms, top.zero())
         coords[key] = vec
     expected = X.q ** (X.n * m)
     if len(points) != expected:
@@ -334,15 +323,12 @@ def _orbit_basis(X, m, tower):
 
 
 def _orbit_basis_from_generator(X, m, tower, lam):
+    """The o-basis {[x^j](lam)} of the level-m torsion, x the residue
+    generator: [c](lam) = c*lam for a constant c."""
     top = tower.top
     lam = lam if lam.field is top else embed(lam, top)
-    big = OModRing(X.field.residue, m)
-    basis = []
     xgen = X.field.residue.gen() if X.n > 1 else X.field.residue.one()
-    for j in range(X.n):
-        c = big.element([xgen ** j if X.n > 1 else X.field.residue.one()])
-        basis.append(multiply_by(c, X, target=top)(lam))
-    return basis, lam
+    return [lam.scale(embed_fq(xgen ** j, top.residue)) for j in range(X.n)], lam
 
 
 def orbit_torsion_from_generator(X, m, tower, lam) -> TorsionModule:

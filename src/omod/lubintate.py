@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from .additive import AdditivePolynomial
 from .errors import (CharacterViolation, DeterminantMismatch, OrbitNotFree,
-                     ValuationMismatch)
-from .formalmod import (FormalOModule, TorsionModule, bijective_level_structure,
+                     StructureViolation, ValuationMismatch)
+from .formalmod import (FormalOModule, TorsionModule, act, bijective_level_structure,
                         build_torsion_chain, coord_key, lubin_tate_module,
-                        multiply_by, orbit_torsion_from_generator, torsion_points)
+                        orbit_torsion_from_generator, t_iterates, torsion_points)
+from .pi0 import unit_group
 from .quotring import OModElement, OModRing
 from .series import LocalFieldSpec, base_field
 from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
@@ -38,10 +39,11 @@ class LubinTateTower:
     levels: list                      # [(field_k, lam_k in field_k)]
     m_max: int
     precision: int
-    # (ring, codes) of a -> [a], and of a unit a -> its torsion automorphism
-    _multiplications: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # k -> [t]-iterates of lam_k; (ring, codes) of a unit a -> its torsion
+    # automorphism; m -> torsion table, or the StructureViolation its build raised
+    _iterates: dict = dc_field(default_factory=dict, init=False, repr=False)
     _automorphisms: dict = dc_field(default_factory=dict, init=False, repr=False)
-    _torsion: dict = dc_field(default_factory=dict, init=False, repr=False)  # m -> table
+    _torsion: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
@@ -65,12 +67,12 @@ class LubinTateTower:
     def unit_ring(self, m=None):
         return OModRing(self.base.residue, self.m_max if m is None else m)
 
-    def multiplication(self, a: OModElement) -> AdditivePolynomial:
-        """[a] with coefficients embedded in the top field, formed once per a."""
-        key = (a.ring, a.codes)
-        if key not in self._multiplications:
-            self._multiplications[key] = multiply_by(a, self.module, target=self.top)
-        return self._multiplications[key]
+    def iterates(self, k):
+        """lam_k, [t](lam_k), ..., [t]^(k-1)(lam_k) in the top field, formed
+        once per level: [a](lam_k) for every a in o/t^k is act(a, these)."""
+        if k not in self._iterates:
+            self._iterates[k] = t_iterates(self.module, self.lam(k), k)
+        return self._iterates[k]
 
     def torsion_automorphism(self, a: OModElement) -> FieldAutomorphism:
         """lam_m -> [a](lam_m), the substitution realizing the Galois action.
@@ -80,21 +82,27 @@ class LubinTateTower:
             raise ValueError("torsion substitutions need a unit index")
         key = (a.ring, a.codes)
         if key not in self._automorphisms:
-            lam = self.lam(self.m_max)
-            self._automorphisms[key] = FieldAutomorphism(self.top, self.multiplication(a)(lam))
+            self._automorphisms[key] = FieldAutomorphism(
+                self.top, act(a, self.iterates(self.m_max)))
         return self._automorphisms[key]
 
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
         from the existing chain (no new extensions), once per level: the
-        checks that take it only read it."""
+        checks that take it only read it.  A build that fails is not retried:
+        its StructureViolation is raised again."""
         m = self.m_max if m is None else m
         if m > self.m_max:
             raise ValueError("tower only built to level %d" % self.m_max)
         if m not in self._torsion:
-            self._torsion[m] = (
-                torsion_points(self.module, 0, self.tower) if m == 0 else
-                orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m)))
+            try:
+                self._torsion[m] = (
+                    torsion_points(self.module, 0, self.tower) if m == 0 else
+                    orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m)))
+            except StructureViolation as exc:
+                self._torsion[m] = exc
+        if isinstance(self._torsion[m], StructureViolation):
+            raise self._torsion[m]
         return self._torsion[m]
 
 
@@ -139,7 +147,20 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
     """Check that a -> (lam_m -> [a](lam_m)) is a group isomorphism from
     (o/t^m)^x onto the substitution group at the tower's top level m, with
     every substitution fixing the embedded base field to at least
-    CHARACTER_FIXED_TERMS series terms."""
+    CHARACTER_FIXED_TERMS series terms.
+
+    sigma_a(lam_m) = [a](lam_m) = sum_j a_j [t]^j(lam_m) for a = sum a_j t^j
+    (act), exact because the module is linear over its residue field.
+
+    The composition law is checked as sigma_g o sigma_a = sigma_(ga) for every
+    unit a and every g in the generators S of unit_group, which certifies that
+    S spans the units.  That proves the law on all pairs.  Let H be the set of
+    b with sigma_b o sigma_a = sigma_(ba) for every a.  Then 1 is in H, as
+    sigma_1(lam_m) = lam_m exactly.  If b is in H and g in S, then
+    sigma_(gb) o sigma_a = sigma_g o sigma_b o sigma_a = sigma_(gba), so gb is
+    in H.  So H is the group S spans: every unit.  Each sigma maps the
+    uniformizer to a uniformizer, so agreement to N terms carries through
+    each step."""
     m = lt.m_max
     ring = lt.unit_ring(m)
     t_img = lt.t_image()
@@ -158,15 +179,17 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
                                      % (a, images[key]))
         images[key] = a
         table[a.lex_key()] = (a, sigma)
-    # multiplicativity: sigma_a(sigma_b(lam)) = sigma_{ab}(lam), exhaustively
-    for a, sig_a in table.values():
-        for b, sig_b in table.values():
-            composed = apply_automorphism(sig_a, sig_b.image_of_uniformizer)
-            direct = table[(a * b).lex_key()][1].image_of_uniformizer
+    # multiplicativity on generators: sigma_g's power table serves all its
+    # compositions
+    for g, _order in unit_group((ring.residue.p, ring.residue.f), m).generators:
+        sig_g = table[g.lex_key()][1]
+        for a, sig_a in table.values():
+            composed = apply_automorphism(sig_g, sig_a.image_of_uniformizer)
+            direct = table[(g * a).lex_key()][1].image_of_uniformizer
             if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation(
                     "composition law fails at (%r, %r): %r vs %r"
-                    % (a, b, composed - direct, direct))
+                    % (g, a, composed - direct, direct))
     return CharacterTable(table)
 
 
@@ -176,12 +199,10 @@ def character_restriction_consistent(lt: LubinTateTower) -> bool:
     m = lt.m_max
     if m < 2:
         return True
-    ring = lt.unit_ring(m)
-    lam_prev = lt.lam(m - 1)
-    for a in ring.units():
-        sigma = lt.torsion_automorphism(a)
-        moved = apply_automorphism(sigma, lam_prev)
-        expected = lt.multiplication(a.reduce_to(m - 1).lift_to(ring))(lam_prev)
+    lower = lt.iterates(m - 1)          # lam_(m-1) and its [t]-iterates
+    for a in lt.unit_ring(m).units():
+        moved = apply_automorphism(lt.torsion_automorphism(a), lower[0])
+        expected = act(a.reduce_to(m - 1), lower)
         if not moved.agrees(expected, min_terms=RESTRICTION_TERMS):
             return False
     return True
@@ -324,20 +345,17 @@ def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     chain = locate_base_torsion_chain(lt.top, m)
     mu = chain[-1]
     base_P = base_height_one_polynomial(lt.top)
-    # primitivity: [t^(m-1)](mu) = mu_1 != 0, [t^m](mu) = 0
-    img = mu
+    # primitivity: [t^(m-1)](mu) = mu_1 != 0, [t^m](mu) = 0; the iterates
+    # [t]^j(mu), j < m, give the decode table c -> [c](mu)
+    iterates = [mu]
     for _ in range(m):
-        img = base_P(img)
-    if not img.is_zero_mod_precision():
+        iterates.append(base_P(iterates[-1]))
+    if not iterates.pop().is_zero_mod_precision():
         raise DeterminantMismatch("mu is not t^m-torsion")
     base_ring = OModRing(root_res, m)
     big_ring = OModRing(lt.base.residue, m)
     base_units = list(base_ring.units())
-    base_module = lubin_tate_module(lt.base.root, 1)
-    # decode table: c -> [c](mu)
-    decode = {}
-    for c in base_units:
-        decode[c.lex_key()] = multiply_by(c, base_module, target=lt.top)(mu)
+    decode = {c.lex_key(): act(c, iterates) for c in base_units}
     witness = DeterminantWitness()
     for a in big_ring.units():
         sigma = lt.torsion_automorphism(a)

@@ -291,7 +291,9 @@ def _slope_roots(P, c, terms, s, depth):
 def _newton_root(P, c, x):
     """Newton iteration x <- x - (P(x) + c) / c_0 from a simple approximate
     root, stopped at the coefficients' least precision (the field's default
-    for exact ones).  Iterates are truncated at that order."""
+    for exact ones).  Iterates are truncated at that order, and c_0 is
+    inverted only as far as the step needs: to the stop order less the
+    residual's order."""
     field = P.field
     finite = [a.precision for a in (c,) + P.coeffs if a.precision is not None]
     stop_order = min(finite) if finite else field.default_precision
@@ -305,7 +307,7 @@ def _newton_root(P, c, x):
         if prev is not None and o <= prev:
             raise NoConvergence("Newton iteration stalled at residual order %r" % (o,))
         prev = o
-        x = (x - res / P.coeffs[0]).truncate(stop_order)
+        x = (x - res * P.coeffs[0].inv(precision=stop_order - o)).truncate(stop_order)
     raise NoConvergence("Newton iteration did not reach working precision")
 
 

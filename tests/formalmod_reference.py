@@ -4,15 +4,21 @@ structure map, closure under addition and the [a]-action on every pair and
 every point), and the Drinfeld condition that the level-1 images of a level
 structure multiply out to the [t]-polynomial.  Also the torsion chain solved
 by linear fixed-point iteration at every level, the oracle of the Newton solve
-in build_torsion_chain."""
+in build_torsion_chain.  And the composed [a]-polynomial with the pairwise
+character composition law, the oracles of the [t]-iterate action and of the
+generator check in verify_character."""
 
 import itertools
 
-from omod.errors import StructureViolation
+from omod.additive import AdditivePolynomial
+from omod.errors import CharacterViolation, StructureViolation
+from omod.finitefield import embed_fq
 from omod.formalmod import LevelStructure, coord_key
+from omod.lubintate import CHARACTER_FIXED_TERMS
+from omod.quotring import OModRing
 from omod.series import base_field, substitute
-from omod.tower import ramified_extension_by_relation, root_uniformizer_image, \
-    unramified_extension
+from omod.tower import apply_automorphism, ramified_extension_by_relation, \
+    root_uniformizer_image, unramified_extension
 
 from tower_reference import to_dense_coeffs
 
@@ -116,3 +122,69 @@ def _residue_or_zero(c):
     if not c.is_known_nonzero() or c.order() > 0:
         return c.field.residue.zero()
     return c.leading_coeff()
+
+
+def multiply_by(a, X, target=None):
+    """The multiplication [a] for a = sum a_j t^j in o'/t^M as one additive
+    polynomial of degree q^(n(M-1)): the sum of the scalar-scaled composites
+    a_j * [t]^(o j)."""
+    field = target or X.field
+    P = X.embedded_t_action(field)
+
+    def scalar(c):
+        return AdditivePolynomial(field, (field.constant(embed_fq(c, field.residue)),), P.qexp)
+
+    total = None
+    composite = AdditivePolynomial(field, (field.one(),), P.qexp)  # [t]^0 = T
+    for j, aj in enumerate(a.coeffs):
+        if j > 0:
+            composite = P.compose(composite)
+        if not aj.is_zero():
+            term = scalar(aj).compose(composite)
+            total = term if total is None else _poly_add(total, term)
+    if total is None:
+        return AdditivePolynomial(field, (field.zero(),), P.qexp)  # the zero map
+    return total
+
+
+def composed_orbit_basis(X, m, top, lam):
+    """The o-basis [x^j](lam) of the orbit model's level-m torsion, x the
+    residue generator, each [x^j] a composed polynomial."""
+    big = OModRing(X.field.residue, m)
+    xgen = X.field.residue.gen() if X.n > 1 else X.field.residue.one()
+    return [multiply_by(big.element([xgen ** j]), X, target=top)(lam) for j in range(X.n)]
+
+
+def composed_torsion_points(X, m, top, basis):
+    """{coordinate key: sum_i [v_i](b_i)} over (o/t^m)^rank, each [v_i] a
+    composed polynomial evaluated at the basis point b_i."""
+    ring = OModRing(X.field.root.residue, m)
+    points = {}
+    for vec in itertools.product(ring.elements(), repeat=len(basis)):
+        acc = top.zero()
+        for v, b in zip(vec, basis):
+            acc = acc + multiply_by(v, X, target=top)(b)
+        points[coord_key(vec)] = acc
+    return points
+
+
+def _poly_add(P, Q):
+    zero = P.field.zero()
+    n = max(len(P.coeffs), len(Q.coeffs))
+    out = [(P.coeffs[i] if i < len(P.coeffs) else zero) +
+           (Q.coeffs[i] if i < len(Q.coeffs) else zero) for i in range(n)]
+    while len(out) > 1 and out[-1].is_zero_mod_precision() and out[-1].precision is None:
+        out.pop()
+    return AdditivePolynomial(P.field, tuple(out), P.qexp)
+
+
+def pairwise_composition_law(table):
+    """sigma_a o sigma_b = sigma_(ab) for every pair of units of a
+    CharacterTable, to CHARACTER_FIXED_TERMS terms."""
+    entries = table.table
+    for a, sig_a in entries.values():
+        for b, sig_b in entries.values():
+            composed = apply_automorphism(sig_a, sig_b.image_of_uniformizer)
+            direct = entries[(a * b).lex_key()][1].image_of_uniformizer
+            if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
+                raise CharacterViolation("composition law fails at (%r, %r)" % (a, b))

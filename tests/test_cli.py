@@ -85,6 +85,28 @@ def test_verify_valuations_passes(capsys):
     assert "PASS" in out and "1/3" in out
 
 
+def test_a_failed_torsion_table_is_built_once_per_run(capsys, monkeypatch):
+    # valuations, product and level-count share one torsion table; a build
+    # that fails is attempted once, and each row fails with its message
+    import omod.lubintate as lubintate_mod
+    from omod.errors import StructureViolation
+
+    calls = []
+
+    def failing(X, m, tower, lam):
+        calls.append(m)
+        raise StructureViolation("torsion points are not pairwise distinct: 3 keys for 4 points")
+
+    monkeypatch.setattr(lubintate_mod, "orbit_torsion_from_generator", failing)
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--m", "1",
+                           "--which", "valuations,product,level-count", "--output", "json")
+    rows = json.loads(out)["results"]
+    assert code == 1 and calls == [1]
+    assert [(r["check"], r["status"], r["witness"]) for r in rows] == [
+        (check, "fail", "torsion points are not pairwise distinct: 3 keys for 4 points")
+        for check in ("valuations", "product", "level-count")]
+
+
 def test_verify_exit_code_counts_failures(capsys, monkeypatch, tmp_path):
     # any number of failed checks exits 1, two included (exit 2 is reserved for
     # configuration errors); the count is the report's `failures`

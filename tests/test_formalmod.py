@@ -12,15 +12,15 @@ from omod.finitefield import GF
 from omod.formalmod import (LevelStructure, TorsionModule,
                             bijective_level_structure, coord_key, connected_height,
                             count_level_structures, kernel_rank,
-                            lubin_tate_module, module_from_unit_coefficients,
-                            multiply_by, torsion_points)
+                            act, lubin_tate_module, module_from_unit_coefficients,
+                            t_iterates, torsion_points)
 from omod.lubintate import cm_tower
 from omod.quotring import OModRing
 from omod.series import base_field
 from omod.tower import FieldTower, unramified_extension
 
-from formalmod_reference import (omodule_structure_check, verify_level_structure,
-                                 zero_level_structure)
+from formalmod_reference import (multiply_by, omodule_structure_check,
+                                 verify_level_structure, zero_level_structure)
 from quotring_reference import brute_force_level_count, reference_kernel_rank
 
 
@@ -32,6 +32,8 @@ def cm_module(q_p, q_f, n, precision=64):
 
 
 def test_multiply_by_identity_and_t():
+    # the composed-polynomial oracle and the [t]-iterate action agree on [1]
+    # and [t]
     F = base_field(2, 1)
     X = lubin_tate_module(F, 1)  # tT + T^2
     R1 = OModRing(F.residue, 1)
@@ -39,8 +41,11 @@ def test_multiply_by_identity_and_t():
     assert one.qdegree == 0
     x = F.from_int_poly({0: 1, 1: 1})
     assert one(x).agrees(x)
-    t_mult = multiply_by(OModRing(F.residue, 2).t(), X)
+    assert act(R1.one(), t_iterates(X, x, 1)).agrees(x)
+    t = OModRing(F.residue, 2).t()
+    t_mult = multiply_by(t, X)
     assert t_mult(x).agrees(X.t_action(x))
+    assert act(t, t_iterates(X, x, 2)).agrees(X.t_action(x))
 
 
 def test_multiply_by_t_squared_composition():
@@ -50,21 +55,22 @@ def test_multiply_by_t_squared_composition():
     R3 = OModRing(F.residue, 3)
     t2 = R3.element([F.residue.zero(), F.residue.zero(), F.residue.one()])
     P = multiply_by(t2, X)
-    dense = {1: P.coeffs[0], 2: P.coeffs[1], 4: P.coeffs[2]}
     assert P.coeffs[0].agrees(F.from_int_poly({2: 1}))          # t^2
     assert P.coeffs[1].agrees(F.from_int_poly({1: 1, 2: 1}))    # t + t^2
     assert P.coeffs[2].agrees(F.one())
-    # additivity on 20 random pairs
+    # additivity on 20 random pairs, and the iterate action on each point
     rng = random.Random(7)
     for _ in range(20):
         x = F.from_int_poly({k: rng.randrange(2) for k in range(1, 9)}, precision=32)
         y = F.from_int_poly({k: rng.randrange(2) for k in range(1, 9)}, precision=32)
         assert P(x + y).agrees(P(x) + P(y))
+        assert act(t2, t_iterates(X, x, 3)) == P(x)
 
 
 def test_ring_action_law_exhaustive_small():
     # [a][b] = [ab] (product computed without truncation) and [a]+[b] = [a+b]
-    # for all a, b in o/t^2, q = 2, on general field elements
+    # for all a, b in o/t^2, q = 2, on general field elements, by the
+    # [t]-iterate action
     F = base_field(2, 1)
     X = lubin_tate_module(F, 1)
     R = OModRing(F.residue, 2)
@@ -73,12 +79,22 @@ def test_ring_action_law_exhaustive_small():
                F.from_int_poly({2: 1}, precision=24)]
     for a in R.elements():
         for b in R.elements():
-            Pa, Pb = multiply_by(a, X), multiply_by(b, X)
-            Pab = multiply_by(a.lift_to(R4) * b.lift_to(R4), X)
-            Psum = multiply_by(a + b, X)
             for x in samples:
-                assert Pa(Pb(x)).agrees(Pab(x))
-                assert (Pa(x) + Pb(x)).agrees(Psum(x))
+                its = t_iterates(X, x, 4)
+                bx = act(b, its)
+                assert act(a, t_iterates(X, bx, 2)).agrees(
+                    act(a.lift_to(R4) * b.lift_to(R4), its))
+                assert (act(a, its) + act(b, its)).agrees(act(a + b, its))
+
+
+def test_act_needs_an_iterate_per_nonzero_coefficient():
+    F = base_field(2, 1)
+    X = lubin_tate_module(F, 1)
+    R = OModRing(F.residue, 3)
+    x = F.from_int_poly({1: 1})
+    assert act(R.one(), [x]) == x     # only a_0 is nonzero
+    with pytest.raises(ValueError, match="3 \\[t\\]-iterates, got 2"):
+        act(R.t() * R.t(), t_iterates(X, x, 2))
 
 
 def test_ring_action_truncated_law_on_torsion():

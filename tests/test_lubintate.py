@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from omod.errors import PrecisionExhausted
+from omod.errors import PrecisionExhausted, StructureViolation
 from omod.formalmod import lubin_tate_module, torsion_points
 from omod.lubintate import (build_tower, character_restriction_consistent,
                             cm_tower, locate_base_torsion_chain,
@@ -82,7 +82,7 @@ def test_tower_uniformizer_relation_residual():
     lt = build_tower(base_field(2, 1), 2, precision=48)
     lam2 = lt.lam(2)
     lam1 = lt.lam(1)  # embedded into the top
-    residual = lt.multiplication(lt.unit_ring(2).t())(lam2) - lam1
+    residual = lt.iterates(2)[1] - lam1    # [t](lam_2) - lam_1
     assert residual.is_zero_mod_precision() or residual.order_lower_bound() >= 40
 
 
@@ -122,26 +122,47 @@ def test_character_q2_m3_cyclic_of_order4():
 
 
 def test_torsion_automorphisms_are_shared(monkeypatch):
-    # one [a] and one automorphism per unit and tower: the character check and
-    # the restriction check together form [a] once per unit of (o/t^2)^x
+    # one [t]-iterate list per level and one automorphism per unit and tower:
+    # the character check and the restriction check together form the
+    # iterates of lam_2 and of lam_1 once each
     import omod.lubintate as lubintate_mod
 
     formed = []
-    real = lubintate_mod.multiply_by
+    real = lubintate_mod.t_iterates
 
-    def counting(a, *args, **kwargs):
-        formed.append(a.lex_key())
-        return real(a, *args, **kwargs)
+    def counting(X, x, count):
+        formed.append(count)
+        return real(X, x, count)
 
-    monkeypatch.setattr(lubintate_mod, "multiply_by", counting)
+    monkeypatch.setattr(lubintate_mod, "t_iterates", counting)
     lt = build_tower(base_field(3, 1), 2)
     table = verify_character(lt)
     assert character_restriction_consistent(lt)
     units = list(lt.unit_ring().units())
-    assert len(formed) == len(units) == 6 and len(set(formed)) == 6
+    assert len(units) == 6
     for a in units:
         assert lt.torsion_automorphism(a) is lt.torsion_automorphism(a) is table.sigma(a)
-    assert len(formed) == 6
+    assert character_restriction_consistent(lt)
+    assert sorted(formed) == [1, 2]
+
+
+def test_a_failed_torsion_build_is_raised_again_without_a_rebuild(monkeypatch):
+    import omod.lubintate as lubintate_mod
+
+    calls = []
+
+    def failing(X, m, tower, lam):
+        calls.append(m)
+        raise StructureViolation("torsion points are not pairwise distinct: 3 keys for 9 points")
+
+    monkeypatch.setattr(lubintate_mod, "orbit_torsion_from_generator", failing)
+    lt = build_tower(base_field(3, 1), 2)
+    for _ in range(3):
+        with pytest.raises(StructureViolation, match="^torsion points are not pairwise"
+                           " distinct: 3 keys for 9 points$"):
+            lt.torsion()
+    assert calls == [2]
+    assert lt.torsion(0).level == 0
 
 
 def test_power_tables_are_freed_with_their_images():

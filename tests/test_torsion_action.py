@@ -1,0 +1,102 @@
+"""The [t]-iterate action [a](x) = sum_j a_j [t]^j(x), the torsion tables built
+from it, and the character composition law checked on unit-group generators,
+each against the oracle it replaced: the composed [a]-polynomial and the
+pairwise composition loop in formalmod_reference."""
+
+import itertools
+
+import pytest
+
+from omod.errors import CharacterViolation
+from omod.formalmod import act, module_from_unit_coefficients, torsion_points
+from omod.lubintate import (CharacterTable, build_tower, cm_tower,
+                            verify_character)
+from omod.series import base_field
+from omod.tower import FieldTower
+
+from formalmod_reference import (composed_orbit_basis, composed_torsion_points,
+                                 multiply_by, pairwise_composition_law)
+
+
+def exact(x):
+    return x.leading_exponent, x.codes, x.precision
+
+
+# (p, f, n, m, precision): q = p^f in {2, 3, 4, 5}, n in {1, 2}, m <= 4
+ACTION_CONFIGS = [(2, 1, 1, 1, 64), (2, 1, 1, 4, 64), (2, 1, 2, 4, 64), (3, 1, 1, 4, 64),
+                  (3, 1, 2, 2, 64), (2, 2, 1, 3, 64), (2, 2, 2, 2, 64), (5, 1, 1, 3, 64),
+                  (5, 1, 2, 1, 64), (2, 1, 1, 8, 512)]
+
+
+@pytest.mark.parametrize("p,f,n,m,precision", ACTION_CONFIGS)
+def test_iterate_action_matches_the_composed_polynomial(p, f, n, m, precision):
+    # every a of o'/t^m, units and non-units, acting on lam_m as torsion
+    # automorphisms do
+    lt = cm_tower(p, f, n, m, precision)
+    lam, iterates = lt.lam(m), lt.iterates(m)
+    for a in lt.unit_ring().elements():
+        assert exact(act(a, iterates)) == \
+            exact(multiply_by(a, lt.module, target=lt.top)(lam)), a
+
+
+@pytest.mark.parametrize("p,f,n,m", [(2, 1, 2, 2), (3, 1, 1, 2), (2, 2, 2, 1)])
+def test_torsion_module_action_matches_the_composed_polynomial(p, f, n, m):
+    # on every point of the table, whose precisions differ from lam_m's
+    Tm = cm_tower(p, f, n, m).torsion()
+    for a in Tm.ring.elements():
+        P = multiply_by(a, Tm.module, target=Tm.field)
+        for pt in Tm.points.values():
+            assert exact(Tm.act(a, pt)) == exact(P(pt))
+
+
+@pytest.mark.parametrize("p,f,n,m", [(2, 1, 1, 4), (2, 1, 2, 3), (3, 1, 1, 3),
+                                     (3, 1, 2, 1), (2, 2, 1, 2), (2, 2, 2, 2), (5, 1, 1, 2)])
+def test_span_torsion_table_matches_the_composed_table(p, f, n, m):
+    lt = cm_tower(p, f, n, m)
+    Tm = lt.torsion()
+    basis = composed_orbit_basis(lt.module, m, lt.top, lt.lam(m))
+    assert list(map(exact, Tm.basis)) == list(map(exact, basis))
+    oracle = composed_torsion_points(lt.module, m, lt.top, basis)
+    assert sorted(Tm.points) == sorted(oracle)
+    assert all(exact(Tm.points[k]) == exact(oracle[k]) for k in oracle)
+
+
+def test_mixed_level1_table_matches_the_composed_table():
+    # tT + T^2 + T^4: a basis found by root search, one of its points in a
+    # wild quadratic extension
+    F = base_field(2, 1, precision=64)
+    X = module_from_unit_coefficients(F, [1], 2)
+    Tm = torsion_points(X, 1, FieldTower(F))
+    oracle = composed_torsion_points(X, 1, Tm.field, Tm.basis)
+    assert sorted(Tm.points) == sorted(oracle)
+    assert all(exact(Tm.points[k]) == exact(oracle[k]) for k in oracle)
+
+
+# every (p, f, m, precision) height-one tower whose character the tier-1 suite
+# verifies, directly or through `omod verify`, and the benchmark's q = 4 tower
+CHARACTER_TOWERS = [(2, 1, 1, 64), (2, 1, 2, 64), (2, 1, 3, 64), (3, 1, 1, 64),
+                    (3, 1, 2, 48), (3, 1, 2, 64), (2, 2, 2, 64)]
+
+
+@pytest.mark.parametrize("p,f,m,precision", CHARACTER_TOWERS)
+def test_pairwise_oracle_agrees_with_the_generator_check(p, f, m, precision):
+    table = verify_character(build_tower(base_field(p, f, precision=precision), m, precision))
+    pairwise_composition_law(table)
+
+
+def test_swapped_substitutions_fail_both_checks(monkeypatch):
+    # (o/t^2)^x over F_3 is cyclic of order 6, whose only nontrivial
+    # automorphism, negation, moves four elements: so swapping any two sigma
+    # breaks the composition law, and both checks must say so
+    lt = build_tower(base_field(3, 1), 2)
+    table = verify_character(lt)
+    units = list(lt.unit_ring().units())
+    for a, b in itertools.combinations(units, 2):
+        swap = {a.lex_key(): table.sigma(b), b.lex_key(): table.sigma(a)}
+        swapped = CharacterTable({k: (u, swap.get(k, sigma))
+                                  for k, (u, sigma) in table.table.items()})
+        with pytest.raises(CharacterViolation, match="composition law fails"):
+            pairwise_composition_law(swapped)
+        monkeypatch.setattr(lt, "torsion_automorphism", swapped.sigma)
+        with pytest.raises(CharacterViolation, match="composition law fails"):
+            verify_character(lt)

@@ -313,6 +313,18 @@ def test_uncertain_coefficient_below_the_hull_raises_as_the_dense_oracle():
     assert got == _search_outcome(dense_additive_roots, P, None)
 
 
+def test_newton_root_is_known_to_the_stop_order_past_the_field_precision():
+    # over F_2((t)) at precision 24, P = (1 + t^2)T + tT^2 and rhs = P(x0) with
+    # x0 known mod t^40: c_0 = 1 + t^2 is inverted as far as each step needs,
+    # not to the field's 24 terms, so the root is known mod t^40, not t^27
+    F = base_field(2, 1, precision=24)
+    P = AdditivePolynomial(F, (F.from_int_poly({0: 1, 2: 1}), F.from_int_poly({1: 1})), 1)
+    x0 = F.from_int_poly({0: 1, 3: 1, 5: 1, 17: 1, 33: 1}, precision=40)
+    got = _search_outcome(additive_roots_in_field, P, P(x0))
+    assert got == ("roots", [(0, x0.codes, 40, 0)])
+    assert got == _search_outcome(dense_additive_roots, P, P(x0))
+
+
 def test_field_tower_container():
     F = base_field(3, 1)
     tower = FieldTower(F)

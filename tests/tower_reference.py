@@ -201,7 +201,9 @@ def _newton_lift(coeffs, x, field):
     coefficients' least precision (the field's default for exact ones).
 
     Iterates are truncated at that order: with exact inputs the polynomial
-    degree of the iterate would otherwise double every step.
+    degree of the iterate would otherwise double every step.  The derivative
+    is inverted to that order less the residual's order, as far as the step
+    needs.
     """
     finite = [c.precision for c in coeffs if c.precision is not None]
     stop_order = min(finite) if finite else field.default_precision
@@ -217,7 +219,7 @@ def _newton_lift(coeffs, x, field):
         if prev is not None and o <= prev:
             raise NoConvergence("Newton iteration stalled at residual order %r" % (o,))
         prev = o
-        x = (x - res / dval).truncate(stop_order)
+        x = (x - res * dval.inv(precision=stop_order - o)).truncate(stop_order)
     raise NoConvergence("Newton iteration did not reach working precision")
 
 
