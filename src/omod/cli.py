@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cache import CACHE_ENV_VAR, load_tower, save_tower, tower_cache_name
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, OmodError,
-                     SchemaMismatch)
+                     PrecisionExhausted, SchemaMismatch)
 from .finitefield import GF, RESIDUE_CARDINALITY_CAP, field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,
@@ -220,7 +220,7 @@ def cmd_tower(cfg) -> int:
 
 
 # errors that mark a limit of the implementation, not a counterexample
-LIMITS = (IndexOutOfRange, CapExceeded, ExtensionRequired)
+LIMITS = (IndexOutOfRange, CapExceeded, ExtensionRequired, PrecisionExhausted)
 
 
 def _check(check, claim, params, source, fallback, compute):

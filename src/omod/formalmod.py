@@ -18,7 +18,7 @@ from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASumman
                      StructureViolation)
 from .finitefield import embed_fq
 from .quotring import OModElement, OModRing, _determinant
-from .series import LocalFieldElement, LocalFieldSpec, substitute
+from .series import LocalFieldElement, LocalFieldSpec, series_keys, substitute
 from .tower import (FieldTower, _residue_roots, additive_roots_in_field, embed,
                     ramified_extension_by_relation, root_uniformizer_image)
 
@@ -241,7 +241,7 @@ def _assemble_from_basis(X, m, tower, basis, generator):
     if len(points) != expected:
         raise StructureViolation("coordinate table has %d entries, expected %d"
                                  % (len(points), expected))
-    distinct = {pt.series_key(terms=48) for pt in points.values()}
+    distinct = set(series_keys(points.values()))
     if len(distinct) != expected:
         raise StructureViolation("torsion points are not pairwise distinct: "
                                  "%d keys for %d points" % (len(distinct), expected))
@@ -412,24 +412,18 @@ def _multiple_residue_root(P):
 
 def _greedy_basis(roots, X, top):
     """F_q-basis of the level-1 root space from an enumerated root list."""
-    q = X.q
-    res_root = X.field.root.residue
-    key = lambda r: r.series_key(terms=48)
     nonzero = [r for r in roots if r.is_known_nonzero()]
+    keys = series_keys(nonzero)
+    scalars = [embed_fq(c, top.residue) for c in X.field.root.residue.elements()
+               if not c.is_zero()]
     basis = []
-    span = {top.zero().series_key(terms=48): top.zero()}
-    for r in sorted(nonzero, key=lambda x: (x.order(), key(x))):
-        if key(r) in span:
+    span = [top.zero()]
+    for _, r in sorted(zip(keys, nonzero), key=lambda kr: kr[0]):
+        *span_keys, key = series_keys(span + [r])
+        if key in span_keys:
             continue
         basis.append(r)
-        new_span = dict(span)
-        for existing in list(span.values()):
-            for c in res_root.elements():
-                if c.is_zero():
-                    continue
-                combo = existing + r.scale(embed_fq(c, top.residue))
-                new_span[key(combo)] = combo
-        span = new_span
+        span += [s + r.scale(c) for c in scalars for s in span]
         if len(basis) == X.n:
             break
     if len(basis) != X.n:

@@ -21,7 +21,7 @@ from .formalmod import (FormalOModule, TorsionModule, act, bijective_level_struc
                         orbit_torsion_from_generator, t_iterates, torsion_points)
 from .pi0 import unit_group
 from .quotring import OModElement, OModRing
-from .series import LocalFieldSpec, base_field
+from .series import LocalFieldSpec, base_field, series_keys
 from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
                     apply_automorphism, embed, root_uniformizer_image,
                     unramified_extension)
@@ -166,14 +166,14 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
     t_img = lt.t_image()
     table = {}
     images = {}
-    for a in ring.units():
-        sigma = lt.torsion_automorphism(a)
+    units = [(a, lt.torsion_automorphism(a)) for a in ring.units()]
+    keys = series_keys([sigma.image_of_uniformizer for _, sigma in units])
+    for (a, sigma), key in zip(units, keys):
         moved = apply_automorphism(sigma, t_img)
         if not moved.agrees(t_img, min_terms=CHARACTER_FIXED_TERMS):
             raise CharacterViolation(
                 "substitution by %r moves the embedded base uniformizer: %r vs %r"
                 % (a, moved, t_img))
-        key = sigma.image_of_uniformizer.series_key(terms=48)
         if key in images:
             raise CharacterViolation("substitutions by %r and %r coincide"
                                      % (a, images[key]))
@@ -311,7 +311,7 @@ def base_height_one_polynomial(field):
 def locate_base_torsion_chain(field, m):
     """mu_1, ..., mu_m inside the given field: [t](mu_1) = 0, mu_1 != 0, and
     [t](mu_k) = mu_{k-1}; mu_k generates the level-k torsion of the height-one
-    root model.  Deterministic root choice (smallest series key)."""
+    root model.  Deterministic root choice (smallest key of series_keys)."""
     P = base_height_one_polynomial(field)
     out = []
     prev = field.zero()
@@ -321,7 +321,7 @@ def locate_base_torsion_chain(field, m):
             roots = [r for r in roots if r.is_known_nonzero()]
         if not roots:
             raise ValuationMismatch("no level-%d torsion of the base model found" % k)
-        prev = min(roots, key=lambda r: r.series_key(terms=48))
+        prev = min(zip(series_keys(roots), roots), key=lambda kr: kr[0])[1]
         out.append(prev)
     return out
 

@@ -576,10 +576,8 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
 
 
 def h0_decomposition(p, f, m, group: UnitGroup | None = None):
-    """All (q-1)q^(m-1) characters of the unit group, each with its three
-    pullback descriptors evaluated on generator data: through det, through the
-    inverse reduced norm, and through the reciprocity normalization
-    rec(tau) = chi(tau)^(-1)."""
+    """All (q-1)q^(m-1) characters of the unit group, each with its values
+    on the group's generators."""
     group = group or unit_group((p, f), m)
     chars = all_characters(group)
     if len(chars) != group.order:
@@ -588,17 +586,8 @@ def h0_decomposition(p, f, m, group: UnitGroup | None = None):
     E = group.exponent
     rows = []
     for om in chars:
-        gen_vals = om.generator_values
-        rows.append({
-            "omega_on_generators": list(gen_vals),
-            "value_group": "Z/%d" % E,
-            # det(diag(g,1,..)) = g: the det-pullback takes the same values
-            "via_det_on_diag_generators": list(gen_vals),
-            # Nrd^(-1)-pullback on a scalar unit a: -omega(N(a))
-            "via_nrd_inv_on_scalar_generators": [(-v) % E for v in gen_vals],
-            # rec(tau) = chi(tau)^(-1): -omega on the character value
-            "via_rec_on_galois_generators": [(-v) % E for v in gen_vals],
-        })
+        rows.append({"omega_on_generators": list(om.generator_values),
+                     "value_group": "Z/%d" % E})
     keys = {tuple(r["omega_on_generators"]) for r in rows}
     if len(keys) != len(rows):
         raise StructureViolation("characters are not separated on the generators")
@@ -611,14 +600,7 @@ def characters_to_csv(rows) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["omega_on_generators", "value_group", "via_det",
-                     "via_nrd_inv", "via_rec"])
+    writer.writerow(["omega_on_generators", "value_group"])
     for r in rows:
-        writer.writerow([
-            ";".join(map(str, r["omega_on_generators"])),
-            r["value_group"],
-            ";".join(map(str, r["via_det_on_diag_generators"])),
-            ";".join(map(str, r["via_nrd_inv_on_scalar_generators"])),
-            ";".join(map(str, r["via_rec_on_galois_generators"])),
-        ])
+        writer.writerow([";".join(map(str, r["omega_on_generators"])), r["value_group"]])
     return buf.getvalue()

@@ -440,17 +440,6 @@ class LocalFieldElement:
             end = min(end, hi)
         return self._window(lo, end) == other._window(lo, end)
 
-    def series_key(self, terms=16):
-        """Hashable canonical key: leading exponent plus the first `terms`
-        coefficient codes.  Distinct elements whose difference is visible
-        within the window get distinct keys.  An uncertain zero is keyed by
-        its precision so it never collapses onto the exact zero."""
-        if not self.codes:
-            return ("zero",) if self.precision is None else ("zerolb", self.precision)
-        lo = self.leading_exponent
-        end = lo + terms if self.precision is None else min(lo + terms, self.precision)
-        return (lo, tuple(self._window(lo, end)))
-
     def to_json(self):
         return {
             "leading_exponent": self.leading_exponent if self.codes else None,
@@ -485,6 +474,23 @@ class LocalFieldElement:
         if self.precision is not None:
             s += " + O(%s^%d)" % (name, self.precision)
         return s
+
+
+def series_keys(elements):
+    """One hashable, orderable key per element of a compared set: the leading
+    exponent and codes of its terms below the least precision any member
+    knows (all stored terms when every member is exact).  Two members share a
+    key exactly when they agree on that window, which every member knows: a
+    point known to two precisions keys once, and a difference inside the
+    window always separates.  Members zero on the window key as (inf, b"")."""
+    elements = list(elements)
+    end = min((x.precision for x in elements if x.precision is not None), default=None)
+    keys = []
+    for x in elements:
+        codes = x.codes if end is None else x.codes[:max(end - x.leading_exponent, 0)]
+        codes = codes.rstrip(b"\0")
+        keys.append((x.leading_exponent, codes) if codes else (math.inf, b""))
+    return keys
 
 
 def _min_prec(a, b):

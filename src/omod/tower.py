@@ -21,7 +21,7 @@ from .errors import (ExtensionRequired, MixedFields, NoConvergence,
 from .finitefield import GF
 from .newton import newton_polygon
 from .series import (BaseEmbedding, LocalFieldElement, LocalFieldSpec, make_element,
-                     substitute)
+                     series_keys, substitute)
 
 FIXED_POINT_EXTRA_ITERATIONS = 8
 
@@ -191,7 +191,8 @@ def find_integral_roots(P, c, depth=0, min_val_exclusive=None):
     branches own the rest); that is what min_val_exclusive enforces.  Segments
     with fractional slope (and residue roots missing from the residue field)
     are reported via ExtensionRequired carrying the polygon and whatever was
-    found in the field.  Roots are told apart by their first 64 terms.
+    found in the field.  Roots are told apart by series_keys, and each root
+    carries only the precision its data give (see _newton_root).
     """
     field = P.field
     depth_limit = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
@@ -212,7 +213,11 @@ def find_integral_roots(P, c, depth=0, min_val_exclusive=None):
             if hull_v is not None and a.precision < hull_v:
                 raise PrecisionExhausted("coefficient of T^%d only known modulo u^%d,"
                                          " below the hull" % (d, a.precision))
-    roots = [field.zero()] if c.is_zero_mod_precision() else []
+    roots = []
+    if c.is_zero_mod_precision():
+        # P(y) + c has the root y = 0 only modulo u^(w - v(c_0)) when c = O(u^w)
+        zero_prec = None if c.precision is None else c.precision - P.coeffs[0].order()
+        roots.append(field.zero(zero_prec))
     blocking_polygon = None
     for seg in polygon.segments:
         s = -seg.slope
@@ -233,8 +238,8 @@ def find_integral_roots(P, c, depth=0, min_val_exclusive=None):
             blocking_polygon = blocking_polygon or exc.polygon
     # dedup across branches
     seen = {}
-    for r in roots:
-        seen.setdefault(r.series_key(terms=64), r)
+    for key, r in zip(series_keys(roots), roots):
+        seen.setdefault(key, r)
     roots = list(seen.values())
     if blocking_polygon is not None:
         raise ExtensionRequired(blocking_polygon, roots_found=roots,
@@ -291,19 +296,25 @@ def _slope_roots(P, c, terms, s, depth):
 def _newton_root(P, c, x):
     """Newton iteration x <- x - (P(x) + c) / c_0 from a simple approximate
     root, stopped at the coefficients' least precision (the field's default
-    for exact ones).  Iterates are truncated at that order, and c_0 is
-    inverted only as far as the step needs: to the stop order less the
-    residual's order."""
+    for exact ones).  At a simple root the correction has order
+    ord(P(x) + c) - v(c_0), so x is known to that order: the iteration stops
+    once it reaches the stop order, or returns x truncated to it when the
+    residual is zero to its own precision, short of the stop order.  Iterates
+    are truncated at the stop order, and c_0 is inverted only as far as the
+    step needs: to the stop order less the residual's order."""
     field = P.field
     finite = [a.precision for a in (c,) + P.coeffs if a.precision is not None]
     stop_order = min(finite) if finite else field.default_precision
+    v0 = P.coeffs[0].order()
     prev = None
     x = x.truncate(stop_order)
     for _ in range(field.default_precision + FIXED_POINT_EXTRA_ITERATIONS):
         res = P(x) + c
-        if res.is_zero_mod_precision() or res.order_lower_bound() >= stop_order:
-            return x
         o = res.order_lower_bound()
+        if o - v0 >= stop_order:
+            return x
+        if res.is_zero_mod_precision():
+            return x.truncate(o - v0)
         if prev is not None and o <= prev:
             raise NoConvergence("Newton iteration stalled at residual order %r" % (o,))
         prev = o

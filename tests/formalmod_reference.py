@@ -16,7 +16,7 @@ from omod.finitefield import embed_fq
 from omod.formalmod import LevelStructure, coord_key
 from omod.lubintate import CHARACTER_FIXED_TERMS
 from omod.quotring import OModRing
-from omod.series import base_field, substitute
+from omod.series import base_field, series_keys, substitute
 from omod.tower import apply_automorphism, ramified_extension_by_relation, \
     root_uniformizer_image, unramified_extension
 
@@ -61,7 +61,7 @@ def linear_chain_images(p, f, n, m, precision):
 def omodule_structure_check(Tm):
     """The point table of Tm is an o/t^m-module isomorphic to (o/t^m)^n,
     checked on every pair and every (scalar, point)."""
-    index = {pt.series_key(terms=48): key for key, pt in Tm.points.items()}
+    index = dict(zip(series_keys(Tm.points.values()), Tm.points))
     if len(index) != len(Tm.points):
         raise StructureViolation("structure map is not injective")
     items = sorted(Tm.coords.items())

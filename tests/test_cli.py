@@ -174,6 +174,16 @@ def test_limits_are_skipped_not_failed(capsys, q, n, m):
     assert all(r["computed"].startswith("not computed: ") for r in doc["results"])
 
 
+def test_precision_exhaustion_is_skipped_not_failed(capsys):
+    # at --prec 64 the (3, 1, 3) determinant decode can compare sigma_a(mu)
+    # with [c](mu) only on 33 jointly known terms, short of the 40 it needs
+    code, out, _ = run_cli(capsys, "verify", "--q", "3", "--n", "1", "--m", "3",
+                           "--which", "determinant", "--output", "json")
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and row["status"] == "skipped"
+    assert row["computed"] == "not computed: joint window [1, 34) has fewer than 40 terms"
+
+
 def test_wide_slot_product_and_determinant_pass(capsys):
     # at --prec 128 the packed series products of (2, 2, 3) need 2-byte slots
     code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--m", "3", "--prec", "128",
@@ -191,6 +201,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     (3, 2, 2, 256, "determinant,product"),
     (2, 3, 2, 512, "determinant,product"),
     (4, 2, 2, 1024, "determinant"),
+    (2, 2, 4, 1024, "determinant,product"),
+    (2, 1, 8, 1024, "determinant,product"),
 ])
 def test_high_precision_rows_pass_with_golden_bytes(capsys, q, n, m, prec, which):
     # substitutions at these precisions reach powers in the hundreds and

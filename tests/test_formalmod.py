@@ -9,7 +9,7 @@ import pytest
 
 from omod.errors import CapExceeded, NotASummand, StructureViolation
 from omod.finitefield import GF
-from omod.formalmod import (LevelStructure, TorsionModule,
+from omod.formalmod import (LevelStructure, TorsionModule, _assemble_from_basis,
                             bijective_level_structure, coord_key, connected_height,
                             count_level_structures, kernel_rank,
                             act, lubin_tate_module, module_from_unit_coefficients,
@@ -190,6 +190,20 @@ def test_structure_check_negative_control():
                         generator=Tm.generator, tower=Tm.tower)
     with pytest.raises(StructureViolation):
         omodule_structure_check(bad)
+
+
+def test_torsion_points_that_differ_only_past_the_known_window_collide():
+    # level-1 points over F_4((t)) from the basis b1 = t^e + O(t^30) and
+    # b2 = t^3 + O(t^20): every point is known below t^20, so b1 = t^19
+    # separates 0 from b1 while b1 = t^20 does not
+    X = cm_module(2, 1, 2)
+    F = X.field
+    b2 = F.from_int_poly({3: 1}, precision=20)
+    b1 = F.from_int_poly({19: 1}, precision=30)
+    assert len(_assemble_from_basis(X, 1, FieldTower(F), [b1, b2], None).points) == 4
+    b1 = F.from_int_poly({20: 1}, precision=30)
+    with pytest.raises(StructureViolation, match="2 keys for 4 points"):
+        _assemble_from_basis(X, 1, FieldTower(F), [b1, b2], None)
 
 
 def test_level_structure_product_equals_t_action():

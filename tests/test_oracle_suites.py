@@ -13,7 +13,7 @@ import random
 
 from omod.additive import AdditivePolynomial
 from omod.errors import ExtensionRequired, NoConvergence, PrecisionExhausted
-from omod.series import base_field
+from omod.series import base_field, series_keys
 from omod.tower import find_integral_roots
 
 from oracle_utils import (embed_additive, polygon_versus_towers, random_additive,
@@ -56,9 +56,7 @@ def test_precision_soundness_root_search():
             roots_hi = find_integral_roots(embed_additive(P_hi, hi), hi.zero())
         except (ExtensionRequired, NoConvergence, PrecisionExhausted):
             continue
-        # root orders reach 21 and the low-precision field holds 30 terms, so
-        # an 8-term window is jointly known on both sides
-        key_lo = sorted((r.series_key(terms=8) for r in roots_lo), key=repr)
-        key_hi = sorted((r.series_key(terms=8) for r in roots_hi), key=repr)
-        assert key_lo == key_hi
+        # every term both runs know must agree
+        keys = series_keys(roots_lo + roots_hi)
+        assert sorted(keys[:len(roots_lo)]) == sorted(keys[len(roots_lo):])
         done += 1

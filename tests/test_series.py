@@ -13,7 +13,7 @@ from omod.errors import (DivisionByUncertainZero, MixedFields, OmodError,
 from omod.finitefield import GF, FqElement, embed_fq, field_with_order
 from omod.quotring import OModRing
 from omod.series import (LocalFieldElement, _PowerTable, _min_prec, _mul_prec, base_field,
-                         make_element, substitute)
+                         make_element, series_keys, substitute)
 from omod.tower import unramified_extension
 from packed_reference import RefPowerTable
 
@@ -255,8 +255,31 @@ def test_series_key_distinguishes():
     F = F2t()
     a = F.from_int_poly({0: 1, 5: 1}, precision=30)
     b = F.from_int_poly({0: 1, 6: 1}, precision=30)
-    assert a.series_key() != b.series_key()
-    assert a.series_key() == F.from_int_poly({0: 1, 5: 1}, precision=25).series_key()
+    key_a, key_b, key_a25 = series_keys([a, b, F.from_int_poly({0: 1, 5: 1}, precision=25)])
+    assert key_a != key_b
+    assert key_a == key_a25
+
+
+def test_series_keys_read_the_window_every_member_knows():
+    # the least precision in the set is P = 20: copies of x known to 40 and
+    # to 20 terms share a key, a difference at u^19 separates, one at u^20
+    # does not
+    F = F2t()
+    x = F.from_int_poly({1: 1, 7: 1}, precision=40)
+    keys = series_keys([x, x.truncate(20), x + F.uniformizer_elt(19),
+                        x + F.uniformizer_elt(20)])
+    assert keys[0] == keys[1] == keys[3] != keys[2]
+    # without the 20-term copy the window is 40 terms, and u^20 separates
+    keys = series_keys([x, x + F.uniformizer_elt(20)])
+    assert keys[0] != keys[1]
+    # exact members key on every stored term
+    one = F.one()
+    assert len(set(series_keys([one, one + F.uniformizer_elt(500)]))) == 2
+    # a member zero on the window keys as exact zero does, and keys order
+    zeros = series_keys([F.zero(), F.zero(precision=5), F.uniformizer_elt(7), one])
+    assert zeros[0] == zeros[1] == zeros[2] != zeros[3]
+    assert sorted(series_keys([F.zero(), F.uniformizer_elt(), one, one + x])) == \
+        series_keys([one, one + x, F.uniformizer_elt(), F.zero()])
 
 
 def test_serialization_roundtrip():

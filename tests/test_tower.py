@@ -10,7 +10,7 @@ from omod.additive import AdditivePolynomial
 from omod.errors import (ExtensionRequired, InseparablePolynomial,
                          NoConvergence, NotInTower, OmodError, PrecisionExhausted)
 from omod.finitefield import GF
-from omod.series import base_field
+from omod.series import base_field, series_keys
 from omod.tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
                         apply_automorphism, embed, ramified_extension_by_relation,
                         root_uniformizer_image, unramified_extension)
@@ -166,13 +166,12 @@ def test_automorphism_group_closure_q3():
     F1, _ = ramified_extension_by_relation(F, 2, lt_level1_relation(3))
     lam = F1.uniformizer_elt()
     auts = [FieldAutomorphism(F1, lam.scale(GF(3).from_int(a))) for a in (1, 2)]
-    keys = {a.image_of_uniformizer.series_key() for a in auts}
+    comps = [s1.compose(s2) for s1 in auts for s2 in auts]
+    keys = series_keys([a.image_of_uniformizer for a in auts + comps])
+    assert set(keys[len(auts):]) <= set(keys[:len(auts)])
     t_img = root_uniformizer_image(F1)
-    for s1 in auts:
-        for s2 in auts:
-            comp = s1.compose(s2)
-            assert comp.image_of_uniformizer.series_key() in keys
-            assert apply_automorphism(comp, t_img).agrees(t_img, min_terms=20)
+    for comp in comps:
+        assert apply_automorphism(comp, t_img).agrees(t_img, min_terms=20)
 
 
 def test_additive_roots_mixed_slopes_in_field():
@@ -229,8 +228,8 @@ def test_additive_roots_constructed_instance():
     x0 = F.from_int_poly({1: 1, 2: 1})
     rhs = P(x0)
     roots = additive_roots_in_field(P, rhs)
-    keys = {r.series_key() for r in roots}
-    assert x0.series_key() in keys
+    *keys, key_x0 = series_keys(roots + [x0])
+    assert key_x0 in keys
     for r in roots:
         assert (P(r) - rhs).is_zero_mod_precision() or \
             (P(r) - rhs).order_lower_bound() >= 40
@@ -250,9 +249,8 @@ def test_root_completeness_count_matches_polygon():
     P = AdditivePolynomial(F, (t, F.one()), 1)
     roots = additive_roots_in_field(P, None)
     assert len(roots) == 2
-    keys = {r.series_key() for r in roots}
-    assert t.series_key() in keys
-    assert F.zero().series_key() in keys
+    *keys, key_t, key_zero = series_keys(roots + [t, F.zero()])
+    assert key_t in keys and key_zero in keys
 
 
 def _random_element(F, rng, max_order, exact):
@@ -323,6 +321,37 @@ def test_newton_root_is_known_to_the_stop_order_past_the_field_precision():
     got = _search_outcome(additive_roots_in_field, P, P(x0))
     assert got == ("roots", [(0, x0.codes, 40, 0)])
     assert got == _search_outcome(dense_additive_roots, P, P(x0))
+
+
+def test_newton_root_runs_until_the_correction_passes_the_stop_order():
+    # P = (t + t^2)T + T^4 over F_4((pi)) with t = pi^21: at the residue root
+    # pi^7 + O(pi^30) the residual is pi^49, past the stop order 30, but the
+    # correction pi^49 / c_0 = pi^28 is not; the roots must agree with the
+    # precision-60 roots on every term below pi^30
+    roots = {}
+    for prec in (30, 60):
+        F = base_field(2, 2, precision=prec, uniformizer="pi")
+        t = F.uniformizer_elt(21)
+        P = AdditivePolynomial(F, (t + t * t, F.one()), 2)
+        roots[prec] = additive_roots_in_field(P, None)
+        assert _search_outcome(additive_roots_in_field, P, None) == \
+            _search_outcome(dense_additive_roots, P, None)
+    keys = series_keys(roots[30] + roots[60])
+    assert sorted(keys[:4]) == sorted(keys[4:])
+    assert all(r.coeff_at(28) == r.coeff_at(7) for r in roots[30])
+
+
+def test_a_constant_zero_modulo_u_w_gives_a_root_known_below_w():
+    # (t^2 + O(t^7))T + (t + t^3)T^2 = t + t^2 + t^3 + O(t^7): the residue root
+    # 1 is multiple, and the shifted constant P(1) + c is only O(t^7), so the
+    # root 1 is known mod t^(7 - v(c_0)) = t^5, not exactly
+    F = base_field(2, 1)
+    P = AdditivePolynomial(F, (F.from_int_poly({2: 1}, precision=7),
+                               F.from_int_poly({1: 1, 3: 1})), 1)
+    rhs = F.from_int_poly({1: 1, 2: 1, 3: 1}, precision=7)
+    got = _search_outcome(additive_roots_in_field, P, rhs)
+    assert got == ("roots", [(0, b"\x01", 5, 0), (0, b"\x01\x01\x00\x01", 5, 0)])
+    assert got == _search_outcome(dense_additive_roots, P, rhs)
 
 
 def test_field_tower_container():

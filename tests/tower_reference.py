@@ -13,7 +13,7 @@ from fractions import Fraction
 from omod.additive import require_separable
 from omod.errors import ExtensionRequired, NoConvergence, PrecisionExhausted
 from omod.newton import newton_polygon
-from omod.series import make_element
+from omod.series import make_element, series_keys
 from omod.tower import FIXED_POINT_EXTRA_ITERATIONS
 
 
@@ -90,7 +90,7 @@ def dense_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
     branches own the rest); that is what min_val_exclusive enforces.  Segments
     with fractional slope (and residue roots missing from the residue field)
     are reported via ExtensionRequired carrying the polygon and whatever was
-    found in the field.  Roots are told apart by their first 64 terms.
+    found in the field.  Roots are told apart by series_keys.
     """
     depth_limit = field.default_precision + FIXED_POINT_EXTRA_ITERATIONS
     if depth > depth_limit:
@@ -110,7 +110,9 @@ def dense_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
     blocking_polygon = None
     ord_t = polygon.vertices[0][0]
     if ord_t > 0 and coeffs[0].is_zero_mod_precision():
-        roots.append(field.zero())
+        # known only modulo u^(w - v(a_1)) when a_0 = O(u^w)
+        w = coeffs[0].precision
+        roots.append(field.zero(None if w is None else w - coeffs[1].order()))
     for seg in polygon.segments:
         s = -seg.slope
         if s < 0:
@@ -130,8 +132,8 @@ def dense_integral_roots(coeffs, field, depth=0, min_val_exclusive=None):
             blocking_polygon = blocking_polygon or exc.polygon
     # dedup across branches
     seen = {}
-    for r in roots:
-        seen.setdefault(r.series_key(terms=64), r)
+    for key, r in zip(series_keys(roots), roots):
+        seen.setdefault(key, r)
     roots = list(seen.values())
     if blocking_polygon is not None:
         raise ExtensionRequired(blocking_polygon, roots_found=roots,
@@ -200,10 +202,12 @@ def _newton_lift(coeffs, x, field):
     """Plain Newton iteration from a simple approximate root, stopped at the
     coefficients' least precision (the field's default for exact ones).
 
-    Iterates are truncated at that order: with exact inputs the polynomial
-    degree of the iterate would otherwise double every step.  The derivative
-    is inverted to that order less the residual's order, as far as the step
-    needs.
+    x is known to the residual's order less the derivative's: the iteration
+    stops once that reaches the stop order, or returns x truncated to it
+    when the residual is zero to its own precision.  Iterates are truncated
+    at the stop order: with exact inputs the polynomial degree of the
+    iterate would otherwise double every step.  The derivative is inverted
+    to the stop order less the residual's order, as far as the step needs.
     """
     finite = [c.precision for c in coeffs if c.precision is not None]
     stop_order = min(finite) if finite else field.default_precision
@@ -212,10 +216,12 @@ def _newton_lift(coeffs, x, field):
     x = x.truncate(stop_order)
     for _ in range(field.default_precision + FIXED_POINT_EXTRA_ITERATIONS):
         res = poly_eval(coeffs, x)
-        if res.is_zero_mod_precision() or res.order_lower_bound() >= stop_order:
-            return x
         dval = poly_eval(dcoeffs, x)
         o = res.order_lower_bound()
+        if o - dval.order() >= stop_order:
+            return x
+        if res.is_zero_mod_precision():
+            return x.truncate(o - dval.order())
         if prev is not None and o <= prev:
             raise NoConvergence("Newton iteration stalled at residual order %r" % (o,))
         prev = o
