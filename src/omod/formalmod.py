@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from .additive import AdditivePolynomial
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
                      StructureViolation)
-from .finitefield import embed_fq
+from .finitefield import _move_table, embed_fq
 from .quotring import OModElement, OModRing, _determinant
 from .series import LocalFieldElement, LocalFieldSpec, series_keys, substitute
 from .tower import (FieldTower, _residue_roots, additive_roots_in_field, embed,
@@ -119,10 +119,11 @@ def act(a: OModElement, iterates) -> LocalFieldElement:
     if any(a.codes[len(iterates):]):
         raise ValueError("[a] needs %d [t]-iterates, got %d" % (a.ring.m, len(iterates)))
     field = iterates[0].field
+    codes = a.codes.translate(_move_table(a.ring.residue, field.residue, 0))
     acc = field.zero()
-    for aj, y in zip(a.coeffs, iterates):
-        if not aj.is_zero():
-            acc = acc + y.scale(embed_fq(aj, field.residue))
+    for c, y in zip(codes, iterates):
+        if c:
+            acc = acc + y._scaled(c)
     return acc
 
 

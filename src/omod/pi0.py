@@ -6,6 +6,11 @@ character decomposition of the degree-zero invariants.
 Characters take values in an abstract cyclic group written additively
 (integers mod the unit group's exponent); no embedding into any coefficient
 field is chosen.
+
+The generator search and pi0_action_table's checks run on quotring's one
+integer code per element (code k has the base-q digits of k as its
+t-digits) and its code_tables, so a randrange draw k is the element with
+code k and needs no conversion.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import OModElement, OModRing, _determinant, _move_table, _mul_codes, _pow_codes
+from .quotring import OModElement, OModRing, _determinant, _move_table, _power
 
 ENUMERATION_CAP = 1 << 16
 
@@ -113,22 +118,24 @@ def _generator_basis(elements, ring, factors):
     generators before it to S c^0, ..., S c^(d-1) in exponent-tuple order,
     and is rejected at the first collision: the span has size prod(factors)
     exactly when the exponent-tuple map is injective.  The final span must
-    hit every unit exactly once, or StructureViolation is raised."""
-    tables = ring.tables
-    one = ring.one().codes
+    hit every unit exactly once, or StructureViolation is raised.  The
+    search runs on the ring's integer codes, where one is 1."""
+    tables = ring.code_tables
+    mul = tables.mul_rows
 
     def has_order(c, d):
-        return (_pow_codes(tables, c, d) == one
-                and all(_pow_codes(tables, c, d // r) != one for r in _prime_factors(d)))
+        return (_power(tables, c, d) == 1
+                and all(_power(tables, c, d // r) != 1 for r in _prime_factors(d)))
 
     def extend(span, c, d):
-        powers = [one]
+        powers = [1]
         for _ in range(d - 1):
-            powers.append(_mul_codes(tables, powers[-1], c))
+            powers.append(mul[powers[-1]][c])
         out = {}
         for s, exps in span.items():
+            row = mul[s]
             for e, power in enumerate(powers):
-                key = _mul_codes(tables, s, power)
+                key = row[power]
                 if key in out:
                     return None
                 out[key] = exps + (e,)
@@ -138,21 +145,22 @@ def _generator_basis(elements, ring, factors):
         if idx == len(factors):
             return (gens, span) if len(span) == len(elements) else None
         d = factors[idx]
-        for cand in elements:
-            if not has_order(cand.codes, d):
+        for cand, code in zip(elements, codes):
+            if not has_order(code, d):
                 continue
-            trial = extend(span, cand.codes, d)
+            trial = extend(span, code, d)
             if trial is not None:
                 found = search(idx + 1, gens + [(cand, d)], trial)
                 if found is not None:
                     return found
         return None
 
-    found = search(0, [], {one: ()})
+    codes = [tables.encode(a.codes) for a in elements]
+    found = search(0, [], {1: ()})
     if found is None:
         raise StructureViolation("no generator basis found for factors %r" % (factors,))
     gens, span = found
-    return gens, {tuple(key): exps for key, exps in span.items()}
+    return gens, {tuple(tables.decode(key)): exps for key, exps in span.items()}
 
 
 # --- characters -------------------------------------------------------------------
@@ -272,7 +280,8 @@ class DivisionOrder:
         inverse of the embedding o/t^m -> o'/t^m."""
         small, big = self.ring.code_tables, self.big.code_tables
         embedding = _move_table(self.base_residue, self.big.residue, 0)
-        return {big.encode(small.decode(k).translate(embedding)): k for k in small.draw}
+        return {big.encode(small.decode(k).translate(embedding)): k
+                for k in range(self.ring.size)}
 
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
@@ -343,10 +352,8 @@ def _reduced_norm(order, b):
     # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)
     if n > 1 and order.conjugations[1][det] != det:
         big = order.big
-        raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed"
-                                           % (tuple(OModElement(big, tables.decode(a))
-                                                    for a in b),
-                                              OModElement(big, tables.decode(det))))
+        raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed" % (
+            tuple(map(big.from_int_digits, b)), big.from_int_digits(det)))
     return order.projection[det]
 
 
@@ -368,82 +375,42 @@ def _draws(rng, size, count):
     return out
 
 
-class _Codes:
-    """pi0_action_table's kernel: o/t^m and o'/t^m each on its own integer
-    codes (code_tables: one-byte codes up to 256 elements, wide codes
-    beyond), so the GL half stays on one-byte codes when only o'/t^m is
-    large.  A draw k is the element with base-q digits k, whose code is
-    tables.draw[k] (big_tables.draw[k] in o'/t^m), and the draws k are
-    rng.randrange's own (_draws).  det, matrix_mul, order_mul and nrd are the
-    unit-pivot determinant (None on a non-unit, a*d - b*c on the last 2x2
-    block), the matrix and order products and the reduced norm on these
-    codes."""
+def _gl_sample(order, rng):
+    """A uniform sample of GL_n(o/t^m), as a list of code rows, with its
+    determinant: uniform matrices (n^2 randrange draws each, row by row, a
+    draw k being the element with code k), at most 64 of them, until one is
+    invertible.  The unit-pivot elimination decides invertibility (None on a
+    singular matrix), so the determinant that accepts a matrix comes with
+    it."""
+    n, ring = order.n, order.ring
+    for _ in range(64):
+        entries = _draws(rng, ring.size, n * n)
+        rows = [entries[i:i + n] for i in range(0, n * n, n)]
+        det = _determinant(ring.code_tables, rows)
+        if det is not None:
+            return rows, det
+    raise NotInvertible("no invertible sample found")
 
-    def __init__(self, order):
-        self.order, self.ring = order, order.ring
-        tables = self.tables = order.ring.code_tables
-        self.big_tables = order.big.code_tables
-        self.mul_rows, self.inv = tables.mul_rows, tables.inv
-        self.det = partial(_determinant, tables)
-        self.matrix_mul = partial(_matrix_mul, tables)
-        self.order_mul = partial(_order_mul, order)
-        self.nrd = partial(_reduced_norm, order)
 
-    def encode(self, a):
-        return a.ring.code_tables.encode(a.codes)
+def _unit_sample(order, rng):
+    """A uniform unit of the order, as a tuple of o'/t^m codes: uniform
+    draws of n coefficients until the first is a unit, that is a draw k
+    with k % q' != 0."""
+    big = order.big
+    while True:
+        draws = _draws(rng, big.size, order.n)
+        if draws[0] % big.residue.q:
+            return tuple(draws)
 
-    def decode(self, ring, a):
-        return OModElement(ring, ring.code_tables.decode(a))
 
-    def mul(self, a, b):
-        return self.mul_rows[a][b]
-
-    def action(self, det, nrd, chi):
-        """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
-        det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every
-        component."""
-        mul, inv = self.mul_rows, self.inv
-        return mul[mul[det][inv[nrd]]][inv[chi]]
-
-    def norm(self, a):
-        """The coefficient norm of a unit a of o'/t^m (the product of its
-        Frobenius conjugates), in o/t^m."""
-        order, mul = self.order, self.big_tables.mul_rows
-        acc = a
-        for frob in order.conjugations[1:]:
-            acc = mul[acc][frob[a]]
-        return order.projection[acc]
-
-    def gl_sample(self, rng):
-        """A uniform sample of GL_n(o/t^m) with its determinant: uniform
-        matrices (n^2 randrange draws each, row by row), at most 64 of them,
-        until one is invertible.  The unit-pivot elimination decides
-        invertibility (None on a singular matrix), so the determinant that
-        accepts a matrix comes with it."""
-        n, size, draw, det = self.order.n, self.ring.size, self.tables.draw, self.det
-        for _ in range(64):
-            entries = list(map(draw.__getitem__, _draws(rng, size, n * n)))
-            rows = [entries[i:i + n] for i in range(0, n * n, n)]
-            value = det(rows)
-            if value is not None:
-                return rows, value
-        raise NotInvertible("no invertible sample found")
-
-    def unit_sample(self, rng):
-        """A uniform unit of the order: uniform draws of n coefficients
-        until the first is a unit, that is a draw k with k % q' != 0."""
-        big = self.order.big
-        q, size, draw = big.residue.q, big.size, self.big_tables.draw
-        while True:
-            draws = _draws(rng, size, self.order.n)
-            if draws[0] % q:
-                return tuple(map(draw.__getitem__, draws))
-
-    def big_units(self):
-        """The units of o'/t^m, in the order of big.units()."""
-        big = self.order.big
-        draw = self.big_tables.draw
-        return [draw[k] for k in range(big.size) if k % big.residue.q]
+def _norm(order, a):
+    """The coefficient norm of a unit code a of o'/t^m (the product of its
+    Frobenius conjugates), as an o/t^m code."""
+    mul = order.big.code_tables.mul_rows
+    acc = a
+    for frob in order.conjugations[1:]:
+        acc = mul[acc][frob[a]]
+    return order.projection[acc]
 
 
 @dataclass(eq=False)
@@ -496,9 +463,9 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     """Build the three structure maps, verify each is a homomorphism
     (exhaustive on generators, sampled on pair_samples random pairs), verify
     the trivial kernels, and return the assembled action.  The checks run on
-    each ring's integer codes (_Codes): each sampled matrix comes with the
-    determinant that accepted it, and elements are built only for the
-    returned action."""
+    each ring's integer codes, where a draw k is the element with code k:
+    each sampled matrix comes with the determinant that accepted it, and
+    elements are built only for the returned action."""
     import random as _random
 
     rng = rng or _random.Random(0)
@@ -507,51 +474,56 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     big = OModRing(GF(p, f * n), m)
     order = DivisionOrder(n, big, ring.residue)
     gl = gl_generators(ring, n, [g for g, _ in group.generators])
-    codes = _Codes(order)
-    det, mul, matrix_mul = codes.det, codes.mul, codes.matrix_mul
-    nrd, order_mul, action = codes.nrd, codes.order_mul, codes.action
+    tables = ring.code_tables
+    encode, mul, inv = tables.encode, tables.mul_rows, tables.inv
+
+    def action(det, nrd, chi):
+        """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
+        det(g) = det, Nrd(b) = nrd and chi(tau) = chi multiplies every
+        component."""
+        return mul[mul[det][inv[nrd]]][inv[chi]]
+
     report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}
     # det is multiplicative: all generator pairs + random samples
-    gl_codes = [[[codes.encode(x) for x in row] for row in g] for g in gl]
-    gl_dets = [det(g) for g in gl_codes]
+    gl_codes = [[[encode(x.codes) for x in row] for row in g] for g in gl]
+    gl_dets = [_determinant(tables, g) for g in gl_codes]
     for a, det_a in zip(gl_codes, gl_dets):
         for b, det_b in zip(gl_codes, gl_dets):
-            if det(matrix_mul(a, b)) != mul(det_a, det_b):
+            if _determinant(tables, _matrix_mul(tables, a, b)) != mul[det_a][det_b]:
                 raise NotInvertible("det not multiplicative on generators")
             report["det_pairs"] += 1
     for _ in range(pair_samples):
-        a, det_a = codes.gl_sample(rng)
-        b, det_b = codes.gl_sample(rng)
-        if det(matrix_mul(a, b)) != mul(det_a, det_b):
+        a, det_a = _gl_sample(order, rng)
+        b, det_b = _gl_sample(order, rng)
+        if _determinant(tables, _matrix_mul(tables, a, b)) != mul[det_a][det_b]:
             raise NotInvertible("det not multiplicative on a sampled pair")
         report["det_pairs"] += 1
     # Nrd is multiplicative on sampled unit pairs; restricted to o'^x it is
     # the coefficient-Frobenius norm, exhaustively
     for _ in range(pair_samples):
-        b = codes.unit_sample(rng)
-        c = codes.unit_sample(rng)
-        if nrd(order_mul(b, c)) != mul(nrd(b), nrd(c)):
+        b = _unit_sample(order, rng)
+        c = _unit_sample(order, rng)
+        if _reduced_norm(order, _order_mul(order, b, c)) != \
+                mul[_reduced_norm(order, b)][_reduced_norm(order, c)]:
             raise FrobeniusInvarianceViolation("Nrd not multiplicative on a sample")
         report["nrd_pairs"] += 1
     image = set()
-    one = codes.encode(ring.one())
-    zeros = (codes.encode(big.zero()),) * (n - 1)
     norm_one = 0
-    for a in codes.big_units():
-        got, want = nrd((a,) + zeros), codes.norm(a)
+    for a in (k for k in range(big.size) if k % big.residue.q):
+        got, want = _reduced_norm(order, (a,) + (0,) * (n - 1)), _norm(order, a)
         if got != want:
             raise FrobeniusInvarianceViolation(
                 "Nrd(%r) = %r but the coefficient norm is %r"
-                % (codes.decode(big, a), codes.decode(ring, got), codes.decode(ring, want)))
+                % (big.from_int_digits(a), ring.from_int_digits(got), ring.from_int_digits(want)))
         image.add(got)
-        norm_one += got == one
-    units = [codes.encode(u) for u in group.elements]
+        norm_one += got == 1
+    units = [encode(u.codes) for u in group.elements]
     if image != set(units):
         raise FrobeniusInvarianceViolation("Nrd on o'^x does not cover the unit group")
     report["nrd_surjective"] = True
     # SL_n (elementaries) and the scalar units of reduced norm 1 act trivially
     for det_g in gl_dets[: n * (n - 1)]:
-        if det_g != one:
+        if det_g != 1:
             raise NotInvertible("elementary generator has det != 1")
     expected_norm_one = ((p ** (f * n) - 1) // (p ** f - 1)) * \
         (p ** (f * (n - 1))) ** (m - 1)
@@ -561,15 +533,16 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     report["norm_one_scalars"] = norm_one
     # action axioms on sampled triples: composing group elements composes maps
     for _ in range(min(pair_samples, 50)):
-        g1, det1 = codes.gl_sample(rng)
-        g2, det2 = codes.gl_sample(rng)
-        b1 = codes.unit_sample(rng)
-        b2 = codes.unit_sample(rng)
+        g1, det1 = _gl_sample(order, rng)
+        g2, det2 = _gl_sample(order, rng)
+        b1 = _unit_sample(order, rng)
+        b2 = _unit_sample(order, rng)
         t1, t2, c = (units[k] for k in _draws(rng, group.order, 3))
-        by_1 = action(det1, nrd(b1), t1)
-        by_2 = action(det2, nrd(b2), t2)
-        by_12 = action(det(matrix_mul(g1, g2)), nrd(order_mul(b1, b2)), mul(t1, t2))
-        if mul(by_1, mul(by_2, c)) != mul(by_12, c):
+        by_1 = action(det1, _reduced_norm(order, b1), t1)
+        by_2 = action(det2, _reduced_norm(order, b2), t2)
+        by_12 = action(_determinant(tables, _matrix_mul(tables, g1, g2)),
+                       _reduced_norm(order, _order_mul(order, b1, b2)), mul[t1][t2])
+        if mul[by_1][mul[by_2][c]] != mul[by_12][c]:
             raise NotInvertible("action does not compose on a sampled triple")
         report["action_triples"] += 1
     return Pi0Action(group, order, gl, report)

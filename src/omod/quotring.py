@@ -4,30 +4,26 @@ Elements are written a_0 + a_1 t + ... + a_{m-1} t^{m-1} with a_j in F_q.
 This ring underlies unit groups, torsion-point coordinates, matrix entries
 and the multiplication indices [a] of formal modules.
 
-An element stores its digits as codes, a bytes string of length m whose
-j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
-shared with the series kernel).  The ring arithmetic is a small kernel of
-functions on such code strings (_add_codes, _sub_codes, _mul_codes,
-_inv_codes, _pow_codes, _shift_codes), schoolbook arithmetic on table
-lookups.  Add and subtract index the field's row tables, the product scales
-one operand by a bytes.translate row per digit of the other, inversion runs
-the power-series recurrence, and a product by t^w is a shift of the digits.
-OModElement's operators call the kernel.  The per-digit maps (Frobenius,
-embedding, projection) are bytes.translate tables.  FqElement stays the type
-at the boundaries: ring.element takes FqElements, and the read-only coeffs
-view returns them.
+Each element has one integer code: code k is the element whose t-digits
+are the base-q digits of k, for rings of any size, so zero is 0, one is 1
+and k is a unit exactly when k % q != 0, as in F_q.  OModRing.code_tables
+holds the arithmetic on these codes with the row tables of F_q's _Tables
+(add_rows, sub_rows, mul_rows), neg, inv (0 on non-units) and shift (times
+t), so a sum or product is one lookup.  A ring of at most 256 elements has
+full tables (_RingTables); a larger ring fills each row on first lookup
+(_WideTables), by the schoolbook kernel _add_codes/_mul_codes on digit
+codes.  _determinant eliminates on these codes with unit pivots and ends
+with a*d - b*c on the last 2x2 block; it reports a non-unit determinant as
+None rather than raising.  pi0's sampled checks run on these codes from
+draw to comparison.
 
-Each ring is also a ring of integer codes, OModRing.code_tables, with the
-row tables of F_q's _Tables (add_rows, sub_rows, mul_rows, neg, inv, shift),
-so a sum or product is one lookup.  A ring of at most 256 elements has
-one-byte codes, the way finitefield treats F_q: code k is the element with
-base-q digits k, and the tables are built in full.  A larger ring has wide
-codes, int.from_bytes(digit codes, "little"), whose tables run the digit
-kernel on first lookup.  In both, zero is 0 and a code is a unit exactly
-when code % tables.q != 0.  _determinant eliminates on either with unit
-pivots and ends with a*d - b*c on the last 2x2 block; it reports a non-unit
-determinant as None rather than raising.  pi0's sampled checks run on these
-codes from draw to comparison.
+An OModElement stores its digits as codes, a bytes string of length m whose
+j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
+shared with the series kernel).  Its + - * inv ** and shift look its code
+up in code_tables; the per-digit maps (negation, Frobenius, embedding,
+projection) are bytes.translate tables.  FqElement stays the type at the
+boundaries: ring.element takes FqElements, and the read-only coeffs view
+returns them.
 """
 
 from __future__ import annotations
@@ -62,8 +58,8 @@ class OModRing:
 
     @cached_property
     def code_tables(self):
-        """The integer code tables: one-byte codes for a ring of at most 256
-        elements, wide codes beyond.  Shared by every equal ring."""
+        """The integer code tables: built in full for a ring of at most 256
+        elements, filled on first lookup beyond.  Shared by every equal ring."""
         return _code_tables(self.residue, self.m)
 
     @cached_property
@@ -77,12 +73,9 @@ class OModRing:
         return OModElement(self, codes + bytes(self.m - len(codes)))
 
     def from_int_digits(self, k):
-        """Element whose t-digits are the base-q digits of k (q = residue order)."""
-        q = self.residue.q
-        codes = bytearray(self.m)
-        for j in range(self.m):
-            k, codes[j] = divmod(k, q)
-        return OModElement(self, bytes(codes))
+        """Element whose t-digits are the base-q digits of k (q = residue
+        order): the element with code k."""
+        return OModElement(self, _digits(k, self.residue.q, self.m))
 
     def zero(self):
         return OModElement(self, bytes(self.m))
@@ -117,13 +110,18 @@ def _digit_codes(residue: FieldSpec, m: int):
     return tuple(bytes(digits[::-1]) for digits in product(range(residue.q), repeat=m))
 
 
+def _digits(k, q, m):
+    """The digit codes of code k: its m base-q digits, lowest first."""
+    codes = bytearray(m)
+    for j in range(m):
+        k, codes[j] = divmod(k, q)
+    return bytes(codes)
+
+
 def _add_codes(tables, a, b):
+    """Sum of two code strings, digit by digit.  With _mul_codes, the kernel
+    that fills the row entries of _WideTables."""
     rows = tables.add_rows
-    return bytes([rows[x][y] for x, y in zip(a, b)])
-
-
-def _sub_codes(tables, a, b):
-    rows = tables.sub_rows
     return bytes([rows[x][y] for x, y in zip(a, b)])
 
 
@@ -142,35 +140,16 @@ def _mul_codes(tables, a, b):
     return bytes(out)
 
 
-def _inv_codes(tables, a):
-    """Inverse of a unit's codes: b_0 = 1/a_0 and
-    b_k = -b_0 (a_1 b_(k-1) + ... + a_k b_0)."""
-    add, mul = tables.add_rows, tables.mul_rows
-    b0 = tables.inv[a[0]]
-    minus_b0 = mul[tables.neg[b0]]
-    out = [b0]
-    for k in range(1, len(a)):
-        acc = 0
-        for j in range(1, k + 1):
-            acc = add[acc][mul[a[j]][out[k - j]]]
-        out.append(minus_b0[acc])
-    return bytes(out)
-
-
-def _pow_codes(tables, a, e):
-    """a^e (e >= 0) by square-and-multiply."""
-    out = b"\x01" + bytes(len(a) - 1)
+def _power(tables, k, e):
+    """The code of k^e (e >= 0), by square-and-multiply on mul_rows."""
+    mul, out = tables.mul_rows, 1
     while e:
         if e & 1:
-            out = _mul_codes(tables, out, a)
-        a = _mul_codes(tables, a, a)
+            out = mul[out][k]
         e >>= 1
+        if e:
+            k = mul[k][k]
     return out
-
-
-def _shift_codes(a, w):
-    """a * t^w (w >= 0), truncated at t^m."""
-    return (bytes(w) + a)[: len(a)]
 
 
 class OModElement:
@@ -200,6 +179,17 @@ class OModElement:
         if self.ring is not other.ring and self.ring != other.ring:
             raise MixedFields("elements of %r and %r" % (self.ring, other.ring))
 
+    def _code(self):
+        return self.ring.code_tables.encode(self.codes)
+
+    def _coded(self, k):
+        """The element of this ring with code k."""
+        return OModElement(self.ring, self.ring.code_tables.decode(k))
+
+    def _lookup(self, rows, other):
+        self._check(other)
+        return self._coded(rows[self._code()][other._code()])
+
     def is_zero(self):
         return not any(self.codes)
 
@@ -211,33 +201,33 @@ class OModElement:
         return len(self.codes) - len(self.codes.lstrip(b"\0"))
 
     def __add__(self, other):
-        self._check(other)
-        return OModElement(self.ring, _add_codes(self.ring.tables, self.codes, other.codes))
+        return self._lookup(self.ring.code_tables.add_rows, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return OModElement(self.ring, _sub_codes(self.ring.tables, self.codes, other.codes))
+        return self._lookup(self.ring.code_tables.sub_rows, other)
 
     def __neg__(self):
         return OModElement(self.ring, self.codes.translate(self.ring.tables.neg))
 
     def __mul__(self, other):
-        self._check(other)
-        return OModElement(self.ring, _mul_codes(self.ring.tables, self.codes, other.codes))
+        return self._lookup(self.ring.code_tables.mul_rows, other)
 
     def inv(self):
         if not self.is_unit():
             raise ZeroDivisionError("non-unit %r has no inverse" % (self,))
-        return OModElement(self.ring, _inv_codes(self.ring.tables, self.codes))
+        return self._coded(self.ring.code_tables.inv[self._code()])
 
     def shift(self, w):
         """This element times t^w (w >= 0)."""
-        return OModElement(self.ring, _shift_codes(self.codes, w))
+        shift, k = self.ring.code_tables.shift, self._code()
+        for _ in range(min(w, self.ring.m)):
+            k = shift[k]
+        return self._coded(k)
 
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        return OModElement(self.ring, _pow_codes(self.ring.tables, self.codes, e))
+        return self._coded(_power(self.ring.code_tables, self._code(), e))
 
     def frobenius(self, j=1):
         """Coefficient-wise a_i -> a_i^(p^j)."""
@@ -304,18 +294,19 @@ class OModElement:
 
 
 class _RingTables:
-    """Code-level arithmetic of o/t^m on one-byte codes, when q^m <= 256,
-    with _Tables' row tables (add_rows, sub_rows, mul_rows: row c is the
-    bytes.translate table of b -> c + b, c - b, c * b), neg, inv (0 on
-    non-units) and shift (times t).  q is the residue field's order, so code
-    k is a unit exactly when k % q != 0, as in F_q; code k is draw[k] = k,
-    the element with base-q digits k.  For m = 1 the tables are F_q's own."""
+    """Code-level arithmetic of o/t^m when q^m <= 256, with _Tables' row
+    tables (add_rows, sub_rows, mul_rows: row c is the bytes.translate
+    table of b -> c + b, c - b, c * b), neg, inv (0 on non-units) and shift
+    (times t), all built in full.  q is the residue field's order, so code
+    k is a unit exactly when k % q != 0, as in F_q.  For m = 1 the tables
+    are F_q's own."""
 
     def __init__(self, residue: FieldSpec, m: int):
         field = _tables(residue)
         self.q = q = field.q
         self.size = size = q ** m
-        self.draw, self.digits = range(size), _digit_codes(residue, m)
+        digits = _digit_codes(residue, m)
+        self.encode, self.decode = dict(zip(digits, range(size))).__getitem__, digits.__getitem__
         self.shift = bytes(k * q % size for k in range(size)) + _IDENTITY[size:]
         if m == 1:
             self.neg, self.inv = field.neg, field.inv
@@ -343,17 +334,6 @@ class _RingTables:
         self.mul_rows = tuple(rows)
         self.inv = bytes(row.find(1) if a % q else 0 for a, row in enumerate(rows))
 
-    def encode(self, codes):
-        """The code of the element with digit codes `codes`."""
-        k = 0
-        for d in reversed(codes):
-            k = k * self.q + d
-        return k
-
-    def decode(self, k):
-        """The digit codes of code k."""
-        return self.digits[k]
-
     def digitwise(self, table):
         """Translation table of codes that applies the map `table` of F_q
         codes to each base-q digit."""
@@ -378,18 +358,17 @@ class _Lookup(dict):
 
 
 class _WideTables:
-    """_RingTables' interface on wide codes, for rings of more than 256
-    elements: the code of an element is int.from_bytes(its digit codes,
-    "little"), so zero is 0 and a code is a unit exactly when its low byte,
-    the code of a_0, is nonzero (q = 256).  Each lookup runs the digit
-    kernel once and keeps its value; draw[k] is the code of the element with
-    base-q digits k."""
-
-    q = 256
+    """_RingTables' interface and codes for rings of more than 256 elements,
+    with every table filled on first lookup and nothing of q^m entries
+    built: a row entry runs the digit kernel (_add_codes, _mul_codes) on
+    the decoded operands, and a unit's inverse is a^(|units| - 1) by
+    square-and-multiply on those rows."""
 
     def __init__(self, residue: FieldSpec, m: int):
-        self.residue, self.m = residue, m
         field = _tables(residue)
+        self.q = q = field.q
+        self.m, self.size = m, q ** m
+        self.decode = _Lookup(lambda k: _digits(k, q, m)).__getitem__
 
         def rows(kernel):
             def row(a):
@@ -397,23 +376,18 @@ class _WideTables:
                 return _Lookup(lambda b: self.encode(kernel(field, x, self.decode(b))))
             return _Lookup(row)
 
-        self.add_rows, self.sub_rows, self.mul_rows = \
-            rows(_add_codes), rows(_sub_codes), rows(_mul_codes)
+        self.add_rows, self.mul_rows = rows(_add_codes), rows(_mul_codes)
+        self.sub_rows = rows(lambda f, x, y: _add_codes(f, x, y.translate(f.neg)))
         self.neg = self.digitwise(field.neg)
-        self.inv = _Lookup(lambda a: self.encode(_inv_codes(field, self.decode(a)))
-                           if a & 255 else 0)
-        self.shift = _Lookup(lambda a: self.encode(_shift_codes(self.decode(a), 1)))
+        units = (q - 1) * q ** (m - 1)
+        self.inv = _Lookup(lambda a: _power(self, a, units - 1) if a % q else 0)
+        self.shift = _Lookup(lambda a: a * q % self.size)
 
-    @cached_property
-    def draw(self):
-        return tuple(map(self.encode, _digit_codes(self.residue, self.m)))
-
-    @staticmethod
-    def encode(codes):
-        return int.from_bytes(codes, "little")
-
-    def decode(self, k):
-        return k.to_bytes(self.m, "little")
+    def encode(self, codes):
+        k = 0
+        for d in reversed(codes):
+            k = k * self.q + d
+        return k
 
     def digitwise(self, table):
         return _Lookup(lambda a: self.encode(self.decode(a).translate(table)))

@@ -336,7 +336,8 @@ class LocalFieldElement:
                 "divisor is zero modulo u^%d" % self.precision)
         tables = _tables(self.field.residue)
         v = self.leading_exponent
-        b = bytes([self.coeff_at(v).inv().to_int()])
+        self.coeff_at(v)            # PrecisionExhausted when u^v is not known
+        b = bytes([tables.inv[self.codes[0]]])
         if self.precision is None:
             if len(self.codes) == 1 and precision is None:
                 return LocalFieldElement(self.field, -v, b, None)

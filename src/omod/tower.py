@@ -18,7 +18,7 @@ from fractions import Fraction
 from .additive import AdditivePolynomial, require_separable
 from .errors import (ExtensionRequired, MixedFields, NoConvergence,
                      NotInTower, PrecisionExhausted)
-from .finitefield import GF
+from .finitefield import GF, _tables
 from .newton import newton_polygon
 from .series import (BaseEmbedding, LocalFieldElement, LocalFieldSpec, make_element,
                      series_keys, substitute)
@@ -257,14 +257,18 @@ def _hull_value_at(polygon, d):
 
 def _residue_roots(residue, lead):
     """The nonzero a in the residue field with sum_d lead[d] * a^d = 0, in
-    the field's element order."""
+    the field's element order.  The sum runs on codes, with a^d read from
+    the exp/log tables."""
+    tables = _tables(residue)
+    add, mul, (exp, log) = tables.add_rows, tables.mul_rows, tables._exp_log
+    terms = [(d, mul[b.to_int()]) for d, b in lead.items()]
     out = []
-    for a in residue.elements():
-        acc = residue.zero()
-        for d, b in lead.items():
-            acc = acc + b * a ** d
-        if acc.is_zero() and not a.is_zero():
-            out.append(a)
+    for a in range(1, tables.q):
+        acc = 0
+        for d, row in terms:
+            acc = add[acc][row[exp[log[a] * d % (tables.q - 1)]]]
+        if not acc:
+            out.append(tables.elements[a])
     return out
 
 

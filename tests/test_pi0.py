@@ -1,7 +1,10 @@
 """Unit groups, determinant, reduced norm, the component action, characters."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,7 +13,8 @@ import pytest
 from omod import pi0, quotring
 from omod.errors import FrobeniusInvarianceViolation, NotAUnit, NotInvertible, StructureViolation
 from omod.finitefield import FIXED_MODULI, GF, RESIDUE_CARDINALITY_CAP, _is_prime, _prime_factors
-from omod.pi0 import (DivisionOrder, _Codes, _generator_basis, all_characters,
+from omod.pi0 import (DivisionOrder, _generator_basis, _gl_sample, _matrix_mul, _norm,
+                      _order_mul, _reduced_norm, _unit_sample, all_characters,
                       expected_invariant_factors, h0_decomposition, matrix_determinant,
                       pi0_action_table, reduced_norm, unit_group)
 from omod.quotring import OModElement, OModRing, _determinant, _mul_codes, _WideTables
@@ -23,37 +27,28 @@ from quotring_reference import (_partition_from_counts, leibniz_determinant,
 
 
 def encodings(residue, n, m):
-    """pi0_action_table's kernel for o/t^m over `residue` and its order of
-    height n, on each ring's own codes, and the same kernel with both rings
-    forced onto wide codes (another encoding wherever a ring has at most 256
-    elements): the code_tables cached property is set on that order's two
-    ring instances."""
+    """The order of height n over o/t^m over `residue`, with each ring on its
+    own code tables, and the same order with both rings forced onto tables
+    filled on first lookup (_WideTables, which a ring of at most 256
+    elements does not get otherwise): the code_tables cached property is
+    set on that order's two ring instances.  Both have the same codes."""
     def order():
         return DivisionOrder(n, OModRing(GF(residue.p, residue.f * n), m), residue)
 
     forced = order()
     for ring in (forced.ring, forced.big):
         ring.__dict__["code_tables"] = _WideTables(ring.residue, ring.m)
-    return [_Codes(order()), _Codes(forced)]
+    return [order(), forced]
 
 
-def codes(kernel, elements):
-    """Elements of o/t^m or o'/t^m as codes of `kernel`'s ring instances."""
-    def encode(x):
-        ring = kernel.ring if x.ring.residue == kernel.ring.residue else kernel.order.big
-        return ring.code_tables.encode(x.codes)
-
-    return tuple(map(encode, elements))
+def codes(elements):
+    """The integer codes of elements of o/t^m or o'/t^m."""
+    return tuple(x.ring.code_tables.encode(x.codes) for x in elements)
 
 
-def digits(kernel, ring, values):
-    """Codes of `kernel` as digit code strings."""
-    return tuple(kernel.decode(ring, x).codes for x in values)
-
-
-def boxed(kernel, ring, rows):
-    """A matrix of codes of `kernel` as coefficient tuples."""
-    return tuple(tuple(kernel.decode(ring, x).coeffs for x in row) for row in rows)
+def boxed(ring, rows):
+    """A matrix of codes of `ring` as coefficient tuples."""
+    return tuple(tuple(ring.from_int_digits(x).coeffs for x in row) for row in rows)
 
 
 def test_unit_group_q2_m3_cyclic4():
@@ -107,20 +102,20 @@ def test_determinant_examples():
 
 
 def test_det_multiplicative_random():
-    for kernel in encodings(GF(2), 2, 2):
-        rng, R = random.Random(11), kernel.ring
+    for order in encodings(GF(2), 2, 2):
+        rng, R = random.Random(11), order.ring
+        tables = R.code_tables
         for _ in range(200):
-            a, det_a = kernel.gl_sample(rng)
-            b, det_b = kernel.gl_sample(rng)
-            product = kernel.matrix_mul(a, b)
-            assert boxed(kernel, R, product) == \
-                reference_matrix_mul(boxed(kernel, R, a), boxed(kernel, R, b))
-            assert kernel.det(product) == kernel.mul(det_a, det_b)
+            a, det_a = _gl_sample(order, rng)
+            b, det_b = _gl_sample(order, rng)
+            product = _matrix_mul(tables, a, b)
+            assert boxed(R, product) == reference_matrix_mul(boxed(R, a), boxed(R, b))
+            assert _determinant(tables, product) == tables.mul_rows[det_a][det_b]
 
 
 def assert_matches_leibniz(g, ring):
-    """The unit-pivot elimination, on the ring's own codes and on wide codes,
-    against the Leibniz sum."""
+    """The unit-pivot elimination, on the ring's own tables and on tables
+    filled on first lookup, against the Leibniz sum."""
     want = leibniz_determinant([[x.coeffs for x in row] for row in g])
     wide = _WideTables(ring.residue, ring.m)
     on_wide = [[wide.encode(x.codes) for x in row] for row in g]
@@ -156,7 +151,8 @@ def test_determinant_matches_leibniz_on_every_1x1_and_2x2_over_gf3(m):
 @settings(derandomize=True, database=None, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(1, 3)),
-                 # more than 256 elements: wide codes; (3, 1) shows a swap's sign
+                 # more than 256 elements: tables filled on first lookup; (3, 1)
+                 # shows a swap's sign
                  st.sampled_from([((2, 1), 9), ((3, 1), 6), ((2, 2), 5)])),
        st.integers(3, 4), st.data())
 def test_determinant_matches_leibniz_sampled(case, n, data):
@@ -173,15 +169,15 @@ def test_determinant_matches_leibniz_sampled(case, n, data):
 @pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 2), ((2, 1), 4, 1), ((3, 1), 3, 2),
                                       ((2, 2), 2, 3)])
 def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
-    for kernel in encodings(GF(*q_pf), n, m):
-        R = kernel.ring
+    for order in encodings(GF(*q_pf), n, m):
+        R = order.ring
         ours, reference = random.Random(5), random.Random(5)
         for _ in range(20):
-            rows, det = kernel.gl_sample(ours)
+            rows, det = _gl_sample(order, ours)
             g = reference_gl_sample(R, n, reference)
-            assert rows == [list(codes(kernel, row)) for row in g]
+            assert rows == [list(codes(row)) for row in g]
             # the determinant that accepted the sample is the sample's determinant
-            assert kernel.decode(R, det).coeffs == leibniz_determinant(boxed(kernel, R, rows))
+            assert R.from_int_digits(det).coeffs == leibniz_determinant(boxed(R, rows))
         assert ours.getstate() == reference.getstate()
 
 
@@ -198,11 +194,10 @@ def test_draws_are_the_values_and_state_of_randrange():
 
 @pytest.mark.parametrize("pf,n,m", [((2, 1), 2, 2), ((3, 1), 3, 2), ((2, 2), 2, 1)])
 def test_random_unit_draws_as_the_boxed_sampler_did(pf, n, m):
-    for kernel in encodings(GF(*pf), n, m):
+    for order in encodings(GF(*pf), n, m):
         ours, reference = random.Random(6), random.Random(6)
         for _ in range(20):
-            assert kernel.unit_sample(ours) == \
-                codes(kernel, reference_unit_sample(kernel.order, reference))
+            assert _unit_sample(order, ours) == codes(reference_unit_sample(order, reference))
         assert ours.getstate() == reference.getstate()
 
 
@@ -228,8 +223,8 @@ def test_pi0_action_table_makes_the_draws_of_the_boxed_samplers():
 
 
 # (p, f, n, m): n = 3 and odd characteristic, where a row swap's sign matters;
-# (2, 1, 3, 3) and (3, 1, 2, 3) have q^(nm) > 256, so o'/t^m runs on wide codes,
-# and (2, 1, 1, 9) has q^m > 256, so both rings do
+# (2, 1, 3, 3) and (3, 1, 2, 3) have q^(nm) > 256, so o'/t^m fills its tables
+# on first lookup, and (2, 1, 1, 9) has q^m > 256, so both rings do
 ORACLE_CASES = [(2, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (2, 1, 3, 1), (2, 1, 3, 2),
                 (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (5, 1, 2, 1), (2, 1, 3, 3),
                 (3, 1, 2, 3), (2, 1, 1, 9)]
@@ -294,7 +289,7 @@ def _determinant_without_the_swap_sign(tables, rows):
 
 
 # pi0_action_table(3, 1, 2, m): o'/t^m has 9 and 81 elements for m = 1, 2
-# (one-byte codes) and 729 for m = 3 (wide codes)
+# (full tables) and 729 for m = 3 (tables filled on first lookup)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_determinant_without_the_swap_sign_fails_the_det_check(m, monkeypatch):
     # the sampler's determinant comes from the same kernel as the product's,
@@ -323,7 +318,7 @@ def test_a_wrong_norm_past_the_frobenius_check_fails_the_exhaustive_norm_loop(m,
 ORDER_CASES = st.one_of(
     st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.sampled_from([2, 3]),
               st.integers(1, 3)),
-    # o/t^m has more than 256 elements: both rings on wide codes
+    # o/t^m has more than 256 elements: both rings fill their tables on first lookup
     st.sampled_from([((2, 1), 2, 9), ((3, 1), 2, 6), ((2, 2), 2, 5)]))
 
 
@@ -341,15 +336,15 @@ def _order_element(data, order, unit):
 @given(ORDER_CASES, st.data())
 def test_order_arithmetic_matches_the_t_power_reference(case, data):
     pf, n, m = case
-    kernels = encodings(GF(*pf), n, m)
-    order = kernels[0].order
+    orders = encodings(GF(*pf), n, m)
+    order = orders[0]
     b, c = _order_element(data, order, True), _order_element(data, order, False)
     want = reference_reduced_norm(order, b)
     assert reduced_norm(order, b).coeffs == want
-    for kernel in kernels:
-        assert kernel.order_mul(codes(kernel, b), codes(kernel, c)) == \
-            codes(kernel, reference_order_mul(order, b, c))
-        assert kernel.decode(kernel.ring, kernel.nrd(codes(kernel, b))).coeffs == want
+    for on_tables in orders:
+        assert _order_mul(on_tables, codes(b), codes(c)) == \
+            codes(reference_order_mul(order, b, c))
+        assert order.ring.from_int_digits(_reduced_norm(on_tables, codes(b))).coeffs == want
 
 
 def test_reduced_norm_scalar_is_norm():
@@ -375,21 +370,20 @@ def test_reduced_norm_identity_and_nonunit():
 
 
 def test_order_associativity_sampled():
-    for kernel in encodings(GF(2), 2, 2):
-        rng, mul = random.Random(5), kernel.order_mul
+    for order in encodings(GF(2), 2, 2):
+        rng = random.Random(5)
         for _ in range(50):
-            a, b, c = (kernel.unit_sample(rng) for _ in range(3))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            a, b, c = (_unit_sample(order, rng) for _ in range(3))
+            assert _order_mul(order, _order_mul(order, a, b), c) == \
+                _order_mul(order, a, _order_mul(order, b, c))
 
 
 def test_pi_commutation_relation():
     # Pi * a = Frob(a) * Pi
-    for kernel in encodings(GF(2), 2, 2):
-        order = kernel.order
+    for order in encodings(GF(2), 2, 2):
         x = order.big.element([order.big.residue.gen()])
-        lhs = kernel.order_mul(codes(kernel, order.pi()), codes(kernel, order.scalar(x)))
-        rhs = kernel.order_mul(codes(kernel, order.scalar(x.frobenius(1))),
-                               codes(kernel, order.pi()))
+        lhs = _order_mul(order, codes(order.pi()), codes(order.scalar(x)))
+        rhs = _order_mul(order, codes(order.scalar(x.frobenius(1))), codes(order.pi()))
         assert lhs == rhs
 
 
@@ -563,34 +557,25 @@ def test_unit_group_rejects_factors_that_are_not_the_groups(monkeypatch, factors
 @given(st.sampled_from([(2, 1, 2, 1), (2, 1, 2, 3), (2, 2, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2),
                         (2, 1, 1, 8), (5, 1, 1, 3), (2, 4, 1, 2)]), st.integers(0, 2 ** 32))
 def test_byte_and_digit_kernels_agree(case, seed):
-    # the same draws give the same values on one-byte codes and on wide codes
-    # (the digit kernel behind each lookup)
+    # the same draws give the same codes on full tables and on tables filled
+    # on first lookup (the digit kernel behind each entry)
     p, f, n, m = case
-    by_bytes, by_wide = encodings(GF(p, f), n, m)
-    assert isinstance(by_bytes.tables, quotring._RingTables)
-    rng_b, rng_w = random.Random(seed), random.Random(seed)
+    full, lazy = encodings(GF(p, f), n, m)
+    assert isinstance(full.ring.code_tables, quotring._RingTables)
 
-    def same(values_b, values_w, big=False):
-        ring_b, ring_w = (k.order.big if big else k.ring for k in (by_bytes, by_wide))
-        return digits(by_bytes, ring_b, values_b) == digits(by_wide, ring_w, values_w)
+    def run(order, rng):
+        tables, big_tables = order.ring.code_tables, order.big.code_tables
+        (a, det_a), (b, det_b) = (_gl_sample(order, rng) for _ in range(2))
+        product = _matrix_mul(tables, a, b)
+        u, v = _unit_sample(order, rng), _unit_sample(order, rng)
+        nrd = _reduced_norm(order, v)
+        return (a, b, det_a, det_b, product, _determinant(tables, product), u, v,
+                _order_mul(order, u, v), nrd, _norm(order, u[0]),
+                tables.mul_rows[det_a][det_b], tables.inv[nrd], big_tables.inv[u[0]])
 
-    (a_b, det_a_b), (b_b, det_b_b) = (by_bytes.gl_sample(rng_b) for _ in range(2))
-    (a, det_a), (b, det_b) = (by_wide.gl_sample(rng_w) for _ in range(2))
-    assert all(same(x, y) for x, y in zip(a_b + b_b, a + b))
-    assert same([det_a_b, det_b_b], [det_a, det_b])
-    product_b, product = by_bytes.matrix_mul(a_b, b_b), by_wide.matrix_mul(a, b)
-    assert all(same(x, y) for x, y in zip(product_b, product))
-    assert same([by_bytes.det(product_b)], [by_wide.det(product)])
-    u_b, v_b = by_bytes.unit_sample(rng_b), by_bytes.unit_sample(rng_b)
-    u, v = by_wide.unit_sample(rng_w), by_wide.unit_sample(rng_w)
-    assert same(u_b + v_b, u + v, big=True)
-    assert same(by_bytes.order_mul(u_b, v_b), by_wide.order_mul(u, v), big=True)
-    assert same([by_bytes.nrd(u_b), by_bytes.norm(u_b[0]), by_bytes.mul(det_a_b, det_b_b),
-                 by_bytes.action(det_a_b, by_bytes.nrd(v_b), det_b_b)],
-                [by_wide.nrd(u), by_wide.norm(u[0]), by_wide.mul(det_a, det_b),
-                 by_wide.action(det_a, by_wide.nrd(v), det_b)])
-    assert same(by_bytes.big_units(), by_wide.big_units(), big=True)
-    assert rng_b.getstate() == rng_w.getstate()
+    rng_full, rng_lazy = random.Random(seed), random.Random(seed)
+    assert run(full, rng_full) == run(lazy, rng_lazy)
+    assert rng_full.getstate() == rng_lazy.getstate()
 
 
 def test_a_given_unit_group_is_used_and_changes_nothing():
@@ -602,3 +587,23 @@ def test_a_given_unit_group_is_used_and_changes_nothing():
     assert given_group.report == own_group.report
     assert given_group.to_json() == own_group.to_json()
     assert ours.getstate() == again.getstate()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pi0_codes.json")
+
+
+@pytest.mark.parametrize("case", [(2, 1, 2, 2), (2, 1, 2, 5)])
+def test_generators_dlog_and_pi0_tables_match_the_golden(case):
+    # captured from the search on digit-code strings, at a ring with
+    # full tables (o'/t^2 over F_4) and one filled on first lookup (o'/t^5);
+    # the action document is pinned by the SHA-256 of its canonical JSON
+    with open(GOLDEN) as fh:
+        golden = {tuple(doc["case"]): doc for doc in json.load(fh)}[case]
+    p, f, n, m = case
+    group = unit_group((p, f), m)
+    action = pi0_action_table(p, f, n, m, rng=random.Random(5))
+    assert group.to_json() == golden["unit_group"]
+    assert [[list(k), list(v)] for k, v in group.dlog.items()] == golden["dlog"]
+    assert action.report == golden["report"]
+    canonical = json.dumps(action.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == golden["pi0_action_sha256"]

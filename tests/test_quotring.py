@@ -10,8 +10,7 @@ import pytest
 
 from omod.errors import MixedFields
 from omod.finitefield import FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables
-from omod.quotring import (OModRing, _add_codes, _inv_codes, _mul_codes, _RingTables,
-                           _shift_codes, _sub_codes, _WideTables)
+from omod.quotring import OModRing, _add_codes, _digit_codes, _mul_codes, _RingTables, _WideTables
 
 from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_lift_to, ref_mul,
                                 ref_descend_to, ref_norm_to, ref_pow, ref_reduce_to,
@@ -170,43 +169,76 @@ def _rings_of_at_most_256_elements():
 @pytest.mark.parametrize("p,f,m", _rings_of_at_most_256_elements())
 def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     ring = OModRing(GF(p, f), m)
-    tables, field = ring.code_tables, ring.tables
-    assert isinstance(tables, _RingTables) and tables.q == ring.residue.q
-    assert tables.shift[: ring.size] == bytes(k * tables.q % ring.size for k in range(ring.size))
+    tables, field, q, size = ring.code_tables, ring.tables, ring.residue.q, ring.size
+    assert isinstance(tables, _RingTables) and tables.q == q
     digit = ring.digit_codes
     frob = _frobenius_table(ring.residue, 1)
-    # the same ring on wide codes, whose lookups run the digit kernel
+    # the same ring with tables filled on first lookup, on the same codes
     wide = _WideTables(ring.residue, m)
-    assert wide.draw == tuple(map(wide.encode, digit))
-    for a, x in enumerate(digit):
-        assert tables.encode(x) == a and tables.decode(a) == x
-        assert wide.decode(wide.encode(x)) == x
-        assert tables.digitwise(frob)[a] == tables.encode(x.translate(frob))
-        assert wide.digitwise(frob)[wide.encode(x)] == wide.encode(x.translate(frob))
+    for k, x in enumerate(digit):
+        assert tables.encode(x) == wide.encode(x) == k
+        assert tables.decode(k) == wide.decode(k) == x
+        assert tables.digitwise(frob)[k] == wide.digitwise(frob)[k] == \
+            tables.encode(x.translate(frob))
+        assert tables.neg[k] == wide.neg[k] == tables.encode(x.translate(field.neg))
+        assert tables.shift[k] == wide.shift[k] == k * q % size
+        assert tables.inv[k] == wide.inv[k]
+        assert tables.mul_rows[k][tables.inv[k]] == 1 if k % q else tables.inv[k] == 0
     if m == 1:
         # F_q's own tables, checked against FqElement in test_finitefield
         assert (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.neg, tables.inv) == \
             (field.add_rows, field.sub_rows, field.mul_rows, field.neg, field.inv)
         return
-    code = {c: k for k, c in enumerate(digit)}
     for a, x in enumerate(digit):
-        w = wide.encode(x)
-        for coded, k, encode in ((tables, a, code.__getitem__), (wide, w, wide.encode)):
-            assert coded.neg[k] == encode(x.translate(field.neg))
-            assert coded.shift[k] == encode(_shift_codes(x, 1))
-            assert coded.inv[k] == (encode(_inv_codes(field, x)) if x[0] else 0)
         for rows, wide_rows, kernel in ((tables.add_rows, wide.add_rows, _add_codes),
-                                        (tables.sub_rows, wide.sub_rows, _sub_codes),
                                         (tables.mul_rows, wide.mul_rows, _mul_codes)):
-            want = [kernel(field, x, y) for y in digit]
-            assert rows[a][: len(digit)] == bytes(map(code.__getitem__, want))
-            wide_row = wide_rows[w]
-            assert [wide_row[b] for b in wide.draw] == list(map(wide.encode, want))
+            want = bytes(tables.encode(kernel(field, x, y)) for y in digit)
+            assert rows[a][:size] == want
+            assert bytes(wide_rows[a][b] for b in range(size)) == want
+        # a - b is the c with c + b = a, once addition is checked
+        assert [tables.add_rows[tables.sub_rows[a][b]][b] for b in range(size)] == [a] * size
+        assert bytes(wide.sub_rows[a][b] for b in range(size)) == tables.sub_rows[a][:size]
 
 
 def test_no_byte_tables_beyond_256_elements():
     assert isinstance(OModRing(GF(3), 5).code_tables, _RingTables)
     tables = OModRing(GF(3), 6).code_tables
-    assert isinstance(tables, _WideTables) and tables.q == 256
+    assert isinstance(tables, _WideTables) and tables.q == 3
     one = OModRing(GF(3), 6).one()
     assert tables.encode(one.codes) == 1 and tables.decode(1) == one.codes
+
+
+# rings on both sides of 256 elements: q = 3 at m = 5 and 6, q = 2 at m = 8
+# and 9, GF(16) at m = 2 and 3
+BOTH_SIDES_OF_256 = [((3, 1), 5), ((3, 1), 6), ((2, 1), 8), ((2, 1), 9), ((2, 4), 2), ((2, 4), 3)]
+
+
+@property_test
+@given(st.sampled_from(BOTH_SIDES_OF_256), st.data())
+def test_element_operations_match_reference_on_both_sides_of_256_elements(case, data):
+    pf, m = case
+    ring = OModRing(GF(*pf), m)
+    a, b = (ring.from_int_digits(data.draw(st.integers(0, ring.size - 1))) for _ in range(2))
+    e, w = data.draw(st.integers(0, 12)), data.draw(st.integers(0, m + 1))
+    assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+    assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
+    assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+    assert (a ** e).coeffs == ref_pow(a.coeffs, e)
+    assert a.shift(w).coeffs == ref_mul(a.coeffs, ref_pow(ring.t().coeffs, w))
+    if a.is_unit():
+        assert a.inv().coeffs == ref_inv(a.coeffs)
+        assert (a ** -e).coeffs == ref_pow(a.coeffs, -e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+
+
+def test_a_ring_of_2_to_the_24_elements_builds_no_table_of_every_element():
+    ring = OModRing(GF(2, 4), 6)
+    a, b = ring.from_int_digits(0x3A01F7), ring.from_int_digits(0xC4D2E9)
+    misses = _digit_codes.cache_info().misses
+    assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+    assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
+    assert a.inv().coeffs == ref_inv(a.coeffs)
+    assert (a ** 5).coeffs == ref_pow(a.coeffs, 5)
+    assert _digit_codes.cache_info().misses == misses

@@ -654,3 +654,10 @@ def test_a_product_of_terms_beyond_precision_knows_nothing():
     assert U.order_lower_bound() == 0
     square = U * U
     assert square.is_zero_mod_precision() and square.precision == 0
+
+
+def test_inv_raises_precision_exhausted_when_the_leading_term_is_past_the_precision():
+    # the stored term at u^5 lies beyond the known terms below u^3
+    x = LocalFieldElement(base_field(3, 1), 5, b"\x01", 3)
+    with pytest.raises(PrecisionExhausted, match=r"u\^5 unknown \(precision 3\)"):
+        x.inv()

@@ -11,11 +11,11 @@ from omod.errors import (ExtensionRequired, InseparablePolynomial,
                          NoConvergence, NotInTower, OmodError, PrecisionExhausted)
 from omod.finitefield import GF
 from omod.series import base_field, series_keys
-from omod.tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
+from omod.tower import (FieldAutomorphism, FieldTower, _residue_roots, additive_roots_in_field,
                         apply_automorphism, embed, ramified_extension_by_relation,
                         root_uniformizer_image, unramified_extension)
 
-from tower_reference import dense_additive_roots
+from tower_reference import dense_additive_roots, reference_residue_roots
 
 
 def lt_level1_relation(Q):
@@ -367,3 +367,17 @@ def test_field_tower_container():
         other = base_field(3, 1)
         F1b, _ = ramified_extension_by_relation(other, 2, lt_level1_relation(3))
         tower.push(F1b)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)])
+def test_residue_roots_match_the_boxed_evaluation(p, f):
+    residue = GF(p, f)
+    q, rng = residue.q, random.Random(residue.q)
+    elements = list(residue.elements())
+    for _ in range(40):
+        degrees = rng.sample([1, 2, 3, q, q + 1, q * q, 2 * q - 1], rng.randint(1, 3))
+        lead = {d: rng.choice(elements[1:]) for d in degrees}
+        assert _residue_roots(residue, lead) == reference_residue_roots(residue, lead)
+    # a^q = a on F_q: every nonzero element is a root of c a - c a^q
+    c = elements[-1]
+    assert _residue_roots(residue, {1: c, q: -c}) == elements[1:]

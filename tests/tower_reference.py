@@ -5,7 +5,8 @@ It runs on the full coefficient list a_0 .. a_(q^n) of P(T) - rhs: residue
 roots by a power loop over every degree, Newton steps by Horner evaluation of
 the polynomial and its dense derivative, and repeated residue roots by a
 binomial shift of every coefficient.  The additive search must give the same
-roots and raise the same exceptions on every input.
+roots and raise the same exceptions on every input.  The residue-root sum on
+FqElement products and powers is the oracle for the one on codes.
 """
 
 from fractions import Fraction
@@ -268,3 +269,16 @@ def _in_field_count(dense, field):
         if s >= 0 and s.denominator == 1:
             count += seg.length
     return count
+
+
+def reference_residue_roots(residue, lead):
+    """The nonzero a in the residue field with sum_d lead[d] * a^d = 0, in
+    the field's element order, by FqElement products and powers."""
+    out = []
+    for a in residue.elements():
+        acc = residue.zero()
+        for d, b in lead.items():
+            acc = acc + b * a ** d
+        if acc.is_zero() and not a.is_zero():
+            out.append(a)
+    return out
