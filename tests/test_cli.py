@@ -219,13 +219,17 @@ def test_high_precision_rows_pass_with_golden_bytes(capsys, q, n, m, prec, which
 
 
 def test_high_precision_tower_golden_bytes(capsys):
-    # three levels solved at precision 512; the level series and the 16
-    # torsion points are pinned byte for byte
-    code, out, _ = run_cli(capsys, "tower", "--q", "2", "--m", "4", "--prec", "512",
-                           "--output", "json")
-    assert code == 0
-    with open(os.path.join(GOLDEN, "tower_q2_m4_prec512.json")) as fh:
-        assert out == fh.read()
+    # three levels solved at precision 512, and the rank-2 height-2 tower at
+    # m = 2, whose coordinate order (lexicographic on t-digits) differs from
+    # the order of the integer codes; the level series and the 16 torsion
+    # points of each are pinned byte for byte
+    cases = {"tower_q2_m4_prec512.json": ("--q", "2", "--m", "4", "--prec", "512"),
+             "tower_q2_n2_m2_cm.json": ("--q", "2", "--n", "2", "--m", "2", "--cm")}
+    for name, argv in cases.items():
+        code, out, _ = run_cli(capsys, "tower", *argv, "--output", "json")
+        assert code == 0
+        with open(os.path.join(GOLDEN, name)) as fh:
+            assert out == fh.read()
 
 
 def test_other_errors_stay_failures(capsys):
