@@ -21,9 +21,8 @@ print("\nelementary generator acts as:",
 # A scalar unit b = a0 of the endomorphism order acts by the inverse of its
 # reduced norm, which on scalars is the coefficient-Frobenius norm; pick one
 # with a nontrivial norm so the components actually move.
-one_key = G.ring.one().lex_key()
 a0 = next(a for a in action.order.big.units()
-          if reduced_norm(action.order, action.order.scalar(a)).lex_key() != one_key)
+          if reduced_norm(action.order, action.order.scalar(a)) != G.ring.one())
 b = action.order.scalar(a0)
 print("\nscalar %r has reduced norm %r" % (a0, reduced_norm(action.order, b)))
 print("it moves components by:", action.component_table(b=b))

@@ -51,8 +51,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--p", type=int, default=None, help="residue characteristic")
-        p.add_argument("--f", type=int, default=1,
-                       help="residue degree over the prime field")
+        p.add_argument("--f", type=int, default=None,
+                       help="residue degree over the prime field (default 1 with --p)")
         p.add_argument("--q", type=int, default=None,
                        help="residue cardinality (alternative to --p/--f)")
         p.add_argument("--n", type=int, default=1, help="height")
@@ -92,20 +92,23 @@ class RunConfig:
     def __init__(self, args):
         if args.q is None and args.p is None:
             raise ValueError("one of --q or --p is required")
-        if args.q is None and args.f < 1:
+        f = 1 if args.f is None else args.f
+        if args.q is None and f < 1:
             raise ValueError("f must be >= 1")
         if args.n < 1:
             raise ValueError("n must be >= 1")
         if args.p is not None and args.p > RESIDUE_CARDINALITY_CAP:
             # p^f >= p exceeds the cap; testing a large p for primality takes sqrt(p) steps
             raise ValueError("residue cardinality %s exceeds cap %d" % (
-                args.p if args.f == 1 else "%d^%d" % (args.p, args.f), RESIDUE_CARDINALITY_CAP))
+                args.p if f == 1 else "%d^%d" % (args.p, f), RESIDUE_CARDINALITY_CAP))
         try:     # GF rejects a non-prime p by ValueError, an unsupported field by CapExceeded
-            spec = field_with_order(args.q) if args.q is not None else GF(args.p, args.f)
+            spec = field_with_order(args.q) if args.q is not None else GF(args.p, f)
         except CapExceeded as exc:
             raise ValueError(str(exc)) from None
         if args.p is not None and args.p != spec.p:
             raise ValueError("--q and --p disagree")
+        if args.f is not None and args.f != spec.f:
+            raise ValueError("--q and --f disagree")
         self.p, self.f = spec.p, spec.f
         self.q = spec.q
         self.n = args.n
@@ -121,9 +124,10 @@ class RunConfig:
             raise ValueError("verify needs m >= 1")
         if self.precision < 16:
             raise ValueError("precision must be >= 16")
-        if self.q ** (self.n * max(self.m, 1)) > DEGREE_CAP:
-            raise ValueError("q^(nm) = %d exceeds the degree cap %d"
-                             % (self.q ** (self.n * self.m), DEGREE_CAP))
+        degree = self.q ** (self.n * max(self.m, 1))
+        if degree > DEGREE_CAP:
+            raise ValueError("q^(n*max(m,1)) = %d exceeds the degree cap %d"
+                             % (degree, DEGREE_CAP))
         if args.command == "tower":
             towers = [(self.n if self.cm else 1, self.m)]
         else:

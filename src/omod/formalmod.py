@@ -166,17 +166,13 @@ class TorsionModule:
     def rank(self):
         return len(self.basis)
 
-    def act(self, a: OModElement, pt: LocalFieldElement) -> LocalFieldElement:
-        """[a] applied to a point, computed in the point field."""
-        return act(a, t_iterates(self.module, pt, a.ring.m))
-
     def to_json(self):
         rows = []
         for key, vec in sorted(self.coords.items()):
             pt = self.points[key]
             val = pt.valuation_lower_bound()
             rows.append({
-                "coordinates": [list(map(int, v.lex_key())) for v in vec],
+                "coordinates": [list(v.codes) for v in vec],
                 "series": pt.to_json(),
                 "valuation": "infinity" if val == math.inf
                              else [val.numerator, val.denominator],
@@ -187,7 +183,7 @@ class TorsionModule:
 
 
 def coord_key(coord_vector):
-    return tuple(v.lex_key() for v in coord_vector)
+    return tuple(v.codes for v in coord_vector)
 
 
 def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) -> TorsionModule:
@@ -482,11 +478,12 @@ def count_level_structures(Tm: TorsionModule) -> int:
     if size ** n > 1 << 16:
         raise CapExceeded("%d candidate maps exceed cap %d" % (size ** n, 1 << 16))
     coord_vecs = [Tm.coords[k] for k in sorted(Tm.points)]
-    every_vector = set(itertools.product([a.lex_key() for a in Tm.ring.elements()], repeat=n))
+    every_vector = set(itertools.product([a.codes for a in Tm.ring.elements()], repeat=n))
     if len(coord_vecs) != len(every_vector) or \
             {coord_key(v) for v in coord_vecs} != every_vector:
         raise StructureViolation("torsion coordinates do not biject onto (o/t^m)^%d" % n)
-    residues = [[x.codes[0] for x in v] for v in coord_vecs]
+    q = Tm.ring.residue.q
+    residues = [[x.code % q for x in v] for v in coord_vecs]
     # M mod t is invertible iff its transpose, the rows of image residues, is:
     # iff its determinant over F_q = o/t is a unit, which the unit-pivot
     # elimination reports as not None
@@ -527,7 +524,7 @@ def kernel_rank(phi: LevelStructure, reduction="closed"):
     add, mul = ring.tables.add_rows, ring.tables.mul_rows
     gens, residues = [], {bytes(n)}
     for vec in kernel:
-        r = bytes(x.codes[0] for x in vec)
+        r = bytes(x.code % q for x in vec)
         if r in residues:
             continue
         gens.append(vec)

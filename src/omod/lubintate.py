@@ -80,11 +80,9 @@ class LubinTateTower:
         shares its image's power table."""
         if not a.is_unit():
             raise ValueError("torsion substitutions need a unit index")
-        key = (a.ring, a.codes)
-        if key not in self._automorphisms:
-            self._automorphisms[key] = FieldAutomorphism(
-                self.top, act(a, self.iterates(self.m_max)))
-        return self._automorphisms[key]
+        if a not in self._automorphisms:
+            self._automorphisms[a] = FieldAutomorphism(self.top, act(a, self.iterates(self.m_max)))
+        return self._automorphisms[a]
 
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
@@ -137,10 +135,7 @@ class CharacterTable:
     """The verified isomorphism a <-> (lam_m -> [a](lam_m)) between the unit
     group of o/t^m and the torsion substitutions over the base."""
 
-    table: dict          # a.lex_key() -> (a, FieldAutomorphism)
-
-    def sigma(self, a: OModElement) -> FieldAutomorphism:
-        return self.table[a.lex_key()][1]
+    table: dict          # a.codes -> (a, FieldAutomorphism)
 
 
 def verify_character(lt: LubinTateTower) -> CharacterTable:
@@ -178,14 +173,14 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
             raise CharacterViolation("substitutions by %r and %r coincide"
                                      % (a, images[key]))
         images[key] = a
-        table[a.lex_key()] = (a, sigma)
+        table[a.codes] = (a, sigma)
     # multiplicativity on generators: sigma_g's power table serves all its
     # compositions
     for g, _order in unit_group((ring.residue.p, ring.residue.f), m).generators:
-        sig_g = table[g.lex_key()][1]
+        sig_g = table[g.codes][1]
         for a, sig_a in table.values():
             composed = apply_automorphism(sig_g, sig_a.image_of_uniformizer)
-            direct = table[(g * a).lex_key()][1].image_of_uniformizer
+            direct = table[(g * a).codes][1].image_of_uniformizer
             if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation(
                     "composition law fails at (%r, %r): %r vs %r"
@@ -355,24 +350,24 @@ def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     base_ring = OModRing(root_res, m)
     big_ring = OModRing(lt.base.residue, m)
     base_units = list(base_ring.units())
-    decode = {c.lex_key(): act(c, iterates) for c in base_units}
+    decode = {c: act(c, iterates) for c in base_units}
     witness = DeterminantWitness()
     for a in big_ring.units():
         sigma = lt.torsion_automorphism(a)
         moved = apply_automorphism(sigma, mu)
         matched = None
         for c in base_units:
-            if moved.agrees(decode[c.lex_key()], min_terms=DETERMINANT_MATCH_TERMS):
+            if moved.agrees(decode[c], min_terms=DETERMINANT_MATCH_TERMS):
                 matched = c
                 break
         if matched is None:
             raise DeterminantMismatch("sigma_a(mu) is not [c](mu) for any unit c; a = %r" % (a,))
         norm = a.norm_to(root_res)
-        if matched.lex_key() != norm.lex_key():
+        if matched != norm:
             raise DeterminantMismatch(
                 "sigma_%r moves mu by [%r], but N(a) = %r" % (a, matched, norm))
         witness.rows.append((a, norm, matched))
-    if len({c.lex_key() for _, _, c in witness.rows}) != len(base_units):
+    if len({c for _, _, c in witness.rows}) != len(base_units):
         # the norm is onto the base units; the decoded values must cover them
         raise DeterminantMismatch("decoded torsion characters do not cover the unit group")
     return witness

@@ -7,10 +7,12 @@ Characters take values in an abstract cyclic group written additively
 (integers mod the unit group's exponent); no embedding into any coefficient
 field is chosen.
 
-The generator search and pi0_action_table's checks run on quotring's one
-integer code per element (code k has the base-q digits of k as its
-t-digits) and its code_tables, so a randrange draw k is the element with
-code k and needs no conversion.
+The generator search, the determinant, the reduced norm and
+pi0_action_table's checks run on quotring's one integer code per element
+(code k has the base-q digits of k as its t-digits) and its code_tables.
+An OModElement is its ring and that code, so these maps read x.code, wrap
+a result code k as OModElement(ring, k), and take a randrange draw k as the
+element with code k, with no conversion either way.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
 from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import OModElement, OModRing, _determinant, _move_table, _power
+from .quotring import OModElement, OModRing, _determinant, _encode, _move_table, _power
 
 ENUMERATION_CAP = 1 << 16
 
@@ -39,7 +41,7 @@ class UnitGroup:
     elements: list
     generators: list          # [(element, order)], aligned with invariant_factors
     invariant_factors: list   # [d_1, d_2, ...], d_{i+1} | d_i
-    dlog: dict                # element key -> exponent tuple over the generators
+    dlog: dict                # element digits (codes) -> exponent tuple over the generators
 
     @property
     def order(self):
@@ -53,8 +55,8 @@ class UnitGroup:
         return {
             "q": self.ring.residue.q, "m": self.ring.m, "order": self.order,
             "invariant_factors": list(self.invariant_factors),
-            "generators": [list(map(int, g.lex_key())) for g, _ in self.generators],
-            "elements": [list(map(int, e.lex_key())) for e in self.elements],
+            "generators": [list(g.codes) for g, _ in self.generators],
+            "elements": [list(e.codes) for e in self.elements],
         }
 
 
@@ -77,7 +79,7 @@ def unit_group(pf, m) -> UnitGroup:
         raise StructureViolation("invariant factors %r are not a divisor chain of product"
                                  " (q-1)q^(m-1) = %d" % (factors, expected))
     ring = OModRing(residue, m)
-    elements = sorted(ring.units(), key=lambda a: a.lex_key())
+    elements = sorted(ring.units(), key=lambda a: a.codes)
     if len(elements) != expected:
         raise StructureViolation("unit count %d != (q-1)q^(m-1) = %d"
                                  % (len(elements), expected))
@@ -145,22 +147,21 @@ def _generator_basis(elements, ring, factors):
         if idx == len(factors):
             return (gens, span) if len(span) == len(elements) else None
         d = factors[idx]
-        for cand, code in zip(elements, codes):
-            if not has_order(code, d):
+        for cand in elements:
+            if not has_order(cand.code, d):
                 continue
-            trial = extend(span, code, d)
+            trial = extend(span, cand.code, d)
             if trial is not None:
                 found = search(idx + 1, gens + [(cand, d)], trial)
                 if found is not None:
                     return found
         return None
 
-    codes = [tables.encode(a.codes) for a in elements]
     found = search(0, [], {1: ()})
     if found is None:
         raise StructureViolation("no generator basis found for factors %r" % (factors,))
     gens, span = found
-    return gens, {tuple(tables.decode(key)): exps for key, exps in span.items()}
+    return gens, {tables.decode(key): exps for key, exps in span.items()}
 
 
 # --- characters -------------------------------------------------------------------
@@ -172,14 +173,6 @@ class Character:
 
     group: UnitGroup
     generator_values: tuple   # value on each generator, in Z/exponent
-
-    def value(self, a: OModElement) -> int:
-        exps = self.group.dlog[a.lex_key()]
-        E = self.group.exponent
-        return sum(e * v for e, v in zip(exps, self.generator_values)) % E
-
-    def key(self):
-        return tuple(self.generator_values)
 
 
 def all_characters(group: UnitGroup):
@@ -202,11 +195,10 @@ def matrix_determinant(g, ring: OModRing) -> OModElement:
     (_determinant).  The kernel reports a non-unit determinant as None, and
     NotInvertible is raised then: g is singular modulo t, that is outside
     GL_n."""
-    tables = ring.code_tables
-    det = _determinant(tables, [[tables.encode(x.codes) for x in row] for row in g])
+    det = _determinant(ring.code_tables, [[x.code for x in row] for row in g])
     if det is None:
         raise NotInvertible("matrix is singular modulo t: determinant is not a unit")
-    return OModElement(ring, tables.decode(det))
+    return OModElement(ring, det)
 
 
 def _matrix_mul(tables, a, b):
@@ -278,10 +270,9 @@ class DivisionOrder:
     def projection(self):
         """o'/t^m codes to o/t^m codes on the Frobenius-fixed elements: the
         inverse of the embedding o/t^m -> o'/t^m."""
-        small, big = self.ring.code_tables, self.big.code_tables
+        decode, q = self.ring.code_tables.decode, self.big.residue.q
         embedding = _move_table(self.base_residue, self.big.residue, 0)
-        return {big.encode(small.decode(k).translate(embedding)): k
-                for k in range(self.ring.size)}
+        return {_encode(decode(k).translate(embedding), q): k for k in range(self.ring.size)}
 
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
@@ -289,9 +280,6 @@ class DivisionOrder:
 
     def one(self):
         return self.element([self.big.one()])
-
-    def pi(self):
-        return self.element([self.big.zero(), self.big.one()])
 
     def scalar(self, a: OModElement):
         return self.element([a])
@@ -328,9 +316,7 @@ def reduced_norm(order: DivisionOrder, b) -> OModElement:
     reduced mod t^m."""
     if not b[0].is_unit():
         raise NotAUnit("reduced norm restricted to units of the order")
-    encode = order.big.code_tables.encode
-    nrd = _reduced_norm(order, tuple(encode(a.codes) for a in b))
-    return OModElement(order.ring, order.ring.code_tables.decode(nrd))
+    return OModElement(order.ring, _reduced_norm(order, tuple(a.code for a in b)))
 
 
 def _reduced_norm(order, b):
@@ -353,7 +339,7 @@ def _reduced_norm(order, b):
     if n > 1 and order.conjugations[1][det] != det:
         big = order.big
         raise FrobeniusInvarianceViolation("Nrd(%r) = %r is not Frobenius-fixed" % (
-            tuple(map(big.from_int_digits, b)), big.from_int_digits(det)))
+            tuple(OModElement(big, a) for a in b), OModElement(big, det)))
     return order.projection[det]
 
 
@@ -433,7 +419,7 @@ class Pi0Action:
             unit = reduced_norm(self.order, b).inv() * unit
         if tau_chi is not None:
             unit = tau_chi.inv() * unit
-        return [(c.lex_key(), (unit * c).lex_key()) for c in self.group.elements]
+        return [(tuple(c.codes), tuple((unit * c).codes)) for c in self.group.elements]
 
     def to_json(self):
         """Action of the generator set on components, in deterministic
@@ -442,18 +428,15 @@ class Pi0Action:
         for idx, g in enumerate(self.gl_gens):
             doc["generator_actions"].append({
                 "kind": "gl", "index": idx,
-                "matrix": [[list(map(int, entry.lex_key())) for entry in row]
-                           for row in g],
-                "table": [[list(map(int, src)), list(map(int, dst))]
-                          for src, dst in self.component_table(g=g)],
+                "matrix": [[list(entry.codes) for entry in row] for row in g],
+                "table": [[list(src), list(dst)] for src, dst in self.component_table(g=g)],
             })
         for a in self.order.big.units():
             b = self.order.scalar(a)
             doc["generator_actions"].append({
                 "kind": "order-scalar",
-                "scalar": list(map(int, a.lex_key())),
-                "table": [[list(map(int, src)), list(map(int, dst))]
-                          for src, dst in self.component_table(b=b)],
+                "scalar": list(a.codes),
+                "table": [[list(src), list(dst)] for src, dst in self.component_table(b=b)],
             })
         return doc
 
@@ -475,7 +458,7 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
     order = DivisionOrder(n, big, ring.residue)
     gl = gl_generators(ring, n, [g for g, _ in group.generators])
     tables = ring.code_tables
-    encode, mul, inv = tables.encode, tables.mul_rows, tables.inv
+    mul, inv = tables.mul_rows, tables.inv
 
     def action(det, nrd, chi):
         """det * nrd^(-1) * chi^(-1): the unit by which (g, b, tau) with
@@ -485,7 +468,7 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
 
     report = {"det_pairs": 0, "nrd_pairs": 0, "action_triples": 0}
     # det is multiplicative: all generator pairs + random samples
-    gl_codes = [[[encode(x.codes) for x in row] for row in g] for g in gl]
+    gl_codes = [[[x.code for x in row] for row in g] for g in gl]
     gl_dets = [_determinant(tables, g) for g in gl_codes]
     for a, det_a in zip(gl_codes, gl_dets):
         for b, det_b in zip(gl_codes, gl_dets):
@@ -514,10 +497,10 @@ def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,
         if got != want:
             raise FrobeniusInvarianceViolation(
                 "Nrd(%r) = %r but the coefficient norm is %r"
-                % (big.from_int_digits(a), ring.from_int_digits(got), ring.from_int_digits(want)))
+                % (OModElement(big, a), OModElement(ring, got), OModElement(ring, want)))
         image.add(got)
         norm_one += got == 1
-    units = [encode(u.codes) for u in group.elements]
+    units = [u.code for u in group.elements]
     if image != set(units):
         raise FrobeniusInvarianceViolation("Nrd on o'^x does not cover the unit group")
     report["nrd_surjective"] = True

@@ -4,33 +4,33 @@ Elements are written a_0 + a_1 t + ... + a_{m-1} t^{m-1} with a_j in F_q.
 This ring underlies unit groups, torsion-point coordinates, matrix entries
 and the multiplication indices [a] of formal modules.
 
-Each element has one integer code: code k is the element whose t-digits
-are the base-q digits of k, for rings of any size, so zero is 0, one is 1
-and k is a unit exactly when k % q != 0, as in F_q.  OModRing.code_tables
-holds the arithmetic on these codes with the row tables of F_q's _Tables
-(add_rows, sub_rows, mul_rows), neg, inv (0 on non-units) and shift (times
-t), so a sum or product is one lookup.  A ring of at most 256 elements has
-full tables (_RingTables); a larger ring fills each row on first lookup
-(_WideTables), by the schoolbook kernel _add_codes/_mul_codes on digit
-codes.  _determinant eliminates on these codes with unit pivots and ends
-with a*d - b*c on the last 2x2 block; it reports a non-unit determinant as
-None rather than raising.  pi0's sampled checks run on these codes from
-draw to comparison.
+An OModElement is its ring and one integer code, and nothing else: code k
+is the element whose t-digits are the base-q digits of k, for rings of any
+size, so zero is 0, one is 1 and k is a unit exactly when k % q != 0, as in
+F_q.  OModRing.code_tables holds the arithmetic on these codes with the row
+tables of F_q's _Tables (add_rows, sub_rows, mul_rows), neg, inv (0 on
+non-units) and shift (times t), so + - * and inv are one lookup each,
+is_unit is k % q and reduce_to(j) is k % q^j.  A ring of at most 256
+elements has full tables (_RingTables); a larger ring fills each row on
+first lookup (_WideTables), by the schoolbook kernel _add_codes/_mul_codes
+on digit strings.  _determinant eliminates on these codes with unit pivots
+and ends with a*d - b*c on the last 2x2 block; it reports a non-unit
+determinant as None rather than raising.  pi0's sampled checks run on these
+codes from draw to comparison.
 
-An OModElement stores its digits as codes, a bytes string of length m whose
-j-th byte is the code FqElement.to_int() of a_j (finitefield's code tables,
-shared with the series kernel).  Its + - * inv ** and shift look its code
-up in code_tables; the per-digit maps (negation, Frobenius, embedding,
-projection) are bytes.translate tables.  FqElement stays the type at the
-boundaries: ring.element takes FqElements, and the read-only coeffs view
-returns them.
+The digits are derived, not stored: the read-only codes view decodes an
+element's code to a bytes string of length m whose j-th byte is the code
+FqElement.to_int() of a_j (finitefield's code tables, shared with the
+series kernel).  The per-digit maps (Frobenius, embedding, projection)
+translate that string, and _encode turns digits back into a code.
+FqElement stays the type at the boundaries: ring.element takes FqElements,
+and the read-only coeffs view returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import MixedFields
 from .finitefield import (_IDENTITY, FieldSpec, _add_rows, _code, _frobenius_table, _move_table,
@@ -62,39 +62,26 @@ class OModRing:
         elements, filled on first lookup beyond.  Shared by every equal ring."""
         return _code_tables(self.residue, self.m)
 
-    @cached_property
-    def digit_codes(self):
-        """The codes of every element, indexed by k: entry k is the codes of
-        from_int_digits(k).  Shared by every equal ring."""
-        return _digit_codes(self.residue, self.m)
-
     def element(self, coeffs):
-        codes = bytes([_code(self.residue, c) for c in list(coeffs)[: self.m]])
-        return OModElement(self, codes + bytes(self.m - len(codes)))
-
-    def from_int_digits(self, k):
-        """Element whose t-digits are the base-q digits of k (q = residue
-        order): the element with code k."""
-        return OModElement(self, _digits(k, self.residue.q, self.m))
+        digits = [_code(self.residue, c) for c in list(coeffs)[: self.m]]
+        return OModElement(self, _encode(digits, self.residue.q))
 
     def zero(self):
-        return OModElement(self, bytes(self.m))
+        return OModElement(self, 0)
 
     def one(self):
-        return OModElement(self, b"\x01" + bytes(self.m - 1))
-
-    def t(self):
-        return self.from_int_digits(self.residue.q) if self.m > 1 else self.zero()
+        return OModElement(self, 1)
 
     def elements(self):
-        """All q^m elements in lexicographic coefficient order."""
-        for codes in self.digit_codes:
-            yield OModElement(self, codes)
+        """All q^m elements in code order."""
+        for k in range(self.size):
+            yield OModElement(self, k)
 
     def units(self):
-        for a in self.elements():
-            if a.is_unit():
-                yield a
+        q = self.residue.q
+        for k in range(self.size):
+            if k % q:
+                yield OModElement(self, k)
 
     def __repr__(self):
         return "O(%r)/t^%d" % (self.residue, self.m)
@@ -105,9 +92,13 @@ def _code_tables(residue: FieldSpec, m: int):
     return (_RingTables if residue.q ** m <= 256 else _WideTables)(residue, m)
 
 
-@lru_cache(maxsize=None)
-def _digit_codes(residue: FieldSpec, m: int):
-    return tuple(bytes(digits[::-1]) for digits in product(range(residue.q), repeat=m))
+def _encode(digits, q):
+    """The code of t-digits given as F_q codes, lowest first: the integer
+    with those base-q digits."""
+    k = 0
+    for d in reversed(digits):
+        k = k * q + d
+    return k
 
 
 def _digits(k, q, m):
@@ -153,22 +144,28 @@ def _power(tables, k, e):
 
 
 class OModElement:
-    """An element of `ring`, stored as its digit codes.  Two elements are
+    """The element of `ring` with integer code `code`.  Two elements are
     equal exactly when their rings and codes are."""
 
-    __slots__ = ("ring", "codes")
+    __slots__ = ("ring", "code")
 
-    def __init__(self, ring: OModRing, codes: bytes):
+    def __init__(self, ring: OModRing, code: int):
         self.ring = ring
-        self.codes = codes      # length m: codes[j] is the code of the coefficient of t^j
+        self.code = code
 
     def __eq__(self, other):
         if other.__class__ is not OModElement:
             return NotImplemented
-        return self.codes == other.codes and self.ring == other.ring
+        return self.code == other.code and self.ring == other.ring
 
     def __hash__(self):
-        return hash((self.ring, self.codes))
+        return hash((self.ring, self.code))
+
+    @property
+    def codes(self):
+        """The t-digits as F_q codes: a bytes string of length m whose j-th
+        byte is the code of the coefficient of t^j."""
+        return self.ring.code_tables.decode(self.code)
 
     @property
     def coeffs(self):
@@ -179,26 +176,20 @@ class OModElement:
         if self.ring is not other.ring and self.ring != other.ring:
             raise MixedFields("elements of %r and %r" % (self.ring, other.ring))
 
-    def _code(self):
-        return self.ring.code_tables.encode(self.codes)
-
-    def _coded(self, k):
-        """The element of this ring with code k."""
-        return OModElement(self.ring, self.ring.code_tables.decode(k))
-
     def _lookup(self, rows, other):
         self._check(other)
-        return self._coded(rows[self._code()][other._code()])
+        return OModElement(self.ring, rows[self.code][other.code])
 
     def is_zero(self):
-        return not any(self.codes)
+        return not self.code
 
     def is_unit(self):
-        return self.codes[0] != 0
+        return self.code % self.ring.residue.q != 0
 
     def level(self):
         """Exact t-order: min j with a_j != 0, or m if zero."""
-        return len(self.codes) - len(self.codes.lstrip(b"\0"))
+        codes = self.codes
+        return len(codes) - len(codes.lstrip(b"\0"))
 
     def __add__(self, other):
         return self._lookup(self.ring.code_tables.add_rows, other)
@@ -207,7 +198,7 @@ class OModElement:
         return self._lookup(self.ring.code_tables.sub_rows, other)
 
     def __neg__(self):
-        return OModElement(self.ring, self.codes.translate(self.ring.tables.neg))
+        return OModElement(self.ring, self.ring.code_tables.neg[self.code])
 
     def __mul__(self, other):
         return self._lookup(self.ring.code_tables.mul_rows, other)
@@ -215,24 +206,12 @@ class OModElement:
     def inv(self):
         if not self.is_unit():
             raise ZeroDivisionError("non-unit %r has no inverse" % (self,))
-        return self._coded(self.ring.code_tables.inv[self._code()])
-
-    def shift(self, w):
-        """This element times t^w (w >= 0)."""
-        shift, k = self.ring.code_tables.shift, self._code()
-        for _ in range(min(w, self.ring.m)):
-            k = shift[k]
-        return self._coded(k)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        return self._coded(_power(self.ring.code_tables, self._code(), e))
+        return OModElement(self.ring, self.ring.code_tables.inv[self.code])
 
     def frobenius(self, j=1):
         """Coefficient-wise a_i -> a_i^(p^j)."""
         table = _frobenius_table(self.ring.residue, j)
-        return OModElement(self.ring, self.codes.translate(table))
+        return OModElement(self.ring, _encode(self.codes.translate(table), self.ring.residue.q))
 
     def norm_to(self, sub_residue: FieldSpec):
         """Product of the coefficient-Frobenius conjugates over the subring.
@@ -256,21 +235,11 @@ class OModElement:
         codes = self.codes.translate(_projection_table(sub_residue, self.ring.residue))
         if sub_residue != self.ring.residue and 255 in codes:
             raise MixedFields("%r does not lie in o/t^m over %r" % (self, sub_residue))
-        return OModElement(OModRing(sub_residue, self.ring.m), codes)
-
-    def lift_to(self, ring: OModRing):
-        """Canonical lift/extension: reinterpret digits in a compatible ring."""
-        codes = self.codes[: ring.m]
-        if ring.residue != self.ring.residue:
-            codes = codes.translate(_move_table(self.ring.residue, ring.residue, 0))
-        return OModElement(ring, codes + bytes(ring.m - len(codes)))
+        return OModElement(OModRing(sub_residue, self.ring.m), _encode(codes, sub_residue.q))
 
     def reduce_to(self, m):
-        codes = self.codes[:m]
-        return OModElement(OModRing(self.ring.residue, m), codes + bytes(m - len(codes)))
-
-    def lex_key(self):
-        return tuple(self.codes)
+        q = self.ring.residue.q
+        return OModElement(OModRing(self.ring.residue, m), self.code % q ** m)
 
     def to_json(self):
         return {"m": self.ring.m, "coeffs": [list(c.coeffs) for c in self.coeffs]}
@@ -296,8 +265,8 @@ class OModElement:
 class _RingTables:
     """Code-level arithmetic of o/t^m when q^m <= 256, with _Tables' row
     tables (add_rows, sub_rows, mul_rows: row c is the bytes.translate
-    table of b -> c + b, c - b, c * b), neg, inv (0 on non-units) and shift
-    (times t), all built in full.  q is the residue field's order, so code
+    table of b -> c + b, c - b, c * b), neg, inv (0 on non-units), shift
+    (times t) and decode (a code's digit string), all built in full.  q is the residue field's order, so code
     k is a unit exactly when k % q != 0, as in F_q.  For m = 1 the tables
     are F_q's own."""
 
@@ -305,8 +274,7 @@ class _RingTables:
         field = _tables(residue)
         self.q = q = field.q
         self.size = size = q ** m
-        digits = _digit_codes(residue, m)
-        self.encode, self.decode = dict(zip(digits, range(size))).__getitem__, digits.__getitem__
+        self.decode = tuple(_digits(k, q, m) for k in range(size)).__getitem__
         self.shift = bytes(k * q % size for k in range(size)) + _IDENTITY[size:]
         if m == 1:
             self.neg, self.inv = field.neg, field.inv
@@ -367,13 +335,13 @@ class _WideTables:
     def __init__(self, residue: FieldSpec, m: int):
         field = _tables(residue)
         self.q = q = field.q
-        self.m, self.size = m, q ** m
+        self.size = q ** m
         self.decode = _Lookup(lambda k: _digits(k, q, m)).__getitem__
 
         def rows(kernel):
             def row(a):
                 x = self.decode(a)
-                return _Lookup(lambda b: self.encode(kernel(field, x, self.decode(b))))
+                return _Lookup(lambda b: _encode(kernel(field, x, self.decode(b)), q))
             return _Lookup(row)
 
         self.add_rows, self.mul_rows = rows(_add_codes), rows(_mul_codes)
@@ -383,14 +351,8 @@ class _WideTables:
         self.inv = _Lookup(lambda a: _power(self, a, units - 1) if a % q else 0)
         self.shift = _Lookup(lambda a: a * q % self.size)
 
-    def encode(self, codes):
-        k = 0
-        for d in reversed(codes):
-            k = k * self.q + d
-        return k
-
     def digitwise(self, table):
-        return _Lookup(lambda a: self.encode(self.decode(a).translate(table)))
+        return _Lookup(lambda a: _encode(self.decode(a).translate(table), self.q))
 
 
 def _determinant(tables, rows):

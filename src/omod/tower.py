@@ -148,17 +148,6 @@ class FieldAutomorphism:
     def __call__(self, x):
         return apply_automorphism(self, x)
 
-    def compose(self, other):
-        """self o other."""
-        if self.field is not other.field:
-            raise MixedFields("automorphisms of different fields")
-        return FieldAutomorphism(
-            self.field,
-            apply_automorphism(self, other.image_of_uniformizer),
-            (self.residue_frobenius_power + other.residue_frobenius_power)
-            % self.field.residue.f,
-        )
-
 
 def apply_automorphism(sigma: FieldAutomorphism, x: LocalFieldElement):
     if x.field is not sigma.field:

@@ -13,9 +13,9 @@ import itertools
 from omod.additive import AdditivePolynomial
 from omod.errors import CharacterViolation, StructureViolation
 from omod.finitefield import embed_fq
-from omod.formalmod import LevelStructure, coord_key
+from omod.formalmod import LevelStructure, act, coord_key, t_iterates
 from omod.lubintate import CHARACTER_FIXED_TERMS
-from omod.quotring import OModRing
+from omod.quotring import OModElement, OModRing
 from omod.series import base_field, series_keys, substitute
 from omod.tower import apply_automorphism, ramified_extension_by_relation, \
     root_uniformizer_image, unramified_extension
@@ -72,7 +72,8 @@ def omodule_structure_check(Tm):
     for a in Tm.ring.elements():
         for kv, vec in items:
             scaled = tuple(a * x for x in vec)
-            if not Tm.act(a, Tm.points[kv]).agrees(Tm.points[coord_key(scaled)]):
+            its = t_iterates(Tm.module, Tm.points[kv], a.ring.m)
+            if not act(a, its).agrees(Tm.points[coord_key(scaled)]):
                 raise StructureViolation("[a]-action fails at a=%r, v=%r" % (a, kv))
     return {"cardinality": len(items), "rank": Tm.rank}
 
@@ -86,7 +87,8 @@ def level_one_images(phi):
     """phi(v) for every v in the level-1 sublattice t^(m-1) (o/t^m)^n."""
     Tm = phi.torsion
     ring = Tm.ring
-    low = [ring.from_int_digits(k).shift(Tm.level - 1) for k in range(ring.residue.q)]
+    q = ring.residue.q
+    low = [OModElement(ring, k * q ** (Tm.level - 1)) for k in range(q)]     # k t^(m-1)
     return [phi.image_of(vec) for vec in itertools.product(low, repeat=Tm.rank)]
 
 
@@ -185,6 +187,6 @@ def pairwise_composition_law(table):
     for a, sig_a in entries.values():
         for b, sig_b in entries.values():
             composed = apply_automorphism(sig_a, sig_b.image_of_uniformizer)
-            direct = entries[(a * b).lex_key()][1].image_of_uniformizer
+            direct = entries[(a * b).codes][1].image_of_uniformizer
             if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation("composition law fails at (%r, %r)" % (a, b))

@@ -1,5 +1,6 @@
 """Boxed reference arithmetic for o/t^m: every operation on tuples of
-FqElement coefficients, the way OModElement computed before it stored codes.
+FqElement coefficients, the way OModElement computed before it held one
+integer code.
 The Leibniz determinant and the brute-force level count are the oracles for
 unit-pivot elimination and the rank test mod t.  The endomorphism-order
 product with its t-power wraps, the reduced norm computed one t-adic digit
@@ -23,7 +24,7 @@ from omod.errors import MixedFields, NotASummand
 from omod.finitefield import GF, FieldSpec, FqElement, embed_fq
 from omod.formalmod import coord_key
 from omod.pi0 import DivisionOrder, gl_generators, unit_group
-from omod.quotring import OModRing
+from omod.quotring import OModElement, OModRing
 
 
 def ref_add(a, b):
@@ -98,13 +99,14 @@ def ref_norm_to(a, sub):
     return ref_descend_to(acc, sub)
 
 
-def ref_lift_to(a, residue, m):
-    coeffs = tuple(embed_fq(c, residue) for c in a[:m])
-    return coeffs + (residue.zero(),) * (m - len(coeffs))
-
-
 def ref_reduce_to(a, m):
     return a[:m] + (a[0].spec.zero(),) * (m - len(a[:m]))
+
+
+def t_power(ring, w):
+    """t^w in `ring`, built from its coefficients (zero once w >= m)."""
+    residue = ring.residue
+    return ring.element([residue.zero()] * w + [residue.one()])
 
 
 def leibniz_determinant(matrix):
@@ -212,7 +214,7 @@ def reference_summand_generators(kernel, ring, n, h):
 
 def reference_order_mul(order, b, c):
     """b * c in the order: Pi^i a Pi^j a' = a Frob^i(a') Pi^(i+j), each
-    Pi^n turned into a product by t() ** wrap."""
+    Pi^n turned into a product by t^wrap."""
     out = [order.big.zero()] * order.n
     for i, bi in enumerate(b):
         for j, cj in enumerate(c):
@@ -220,7 +222,7 @@ def reference_order_mul(order, b, c):
             coeff = bi * cj.frobenius(order.frob_step * i)
             wrap = k // order.n
             if wrap:
-                coeff = coeff * order.big.t() ** wrap
+                coeff = coeff * t_power(order.big, wrap)
             out[k % order.n] = out[k % order.n] + coeff
     return tuple(out)
 
@@ -230,7 +232,7 @@ def reference_reduced_norm(order, b):
     multiplication by b on {Pi^j}, over o'/t^(m+1), reduced mod t^m."""
     n, m = order.n, order.big.m
     big_hi = OModRing(order.big.residue, m + 1)
-    lift = [a.lift_to(big_hi) for a in b]
+    lift = [big_hi.element(a.coeffs) for a in b]
     cols = []
     for j in range(n):
         col = [big_hi.zero()] * n
@@ -238,7 +240,7 @@ def reference_reduced_norm(order, b):
             k = i + j
             entry = a.frobenius(order.frob_step * j)
             if k >= n:
-                entry = entry * big_hi.t() ** (k // n)
+                entry = entry * t_power(big_hi, k // n)
             col[k % n] = col[k % n] + entry
         cols.append(col)
     det = ref_reduce_to(leibniz_determinant([[cols[j][i].coeffs for j in range(n)]
@@ -250,7 +252,7 @@ def reference_reduced_norm(order, b):
 def reference_gl_sample(ring, n, rng):
     """Uniform matrices, each built, until the Leibniz determinant is a unit."""
     while True:
-        g = tuple(tuple(ring.from_int_digits(rng.randrange(ring.size)) for _ in range(n))
+        g = tuple(tuple(OModElement(ring, rng.randrange(ring.size)) for _ in range(n))
                   for _ in range(n))
         if not leibniz_determinant([[x.coeffs for x in row] for row in g])[0].is_zero():
             return g
@@ -259,7 +261,7 @@ def reference_gl_sample(ring, n, rng):
 def reference_unit_sample(order, rng):
     """Uniform coefficient tuples, each built, until the first is a unit."""
     while True:
-        b = tuple(order.big.from_int_digits(rng.randrange(order.big.size))
+        b = tuple(OModElement(order.big, rng.randrange(order.big.size))
                   for _ in range(order.n))
         if b[0].is_unit():
             return b
@@ -383,8 +385,9 @@ def reference_generator_basis(elements, ring, factors, orders):
         for exps in itertools.product(*ranges):
             acc = ring.one()
             for (g, _), e in zip(gens, exps):
-                acc = acc * (g ** e)
-            table.setdefault(acc.lex_key(), exps)
+                for _ in range(e):
+                    acc = acc * g
+            table.setdefault(acc.codes, exps)
         return table
 
     def extend_inner(idx, gens):

@@ -187,10 +187,8 @@ def test_criterion_9_oracle_suites():
         # the working precision
         w_lo = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=64))
         w_hi = verify_determinant_character(cm_tower(2, 1, 2, 2, precision=128))
-        lo = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))
-              for a, _, c in w_lo.rows}
-        hi = {tuple(map(int, a.lex_key())): tuple(map(int, c.lex_key()))
-              for a, _, c in w_hi.rows}
+        lo = {a: c for a, _, c in w_lo.rows}
+        hi = {a: c for a, _, c in w_hi.rows}
         assert lo == hi
         return "%d constructed samples (%d wild skipped), precision doubling stable" % (
             constructed, wild)

@@ -257,6 +257,22 @@ def test_config_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--m", "1",
                            "--which", "nonsense")
     assert code == 2
+    # at m = 0 the cap is checked on q^(n*max(m,1)) = 2^13, and that is the
+    # degree the message names
+    code, _, err = run_cli(capsys, "tower", "--q", "2", "--n", "13", "--m", "0")
+    assert code == 2
+    assert err == "configuration error: q^(n*max(m,1)) = 8192 exceeds the degree cap 4096\n"
+    for f in ("0", "1", "3"):
+        code, _, err = run_cli(capsys, "verify", "--q", "4", "--f", f, "--m", "1")
+        assert code == 2 and err == "configuration error: --q and --f disagree\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--f", "2"), ("--p", "2", "--f", "2")])
+def test_q_alone_or_with_an_agreeing_f_runs_over_gf4(capsys, extra):
+    code, out, _ = run_cli(capsys, "verify", "--q", "4", *extra, "--m", "1",
+                           "--which", "h0", "--output", "json")
+    config = json.loads(out)["config"]
+    assert code == 0 and (config["p"], config["f"], config["q"]) == (2, 2, 4)
 
 
 _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
@@ -285,6 +301,8 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
     # a cache directory that is a regular file
     (("tower", "--q", "3", "--m", "2", "--cache-dir"), ""),
     (("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations", "--cache-dir"), ""),
+    # an --f that disagrees with --q
+    (("verify", "--q", "4", "--f", "3", "--m", "1"), None),
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):

@@ -10,18 +10,16 @@ import pytest
 
 from omod.errors import MixedFields
 from omod.finitefield import FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables
-from omod.quotring import OModRing, _add_codes, _digit_codes, _mul_codes, _RingTables, _WideTables
+from omod.quotring import (OModElement, OModRing, _add_codes, _digits, _encode, _mul_codes,
+                           _power, _RingTables, _WideTables)
 
-from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_lift_to, ref_mul,
-                                ref_descend_to, ref_norm_to, ref_pow, ref_reduce_to,
-                                ref_sub)
+from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_mul, ref_descend_to,
+                                ref_norm_to, ref_pow, ref_reduce_to, ref_sub, t_power)
 
 FIELDS = [(2, 1), (2, 4), (3, 2), (5, 1), (2, 8)]
-# proper subfields (norm targets) and overfields with q <= 256 (lift targets)
+# subfields (norm targets)
 SUBFIELDS = {(2, 1): [(2, 1)], (2, 4): [(2, 1), (2, 2), (2, 4)], (3, 2): [(3, 1), (3, 2)],
              (5, 1): [(5, 1)], (2, 8): [(2, 1), (2, 2), (2, 4), (2, 8)]}
-OVERFIELDS = {(2, 1): [(2, 1), (2, 2), (2, 8)], (2, 4): [(2, 4), (2, 8)],
-              (3, 2): [(3, 2), (3, 4)], (5, 1): [(5, 1), (5, 2), (5, 3)], (2, 8): [(2, 8)]}
 
 property_test = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -41,6 +39,21 @@ def ring_and_elements(draw, count):
     return pf, ring, values
 
 
+def power(a, e):
+    """a^e by square-and-multiply on the ring's codes (e < 0 through a.inv())."""
+    if e < 0:
+        a, e = a.inv(), -e
+    return OModElement(a.ring, _power(a.ring.code_tables, a.code, e))
+
+
+def times_t_power(a, w):
+    """a t^w by w lookups in the ring's shift table."""
+    k = a.code
+    for _ in range(w):
+        k = a.ring.code_tables.shift[k]
+    return OModElement(a.ring, k)
+
+
 @property_test
 @given(ring_and_elements(2))
 def test_ring_operations_match_reference(drawn):
@@ -49,7 +62,7 @@ def test_ring_operations_match_reference(drawn):
     assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
     assert (-a).coeffs == ref_sub(ring.zero().coeffs, a.coeffs)
     assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
-    assert (a * b).lex_key() == tuple(c.to_int() for c in ref_mul(a.coeffs, b.coeffs))
+    assert (a * b).codes == bytes(c.to_int() for c in ref_mul(a.coeffs, b.coeffs))
     assert a.is_zero() == all(c.is_zero() for c in a.coeffs)
     assert a.level() == next((j for j, c in enumerate(a.coeffs) if not c.is_zero()), ring.m)
 
@@ -64,7 +77,7 @@ def test_inv_and_pow_match_reference(drawn, e):
         e = abs(e)
     else:
         assert a.inv().coeffs == ref_inv(a.coeffs)
-    assert (a ** e).coeffs == ref_pow(a.coeffs, e)
+    assert power(a, e).coeffs == ref_pow(a.coeffs, e)
 
 
 @property_test
@@ -76,10 +89,7 @@ def test_digit_maps_match_reference(drawn, j, data):
     norm = a.norm_to(sub)
     assert norm.ring == OModRing(sub, ring.m)
     assert norm.coeffs == ref_norm_to(a.coeffs, sub)
-    big, m = GF(*data.draw(st.sampled_from(OVERFIELDS[pf]))), data.draw(st.integers(1, 6))
-    lifted = a.lift_to(OModRing(big, m))
-    assert lifted.ring == OModRing(big, m)
-    assert lifted.coeffs == ref_lift_to(a.coeffs, big, m)
+    m = data.draw(st.integers(1, 6))
     reduced = a.reduce_to(m)
     assert reduced.ring == OModRing(ring.residue, m)
     assert reduced.coeffs == ref_reduce_to(a.coeffs, m)
@@ -100,9 +110,9 @@ def test_element_rejects_coefficients_of_another_field():
 
 def test_elements_leave_and_serialize_as_fq_elements():
     ring = OModRing(GF(3, 2), 3)
-    a = ring.from_int_digits(5 + 9 * 7)
+    a = OModElement(ring, 5 + 9 * 7)
     assert all(isinstance(c, FqElement) and c.spec == ring.residue for c in a.coeffs)
-    assert a.lex_key() == (5, 7, 0)
+    assert a.codes == bytes([5, 7, 0])
     assert a.to_json() == {"m": 3, "coeffs": [[2, 1], [1, 2], [0, 0]]}
     assert repr(a) == "Fq(2,1) + Fq(1,2)*t"
 
@@ -141,13 +151,14 @@ def test_tables_are_built_without_fq_products(pf, monkeypatch):
 
 def test_elements_are_values_of_ring_and_codes():
     ring = OModRing(GF(3, 2), 2)
-    a, same = ring.from_int_digits(1 + 9 * 2), OModRing(GF(3, 2), 2).from_int_digits(1 + 9 * 2)
+    a, same = OModElement(ring, 1 + 9 * 2), OModElement(OModRing(GF(3, 2), 2), 1 + 9 * 2)
     assert a == same and hash(a) == hash(same) and a is not same
-    assert a != ring.from_int_digits(2 + 9 * 2)
-    # the same codes in o/t^2 over F_3: another ring, so another element
-    over_f3 = OModRing(GF(3), 2).from_int_digits(1 + 3 * 2)
+    assert a != OModElement(ring, 2 + 9 * 2)
+    # the same digits in o/t^2 over F_3: another ring, so another element
+    over_f3 = OModElement(OModRing(GF(3), 2), 1 + 3 * 2)
     assert over_f3.codes == a.codes and over_f3 != a
-    assert a != a.codes and a != a.lex_key()
+    assert a != a.code and a != a.codes
+    assert OModElement.__slots__ == ("ring", "code")
     table = {a: "a"}
     assert table[same] == "a" and over_f3 not in table and ring.zero() not in table
 
@@ -157,7 +168,7 @@ def test_elements_are_values_of_ring_and_codes():
 def test_shift_is_a_product_by_a_power_of_t(drawn):
     _pf, ring, (a,) = drawn
     for w in range(ring.m + 2):
-        assert a.shift(w) == a * ring.t() ** w
+        assert times_t_power(a, w) == a * t_power(ring, w)
 
 
 def _rings_of_at_most_256_elements():
@@ -171,16 +182,16 @@ def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     ring = OModRing(GF(p, f), m)
     tables, field, q, size = ring.code_tables, ring.tables, ring.residue.q, ring.size
     assert isinstance(tables, _RingTables) and tables.q == q
-    digit = ring.digit_codes
+    digit = [_digits(k, q, m) for k in range(size)]
     frob = _frobenius_table(ring.residue, 1)
     # the same ring with tables filled on first lookup, on the same codes
     wide = _WideTables(ring.residue, m)
     for k, x in enumerate(digit):
-        assert tables.encode(x) == wide.encode(x) == k
+        assert _encode(x, q) == k
         assert tables.decode(k) == wide.decode(k) == x
         assert tables.digitwise(frob)[k] == wide.digitwise(frob)[k] == \
-            tables.encode(x.translate(frob))
-        assert tables.neg[k] == wide.neg[k] == tables.encode(x.translate(field.neg))
+            _encode(x.translate(frob), q)
+        assert tables.neg[k] == wide.neg[k] == _encode(x.translate(field.neg), q)
         assert tables.shift[k] == wide.shift[k] == k * q % size
         assert tables.inv[k] == wide.inv[k]
         assert tables.mul_rows[k][tables.inv[k]] == 1 if k % q else tables.inv[k] == 0
@@ -192,7 +203,7 @@ def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     for a, x in enumerate(digit):
         for rows, wide_rows, kernel in ((tables.add_rows, wide.add_rows, _add_codes),
                                         (tables.mul_rows, wide.mul_rows, _mul_codes)):
-            want = bytes(tables.encode(kernel(field, x, y)) for y in digit)
+            want = bytes(_encode(kernel(field, x, y), q) for y in digit)
             assert rows[a][:size] == want
             assert bytes(wide_rows[a][b] for b in range(size)) == want
         # a - b is the c with c + b = a, once addition is checked
@@ -204,8 +215,8 @@ def test_no_byte_tables_beyond_256_elements():
     assert isinstance(OModRing(GF(3), 5).code_tables, _RingTables)
     tables = OModRing(GF(3), 6).code_tables
     assert isinstance(tables, _WideTables) and tables.q == 3
-    one = OModRing(GF(3), 6).one()
-    assert tables.encode(one.codes) == 1 and tables.decode(1) == one.codes
+    assert tables.decode(1) == bytes([1, 0, 0, 0, 0, 0])
+    assert tables.decode(2 + 3 + 3 ** 5) == bytes([2, 1, 0, 0, 0, 1])
 
 
 # rings on both sides of 256 elements: q = 3 at m = 5 and 6, q = 2 at m = 8
@@ -218,16 +229,16 @@ BOTH_SIDES_OF_256 = [((3, 1), 5), ((3, 1), 6), ((2, 1), 8), ((2, 1), 9), ((2, 4)
 def test_element_operations_match_reference_on_both_sides_of_256_elements(case, data):
     pf, m = case
     ring = OModRing(GF(*pf), m)
-    a, b = (ring.from_int_digits(data.draw(st.integers(0, ring.size - 1))) for _ in range(2))
+    a, b = (OModElement(ring, data.draw(st.integers(0, ring.size - 1))) for _ in range(2))
     e, w = data.draw(st.integers(0, 12)), data.draw(st.integers(0, m + 1))
     assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
     assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
     assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
-    assert (a ** e).coeffs == ref_pow(a.coeffs, e)
-    assert a.shift(w).coeffs == ref_mul(a.coeffs, ref_pow(ring.t().coeffs, w))
+    assert power(a, e).coeffs == ref_pow(a.coeffs, e)
+    assert times_t_power(a, w).coeffs == ref_mul(a.coeffs, t_power(ring, w).coeffs)
     if a.is_unit():
         assert a.inv().coeffs == ref_inv(a.coeffs)
-        assert (a ** -e).coeffs == ref_pow(a.coeffs, -e)
+        assert power(a, -e).coeffs == ref_pow(a.coeffs, -e)
     else:
         with pytest.raises(ZeroDivisionError):
             a.inv()
@@ -235,10 +246,15 @@ def test_element_operations_match_reference_on_both_sides_of_256_elements(case, 
 
 def test_a_ring_of_2_to_the_24_elements_builds_no_table_of_every_element():
     ring = OModRing(GF(2, 4), 6)
-    a, b = ring.from_int_digits(0x3A01F7), ring.from_int_digits(0xC4D2E9)
-    misses = _digit_codes.cache_info().misses
+    tables = ring.code_tables
+    assert isinstance(tables, _WideTables)
+    a, b = OModElement(ring, 0x3A01F7), OModElement(ring, 0xC4D2E9)
     assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
     assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
     assert a.inv().coeffs == ref_inv(a.coeffs)
-    assert (a ** 5).coeffs == ref_pow(a.coeffs, 5)
-    assert _digit_codes.cache_info().misses == misses
+    assert power(a, 5).coeffs == ref_pow(a.coeffs, 5)
+    # an inverse is about 2 * 24 row entries; nothing near 2^24 is filled
+    filled = len(tables.decode.__self__) + sum(
+        len(row) for rows in (tables.add_rows, tables.sub_rows, tables.mul_rows)
+        for row in rows.values())
+    assert filled < 1000

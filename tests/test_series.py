@@ -300,10 +300,10 @@ def test_quotring_arithmetic_and_units():
     assert len(units) == 4
     one = R.one()
     g = R.element([R.residue.one(), R.residue.one()])  # 1 + t
-    assert (g * g).lex_key() == (1, 0, 1)  # (1+t)^2 = 1 + t^2 mod t^3
-    assert (g ** 4).lex_key() == one.lex_key()
-    assert (g * g.inv()).lex_key() == one.lex_key()
-    t = R.t()
+    assert (g * g).codes == bytes([1, 0, 1])  # (1+t)^2 = 1 + t^2 mod t^3
+    assert g * g * g * g == one
+    assert g * g.inv() == one
+    t = R.element([R.residue.zero(), R.residue.one()])
     assert not t.is_unit()
     with pytest.raises(ZeroDivisionError):
         t.inv()
@@ -318,7 +318,7 @@ def test_quotring_norm():
     n = a.norm_to(GF(2))
     assert n.ring == R2
     # (1 + x t)(1 + x^2 t) = 1 + (x + x^2) t = 1 + t
-    assert n.lex_key() == (1, 1)
+    assert n.codes == bytes([1, 1])
 
 
 def test_coefficients_leave_as_fq_elements_of_the_residue_field():

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from omod.errors import CharacterViolation
-from omod.formalmod import act, module_from_unit_coefficients, torsion_points
+from omod.formalmod import act, module_from_unit_coefficients, t_iterates, torsion_points
 from omod.lubintate import (CharacterTable, build_tower, cm_tower,
                             verify_character)
 from omod.series import base_field
@@ -46,7 +46,7 @@ def test_torsion_module_action_matches_the_composed_polynomial(p, f, n, m):
     for a in Tm.ring.elements():
         P = multiply_by(a, Tm.module, target=Tm.field)
         for pt in Tm.points.values():
-            assert exact(Tm.act(a, pt)) == exact(P(pt))
+            assert exact(act(a, t_iterates(Tm.module, pt, m))) == exact(P(pt))
 
 
 @pytest.mark.parametrize("p,f,n,m", [(2, 1, 1, 4), (2, 1, 2, 3), (3, 1, 1, 3),
@@ -92,11 +92,11 @@ def test_swapped_substitutions_fail_both_checks(monkeypatch):
     table = verify_character(lt)
     units = list(lt.unit_ring().units())
     for a, b in itertools.combinations(units, 2):
-        swap = {a.lex_key(): table.sigma(b), b.lex_key(): table.sigma(a)}
+        swap = {a.codes: table.table[b.codes][1], b.codes: table.table[a.codes][1]}
         swapped = CharacterTable({k: (u, swap.get(k, sigma))
                                   for k, (u, sigma) in table.table.items()})
         with pytest.raises(CharacterViolation, match="composition law fails"):
             pairwise_composition_law(swapped)
-        monkeypatch.setattr(lt, "torsion_automorphism", swapped.sigma)
+        monkeypatch.setattr(lt, "torsion_automorphism", lambda u: swapped.table[u.codes][1])
         with pytest.raises(CharacterViolation, match="composition law fails"):
             verify_character(lt)
