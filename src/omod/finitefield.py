@@ -4,13 +4,20 @@ Every field uses a fixed published modulus per (p, f) so that serialized
 elements mean the same thing everywhere.  The rule behind the table: the
 modulus x^f + c_{f-1}x^{f-1} + ... + c_0 is the one whose little-endian digit
 string (c_0, ..., c_{f-1}) encodes the smallest integer in base p among all
-irreducible choices.  Irreducibility is re-checked at construction time.
+irreducible choices.  Irreducibility is certified at construction time by
+the search for a primitive element (_exp_log): F_p[x]/(modulus) has an
+element of order q - 1 exactly when it is a field, since F_q^x is cyclic
+and a reducible modulus leaves fewer than q - 1 units.
 
-The hot loops elsewhere (series, o/t^m) work on codes, not FqElements: the
-code of an element is FqElement.to_int(), one byte since q <= 256.  _Tables
-holds one field's code-level arithmetic, built on first use from integer
-work only: addition tables from base-p digit steps, multiplication, inverse
-and Frobenius tables from discrete logarithms to a primitive element.
+An FqElement is its field and one integer code, nothing else: its
+coordinates in the polynomial basis are the base-p digits of the code, one
+byte since q <= 256, so zero is 0 and one is 1.  _Tables holds one field's
+arithmetic on codes, built on first use from integer work only: addition
+and negation from base-p digits, multiplication, inverse and Frobenius from
+the discrete logarithms to that primitive element.  + - * neg and inv are
+one table lookup each, ** reads exp/log, and the read-only coeffs view
+derives the digits from the code.  The hot loops elsewhere (series, o/t^m)
+work on the same codes.
 
 _Tables also holds the packed series kernel.  A series is packed into one
 integer, digit d of coefficient i in slot i * (2f - 1) + d, and a product is
@@ -85,16 +92,44 @@ def _poly_mul_mod(a, b, low, p):
     return tuple(c[:f])
 
 
-def _poly_pow_mod(base, e, low, p):
+def _digits(k, p, f):
+    """The f base-p digits of k, lowest first."""
+    return tuple(k // p ** i % p for i in range(f))
+
+
+def _undigits(digits, p):
+    """The integer with these base-p digits, lowest first."""
+    k = 0
+    for d in reversed(digits):
+        k = k * p + d
+    return k
+
+
+@lru_cache(maxsize=None)
+def _exp_log(p, low):
+    """(exp, log) of F_p[x]/(x^f + low(x)), or None when it is not a field.
+    exp[k] is the code of g^k for the element g of order q - 1 with the
+    smallest code; log inverts it on nonzero codes, log[0] = 255.  Such a g
+    exists exactly when the ring is a field: F_q^x is cyclic, and a
+    reducible modulus leaves fewer than q - 1 units.  Each candidate's
+    powers are followed for at most q - 1 steps."""
     f = len(low)
-    r = tuple([1] + [0] * (f - 1))
-    b = tuple(base)
-    while e:
-        if e & 1:
-            r = _poly_mul_mod(r, b, low, p)
-        b = _poly_mul_mod(b, b, low, p)
-        e >>= 1
-    return r
+    q = p ** f
+    one = _digits(1, p, f)
+    for g in range(1 if q == 2 else 2, q):
+        exp, x, step = [1], one, _digits(g, p, f)
+        for _ in range(q - 1):
+            x = _poly_mul_mod(x, step, low, p)
+            c = _undigits(x, p)
+            if c == 1:
+                break
+            exp.append(c)
+        if len(exp) == q - 1:    # g^(q - 1) = 1 and no earlier power is 1
+            log = bytearray([255]) * 256
+            for k, c in enumerate(exp):
+                log[c] = k
+            return bytes(exp), bytes(log)
+    return None
 
 
 def _prime_factors(n):
@@ -108,48 +143,6 @@ def _prime_factors(n):
     if n > 1:
         ps.append(n)
     return ps
-
-
-def is_irreducible(low, p):
-    """Rabin test for the monic polynomial x^f + low(x) over F_p."""
-    f = len(low)
-    if f == 1:
-        return True
-    x = tuple([0, 1] + [0] * (f - 2))
-    if _poly_pow_mod(x, p ** f, low, p) != x:
-        return False
-    for r in _prime_factors(f):
-        xr = _poly_pow_mod(x, p ** (f // r), low, p)
-        diff = tuple((xr[i] - x[i]) % p for i in range(f))
-        # gcd(modulus, x^(p^(f/r)) - x) must be 1; modulus is irreducible iff the
-        # difference is a unit mod the modulus, i.e. invertible, i.e. nonzero with
-        # gcd 1.  Cheap equivalent at these sizes: the difference must not share a
-        # root structure, tested via gcd on full coefficient lists.
-        if _poly_gcd_degree(list(low) + [1], list(diff), p) > 0:
-            return False
-    return True
-
-
-def _poly_gcd_degree(a, b, p):
-    def deg(c):
-        d = len(c) - 1
-        while d >= 0 and c[d] == 0:
-            d -= 1
-        return d
-
-    a, b = a[:], b[:]
-    while True:
-        db = deg(b)
-        if db < 0:
-            return deg(a)
-        da = deg(a)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], p - 2, p)
-        t = (a[da] * inv) % p
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - t * b[i]) % p
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ class FieldSpec:
         if self.p ** self.f > RESIDUE_CARDINALITY_CAP:
             raise CapExceeded("residue cardinality %d exceeds cap %d"
                               % (self.p ** self.f, RESIDUE_CARDINALITY_CAP))
-        if not is_irreducible(self.modulus, self.p):
+        if _exp_log(self.p, tuple(self.modulus)) is None:
             raise ValueError("modulus %r is reducible over F_%d" % (self.modulus, self.p))
 
     @property
@@ -176,35 +169,25 @@ class FieldSpec:
         return self.p ** self.f
 
     def element(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.f:
-            coeffs = tuple(list(coeffs)[: self.f] + [0] * (self.f - len(coeffs)))
-        return FqElement(self, coeffs)
+        return FqElement(self, _undigits([c % self.p for c in coeffs][: self.f], self.p))
 
     def from_int(self, k):
         """Element whose base-p little-endian digits are k's digits."""
-        digs = []
-        for _ in range(self.f):
-            digs.append(k % self.p)
-            k //= self.p
-        return FqElement(self, tuple(digs))
+        return FqElement(self, k % self.q)
 
     def zero(self):
-        return self.from_int(0)
+        return FqElement(self, 0)
 
     def one(self):
-        return self.from_int(1)
+        return FqElement(self, 1)
 
     def gen(self):
         """The class of x (zero when f = 1)."""
-        return self.from_int(self.p) if self.f > 1 else self.zero()
+        return FqElement(self, self.p if self.f > 1 else 0)
 
     def elements(self):
         for k in range(self.q):
-            yield self.from_int(k)
-
-    def to_json(self):
-        return {"p": self.p, "f": self.f, "modulus": list(self.modulus)}
+            yield FqElement(self, k)
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.f) if self.f > 1 else "GF(%d)" % self.p
@@ -246,43 +229,54 @@ def field_with_order(q):
     return GF(p, f)
 
 
-@dataclass(frozen=True)
 class FqElement:
-    """Element of F_{p^f}: coefficient tuple of length f, entries in [0, p)."""
+    """The element of `spec` with integer code `code`, whose base-p digits
+    are its coordinates in the polynomial basis.  Two elements are equal
+    exactly when their fields and codes are."""
 
-    spec: FieldSpec
-    coeffs: tuple
+    __slots__ = ("spec", "code")
 
-    def _check(self, other):
-        if self.spec != other.spec:
+    def __init__(self, spec: FieldSpec, code: int):
+        self.spec = spec
+        self.code = code
+
+    def __eq__(self, other):
+        if other.__class__ is not FqElement:
+            return NotImplemented
+        return self.code == other.code and self.spec == other.spec
+
+    def __hash__(self):
+        return hash((self.spec, self.code))
+
+    @property
+    def coeffs(self):
+        """The coordinates in the polynomial basis: f digits in [0, p), lowest first."""
+        return _digits(self.code, self.spec.p, self.spec.f)
+
+    def _lookup(self, rows, other):
+        if self.spec is not other.spec and self.spec != other.spec:
             raise MixedFields("elements of %r and %r" % (self.spec, other.spec))
+        return FqElement(self.spec, rows[self.code][other.code])
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def __add__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FqElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._lookup(_tables(self.spec).add_rows, other)
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.spec.p
-        return FqElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._lookup(_tables(self.spec).sub_rows, other)
 
     def __neg__(self):
-        p = self.spec.p
-        return FqElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FqElement(self.spec, _tables(self.spec).neg[self.code])
 
     def __mul__(self, other):
-        self._check(other)
-        return FqElement(self.spec, _poly_mul_mod(self.coeffs, other.coeffs,
-                                                  self.spec.modulus, self.spec.p))
+        return self._lookup(_tables(self.spec).mul_rows, other)
 
     def inv(self):
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inverse of zero in %r" % (self.spec,))
-        return self ** (self.spec.q - 2)
+        return FqElement(self.spec, _tables(self.spec).inv[self.code])
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -290,25 +284,18 @@ class FqElement:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        return FqElement(self.spec, _poly_pow_mod(self.coeffs, e, self.spec.modulus, self.spec.p))
+        if not self.code:
+            return FqElement(self.spec, 0 if e else 1)
+        exp, log = _tables(self.spec)._exp_log
+        return FqElement(self.spec, exp[log[self.code] * e % (self.spec.q - 1)])
 
     def frobenius(self, j=1):
         """a -> a^(p^j); j = f is the identity."""
-        j %= self.spec.f
-        return self ** (self.spec.p ** j)
-
-    def to_int(self):
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.spec.p + c
-        return k
-
-    def to_json(self):
-        return {"field": self.spec.to_json(), "coeffs": list(self.coeffs)}
+        return FqElement(self.spec, _frobenius_table(self.spec, j % self.spec.f)[self.code])
 
     def __repr__(self):
         if self.spec.f == 1:
-            return str(self.coeffs[0])
+            return str(self.code)
         return "Fq(%s)" % ",".join(str(c) for c in self.coeffs)
 
 
@@ -355,12 +342,6 @@ def embed_fq(a: FqElement, dst: FieldSpec) -> FqElement:
 _IDENTITY = bytes(range(256))
 
 
-def _translation(elements):
-    """bytes.translate table sending code k to the code of the k-th element."""
-    codes = bytes([c.to_int() for c in elements])
-    return codes + _IDENTITY[len(codes):]
-
-
 def _add_rows(p, digits):
     """Addition rows of (Z/p)^digits on codes k < p^digits, added digit by
     base-p digit: row c is row c - p^i followed by a +1 step in digit i, i
@@ -384,24 +365,27 @@ def _add_rows(p, digits):
 def _code(residue: FieldSpec, c: FqElement):
     if c.spec != residue:
         raise MixedFields("%r is not in the residue field %r" % (c, residue))
-    return c.to_int()
+    return c.code
 
 
 class _Tables:
-    """Code-level arithmetic of one residue field F_q, built on first use.
+    """Code-level arithmetic of one residue field F_q, built on first use
+    from integer work only, never by FqElement operations (which read it).
 
     The row tables (add_rows, sub_rows, mul_rows) hold, for each code c, a
-    256-byte bytes.translate table of b -> c + b, c - b, c * b."""
+    256-byte bytes.translate table of b -> c + b, c - b, c * b.  _exp_log
+    is the (exp, log) pair the field's construction certified."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.p, self.f, self.q = spec.p, spec.f, spec.q
-        self.elements = tuple(spec.elements())      # code -> FqElement
-        self.stride = 2 * spec.f - 1                 # digit slots per packed coefficient
+        p, f, q = self.p, self.f, self.q = spec.p, spec.f, spec.q
+        self.stride = 2 * f - 1                      # digit slots per packed coefficient
         # a digit sum in add reaches 2(p - 1): one byte per slot while that fits
-        self.add_width = 1 if 2 * (spec.p - 1) < 256 else 2
-        self.mod_p = bytes(v % spec.p for v in range(256))
-        self.neg = _translation(-a for a in self.elements)
+        self.add_width = 1 if 2 * (p - 1) < 256 else 2
+        self.mod_p = bytes(v % p for v in range(256))
+        self.neg = bytes(_undigits([-d % p for d in _digits(k, p, f)], p)
+                         for k in range(q)) + _IDENTITY[q:]
+        self._exp_log = _exp_log(p, tuple(spec.modulus))
 
     @cached_property
     def add_rows(self):
@@ -410,30 +394,6 @@ class _Tables:
     @cached_property
     def sub_rows(self):
         return tuple(self.neg.translate(row) for row in self.add_rows)
-
-    @cached_property
-    def _exp_log(self):
-        """(exp, log): exp[k] is the code of g^k for the primitive element g
-        with the smallest code; log inverts it on nonzero codes, log[0] = 255."""
-        p, q, low = self.p, self.q, self.spec.modulus
-
-        def digits(k):
-            return tuple(k // p ** i % p for i in range(self.f))
-
-        for g in range(1 if q == 2 else 2, q):
-            exp, x = [1], digits(1)
-            while True:
-                x = _poly_mul_mod(x, digits(g), low, p)
-                c = sum(d * p ** i for i, d in enumerate(x))
-                if c == 1:
-                    break
-                exp.append(c)
-            if len(exp) == q - 1:
-                break
-        log = bytearray([255]) * 256
-        for k, c in enumerate(exp):
-            log[c] = k
-        return bytes(exp), bytes(log)
 
     @cached_property
     def mul_rows(self):
@@ -473,8 +433,10 @@ class _Tables:
         index of coefficient k in byte k * stride + stride - 1, and no byte
         carries; table maps an index to the part's share of the code.  F_4,
         F_8, F_9, F_16 and F_25 take one part, F_256 three."""
-        p, f, s, spec = self.p, self.f, self.stride, self.spec
-        x_powers = [(spec.gen() ** d).coeffs for d in range(s)]
+        p, f, s = self.p, self.f, self.stride
+        x_powers = [_digits(1, p, f)]
+        for _ in range(1, s):
+            x_powers.append(_poly_mul_mod(x_powers[-1], _digits(p, p, f), self.spec.modulus, p))
         parts, part, span = [], [], 1
         for i in range(f):
             column = [x[i] for x in x_powers]
@@ -582,8 +544,8 @@ def _digit_chunks(spec: FieldSpec, width: int):
     zero slots up to the stride."""
     tables = _tables(spec)
     pad = bytes((tables.stride - tables.f) * width)
-    return tuple(b"".join(d.to_bytes(width, "little") for d in a.coeffs) + pad
-                 for a in tables.elements)
+    return tuple(b"".join(d.to_bytes(width, "little") for d in _digits(k, spec.p, spec.f)) + pad
+                 for k in range(spec.q))
 
 
 @lru_cache(maxsize=None)
@@ -597,5 +559,5 @@ def _frobenius_table(spec: FieldSpec, j: int):
 @lru_cache(maxsize=None)
 def _move_table(src: FieldSpec, dst: FieldSpec, frobenius_power: int):
     """Translation table of c -> Frob^j(embed(c)), src codes to dst codes."""
-    embedded = _translation(embed_fq(a, dst) for a in _tables(src).elements)
+    embedded = bytes(embed_fq(a, dst).code for a in src.elements()) + _IDENTITY[src.q:]
     return embedded.translate(_frobenius_table(dst, frobenius_power))

@@ -278,9 +278,6 @@ class DivisionOrder:
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))
         return tuple(coeffs[: self.n])
 
-    def one(self):
-        return self.element([self.big.one()])
-
     def scalar(self, a: OModElement):
         return self.element([a])
 

@@ -20,11 +20,11 @@ codes from draw to comparison.
 
 The digits are derived, not stored: the read-only codes view decodes an
 element's code to a bytes string of length m whose j-th byte is the code
-FqElement.to_int() of a_j (finitefield's code tables, shared with the
-series kernel).  The per-digit maps (Frobenius, embedding, projection)
-translate that string, and _encode turns digits back into a code.
-FqElement stays the type at the boundaries: ring.element takes FqElements,
-and the read-only coeffs view returns them.
+of a_j, FqElement.code (finitefield's code tables, shared with the series
+kernel).  The per-digit maps (Frobenius, embedding, projection) translate
+that string, and _encode turns digits back into a code.  ring.element reads
+the code of each FqElement given, and the read-only coeffs view wraps each
+digit code with the residue field as an FqElement.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import MixedFields
-from .finitefield import (_IDENTITY, FieldSpec, _add_rows, _code, _frobenius_table, _move_table,
-                          _tables)
+from .finitefield import (_IDENTITY, FieldSpec, FqElement, _add_rows, _code, _frobenius_table,
+                          _move_table, _tables)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ class OModElement:
     @property
     def coeffs(self):
         """The coefficients as FqElements."""
-        return tuple(map(self.ring.tables.elements.__getitem__, self.codes))
+        residue = self.ring.residue
+        return tuple(FqElement(residue, c) for c in self.codes)
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -240,9 +241,6 @@ class OModElement:
     def reduce_to(self, m):
         q = self.ring.residue.q
         return OModElement(OModRing(self.ring.residue, m), self.code % q ** m)
-
-    def to_json(self):
-        return {"m": self.ring.m, "coeffs": [list(c.coeffs) for c in self.coeffs]}
 
     def __repr__(self):
         parts = []

@@ -6,18 +6,19 @@ precision None means the element is exact (a Laurent polynomial).  "Zero
 modulo u^N" is kept distinct from exact zero: its valuation is only bounded
 below, never reported as an exact number.
 
-Coefficients are stored as codes, one byte each: the code of an F_q element
-is FqElement.to_int(), whose base-p digits are the element's coordinates in
-the polynomial basis (q <= 256).  Series multiplication is one integer
-product (Kronecker substitution): each coefficient's digits go into slots of
-a packed integer, wide enough that no slot overflows, and the product's slots
-are reduced mod p and folded back into F_q, on byte planes by translate
-tables and integer adds rather than coefficient by coefficient (finitefield's
-_Tables.pack and unpack).  Per-coefficient maps (negation,
+Coefficients are stored as codes, one byte each: an F_q element is its
+field and its code (FqElement.code), whose base-p digits are its
+coordinates in the polynomial basis (q <= 256).  Series multiplication is
+one integer product (Kronecker substitution): each coefficient's digits go
+into slots of a packed integer, wide enough that no slot overflows, and the
+product's slots are reduced mod p and folded back into F_q, on byte planes
+by translate tables and integer adds rather than coefficient by coefficient
+(finitefield's _Tables.pack and unpack).  Per-coefficient maps (negation,
 scaling, Frobenius, embeddings) are byte translation tables; all tables are
-finitefield's, built on first use and shared with o/t^m.  FqElement stays
-the type at the boundaries: constructors take FqElements, coeff_at and
-leading_coeff return them.
+finitefield's, built on first use and shared with o/t^m and with FqElement's
+own operations.  Constructors read the code of each FqElement given (after
+checking its field), and coeffs, coeff_at and leading_coeff wrap a stored
+code with the residue field, so no conversion runs in either direction.
 
 Substitution x(U) = sum_i c_i U^(e0+i) is a linear map once the powers of U
 are known.  Each element used as a uniformizer image keeps a table of its
@@ -194,7 +195,8 @@ class LocalFieldElement:
     @property
     def coeffs(self):
         """The stored coefficients as FqElements."""
-        return tuple(map(_tables(self.field.residue).elements.__getitem__, self.codes))
+        residue = self.field.residue
+        return tuple(FqElement(residue, c) for c in self.codes)
 
     @cached_property
     def _powers(self):
@@ -250,7 +252,7 @@ class LocalFieldElement:
     def leading_coeff(self):
         if not self.codes:
             raise UncertainValuation("no known nonzero term")
-        return _tables(self.field.residue).elements[self.codes[0]]
+        return FqElement(self.field.residue, self.codes[0])
 
     def coeff_at(self, k):
         """Coefficient of u^k; raises PrecisionExhausted if unknown."""
@@ -259,7 +261,7 @@ class LocalFieldElement:
                                      % (k, self.precision))
         i = k - self.leading_exponent
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
-        return _tables(self.field.residue).elements[code]
+        return FqElement(self.field.residue, code)
 
     def _window(self, lo, end):
         """Codes of u^lo .. u^(end-1), zero outside the stored terms."""
@@ -444,7 +446,8 @@ class LocalFieldElement:
     def to_json(self):
         return {
             "leading_exponent": self.leading_exponent if self.codes else None,
-            "coeffs": [list(c.coeffs) for c in self.coeffs],
+            "coeffs": [list(digits) for digits in zip(*(
+                self.codes.translate(row) for row in _tables(self.field.residue).digit_rows))],
             "precision": self.precision,
         }
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .additive import AdditivePolynomial, require_separable
 from .errors import (ExtensionRequired, MixedFields, NoConvergence,
                      NotInTower, PrecisionExhausted)
-from .finitefield import GF, _tables
+from .finitefield import GF, FqElement, _tables
 from .newton import newton_polygon
 from .series import (BaseEmbedding, LocalFieldElement, LocalFieldSpec, make_element,
                      series_keys, substitute)
@@ -250,14 +250,14 @@ def _residue_roots(residue, lead):
     the exp/log tables."""
     tables = _tables(residue)
     add, mul, (exp, log) = tables.add_rows, tables.mul_rows, tables._exp_log
-    terms = [(d, mul[b.to_int()]) for d, b in lead.items()]
+    terms = [(d, mul[b.code]) for d, b in lead.items()]
     out = []
     for a in range(1, tables.q):
         acc = 0
         for d, row in terms:
             acc = add[acc][row[exp[log[a] * d % (tables.q - 1)]]]
         if not acc:
-            out.append(tables.elements[a])
+            out.append(FqElement(residue, a))
     return out
 
 

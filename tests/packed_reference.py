@@ -1,9 +1,11 @@
 """The packed series kernel of finitefield._Tables one coefficient at a time,
 the way it ran before it worked on byte planes: pack joins one chunk per
 coefficient, unpack reduces each slot by its own `% p` and folds each
-coefficient's digit slots through a dict.  ref_mul and ref_add compose them
-at slot widths wide enough for the operands used in the tests.  The oracles
-for _Tables.pack, unpack, mul and add.
+coefficient's digit slots through a dict.  Digits, powers of x and the fold
+come from the digit-tuple oracle (finitefield_reference), never from the
+code tables under test.  ref_mul and ref_add compose them at slot widths
+wide enough for the operands used in the tests.  The oracles for
+_Tables.pack, unpack, mul and add.
 
 RefPowerTable is series._PowerTable.power the way it ran before the base-p
 chains: every power from its neighbour by one product.  The oracle for the
@@ -14,11 +16,13 @@ from itertools import product
 
 from omod.series import LocalFieldElement
 
+from finitefield_reference import code, digits, poly_pow_mod
+
 
 def ref_pack(tables, codes, width):
     pad = bytes((tables.stride - tables.f) * width)
     return int.from_bytes(b"".join(b"".join(d.to_bytes(width, "little")
-                                            for d in tables.elements[c].coeffs) + pad
+                                            for d in digits(tables.spec, c)) + pad
                                    for c in codes), "little")
 
 
@@ -26,14 +30,15 @@ def ref_pack(tables, codes, width):
 def ref_fold(spec):
     """Reduced digit slots of a packed product coefficient (a polynomial in x
     of degree < 2f - 1) -> the code of its class mod the modulus."""
-    f = spec.f
-    x_high = [(spec.gen() ** d).coeffs for d in range(f, 2 * f - 1)]
+    p, f = spec.p, spec.f
+    x_high = [poly_pow_mod(digits(spec, p), d, spec.modulus, p) for d in range(f, 2 * f - 1)]
     fold = {}
-    for high in product(range(spec.p), repeat=f - 1):
+    for high in product(range(p), repeat=f - 1):
         extra = [sum(h * x[i] for h, x in zip(high, x_high)) for i in range(f)]
-        for a in spec.elements():
-            folded = spec.element([c + e for c, e in zip(a.coeffs, extra)])
-            fold[bytes(a.coeffs) + bytes(high)] = folded.to_int()
+        for k in range(spec.q):
+            a = digits(spec, k)
+            folded = tuple((c + e) % p for c, e in zip(a, extra))
+            fold[bytes(a) + bytes(high)] = code(spec, folded)
     return fold
 
 

@@ -1,11 +1,17 @@
-"""Finite-field arithmetic: exhaustive axioms for q <= 16, Frobenius, moduli."""
+"""Finite-field arithmetic: exhaustive axioms for q <= 16, Frobenius, moduli,
+and FqElement against the digit-tuple oracle."""
+
+from itertools import product
+import re
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import CapExceeded, MixedFields
-from omod.finitefield import (FIXED_MODULI, GF, _is_prime, _tables, embed_fq, field_with_order,
-                              is_irreducible, subfield_embedding_image)
+from omod.finitefield import (FIXED_MODULI, GF, FieldSpec, FqElement, _is_prime, _tables,
+                              embed_fq, field_with_order, subfield_embedding_image)
+import finitefield_reference as ref
 from packed_reference import ref_add, ref_mul, ref_pack, ref_unpack
 from quotring_reference import project_fq
 
@@ -18,7 +24,7 @@ def test_modulus_table_is_irreducible():
                    (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
                    (11, 2), (13, 2)]:
         spec = GF(p, f)
-        assert is_irreducible(spec.modulus, p)
+        assert ref.is_irreducible(spec.modulus, p)
         assert spec.q == p ** f
 
 
@@ -140,13 +146,76 @@ def test_field_with_order():
             field_with_order(q)
 
 
-def test_serialization_roundtrip():
-    F8 = GF(2, 3)
-    a = F8.from_int(5)
-    doc = a.to_json()
-    assert doc["coeffs"] == [1, 0, 1]
-    assert doc["field"] == {"p": 2, "f": 3, "modulus": [1, 1, 0]}
-    assert F8.element(doc["coeffs"]) == a
+def test_reducible_moduli_are_rejected_exactly_when_the_rabin_test_says_so():
+    """Every monic modulus of degree 2..5 over F_2, 2..3 over F_3 and 2 over
+    F_5 and F_7."""
+    start, seen = time.perf_counter(), 0
+    for p, f in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        for low in product(range(p), repeat=f):
+            seen += 1
+            if ref.is_irreducible(low, p):
+                assert FieldSpec(p, f, low).q == p ** f
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        "modulus %r is reducible over F_%d" % (low, p))):
+                    FieldSpec(p, f, low)
+    assert seen == 170
+    assert time.perf_counter() - start < 1
+
+
+def check_against_oracle(spec, k, j, e):
+    """FqElement's + - * neg inv ** frobenius and coeffs on the codes k, j
+    against the digit-tuple oracle, with exponent e."""
+    a, b = FqElement(spec, k), FqElement(spec, j)
+    x, y = ref.digits(spec, k), ref.digits(spec, j)
+    assert a.coeffs == x
+    assert (a + b).code == ref.code(spec, ref.ref_add(spec, x, y))
+    assert (a - b).code == ref.code(spec, ref.ref_sub(spec, x, y))
+    assert (a * b).code == ref.code(spec, ref.ref_mul(spec, x, y))
+    assert (-a).code == ref.code(spec, ref.ref_neg(spec, x))
+    assert a.frobenius(e).code == ref.code(spec, ref.ref_frobenius(spec, x, e))
+    if k:
+        assert a.inv().code == ref.code(spec, ref.ref_inv(spec, x))
+        assert (a ** e).code == ref.code(spec, ref.ref_pow(spec, x, e))
+    else:
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            a.inv()
+        if e < 0:
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                a ** e
+        else:
+            assert (a ** e).code == ref.code(spec, ref.ref_pow(spec, x, e)) == (0 if e else 1)
+
+
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_fq_ops_match_the_digit_oracle_exhaustive(p, f):
+    spec = GF(p, f)
+    for k in range(spec.q):
+        for j in range(spec.q):
+            check_against_oracle(spec, k, j, j - 2)
+
+
+def test_fq_elements_are_values_of_field_and_codes():
+    F9 = GF(3, 2)
+    a, same = FqElement(F9, 5), FqElement(FieldSpec(3, 2, (1, 0)), 5)
+    assert a == same and hash(a) == hash(same) and a.spec is not same.spec
+    assert a + same == a * F9.from_int(2) and a - same == F9.zero()
+    # the same code in F_8: another field, so another element
+    in_f8 = FqElement(GF(2, 3), 5)
+    assert in_f8.code == a.code and in_f8 != a
+    assert a != a.code and a != a.coeffs
+    assert FqElement.__slots__ == ("spec", "code") and not hasattr(a, "__dict__")
+    table = {a: "a"}
+    assert table[same] == "a" and in_f8 not in table and F9.zero() not in table
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        with pytest.raises(MixedFields):
+            op(a, in_f8)
+    with pytest.raises(ZeroDivisionError, match=re.escape("inverse of zero in GF(3^2)")):
+        F9.zero().inv()
+    with pytest.raises(ZeroDivisionError):
+        a / F9.zero()
+    assert F9.element([5, 4, 7]) == F9.from_int(2 + 3 * 1) == FqElement(F9, 5)
 
 
 # every (p, f) with q <= 256: the primes, and the moduli table's keys
@@ -171,3 +240,13 @@ def test_packed_kernel_matches_the_per_slot_and_dict_fold_oracles(p, f, data):
     assert tables.mul(a, b, n) == ref_mul(tables, a, b, n)
     ia, ib = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     assert tables.add(a, ia, b, ib) == ref_add(tables, a, ia, b, ib)
+
+
+@pytest.mark.parametrize("p,f", ALL_FIELDS)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fq_ops_match_the_digit_oracle_sampled(p, f, data):
+    spec = GF(p, f)
+    k, j = (data.draw(st.integers(0, spec.q - 1)) for _ in range(2))
+    check_against_oracle(spec, k, j, data.draw(st.integers(-2 * spec.q, 2 * spec.q)))

@@ -93,7 +93,7 @@ def test_character_q3_m1():
     ring = lt.unit_ring(1)
     sigma = table.table[OModElement(ring, 2).codes][1]
     # sigma: lam -> 2 lam; fixed field check already ran inside
-    assert sigma.image_of_uniformizer.leading_coeff().to_int() == 2
+    assert sigma.image_of_uniformizer.leading_coeff().code == 2
 
 
 def test_character_q3_m2_order6():

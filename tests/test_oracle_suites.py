@@ -45,7 +45,7 @@ def test_precision_soundness_root_search():
             if c.is_zero_mod_precision():
                 coeff_data.append({})
             else:
-                coeff_data.append({k: c.coeff_at(k).to_int()
+                coeff_data.append({k: c.coeff_at(k).code
                                    for k in range(c.leading_exponent,
                                                   c.leading_exponent + len(c.coeffs))})
         P_hi = AdditivePolynomial(

@@ -370,7 +370,7 @@ def test_reduced_norm_scalar_is_norm():
 def test_reduced_norm_identity_and_nonunit():
     big = OModRing(GF(2, 2), 2)
     order = DivisionOrder(2, big, GF(2))
-    assert reduced_norm(order, order.one()).codes == bytes([1, 0])
+    assert reduced_norm(order, order.element([order.big.one()])).codes == bytes([1, 0])
     with pytest.raises(NotAUnit):
         reduced_norm(order, pi(order))
 

@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from omod.errors import MixedFields
+from omod import finitefield
 from omod.finitefield import FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables
 from omod.quotring import (OModElement, OModRing, _add_codes, _digits, _encode, _mul_codes,
                            _power, _RingTables, _WideTables)
 
+import finitefield_reference as fref
 from quotring_reference import (ref_add, ref_frobenius, ref_inv, ref_mul, ref_descend_to,
                                 ref_norm_to, ref_pow, ref_reduce_to, ref_sub, t_power)
 
@@ -62,7 +64,7 @@ def test_ring_operations_match_reference(drawn):
     assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
     assert (-a).coeffs == ref_sub(ring.zero().coeffs, a.coeffs)
     assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
-    assert (a * b).codes == bytes(c.to_int() for c in ref_mul(a.coeffs, b.coeffs))
+    assert (a * b).codes == bytes(c.code for c in ref_mul(a.coeffs, b.coeffs))
     assert a.is_zero() == all(c.is_zero() for c in a.coeffs)
     assert a.level() == next((j for j, c in enumerate(a.coeffs) if not c.is_zero()), ring.m)
 
@@ -108,12 +110,12 @@ def test_element_rejects_coefficients_of_another_field():
         OModRing(GF(2, 2), 2).element([GF(2, 1).one()])
 
 
-def test_elements_leave_and_serialize_as_fq_elements():
+def test_elements_leave_as_fq_elements():
     ring = OModRing(GF(3, 2), 3)
     a = OModElement(ring, 5 + 9 * 7)
     assert all(isinstance(c, FqElement) and c.spec == ring.residue for c in a.coeffs)
     assert a.codes == bytes([5, 7, 0])
-    assert a.to_json() == {"m": 3, "coeffs": [[2, 1], [1, 2], [0, 0]]}
+    assert [c.coeffs for c in a.coeffs] == [(2, 1), (1, 2), (0, 0)]
     assert repr(a) == "Fq(2,1) + Fq(1,2)*t"
 
 
@@ -129,24 +131,30 @@ def test_no_table_is_built_at_import():
 
 @pytest.mark.parametrize("pf", [(2, 8), (3, 5), (13, 2), (251, 1)])
 def test_tables_are_built_without_fq_products(pf, monkeypatch):
-    def no_products(self, other):
-        raise AssertionError("boxed product while building tables")
+    """FqElement's operations read the tables, so a build through them, or
+    through _tables, would recurse: both are blocked while building."""
+    def no_products(*args):
+        raise AssertionError("FqElement operation or table lookup while building tables")
 
-    tables = _Tables(GF(*pf))
-    monkeypatch.setattr(FqElement, "__mul__", no_products)
-    monkeypatch.setattr(FqElement, "__pow__", no_products)
-    rows = (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.inv)
+    spec = GF(*pf)
+    for name in ("__add__", "__neg__", "__mul__", "__pow__", "inv"):
+        monkeypatch.setattr(FqElement, name, no_products)
+    monkeypatch.setattr(finitefield, "_tables", no_products)
+    tables = _Tables(spec)
+    rows = (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.inv, tables.neg,
+            tables.fold_plan)
     monkeypatch.undo()
-    add_rows, sub_rows, mul_rows, inv = rows
-    elements = tables.elements
+    add_rows, sub_rows, mul_rows, inv, neg, _ = rows
     for a in range(0, tables.q, 7):
+        x = fref.digits(spec, a)
+        assert neg[a] == fref.code(spec, fref.ref_neg(spec, x))
         for b in range(0, tables.q, 5):
-            x, y = elements[a], elements[b]
-            assert add_rows[a][b] == (x + y).to_int()
-            assert sub_rows[a][b] == (x - y).to_int()
-            assert mul_rows[a][b] == (x * y).to_int()
+            y = fref.digits(spec, b)
+            assert add_rows[a][b] == fref.code(spec, fref.ref_add(spec, x, y))
+            assert sub_rows[a][b] == fref.code(spec, fref.ref_sub(spec, x, y))
+            assert mul_rows[a][b] == fref.code(spec, fref.ref_mul(spec, x, y))
         if a:
-            assert inv[a] == elements[a].inv().to_int()
+            assert inv[a] == fref.code(spec, fref.ref_inv(spec, x))
 
 
 def test_elements_are_values_of_ring_and_codes():
@@ -196,7 +204,7 @@ def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
         assert tables.inv[k] == wide.inv[k]
         assert tables.mul_rows[k][tables.inv[k]] == 1 if k % q else tables.inv[k] == 0
     if m == 1:
-        # F_q's own tables, checked against FqElement in test_finitefield
+        # F_q's own tables, checked against the digit oracle in test_finitefield
         assert (tables.add_rows, tables.sub_rows, tables.mul_rows, tables.neg, tables.inv) == \
             (field.add_rows, field.sub_rows, field.mul_rows, field.neg, field.inv)
         return
