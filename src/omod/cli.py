@@ -26,18 +26,18 @@ from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, OmodError,
                      PrecisionExhausted, SchemaMismatch)
 from .finitefield import GF, RESIDUE_CARDINALITY_CAP, field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
-                        count_level_structures, kernel_rank, lubin_tate_module,
-                        module_from_unit_coefficients, torsion_points)
+                        count_level_structures, kernel_rank, module_from_unit_coefficients,
+                        torsion_points)
 # build_tower stays importable from here: perfbench's tracer test reads cli.build_tower
-from .lubintate import (build_tower, character_restriction_consistent, cm_tower,  # noqa: F401
-                        expected_primitive_valuation, verify_character,
+from .lubintate import (_built_once, build_tower, character_restriction_consistent,  # noqa: F401
+                        cm_tower, expected_primitive_valuation, verify_character,
                         verify_determinant_character, verify_product_formula,
                         verify_torsion_valuations)
 from .pi0 import expected_invariant_factors, h0_decomposition, pi0_action_table, unit_group
 from .report import (CheckResult, coverage_matrix, dumps_canonical, merge_documents,
                      render_text, report_document, to_csv)
 from .series import base_field
-from .tower import FieldTower, unramified_extension
+from .tower import FieldTower
 
 WHICH_CHOICES = ("character", "valuations", "product", "determinant",
                  "level-count", "kernel-height", "pi0", "h0")
@@ -136,6 +136,9 @@ class RunConfig:
                 ({"character"}, 1, self.m),
                 ({"valuations", "product", "determinant", "level-count"}, self.n, self.m),
                 ({"kernel-height"}, self.n, 1)) if suites & set(self.which)]
+        # one tower per height, to the deepest level any selected suite reads:
+        # sorted by level, a height's deepest pair is the one dict keeps
+        self._levels = dict(sorted(towers, key=lambda tower: tower[1]))
         need = max((min_precision(self.q, height, level) for height, level in towers),
                    default=0)
         if self.precision < need:
@@ -146,6 +149,7 @@ class RunConfig:
             # a cache path that is a file or cannot be made fails here, before any build
             os.makedirs(self.cache_dir, exist_ok=True)
         self._towers = {}
+        self.from_cache = set()         # heights whose tower was loaded from the cache
         self._unit_group = None
 
     def as_dict(self):
@@ -154,25 +158,29 @@ class RunConfig:
                 "seed": self.seed, "cm": self.cm}
 
     def tower(self, n):
-        """(tower, from_cache) of height n to level m, built once per run and
-        shared by every suite; read from and written to the cache directory,
-        where a file that fails to load is reported on stderr and rebuilt."""
-        if n not in self._towers:
-            key = (self.p, self.f, n, self.m, self.precision)
-            lt = None
-            if self.cache_dir:
-                try:
-                    lt = load_tower(self.cache_dir, *key)
-                except OmodError as exc:
-                    print("warning: rebuilding cached tower %s: %s"
-                          % (tower_cache_name(*key), exc), file=sys.stderr)
-            from_cache = lt is not None
-            if not from_cache:
-                lt = cm_tower(*key)
-                if self.cache_dir:
-                    save_tower(self.cache_dir, lt, self.p, self.f, n)
-            self._towers[n] = (lt, from_cache)
-        return self._towers[n]
+        """The tower of height n, built once per run to the deepest level any
+        selected suite reads, and shared by every suite; a build that fails
+        is not retried, its OmodError is raised again."""
+        return _built_once(self._towers, n, lambda: self._load_or_build(n))
+
+    def _load_or_build(self, n):
+        """The height-n tower from the cache directory, or built and written
+        there; a file that fails to load is reported on stderr and rebuilt."""
+        key = (self.p, self.f, n, self._levels[n], self.precision)
+        lt = None
+        if self.cache_dir:
+            try:
+                lt = load_tower(self.cache_dir, *key)
+            except OmodError as exc:
+                print("warning: rebuilding cached tower %s: %s"
+                      % (tower_cache_name(*key), exc), file=sys.stderr)
+        if lt is not None:
+            self.from_cache.add(n)
+            return lt
+        lt = cm_tower(*key)
+        if self.cache_dir:
+            save_tower(self.cache_dir, lt, self.p, self.f, n)
+        return lt
 
     def unit_group(self):
         """(o/t^m)^x, built once per run and shared by the pi0 and h0 suites."""
@@ -182,12 +190,13 @@ class RunConfig:
 
 
 def cmd_tower(cfg) -> int:
-    lt, from_cache = cfg.tower(cfg.n if cfg.cm else 1)
+    height = cfg.n if cfg.cm else 1
+    lt = cfg.tower(height)
     degrees = [lt.degree(k) for k in range(1, cfg.m + 1)]
     doc = {
         "command": "tower",
         "config": cfg.as_dict(),
-        "from_cache": from_cache,
+        "from_cache": height in cfg.from_cache,
         "degrees": degrees,
         "levels": [
             {"level": k,
@@ -249,7 +258,7 @@ def run_character(cfg):
     order = (cfg.q - 1) * cfg.q ** (cfg.m - 1)
 
     def compute():
-        lt, _ = cfg.tower(1)
+        lt = cfg.tower(1)
         table = verify_character(lt)
         return ({"group_order": len(table.table), "tower_degree": lt.degree(),
                  "restriction_compatible": character_restriction_consistent(lt)},
@@ -263,8 +272,7 @@ def run_valuations(cfg):
     expected = str(expected_primitive_valuation(cfg.q, cfg.n, cfg.m))
 
     def compute():
-        lt, _ = cfg.tower(cfg.n)
-        report = verify_torsion_valuations(lt.torsion(cfg.m))
+        report = verify_torsion_valuations(cfg.tower(cfg.n).torsion(cfg.m))
         return str(report["primitive_valuation"]), expected
 
     return [_check("valuations", "primitive level-m torsion valuation = 1/((q^n-1) q^(n(m-1)))",
@@ -275,8 +283,7 @@ def run_product(cfg):
     q, n, m = cfg.q, cfg.n, cfg.m
 
     def compute():
-        lt, _ = cfg.tower(n)
-        report = verify_product_formula(lt.torsion(m))
+        report = verify_product_formula(cfg.tower(n))
         return ({"rep_count": report["rep_count"],
                  "valuation_sum": str(report["valuation_sum"]),
                  "ratio_valuation": str(report["ratio_valuation"])},
@@ -291,7 +298,7 @@ def run_product(cfg):
 
 def run_determinant(cfg):
     def compute():
-        witness = verify_determinant_character(cfg.tower(cfg.n)[0])
+        witness = verify_determinant_character(cfg.tower(cfg.n))
         total = (cfg.q ** cfg.n - 1) * (cfg.q ** cfg.n) ** (cfg.m - 1)
         return {"cases_verified": len(witness.rows)}, {"cases_verified": total}
 
@@ -307,7 +314,7 @@ def run_level_count(cfg):
         expected *= q ** n - q ** i
     return [_check("level-count", "level structures on the etale fibre number |GL_n(o/t^m)|",
                    {"q": q, "n": n, "m": m}, "enumeration", expected,
-                   lambda: (count_level_structures(cfg.tower(n)[0].torsion(m)), expected))]
+                   lambda: (count_level_structures(cfg.tower(n).torsion(m)), expected))]
 
 
 def run_kernel_height(cfg):
@@ -315,9 +322,9 @@ def run_kernel_height(cfg):
     params = {"q": cfg.q, "n": cfg.n, "m": 1}
 
     def etale_and_closed():
-        F = base_field(cfg.p, cfg.f, precision=cfg.precision)
-        X = lubin_tate_module(unramified_extension(F, cfg.n), cfg.n)
-        phi = bijective_level_structure(torsion_points(X, 1))
+        lt = cfg.tower(cfg.n)
+        X = lt.module
+        phi = bijective_level_structure(lt.torsion(1))
         return ({"etale": [kernel_rank(phi, "generic"), connected_height(X, "generic")],
                  "closed_fibre": [kernel_rank(phi, "closed"), connected_height(X, "closed")]},
                 {"etale": [0, 0], "closed_fibre": [cfg.n, cfg.n]})

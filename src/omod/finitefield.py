@@ -111,20 +111,30 @@ def _exp_log(p, low):
     exp[k] is the code of g^k for the element g of order q - 1 with the
     smallest code; log inverts it on nonzero codes, log[0] = 255.  Such a g
     exists exactly when the ring is a field: F_q^x is cyclic, and a
-    reducible modulus leaves fewer than q - 1 units.  Each candidate's
-    powers are followed for at most q - 1 steps."""
+    reducible modulus leaves fewer than q - 1 units.  Each candidate's order
+    is tested by square-and-multiply, O(log q) products: g has order q - 1
+    when g^(q - 1) = 1 and g^((q - 1)/r) != 1 for each prime r dividing
+    q - 1.  Only the g found has its powers listed."""
     f = len(low)
     q = p ** f
     one = _digits(1, p, f)
+
+    def power(x, e):
+        acc = one
+        for bit in bin(e)[2:]:
+            acc = _poly_mul_mod(acc, acc, low, p)
+            if bit == "1":
+                acc = _poly_mul_mod(acc, x, low, p)
+        return acc
+
     for g in range(1 if q == 2 else 2, q):
-        exp, x, step = [1], one, _digits(g, p, f)
-        for _ in range(q - 1):
-            x = _poly_mul_mod(x, step, low, p)
-            c = _undigits(x, p)
-            if c == 1:
-                break
-            exp.append(c)
-        if len(exp) == q - 1:    # g^(q - 1) = 1 and no earlier power is 1
+        x = _digits(g, p, f)
+        if power(x, q - 1) == one and \
+                all(power(x, (q - 1) // r) != one for r in _prime_factors(q - 1)):
+            exp, y = [1], one
+            for _ in range(q - 2):
+                y = _poly_mul_mod(y, x, low, p)
+                exp.append(_undigits(y, p))
             log = bytearray([255]) * 256
             for k, c in enumerate(exp):
                 log[c] = k

@@ -187,14 +187,12 @@ def coord_key(coord_vector):
 
 
 def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) -> TorsionModule:
-    """Enumerate X[t^m] completely, extending the tower as needed.
-
-    Orbit path: models t*T + T^(q^n) over a field with residue F_{q^n} get a
-    torsion tower with a distinguished generator, and the points are the
-    [a]-orbit of the top uniformizer.  Mixed-slope specializations (level 1)
-    get per-segment constructions: integral slopes in the field, plus a
-    declared-uniformizer wild extension for the inseparable residue direction.
-    """
+    """Enumerate X[t^m] completely at m = 0, and at m = 1 for mixed-slope
+    specializations, extending the tower as needed: integral slopes in the
+    field, plus a declared-uniformizer wild extension for the inseparable
+    residue direction.  The orbit model t*T + T^(q^n) over a field with
+    residue F_{q^n} has its torsion from its tower (build_tower(...).torsion(m),
+    through orbit_torsion_from_generator)."""
     if tower is None:
         tower = FieldTower(X.field)
     if X.q ** (X.n * max(m, 1)) > DEGREE_CAP:
@@ -203,19 +201,14 @@ def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) ->
     if m == 0:
         return TorsionModule(X, 0, None, tower.top, [], {(): tower.top.zero()},
                              {(): ()}, tower=tower)
-    root = X.field.root
-    q = root.residue.q
-    mids = X.t_action.coeffs[1:-1]
-    is_orbit_model = all(c.is_exact_zero() for c in mids) and \
-        X.field.residue.q == q ** X.n
-    if is_orbit_model:
-        basis, generator = _orbit_basis(X, m, tower)
-    elif m == 1:
-        basis, generator = _mixed_level1_basis(X, tower)
-    else:
+    if all(c.is_exact_zero() for c in X.t_action.coeffs[1:-1]) and \
+            X.field.residue.q == X.q ** X.n:
+        raise ValueError("the orbit model's level-%d torsion comes from its tower:"
+                         " build_tower(...).torsion(%d)" % (m, m))
+    if m != 1:
         raise CapExceeded("torsion beyond level 1 is only enumerated for the"
                           " rank-one orbit model")
-    return _assemble_from_basis(X, m, tower, basis, generator)
+    return _assemble_from_basis(X, m, tower, _mixed_level1_basis(X, tower), None)
 
 
 def _assemble_from_basis(X, m, tower, basis, generator):
@@ -269,7 +262,7 @@ def _solve_torsion_level(T, u, Q, precision):
     return c.truncate(precision)
 
 
-def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
+def build_torsion_chain(X, m, tower, precision, name_prefix):
     """Adjoin torsion generators of the orbit model t*T + T^Q level by level:
     [t](lam_k) = lam_{k-1}, lam_0 = 0.  Extends the tower in place and returns
     [(field_k, lam_k)], where a degree-one level reuses the current top.
@@ -281,7 +274,6 @@ def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
     ramified_extension_by_relation accepts the level only once that plain
     step leaves the image unchanged to the full precision."""
     Q = X.field.residue.q
-    precision = precision or X.field.default_precision
     out = []
     for k in range(1, m + 1):
         current_top = tower.top
@@ -312,26 +304,15 @@ def build_torsion_chain(X, m, tower, precision=None, name_prefix="w"):
     return out
 
 
-def _orbit_basis(X, m, tower):
-    """Build the torsion tower for t*T + T^Q and return the o-basis
-    {[x^j](lambda_m)} together with the generator lambda_m."""
-    chain = build_torsion_chain(X, m, tower)
-    return _orbit_basis_from_generator(X, m, tower, chain[-1][1])
-
-
-def _orbit_basis_from_generator(X, m, tower, lam):
-    """The o-basis {[x^j](lam)} of the level-m torsion, x the residue
-    generator: [c](lam) = c*lam for a constant c."""
+def orbit_torsion_from_generator(X, m, tower, lam) -> TorsionModule:
+    """Assemble the torsion table from an already-built chain: lam must be the
+    level-m generator living in (or embeddable into) the tower's top.  The
+    o-basis is {[x^j](lam)}, x the residue generator: [c](lam) = c*lam for a
+    constant c."""
     top = tower.top
     lam = lam if lam.field is top else embed(lam, top)
     xgen = X.field.residue.gen() if X.n > 1 else X.field.residue.one()
-    return [lam.scale(embed_fq(xgen ** j, top.residue)) for j in range(X.n)], lam
-
-
-def orbit_torsion_from_generator(X, m, tower, lam) -> TorsionModule:
-    """Assemble the torsion table from an already-built chain: lam must be the
-    level-m generator living in (or embeddable into) the tower's top."""
-    basis, lam = _orbit_basis_from_generator(X, m, tower, lam)
+    basis = [lam.scale(embed_fq(xgen ** j, top.residue)) for j in range(X.n)]
     return _assemble_from_basis(X, m, tower, basis, lam)
 
 
@@ -358,8 +339,7 @@ def _mixed_level1_basis(X, tower):
             if e < 2:
                 raise
             _adjoin_wild_branch(X, tower, e)
-    basis = _greedy_basis(roots, X, tower.top)
-    return basis, None
+    return _greedy_basis(roots, X, tower.top)
 
 
 def _adjoin_wild_branch(X, tower, e):

@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .additive import AdditivePolynomial
-from .errors import (CharacterViolation, DeterminantMismatch, OrbitNotFree,
-                     StructureViolation, ValuationMismatch)
+from .errors import (CharacterViolation, DeterminantMismatch, OmodError, OrbitNotFree,
+                     ValuationMismatch)
 from .formalmod import (FormalOModule, TorsionModule, act, bijective_level_structure,
                         build_torsion_chain, coord_key, lubin_tate_module,
                         orbit_torsion_from_generator, t_iterates, torsion_points)
@@ -39,11 +38,10 @@ class LubinTateTower:
     levels: list                      # [(field_k, lam_k in field_k)]
     m_max: int
     precision: int
-    # k -> [t]-iterates of lam_k; (ring, codes) of a unit a -> its torsion
-    # automorphism; m -> torsion table, or the StructureViolation its build raised
-    _iterates: dict = dc_field(default_factory=dict, init=False, repr=False)
-    _automorphisms: dict = dc_field(default_factory=dict, init=False, repr=False)
-    _torsion: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # ("iterates", k), ("automorphism", a), ("torsion", m) and "base chain"
+    # -> what iterates, torsion_automorphism, torsion and base_chain built,
+    # or the OmodError that build raised
+    _built: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def top(self):
@@ -70,9 +68,8 @@ class LubinTateTower:
     def iterates(self, k):
         """lam_k, [t](lam_k), ..., [t]^(k-1)(lam_k) in the top field, formed
         once per level: [a](lam_k) for every a in o/t^k is act(a, these)."""
-        if k not in self._iterates:
-            self._iterates[k] = t_iterates(self.module, self.lam(k), k)
-        return self._iterates[k]
+        return _built_once(self._built, ("iterates", k),
+                           lambda: t_iterates(self.module, self.lam(k), k))
 
     def torsion_automorphism(self, a: OModElement) -> FieldAutomorphism:
         """lam_m -> [a](lam_m), the substitution realizing the Galois action.
@@ -80,28 +77,39 @@ class LubinTateTower:
         shares its image's power table."""
         if not a.is_unit():
             raise ValueError("torsion substitutions need a unit index")
-        if a not in self._automorphisms:
-            self._automorphisms[a] = FieldAutomorphism(self.top, act(a, self.iterates(self.m_max)))
-        return self._automorphisms[a]
+        return _built_once(self._built, ("automorphism", a), lambda: FieldAutomorphism(
+            self.top, act(a, self.iterates(self.m_max))))
 
     def torsion(self, m=None) -> "TorsionModule":
         """The fully enumerated torsion table at level m <= m_max, assembled
         from the existing chain (no new extensions), once per level: the
-        checks that take it only read it.  A build that fails is not retried:
-        its StructureViolation is raised again."""
+        checks that take it only read it."""
         m = self.m_max if m is None else m
         if m > self.m_max:
             raise ValueError("tower only built to level %d" % self.m_max)
-        if m not in self._torsion:
-            try:
-                self._torsion[m] = (
-                    torsion_points(self.module, 0, self.tower) if m == 0 else
-                    orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m)))
-            except StructureViolation as exc:
-                self._torsion[m] = exc
-        if isinstance(self._torsion[m], StructureViolation):
-            raise self._torsion[m]
-        return self._torsion[m]
+        return _built_once(self._built, ("torsion", m), lambda: (
+            torsion_points(self.module, 0, self.tower) if m == 0 else
+            orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m))))
+
+    def base_chain(self):
+        """mu_1, ..., mu_m of the height-one root model in the top field
+        (locate_base_torsion_chain), searched once per tower."""
+        return _built_once(self._built, "base chain",
+                           lambda: locate_base_torsion_chain(self.top, self.m_max))
+
+
+def _built_once(store, key, build):
+    """store[key], from build() on first use.  A build that fails is not
+    retried: its OmodError is stored and raised again."""
+    value = store.get(key)        # no build returns None
+    if value is None:
+        try:
+            value = store[key] = build()
+        except OmodError as exc:
+            value = store[key] = exc
+    if isinstance(value, OmodError):
+        raise value
+    return value
 
 
 def build_tower(base: LocalFieldSpec, m: int, precision=None) -> LubinTateTower:
@@ -260,11 +268,13 @@ def orbit_representatives(ring: OModRing, n: int):
     return reps
 
 
-def verify_product_formula(Tm: TorsionModule):
-    """|R| = (q^n-1) q^(n(m-1)) / ((q-1) q^(m-1)); the valuations of a
-    bijective level structure over R sum to 1/((q-1) q^(m-1)) = v(uniformizer
-    of the level-m base torsion field); and the actual product differs from
-    that embedded uniformizer by a unit."""
+def verify_product_formula(lt: LubinTateTower):
+    """On the top-level torsion table of the tower lt: |R| = (q^n-1)
+    q^(n(m-1)) / ((q-1) q^(m-1)); the valuations of a bijective level
+    structure over R sum to 1/((q-1) q^(m-1)) = v(uniformizer of the level-m
+    base torsion field); and the actual product differs from that embedded
+    uniformizer by a unit."""
+    Tm = lt.torsion()
     m = Tm.level
     q, n = Tm.module.q, Tm.module.n
     reps = orbit_representatives(Tm.ring, n)
@@ -285,7 +295,7 @@ def verify_product_formula(Tm: TorsionModule):
                                 % (total, expected_sum))
     # compare the actual product against the embedded uniformizer of the
     # level-m torsion field of the height-one base model
-    varpi_m = locate_base_torsion_chain(Tm.field, m)[-1]
+    varpi_m = lt.base_chain()[-1]
     ratio_val = prod.valuation() - varpi_m.valuation()
     if ratio_val != 0:
         raise ValuationMismatch("product/uniformizer has valuation %s, expected 0"
@@ -295,19 +305,12 @@ def verify_product_formula(Tm: TorsionModule):
             "ratio_valuation": ratio_val}
 
 
-def base_height_one_polynomial(field):
-    """[t](T) = t*T + T^q of the height-one model over the root field, with
-    coefficients embedded in the given field."""
-    root = field.root
-    t_img = root_uniformizer_image(field)
-    return AdditivePolynomial(field, (t_img, field.one()), root.residue.f)
-
-
 def locate_base_torsion_chain(field, m):
     """mu_1, ..., mu_m inside the given field: [t](mu_1) = 0, mu_1 != 0, and
-    [t](mu_k) = mu_{k-1}; mu_k generates the level-k torsion of the height-one
-    root model.  Deterministic root choice (smallest key of series_keys)."""
-    P = base_height_one_polynomial(field)
+    [t](mu_k) = mu_{k-1}, [t](T) = t*T + T^q the height-one model over the
+    root field; mu_k generates the level-k torsion of that model.
+    Deterministic root choice (smallest key of series_keys)."""
+    P = lubin_tate_module(field.root, 1).embedded_t_action(field)
     out = []
     prev = field.zero()
     for k in range(1, m + 1):
@@ -337,14 +340,10 @@ def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     decoding, not assumed."""
     m = lt.m_max
     root_res = lt.base.root.residue
-    chain = locate_base_torsion_chain(lt.top, m)
-    mu = chain[-1]
-    base_P = base_height_one_polynomial(lt.top)
+    mu = lt.base_chain()[-1]
     # primitivity: [t^(m-1)](mu) = mu_1 != 0, [t^m](mu) = 0; the iterates
     # [t]^j(mu), j < m, give the decode table c -> [c](mu)
-    iterates = [mu]
-    for _ in range(m):
-        iterates.append(base_P(iterates[-1]))
+    iterates = t_iterates(lubin_tate_module(lt.base.root, 1), mu, m + 1)
     if not iterates.pop().is_zero_mod_precision():
         raise DeterminantMismatch("mu is not t^m-torsion")
     base_ring = OModRing(root_res, m)

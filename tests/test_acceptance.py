@@ -9,15 +9,14 @@ from fractions import Fraction
 
 from omod.formalmod import (bijective_level_structure, connected_height,
                             count_level_structures, kernel_rank,
-                            lubin_tate_module, module_from_unit_coefficients,
-                            torsion_points)
+                            module_from_unit_coefficients, torsion_points)
 from omod.lubintate import (CHARACTER_FIXED_TERMS, DETERMINANT_MATCH_TERMS,
                             build_tower, cm_tower, expected_primitive_valuation,
                             verify_character, verify_determinant_character,
                             verify_product_formula, verify_torsion_valuations)
 from omod.pi0 import h0_decomposition, pi0_action_table, unit_group
 from omod.series import base_field
-from omod.tower import FieldTower, unramified_extension
+from omod.tower import FieldTower
 
 from oracle_utils import polygon_versus_towers
 
@@ -74,7 +73,7 @@ def test_criterion_3_product_formula():
         def one_case(q=q, n=n, m=m):
             p, f = PF[q]
             lt = cm_tower(p, f, n, m)
-            report = verify_product_formula(lt.torsion(m))
+            report = verify_product_formula(lt)
             want_reps = (q ** n - 1) * q ** (n * (m - 1)) \
                 // ((q - 1) * q ** (m - 1))
             want_sum = Fraction(1, (q - 1) * q ** (m - 1))
@@ -135,9 +134,8 @@ def test_criterion_6_level_structure_count():
 def test_criterion_7_kernel_height_correspondence():
     def one_case():
         F = base_field(2, 1)
-        Fp = unramified_extension(F, 2)
-        X_cm = lubin_tate_module(Fp, 2)
-        Tm_cm = torsion_points(X_cm, 1)
+        Tm_cm = cm_tower(2, 1, 2, 1).torsion()
+        X_cm = Tm_cm.module
         phi_cm = bijective_level_structure(Tm_cm)
         X_mx = module_from_unit_coefficients(F, [1], 2)
         Tm_mx = torsion_points(X_mx, 1, FieldTower(F))

@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_build(*args, **kwargs):
+    raise AssertionError("a tower was built")
+
+
 def test_tower_q3_m2_degrees(capsys):
     code, out, _ = run_cli(capsys, "tower", "--q", "3", "--m", "2")
     assert code == 0
@@ -54,9 +58,6 @@ def test_tower_build_error_is_one_stderr_line(capsys, monkeypatch):
 def test_precision_at_a_ramification_index_exits_2_before_building(capsys, monkeypatch):
     # the height-2 tower over F_4 has relative ramification indices 15 and 16
     import omod.cli as cli_mod
-
-    def no_build(*args):
-        raise AssertionError("a tower was built")
 
     monkeypatch.setattr(cli_mod, "cm_tower", no_build)
     for argv in (("tower", "--q", "4", "--n", "2", "--m", "2", "--cm", "--prec", "16"),
@@ -480,23 +481,74 @@ def test_verify_grid_exits_cleanly(capsys, q, n, m):
         assert row["status"] == "skipped" and "out of range" in row["computed"]
 
 
+def counting(calls, fn, index=1):
+    """fn, recording in calls its argument at index (the level, by default)."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[index])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_verify_builds_one_tower_per_height_per_run(capsys, monkeypatch):
+    # every torsion chain is built by build_torsion_chain, whichever module
+    # calls it, and product and determinant read one base chain search
     import omod.cli as cli_mod
+    import omod.formalmod as formalmod_mod
+    import omod.lubintate as lubintate_mod
 
-    built = []
-
-    def counting_cm_tower(p, f, n, m, precision):
-        built.append(n)
-        return cm_tower(p, f, n, m, precision)
-
-    monkeypatch.setattr(cli_mod, "cm_tower", counting_cm_tower)
+    built, chains, searches = [], [], []
+    monkeypatch.setattr(cli_mod, "cm_tower", counting(built, cm_tower, 2))
+    for module in (formalmod_mod, lubintate_mod):
+        monkeypatch.setattr(module, "build_torsion_chain",
+                            counting(chains, module.build_torsion_chain))
+    monkeypatch.setattr(lubintate_mod, "locate_base_torsion_chain",
+                        counting(searches, lubintate_mod.locate_base_torsion_chain))
     monkeypatch.delenv("OMOD_CACHE_DIR", raising=False)
     args = ("verify", "--q", "2", "--n", "2", "--m", "2", "--output", "json")
     code, first, _ = run_cli(capsys, *args)
     assert code == 0 and sorted(built) == [1, 2]
+    assert chains == [2, 2] and searches == [2]
     code, second, _ = run_cli(capsys, *args)
     assert code == 0 and sorted(built) == [1, 1, 2, 2]
+    assert chains == [2, 2] * 2 and searches == [2, 2]
     assert first == second
+
+
+def test_a_failed_tower_build_is_attempted_once_per_run(capsys, monkeypatch):
+    # F_512, the base of the (8, 3) tower, has no published modulus: every
+    # height-3 row reads the one failed build and is skipped with its message
+    import omod.cli as cli_mod
+
+    built = []
+    monkeypatch.setattr(cli_mod, "cm_tower", counting(built, cm_tower, 2))
+    code, out, _ = run_cli(capsys, "verify", "--q", "8", "--n", "3", "--m", "1", "--prec", "513",
+                           "--which", "valuations,product,determinant,level-count,kernel-height",
+                           "--output", "json")
+    rows = [r for r in json.loads(out)["results"]
+            if r["parameters"].get("specialization") != "unit-coefficient"]
+    assert built == [3]
+    assert [(r["check"], r["status"], r["computed"]) for r in rows] == [
+        (check, "skipped", "not computed: no published modulus for (p, f) = (2, 9);"
+                           " cap is q <= 256")
+        for check in ("valuations", "product", "determinant", "level-count", "kernel-height")]
+
+
+def test_kernel_height_alone_reads_a_level_one_tower_through_the_cache(capsys, monkeypatch,
+                                                                       tmp_path):
+    import omod.cli as cli_mod
+    import omod.lubintate as lubintate_mod
+
+    chains = []
+    monkeypatch.setattr(lubintate_mod, "build_torsion_chain",
+                        counting(chains, lubintate_mod.build_torsion_chain))
+    args = ("verify", "--q", "2", "--n", "2", "--m", "3", "--which", "kernel-height",
+            "--output", "json", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(cold)["failures"] == 0
+    assert chains == [1] and os.listdir(tmp_path) == [tower_cache_name(2, 1, 2, 1, 64)]
+    monkeypatch.setattr(cli_mod, "cm_tower", no_build)
+    code, warm, err = run_cli(capsys, *args)
+    assert code == 0 and warm == cold and err == "" and chains == [1]
 
 
 def test_verify_builds_one_unit_group_per_run(capsys, monkeypatch):
@@ -536,17 +588,17 @@ def test_all_suites_report_equals_single_suite_reports(capsys):
 @pytest.mark.parametrize("q,n,m", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
 def test_warm_cache_verify_is_byte_identical(capsys, monkeypatch, tmp_path, q, n, m):
     import omod.cli as cli_mod
+    import omod.formalmod as formalmod_mod
+    import omod.lubintate as lubintate_mod
 
     args = ("verify", "--q", str(q), "--n", str(n), "--m", str(m), "--output", "json",
             "--seed", "7", "--cache-dir", str(tmp_path))
     code_cold, cold, _ = run_cli(capsys, *args)
     assert sorted(os.listdir(tmp_path)) == sorted(
         tower_cache_name(q, 1, height, m, 64) for height in {1, n})
-
-    def no_build(*args):
-        raise AssertionError("a cached tower was rebuilt")
-
     monkeypatch.setattr(cli_mod, "cm_tower", no_build)
+    for module in (formalmod_mod, lubintate_mod):
+        monkeypatch.setattr(module, "build_torsion_chain", no_build)
     code_warm, warm, err = run_cli(capsys, *args)
     assert code_warm == code_cold and warm == cold and err == ""
 

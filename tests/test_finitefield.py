@@ -8,6 +8,7 @@ import time
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
+from omod import finitefield
 from omod.errors import CapExceeded, MixedFields
 from omod.finitefield import (FIXED_MODULI, GF, FieldSpec, FqElement, _is_prime, _tables,
                               embed_fq, field_with_order, subfield_embedding_image)
@@ -146,21 +147,31 @@ def test_field_with_order():
             field_with_order(q)
 
 
-def test_reducible_moduli_are_rejected_exactly_when_the_rabin_test_says_so():
+def test_reducible_moduli_are_rejected_exactly_when_the_rabin_test_says_so(monkeypatch):
     """Every monic modulus of degree 2..5 over F_2, 2..3 over F_3 and 2 over
-    F_5 and F_7."""
+    F_5 and F_7, and x^8 + x^7 + x^5 + x over F_2."""
     start, seen = time.perf_counter(), 0
-    for p, f in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
-        for low in product(range(p), repeat=f):
-            seen += 1
-            if ref.is_irreducible(low, p):
-                assert FieldSpec(p, f, low).q == p ** f
-            else:
-                with pytest.raises(ValueError, match=re.escape(
-                        "modulus %r is reducible over F_%d" % (low, p))):
-                    FieldSpec(p, f, low)
-    assert seen == 170
+    slow = (0, 1, 0, 0, 0, 1, 0, 1)  # the slowest q = 256 rejection under a q - 1 step walk
+    for p, f, low in [(p, f, low)
+                      for p, f in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+                      for low in product(range(p), repeat=f)] + [(2, 8, slow)]:
+        seen += 1
+        if ref.is_irreducible(low, p):
+            assert FieldSpec(p, f, low).q == p ** f
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    "modulus %r is reducible over F_%d" % (low, p))):
+                FieldSpec(p, f, low)
+    assert seen == 171
     assert time.perf_counter() - start < 1
+    # each of the 254 candidates costs O(log q) products, at most 2 log2(q)
+    # per power for g^(q-1) and g^((q-1)/r), r in {3, 5, 17}; a walk of the
+    # powers of each candidate made 54,074
+    calls = []
+    monkeypatch.setattr(finitefield, "_poly_mul_mod",
+                        lambda *args: calls.append(1) or ref.poly_mul_mod(*args))
+    assert finitefield._exp_log.__wrapped__(2, slow) is None
+    assert 254 <= len(calls) <= 254 * 4 * 2 * 8
 
 
 def check_against_oracle(spec, k, j, e):

@@ -100,9 +100,8 @@ def test_act_needs_an_iterate_per_nonzero_coefficient():
 
 def test_ring_action_truncated_law_on_torsion():
     # with the product truncated mod t^m, the law holds on t^m-torsion points
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 2)
-    R = Tm.ring
+    Tm = cm_tower(2, 1, 2, 2).torsion()
+    X, R = Tm.module, Tm.ring
     pts = [Tm.points[k] for k in sorted(Tm.points)][:4]
 
     def on(a, pt):
@@ -138,10 +137,17 @@ def test_torsion_level_zero():
     assert list(T0.points.values())[0].is_exact_zero()
 
 
+def test_torsion_points_sends_the_orbit_model_to_its_tower():
+    # the orbit model's torsion has one construction: its tower's table
+    X = cm_module(2, 1, 2)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=r"build_tower\(\.\.\.\)\.torsion\(%d\)$" % m):
+            torsion_points(X, m)
+
+
 def test_cm_torsion_q2_n2_m1():
     # 4 points: {0} + three roots of T^3 = t, each of valuation 1/3
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     assert len(Tm.points) == 4
     vals = sorted(pt.valuation() for pt in Tm.points.values()
                   if pt.is_known_nonzero())
@@ -149,14 +155,13 @@ def test_cm_torsion_q2_n2_m1():
     report = omodule_structure_check(Tm)
     assert report["cardinality"] == 4 and report["rank"] == 2
     # verify each point is killed by [t]
-    P = X.embedded_t_action(Tm.field)
+    P = Tm.module.embedded_t_action(Tm.field)
     for pt in Tm.points.values():
         assert P(pt).order_lower_bound() >= 40 or P(pt).is_zero_mod_precision()
 
 
 def test_cm_torsion_q2_n2_m2_counts_and_valuations():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 2)
+    Tm = cm_tower(2, 1, 2, 2).torsion()
     assert len(Tm.points) == 16
     prim = [pt for pt in Tm.points.values()
             if pt.is_known_nonzero() and pt.valuation() == Fraction(1, 12)]
@@ -181,8 +186,7 @@ def test_mixed_torsion_u1_unit():
 
 
 def test_structure_check_negative_control():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     corrupted = dict(Tm.points)
     keys = sorted(corrupted)
     # shift one nonzero point by the embedded uniformizer: no longer torsion,
@@ -191,7 +195,7 @@ def test_structure_check_negative_control():
 
     k_bad = next(k for k in keys if corrupted[k].is_known_nonzero())
     corrupted[k_bad] = corrupted[k_bad] + root_uniformizer_image(Tm.field)
-    bad = TorsionModule(X, 1, Tm.ring, Tm.field, Tm.basis, corrupted, Tm.coords,
+    bad = TorsionModule(Tm.module, 1, Tm.ring, Tm.field, Tm.basis, corrupted, Tm.coords,
                         generator=Tm.generator, tower=Tm.tower)
     with pytest.raises(StructureViolation):
         omodule_structure_check(bad)
@@ -213,8 +217,7 @@ def test_torsion_points_that_differ_only_past_the_known_window_collide():
 
 def test_level_structure_product_equals_t_action():
     # bijective phi on CM q=2, n=2, m=1: prod (T - phi(a)) = T^4 + tT exactly
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     phi = bijective_level_structure(Tm)
     assert verify_level_structure(phi)
 
@@ -222,15 +225,13 @@ def test_level_structure_product_equals_t_action():
 def test_level_structure_product_at_level2():
     # the level-1 restriction of a bijective level-2 structure also multiplies
     # out to the [t]-polynomial exactly
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 2)
+    Tm = cm_tower(2, 1, 2, 2).torsion()
     phi = bijective_level_structure(Tm)
     assert verify_level_structure(phi)
 
 
 def test_level_structure_zero_map_closed_fibre():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     phi0 = zero_level_structure(Tm)
     assert verify_level_structure(phi0, fibre="closed")
     # on the generic fibre the zero map fails
@@ -238,8 +239,7 @@ def test_level_structure_zero_map_closed_fibre():
 
 
 def test_level_structure_non_injective_fails():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     ring = Tm.ring
     # send both basis vectors to the same point
     matrix = [[ring.one(), ring.one()], [ring.zero(), ring.zero()]]
@@ -248,16 +248,13 @@ def test_level_structure_non_injective_fails():
 
 
 def test_count_level_structures_gl2_f2():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     assert count_level_structures(Tm) == 6  # |GL_2(F_2)|
 
 
 def test_count_level_structures_height1_m2():
     # n=1, q=3, m=2: |GL_1(o/t^2)| = |(o/t^2)^x| = 6
-    F = base_field(3, 1)
-    X = lubin_tate_module(F, 1)
-    Tm = torsion_points(X, 2)
+    Tm = cm_tower(3, 1, 1, 2).torsion()
     assert count_level_structures(Tm) == 6
 
 
@@ -269,7 +266,7 @@ def test_count_level_structures_matches_brute_force(q_pf, n, m):
 
 
 def test_count_level_structures_rejects_non_bijective_coordinates():
-    Tm = torsion_points(cm_module(2, 1, 2), 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     key = sorted(Tm.coords)[1]
     Tm.coords[key] = Tm.coords[sorted(Tm.coords)[2]]
     with pytest.raises(StructureViolation):
@@ -278,8 +275,7 @@ def test_count_level_structures_rejects_non_bijective_coordinates():
 
 def test_kernel_rank_three_specializations():
     # etale judgment: kernel 0; u1-unit closed: rank 1; CM closed: rank 2 = n
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     phi = bijective_level_structure(Tm)
     assert kernel_rank(phi, reduction="generic") == 0
     assert kernel_rank(phi, reduction="closed") == 2
@@ -295,11 +291,11 @@ def test_kernel_height_correspondence():
     # the assertable identity: kernel rank equals connected height
     F = base_field(2, 1)
     cases = []
-    X_cm = cm_module(2, 1, 2)
-    cases.append((X_cm, torsion_points(X_cm, 1), "closed"))
+    Tm_cm = cm_tower(2, 1, 2, 1).torsion()
+    cases.append((Tm_cm.module, Tm_cm, "closed"))
     X_mx = module_from_unit_coefficients(F, [1], 2)
     cases.append((X_mx, torsion_points(X_mx, 1, FieldTower(F)), "closed"))
-    cases.append((X_cm, torsion_points(X_cm, 1), "generic"))
+    cases.append((Tm_cm.module, Tm_cm, "generic"))
     for X, Tm, fibre in cases:
         phi = bijective_level_structure(Tm)
         assert kernel_rank(phi, reduction=fibre) == connected_height(X, fibre=fibre)
@@ -312,8 +308,7 @@ def test_degree_cap_enforced():
 
 
 def test_torsion_export_shapes():
-    X = cm_module(2, 1, 2)
-    Tm = torsion_points(X, 1)
+    Tm = cm_tower(2, 1, 2, 1).torsion()
     doc = Tm.to_json()
     assert doc["cardinality"] == 4
     assert len(doc["points"]) == 4

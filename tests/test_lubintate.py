@@ -9,7 +9,6 @@ import weakref
 import pytest
 
 from omod.errors import PrecisionExhausted, StructureViolation
-from omod.formalmod import lubin_tate_module, torsion_points
 from omod.lubintate import (build_tower, character_restriction_consistent,
                             cm_tower, locate_base_torsion_chain,
                             orbit_representatives, verify_character,
@@ -200,21 +199,21 @@ def test_character_violation_detected():
 
 def test_torsion_valuations_q2_n2_m1():
     lt = cm_tower(2, 1, 2, 1)
-    report = verify_torsion_valuations(torsion_points(lt.module, 1))
+    report = verify_torsion_valuations(lt.torsion(1))
     assert report["primitive_valuation"] == Fraction(1, 3)
     assert report["per_level"] == {1: 3}
 
 
 def test_torsion_valuations_q2_n2_m2():
     lt = cm_tower(2, 1, 2, 2)
-    report = verify_torsion_valuations(torsion_points(lt.module, 2))
+    report = verify_torsion_valuations(lt.torsion(2))
     assert report["primitive_valuation"] == Fraction(1, 12)
     assert report["per_level"] == {1: 3, 2: 12}
 
 
 def test_torsion_valuations_q3_n2_m1():
     lt = cm_tower(3, 1, 2, 1)
-    report = verify_torsion_valuations(torsion_points(lt.module, 1))
+    report = verify_torsion_valuations(lt.torsion(1))
     assert report["primitive_valuation"] == Fraction(1, 8)
     assert report["per_level"] == {1: 8}
 
@@ -228,8 +227,7 @@ def test_orbit_representatives_counts():
 
 
 def test_product_formula_q2_n2_m1():
-    lt = cm_tower(2, 1, 2, 1)
-    report = verify_product_formula(torsion_points(lt.module, 1))
+    report = verify_product_formula(cm_tower(2, 1, 2, 1))
     assert report["rep_count"] == 3
     assert report["valuation_sum"] == Fraction(1)
     assert report["ratio_valuation"] == 0
@@ -237,16 +235,14 @@ def test_product_formula_q2_n2_m1():
 
 def test_product_formula_q3_n1_m1():
     # height-one self-consistency: one representative, v = 1/2 = v(lam_1)
-    X = lubin_tate_module(base_field(3, 1), 1)
-    report = verify_product_formula(torsion_points(X, 1))
+    report = verify_product_formula(build_tower(base_field(3, 1), 1))
     assert report["rep_count"] == 1
     assert report["valuation_sum"] == Fraction(1, 2)
     assert report["ratio_valuation"] == 0
 
 
 def test_product_formula_q2_n2_m2():
-    lt = cm_tower(2, 1, 2, 2)
-    report = verify_product_formula(torsion_points(lt.module, 2))
+    report = verify_product_formula(cm_tower(2, 1, 2, 2))
     assert report["rep_count"] == 6
     assert report["valuation_sum"] == Fraction(1, 2)
     assert report["uniformizer_valuation"] == Fraction(1, 2)
@@ -259,6 +255,42 @@ def test_locate_base_torsion_q2_n2_m1():
     chain = locate_base_torsion_chain(lt.top, 1)
     assert len(chain) == 1
     assert chain[0].valuation() == Fraction(1)
+    assert lt.base_chain() == chain
+
+
+def test_product_and_determinant_share_one_base_chain_search(monkeypatch):
+    import omod.lubintate as lubintate_mod
+
+    calls = []
+
+    def counting(field, m):
+        calls.append(m)
+        return locate_base_torsion_chain(field, m)
+
+    monkeypatch.setattr(lubintate_mod, "locate_base_torsion_chain", counting)
+    lt = cm_tower(2, 1, 2, 2)
+    verify_product_formula(lt)
+    verify_determinant_character(lt)
+    assert calls == [2]
+    assert lt.base_chain() is lt.base_chain()
+
+
+def test_a_failed_base_chain_search_is_raised_again_without_a_repeat(monkeypatch):
+    import omod.lubintate as lubintate_mod
+
+    calls = []
+
+    def failing(field, m):
+        calls.append(m)
+        raise PrecisionExhausted("only 1 of 2 polygon-predicted roots lie in the field")
+
+    monkeypatch.setattr(lubintate_mod, "locate_base_torsion_chain", failing)
+    lt = cm_tower(2, 1, 2, 1)
+    for check in (verify_product_formula, verify_determinant_character, verify_product_formula):
+        with pytest.raises(PrecisionExhausted, match="^only 1 of 2 polygon-predicted roots"
+                           " lie in the field$"):
+            check(lt)
+    assert calls == [1]
 
 
 def test_determinant_character_q2_n2_m1_trivial_norms():
