@@ -88,6 +88,16 @@ def min_precision(q, height, level):
     return q ** height + (1 if level >= 2 else 0)
 
 
+def _has_residue_field(p, f):
+    """Whether F_{p^f} can be built (GF raises CapExceeded when it has no
+    published modulus)."""
+    try:
+        GF(p, f)
+    except CapExceeded:
+        return False
+    return True
+
+
 class RunConfig:
     def __init__(self, args):
         if args.q is None and args.p is None:
@@ -139,8 +149,10 @@ class RunConfig:
         # one tower per height, to the deepest level any selected suite reads:
         # sorted by level, a height's deepest pair is the one dict keeps
         self._levels = dict(sorted(towers, key=lambda tower: tower[1]))
-        need = max((min_precision(self.q, height, level) for height, level in towers),
-                   default=0)
+        # a height whose residue field F_{q^height} has no published modulus
+        # builds nothing at any precision: its rows skip with that reason
+        need = max((min_precision(self.q, height, level) for height, level in towers
+                    if _has_residue_field(self.p, self.f * height)), default=0)
         if self.precision < need:
             raise ValueError("precision %d does not exceed a ramification index of the"
                              " tower; the smallest working --prec is %d"

@@ -13,6 +13,14 @@ pi0_action_table's checks run on quotring's one integer code per element
 An OModElement is its ring and that code, so these maps read x.code, wrap
 a result code k as OModElement(ring, k), and take a randrange draw k as the
 element with code k, with no conversion either way.
+
+The reduced norm of b = sum_i b_i Pi^i is the determinant of right
+multiplication by b on the basis {Pi^j}: Pi^j b = sum_i Frob^j(b_i) Pi^(i+j),
+with Pi^n = t.  At n = 2 the matrix is [[b0, t Frob(b1)], [b1, Frob(b0)]],
+so Nrd(b0 + b1 Pi) = b0 Frob(b0) - t Frob(b1) b1, and the order product is
+(b0 + b1 Pi)(c0 + c1 Pi) = (b0 c0 + t b1 Frob(c1)) + (b0 c1 + b1 Frob(c0)) Pi;
+both are computed in that closed form.  At n >= 3 the norm eliminates on
+the n x n matrix and the product sums its n^2 terms.
 """
 
 from __future__ import annotations
@@ -284,10 +292,15 @@ class DivisionOrder:
 
 def _order_mul(order, b, c):
     """b * c in the order, on tuples of o'/t^m codes:
-    a Pi^i a' Pi^j = a Frob^i(a') Pi^(i+j), and Pi^n = t."""
+    a Pi^i a' Pi^j = a Frob^i(a') Pi^(i+j), and Pi^n = t; at n = 2 in the
+    closed form of the module docstring."""
     tables = order.big.code_tables
     add, mul, shift = tables.add_rows, tables.mul_rows, tables.shift
     n = order.n
+    if n == 2:
+        (b0, b1), (c0, c1), frob = b, c, order.conjugations[1]
+        row = mul[b1]
+        return (add[mul[b0][c0]][shift[row[frob[c1]]]], add[mul[b0][c1]][row[frob[c0]]])
     out = [0] * n
     for i, x in enumerate(b):
         if not x:
@@ -320,16 +333,24 @@ def _reduced_norm(order, b):
     """reduced_norm of a unit b given as o'/t^m codes; the result is the
     o/t^m code."""
     n, tables = order.n, order.big.code_tables
-    # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j), and Pi^(i+j) = t Pi^(i+j-n) once
-    # i + j >= n: column j holds each Frob^j(a_i) once, in row (i + j) mod n
-    rows = [[0] * n for _ in range(n)]
-    for j, frob in enumerate(order.conjugations):
-        for i, a in enumerate(b):
-            entry = frob[a]
-            if i + j >= n:
-                entry = tables.shift[entry]
-            rows[(i + j) % n][j] = entry
-    det = _determinant(tables, rows)
+    if n == 2:
+        # the loop below would build [[b0, t Frob(b1)], [b1, Frob(b0)]], and
+        # _determinant would return its a*d - b*c
+        (b0, b1), frob, mul = b, order.conjugations[1], tables.mul_rows
+        det = tables.sub_rows[mul[b0][frob[b0]]][mul[tables.shift[frob[b1]]][b1]]
+        if not det % tables.q:
+            det = None
+    else:
+        # Pi^j * b = sum_i Frob^j(a_i) Pi^(i+j), and Pi^(i+j) = t Pi^(i+j-n) once
+        # i + j >= n: column j holds each Frob^j(a_i) once, in row (i + j) mod n
+        rows = [[0] * n for _ in range(n)]
+        for j, frob in enumerate(order.conjugations):
+            for i, a in enumerate(b):
+                entry = frob[a]
+                if i + j >= n:
+                    entry = tables.shift[entry]
+                rows[(i + j) % n][j] = entry
+        det = _determinant(tables, rows)
     if det is None:
         raise NotAUnit("reduced norm restricted to units of the order")
     # Nrd is Frob-fixed, that is its digits lie in F_q (for n = 1 Frob is the identity)

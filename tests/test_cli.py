@@ -533,6 +533,22 @@ def test_a_failed_tower_build_is_attempted_once_per_run(capsys, monkeypatch):
         for check in ("valuations", "product", "determinant", "level-count", "kernel-height")]
 
 
+def test_a_height_without_a_residue_field_sets_no_precision_floor(capsys):
+    # no --prec builds a tower over F_512, so its height-3 ramification index
+    # 512 is no floor: the run goes ahead at --prec 64 and the rows skip with
+    # the true reason, as they do at --prec 513
+    reason = "not computed: no published modulus for (p, f) = (2, 9); cap is q <= 256"
+    code, out, err = run_cli(capsys, "verify", "--q", "8", "--n", "3", "--m", "1",
+                             "--which", "character,valuations,pi0", "--output", "json")
+    assert code == 0 and err == ""
+    assert [(r["check"], r["status"], r["computed"]) for r in json.loads(out)["results"]] == [
+        ("character", "pass", {"group_order": 7, "restriction_compatible": True,
+                               "tower_degree": 7}),
+        ("valuations", "skipped", reason), ("pi0", "skipped", reason)]
+    code, out, err = run_cli(capsys, "tower", "--q", "8", "--n", "3", "--m", "1", "--cm")
+    assert (code, out) == (1, "") and err == "error: %s\n" % reason.split(": ", 1)[1]
+
+
 def test_kernel_height_alone_reads_a_level_one_tower_through_the_cache(capsys, monkeypatch,
                                                                        tmp_path):
     import omod.cli as cli_mod

@@ -355,6 +355,84 @@ def test_order_arithmetic_matches_the_t_power_reference(case, data):
         assert OModElement(order.ring, _reduced_norm(on_tables, codes(b))).coeffs == want
 
 
+# the height-2 orders whose o'/t^m has at most 64 elements, and (3, 1) at
+# m = 2, the smallest where the sign of t Frob(b1) b1 shows (at q = 2 it is
+# its own negative, at m = 1 it is 0): Nrd on every unit b0 + b1 Pi; of those
+# with at most 16 elements, the product on every pair
+HEIGHT_TWO_ORDERS = [((2, 1), 1), ((2, 1), 2), ((2, 1), 3), ((3, 1), 1), ((3, 1), 2),
+                     ((2, 2), 1), ((5, 1), 1), ((7, 1), 1), ((2, 3), 1)]
+
+
+@pytest.mark.parametrize("pf,m", HEIGHT_TWO_ORDERS)
+def test_height_two_reduced_norm_matches_the_boxed_reference_on_every_unit(pf, m):
+    orders = encodings(GF(*pf), 2, m)
+    big = orders[0].big
+    for b in itertools.product(big.units(), big.elements()):
+        want = reference_reduced_norm(orders[0], b)
+        for order in orders:
+            assert OModElement(order.ring, _reduced_norm(order, codes(b))).coeffs == want
+
+
+@pytest.mark.parametrize("pf,m", [(pf, m) for pf, m in HEIGHT_TWO_ORDERS
+                                  if GF(*pf).q ** (2 * m) <= 16])
+def test_height_two_order_product_matches_the_boxed_reference_on_every_pair(pf, m):
+    orders = encodings(GF(*pf), 2, m)
+    elements = list(itertools.product(orders[0].big.elements(), repeat=2))
+    for b, c in itertools.product(elements, repeat=2):
+        want = codes(reference_order_mul(orders[0], b, c))
+        for order in orders:
+            assert _order_mul(order, codes(b), codes(c)) == want
+
+
+@pytest.mark.parametrize("pf,m", [((2, 1), 9), ((3, 1), 6)])
+def test_height_two_closed_forms_match_the_boxed_reference_on_first_lookup_tables(pf, m):
+    # o/t^m has more than 256 elements, so both rings fill their tables on
+    # first lookup without being forced to: seeded draws instead of every pair
+    order = encodings(GF(*pf), 2, m)[0]
+    rng = random.Random(3)
+    for _ in range(100):
+        b, c = _unit_sample(order, rng), _unit_sample(order, rng)
+        boxed_b, boxed_c = (tuple(OModElement(order.big, k) for k in x) for x in (b, c))
+        assert OModElement(order.ring, _reduced_norm(order, b)).coeffs == \
+            reference_reduced_norm(order, boxed_b)
+        assert _order_mul(order, b, c) == codes(reference_order_mul(order, boxed_b, boxed_c))
+
+
+def _reduced_norm_with_the_sign_flipped(order, b):
+    """The height-2 closed form with b0 Frob(b0) + t Frob(b1) b1 for
+    b0 Frob(b0) - t Frob(b1) b1.  Both terms are Frobenius-fixed, so only
+    multiplicativity can see it."""
+    tables = order.big.code_tables
+    (b0, b1), frob, mul = b, order.conjugations[1], tables.mul_rows
+    return order.projection[tables.add_rows[mul[b0][frob[b0]]][mul[tables.shift[frob[b1]]][b1]]]
+
+
+def _order_mul_without_frobenius_on_c0(order, b, c):
+    """The height-2 closed form with b1 c0 for b1 Frob(c0) in the Pi-coefficient."""
+    tables = order.big.code_tables
+    add, mul, shift = tables.add_rows, tables.mul_rows, tables.shift
+    (b0, b1), (c0, c1), frob = b, c, order.conjugations[1]
+    return (add[mul[b0][c0]][shift[mul[b1][frob[c1]]]], add[mul[b0][c1]][mul[b1][c0]])
+
+
+@pytest.mark.parametrize("name,mutant", [("_reduced_norm", _reduced_norm_with_the_sign_flipped),
+                                         ("_order_mul", _order_mul_without_frobenius_on_c0)])
+def test_a_wrong_height_two_closed_form_fails_the_sampled_nrd_pairs(name, mutant, monkeypatch):
+    # (3, 1, 2, 2): odd p and m >= 2.  With q = 2, -1 = 1; with m = 1, t = 0
+    # in o'/t: either way t Frob(b1) b1 equals its negative or is 0, so the
+    # flipped sign gives the true Nrd and no check there can fail
+    monkeypatch.setattr(pi0, name, mutant)
+    with pytest.raises(FrobeniusInvarianceViolation, match="Nrd not multiplicative on a sample"):
+        pi0_action_table(3, 1, 2, 2, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("p,f,n,m", [(2, 1, 2, 2), (3, 1, 2, 1)])
+def test_the_flipped_sign_is_the_true_norm_at_q_2_or_m_1(p, f, n, m, monkeypatch):
+    want = pi0_action_table(p, f, n, m, rng=random.Random(0)).report
+    monkeypatch.setattr(pi0, "_reduced_norm", _reduced_norm_with_the_sign_flipped)
+    assert pi0_action_table(p, f, n, m, rng=random.Random(0)).report == want
+
+
 def test_reduced_norm_scalar_is_norm():
     # n = 2, q = 2, m = 1: for b = x in F_4^x, Nrd = x * x^2 = 1
     big = OModRing(GF(2, 2), 1)
