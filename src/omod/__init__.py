@@ -29,3 +29,4 @@ from .pi0 import (Character, DivisionOrder, Pi0Action, UnitGroup,  # noqa: F401
                   all_characters, h0_decomposition, matrix_determinant,
                   pi0_action_table, reduced_norm, unit_group)
 from .report import CheckResult, merge_documents, report_document  # noqa: F401
+from .cache import load_tower, save_tower  # noqa: F401

@@ -18,7 +18,6 @@ from .tower import FieldTower, ramified_extension_by_relation, root_uniformizer_
     unramified_extension
 
 CACHE_SCHEMA = "omod-tower-cache/1"
-CACHE_ENV_VAR = "OMOD_CACHE_DIR"
 
 
 def tower_cache_name(p, f, n, m, precision):

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 
-from .cache import CACHE_ENV_VAR, load_tower, save_tower, tower_cache_name
 from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, OmodError,
                      PrecisionExhausted, SchemaMismatch)
-from .finitefield import GF, RESIDUE_CARDINALITY_CAP, field_with_order
+from .finitefield import GF, field_with_order
 from .formalmod import (DEGREE_CAP, bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, module_from_unit_coefficients,
                         torsion_points)
@@ -50,24 +48,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--p", type=int, default=None, help="residue characteristic")
-        p.add_argument("--f", type=int, default=None,
-                       help="residue degree over the prime field (default 1 with --p)")
-        p.add_argument("--q", type=int, default=None,
-                       help="residue cardinality (alternative to --p/--f)")
+        p.add_argument("--q", type=int, required=True, help="residue cardinality")
         p.add_argument("--n", type=int, default=1, help="height")
         p.add_argument("--m", type=int, default=1, help="torsion level")
         p.add_argument("--prec", type=int, default=64, help="working precision")
-        p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV_VAR))
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled property checks")
         p.add_argument("--cm", action="store_true",
                        help="work over the degree-n unramified enlargement")
 
-    t = sub.add_parser("tower", help="build a torsion tower and print its data")
+    # no prefix matching: a stray --p would otherwise be read as --prec
+    t = sub.add_parser("tower", help="build a torsion tower and print its data",
+                       allow_abbrev=False)
     common(t)
     t.add_argument("--output", choices=("text", "json"), default="text")
-    v = sub.add_parser("verify", help="run verification suites")
+    v = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
     common(v)
     v.add_argument("--output", choices=("text", "json", "csv"), default="text")
     v.add_argument("--which", action="append", default=None,
@@ -100,31 +95,17 @@ def _has_residue_field(p, f):
 
 class RunConfig:
     def __init__(self, args):
-        if args.q is None and args.p is None:
-            raise ValueError("one of --q or --p is required")
-        f = 1 if args.f is None else args.f
-        if args.q is None and f < 1:
-            raise ValueError("f must be >= 1")
         if args.n < 1:
             raise ValueError("n must be >= 1")
-        if args.p is not None and args.p > RESIDUE_CARDINALITY_CAP:
-            # p^f >= p exceeds the cap; testing a large p for primality takes sqrt(p) steps
-            raise ValueError("residue cardinality %s exceeds cap %d" % (
-                args.p if f == 1 else "%d^%d" % (args.p, f), RESIDUE_CARDINALITY_CAP))
-        try:     # GF rejects a non-prime p by ValueError, an unsupported field by CapExceeded
-            spec = field_with_order(args.q) if args.q is not None else GF(args.p, f)
+        try:     # a non-prime-power q raises ValueError, an unsupported field CapExceeded
+            spec = field_with_order(args.q)
         except CapExceeded as exc:
             raise ValueError(str(exc)) from None
-        if args.p is not None and args.p != spec.p:
-            raise ValueError("--q and --p disagree")
-        if args.f is not None and args.f != spec.f:
-            raise ValueError("--q and --f disagree")
         self.p, self.f = spec.p, spec.f
         self.q = spec.q
         self.n = args.n
         self.m = args.m
         self.precision = args.prec
-        self.cache_dir = args.cache_dir
         self.output = args.output
         self.seed = args.seed
         self.cm = args.cm
@@ -157,11 +138,7 @@ class RunConfig:
             raise ValueError("precision %d does not exceed a ramification index of the"
                              " tower; the smallest working --prec is %d"
                              % (self.precision, need))
-        if self.cache_dir and towers:
-            # a cache path that is a file or cannot be made fails here, before any build
-            os.makedirs(self.cache_dir, exist_ok=True)
         self._towers = {}
-        self.from_cache = set()         # heights whose tower was loaded from the cache
         self._unit_group = None
 
     def as_dict(self):
@@ -173,26 +150,8 @@ class RunConfig:
         """The tower of height n, built once per run to the deepest level any
         selected suite reads, and shared by every suite; a build that fails
         is not retried, its OmodError is raised again."""
-        return _built_once(self._towers, n, lambda: self._load_or_build(n))
-
-    def _load_or_build(self, n):
-        """The height-n tower from the cache directory, or built and written
-        there; a file that fails to load is reported on stderr and rebuilt."""
-        key = (self.p, self.f, n, self._levels[n], self.precision)
-        lt = None
-        if self.cache_dir:
-            try:
-                lt = load_tower(self.cache_dir, *key)
-            except OmodError as exc:
-                print("warning: rebuilding cached tower %s: %s"
-                      % (tower_cache_name(*key), exc), file=sys.stderr)
-        if lt is not None:
-            self.from_cache.add(n)
-            return lt
-        lt = cm_tower(*key)
-        if self.cache_dir:
-            save_tower(self.cache_dir, lt, self.p, self.f, n)
-        return lt
+        return _built_once(self._towers, n, lambda: cm_tower(
+            self.p, self.f, n, self._levels[n], self.precision))
 
     def unit_group(self):
         """(o/t^m)^x, built once per run and shared by the pi0 and h0 suites."""
@@ -208,7 +167,7 @@ def cmd_tower(cfg) -> int:
     doc = {
         "command": "tower",
         "config": cfg.as_dict(),
-        "from_cache": height in cfg.from_cache,
+        "from_cache": False,            # no tower is cached; the key keeps the report bytes
         "degrees": degrees,
         "levels": [
             {"level": k,

@@ -567,7 +567,6 @@ def _frobenius_table(spec: FieldSpec, j: int):
 
 
 @lru_cache(maxsize=None)
-def _move_table(src: FieldSpec, dst: FieldSpec, frobenius_power: int):
-    """Translation table of c -> Frob^j(embed(c)), src codes to dst codes."""
-    embedded = bytes(embed_fq(a, dst).code for a in src.elements()) + _IDENTITY[src.q:]
-    return embedded.translate(_frobenius_table(dst, frobenius_power))
+def _move_table(src: FieldSpec, dst: FieldSpec):
+    """Translation table of c -> embed(c), src codes to dst codes."""
+    return bytes(embed_fq(a, dst).code for a in src.elements()) + _IDENTITY[src.q:]

@@ -119,7 +119,7 @@ def act(a: OModElement, iterates) -> LocalFieldElement:
     if any(a.codes[len(iterates):]):
         raise ValueError("[a] needs %d [t]-iterates, got %d" % (a.ring.m, len(iterates)))
     field = iterates[0].field
-    codes = a.codes.translate(_move_table(a.ring.residue, field.residue, 0))
+    codes = a.codes.translate(_move_table(a.ring.residue, field.residue))
     acc = field.zero()
     for c, y in zip(codes, iterates):
         if c:

@@ -279,7 +279,7 @@ class DivisionOrder:
         """o'/t^m codes to o/t^m codes on the Frobenius-fixed elements: the
         inverse of the embedding o/t^m -> o'/t^m."""
         decode, q = self.ring.code_tables.decode, self.big.residue.q
-        embedding = _move_table(self.base_residue, self.big.residue, 0)
+        embedding = _move_table(self.base_residue, self.big.residue)
         return {_encode(decode(k).translate(embedding), q): k for k in range(self.ring.size)}
 
     def element(self, coeffs):

@@ -405,6 +405,6 @@ def _projection_table(sub: FieldSpec, big: FieldSpec):
     """Translation table of big codes to sub codes on the embedded subfield,
     255 elsewhere (no code of a proper subfield, whose q is at most 16)."""
     table = bytearray([255]) * 256
-    for code, image in enumerate(_move_table(sub, big, 0)[: sub.q]):
+    for code, image in enumerate(_move_table(sub, big)[: sub.q]):
         table[image] = code
     return bytes(table)

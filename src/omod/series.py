@@ -621,13 +621,12 @@ class _PowerTable:
         return _make(field, lo, tables.unpack(acc, n, width), prec)
 
 
-def substitute(x, image_of_uniformizer, frobenius_power=0):
+def substitute(x, image_of_uniformizer):
     """Evaluate the series x with its uniformizer replaced by another element.
 
     The replacement element may live in a different field (embedding) or in
     the same field (automorphism).  Residue coefficients pass through the
-    canonical embedding into the target residue field, then through the
-    residue Frobenius p^frobenius_power.
+    canonical embedding into the target residue field.
     Raises PrecisionExhausted when nothing significant survives.
 
     The powers of the image come from its power table (_PowerTable), which
@@ -644,7 +643,7 @@ def substitute(x, image_of_uniformizer, frobenius_power=0):
         if vU is math.inf:
             raise PrecisionExhausted("substituting into an exact zero uniformizer image")
         return target.zero(precision=x.precision * vU)
-    codes = x.codes.translate(_move_table(x.field.residue, target.residue, frobenius_power))
+    codes = x.codes.translate(_move_table(x.field.residue, target.residue))
     e0 = x.leading_exponent
     acc = U._powers.combine(U, e0, codes)
     # account for the unknown tail of x: beyond u^prec_x, terms have order >= prec_x * v(U)

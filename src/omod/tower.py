@@ -134,12 +134,10 @@ def root_uniformizer_image(spec: LocalFieldSpec) -> LocalFieldElement:
 
 @dataclass(eq=False)
 class FieldAutomorphism:
-    """Automorphism of a tower field over its root: substitute the uniformizer
-    and twist residue coefficients by a Frobenius power."""
+    """Automorphism of a tower field over its root: substitute the uniformizer."""
 
     field: LocalFieldSpec
     image_of_uniformizer: LocalFieldElement
-    residue_frobenius_power: int = 0
 
     def __post_init__(self):
         if self.image_of_uniformizer.field is not self.field:
@@ -153,8 +151,7 @@ def apply_automorphism(sigma: FieldAutomorphism, x: LocalFieldElement):
     if x.field is not sigma.field:
         raise MixedFields("element lives in %r, automorphism acts on %r"
                           % (x.field, sigma.field))
-    return substitute(x, sigma.image_of_uniformizer,
-                      frobenius_power=sigma.residue_frobenius_power)
+    return substitute(x, sigma.image_of_uniformizer)
 
 
 # --- roots of additive polynomials -----------------------------------------------

@@ -1,11 +1,10 @@
-"""CLI contract: exit codes, determinism, caching, report merging."""
+"""CLI contract: exit codes, determinism, one build per run, report merging."""
 
 import json
 import os
 
 import pytest
 
-from omod.cache import tower_cache_name
 from omod.cli import WHICH_CHOICES, main
 from omod.lubintate import cm_tower
 from omod.pi0 import pi0_action_table
@@ -17,6 +16,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_or_argparse(capsys, *argv):
+    """run_cli, with the code of argparse's SystemExit as the exit code."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def no_build(*args, **kwargs):
@@ -252,9 +260,6 @@ def test_config_errors_exit_2(capsys):
     assert code == 2 and "precision" in err
     code, _, err = run_cli(capsys, "verify", "--q", "12", "--m", "1")
     assert code == 2
-    for f in ("1", "2"):
-        code, _, err = run_cli(capsys, "verify", "--p", "4", "--f", f, "--m", "1")
-        assert code == 2 and "p = 4 is not prime" in err
     code, _, err = run_cli(capsys, "verify", "--q", "2", "--m", "1",
                            "--which", "nonsense")
     assert code == 2
@@ -263,14 +268,10 @@ def test_config_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "tower", "--q", "2", "--n", "13", "--m", "0")
     assert code == 2
     assert err == "configuration error: q^(n*max(m,1)) = 8192 exceeds the degree cap 4096\n"
-    for f in ("0", "1", "3"):
-        code, _, err = run_cli(capsys, "verify", "--q", "4", "--f", f, "--m", "1")
-        assert code == 2 and err == "configuration error: --q and --f disagree\n"
 
 
-@pytest.mark.parametrize("extra", [(), ("--f", "2"), ("--p", "2", "--f", "2")])
-def test_q_alone_or_with_an_agreeing_f_runs_over_gf4(capsys, extra):
-    code, out, _ = run_cli(capsys, "verify", "--q", "4", *extra, "--m", "1",
+def test_q_alone_runs_over_gf4(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--q", "4", "--m", "1",
                            "--which", "h0", "--output", "json")
     config = json.loads(out)["config"]
     assert code == 0 and (config["p"], config["f"], config["q"]) == (2, 2, 4)
@@ -282,28 +283,29 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
 
 @pytest.mark.parametrize("argv,document", [
     (("verify", "--q", "2", "--n", "0", "--m", "1"), None),
-    (("verify", "--p", "2", "--f", "0", "--m", "1"), None),
     (("verify", "--q", "2", "--n", "-1", "--m", "1"), None),
-    (("verify", "--p", "4", "--m", "1"), None),
-    (("verify", "--p", "1", "--m", "1"), None),
     (("verify", "--q", "257", "--m", "1"), None),
-    (("tower", "--p", "4"), None),
+    # field arguments fail fast: a large q is not searched up to itself
+    (("verify", "--q", "1000003", "--m", "1"), None),
+    (("verify", "--q", "10000019", "--m", "1"), None),
+    (("verify", "--q", "1000000000000037", "--m", "1"), None),
     (("verify", "--q", "2", "--m", "1", "--which", ","), None),
+    # --q is the one field flag: --p stands in for no --q, and --p, --f and
+    # --cache-dir are unknown to argparse whatever their values (--p is no
+    # prefix of --prec)
+    (("verify", "--m", "1", "--p", "2"), None),
     (("report",), []),
     (("report",), {"schema": SCHEMA, "config": {}}),
     (("report",), {"schema": SCHEMA, "config": {}, "failures": 0,
                    "results": [{k: v for k, v in _RECORD.items() if k != "claim"}]}),
-    # field arguments fail fast: a large q or p is not searched or tested up to itself
-    (("verify", "--q", "1000003", "--m", "1"), None),
-    (("verify", "--q", "10000019", "--m", "1"), None),
-    (("verify", "--p", "1000000000000037", "--m", "1"), None),
-    (("verify", "--p", "4", "--f", "2", "--m", "1"), None),
-    (("verify", "--q", "1000000000000037", "--m", "1"), None),
-    # a cache directory that is a regular file
+    (("verify", "--q", "2", "--m", "1", "--p", "2"), None),
+    (("tower", "--q", "2", "--p", "2"), None),
+    (("verify", "--q", "2", "--m", "1", "--f", "1"), None),
+    (("tower", "--q", "2", "--f", "1"), None),
+    (("verify", "--q", "16", "--m", "1", "--p", "2", "--f", "4"), None),
     (("tower", "--q", "3", "--m", "2", "--cache-dir"), ""),
     (("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations", "--cache-dir"), ""),
-    # an --f that disagrees with --q
-    (("verify", "--q", "4", "--f", "3", "--m", "1"), None),
+    (("verify", "--q", "4", "--m", "1", "--f", "2"), None),
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):
@@ -318,27 +320,53 @@ def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(document))
         argv = argv + (str(path),)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli_or_argparse(capsys, *argv)
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith(("configuration error:", "i/o error:"))
+    removed = [i for i, arg in enumerate(argv) if arg in ("--p", "--f", "--cache-dir")]
+    if not removed:
+        assert len(err.splitlines()) == 1
+        assert err.startswith(("configuration error:", "i/o error:"))
+    elif "--q" in argv:
+        assert err.endswith("omod: error: unrecognized arguments: %s\n"
+                            % " ".join(argv[removed[0]:]))
+    else:
+        assert err.endswith("error: the following arguments are required: --q\n")
 
 
 @pytest.mark.parametrize("argv", [
     ("tower", "--q", "3", "--m", "2"),
     ("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations"),
 ])
-def test_cache_dir_that_cannot_be_created_exits_2_before_computing(capsys, monkeypatch,
-                                                                  tmp_path, argv):
+def test_cache_dir_exits_2_before_computing_and_creates_nothing(capsys, monkeypatch,
+                                                                tmp_path, argv):
     import omod.cli as cli_mod
 
     def no_computation(*args, **kwargs):
         raise AssertionError("computation started")
 
-    monkeypatch.setattr(cli_mod, "cm_tower", no_computation)
-    path = tmp_path / "file"
-    path.write_text("")
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(path / "cache"))
+    for name in ("cm_tower", "unit_group", "pi0_action_table"):
+        monkeypatch.setattr(cli_mod, name, no_computation)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_env_var(capsys, monkeypatch, tmp_path):
+    # OMOD_CACHE_DIR is ignored: nothing is written there, and the bytes are
+    # those of a run without it
+    for argv in (("tower", "--q", "3", "--m", "2", "--output", "json"),
+                 ("verify", "--q", "3", "--m", "2", "--which", "valuations",
+                  "--output", "json", "--seed", "7")):
+        monkeypatch.delenv("OMOD_CACHE_DIR", raising=False)
+        unset = run_cli(capsys, *argv)
+        monkeypatch.setenv("OMOD_CACHE_DIR", str(tmp_path / "cache"))
+        assert run_cli(capsys, *argv) == unset and unset[0] == 0
+        assert os.listdir(tmp_path) == []
+
+
+def test_report_of_a_missing_file_is_an_io_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "report", str(tmp_path / "missing.json"))
     assert code == 2 and out == ""
     assert err.startswith("i/o error:") and len(err.splitlines()) == 1
 
@@ -361,32 +389,6 @@ def test_csv_output(capsys):
                            "--which", "h0", "--output", "csv")
     assert code == 0
     assert out.splitlines()[0].startswith("check,claim,parameters")
-
-
-def test_cached_tower_reports_identical(capsys, tmp_path):
-    cache = str(tmp_path / "towers")
-    args = ("tower", "--q", "3", "--m", "2", "--output", "json",
-            "--cache-dir", cache)
-    code1, cold, _ = run_cli(capsys, *args)
-    assert code1 == 0
-    names = os.listdir(cache)
-    assert any(name.startswith("tower_p3_f1_q3_n1_m2") for name in names)
-    code2, warm, _ = run_cli(capsys, *args)
-    assert code2 == 0
-    cold_doc = json.loads(cold)
-    warm_doc = json.loads(warm)
-    assert warm_doc["from_cache"] is True
-    cold_doc.pop("from_cache")
-    warm_doc.pop("from_cache")
-    assert cold_doc == warm_doc
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache = str(tmp_path / "envtowers")
-    monkeypatch.setenv("OMOD_CACHE_DIR", cache)
-    code, out, _ = run_cli(capsys, "tower", "--q", "3", "--m", "1")
-    assert code == 0
-    assert os.listdir(cache)
 
 
 def test_report_merge_union(capsys, tmp_path):
@@ -424,45 +426,6 @@ def test_report_conflicting_duplicates_rejected():
 def test_report_unknown_schema_rejected():
     with pytest.raises(SchemaMismatch):
         merge_documents([{"schema": "bogus/9", "results": []}])
-
-
-def test_wrong_typed_cache_file_is_rebuilt(capsys, tmp_path):
-    cache = str(tmp_path / "towers")
-    args = ("verify", "--q", "3", "--m", "2", "--which", "valuations", "--cache-dir", cache,
-            "--output", "json", "--seed", "7")
-    code, cold, _ = run_cli(capsys, *args)
-    assert code == 0
-    (path,) = [os.path.join(cache, name) for name in os.listdir(cache)]
-    with open(path) as fh:
-        doc = json.load(fh)
-    top = doc["levels"][-1]
-    for record, field, value in ((top["base_uniformizer_series"], "coeffs", 5),
-                                 (top, "ramification_index", "2")):
-        kept, record[field] = record[field], value
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        record[field] = kept
-        code, rebuilt, err = run_cli(capsys, *args)
-        assert code == 0
-        assert len(err.splitlines()) == 1 and err.startswith("warning: rebuilding")
-        assert rebuilt == cold
-
-
-def test_corrupt_cache_file_is_rebuilt(capsys, tmp_path):
-    cache = str(tmp_path / "towers")
-    args = ("tower", "--q", "3", "--m", "2", "--cache-dir", cache, "--output", "json")
-    code, cold, _ = run_cli(capsys, *args)
-    assert code == 0
-    (path,) = [os.path.join(cache, name) for name in os.listdir(cache)]
-    with open(path, "r+") as fh:
-        fh.truncate(100)
-    code, rebuilt, err = run_cli(capsys, *args)
-    assert code == 0
-    assert len(err.splitlines()) == 1 and err.startswith("warning:")
-    assert json.loads(rebuilt)["from_cache"] is False
-    assert rebuilt == cold
-    code, warm, _ = run_cli(capsys, *args)
-    assert code == 0 and json.loads(warm)["from_cache"] is True
 
 
 @pytest.mark.parametrize("q,n,m", [(q, n, m) for q in (2, 3) for n in (1, 2) for m in (0, 1)]
@@ -503,7 +466,6 @@ def test_verify_builds_one_tower_per_height_per_run(capsys, monkeypatch):
                             counting(chains, module.build_torsion_chain))
     monkeypatch.setattr(lubintate_mod, "locate_base_torsion_chain",
                         counting(searches, lubintate_mod.locate_base_torsion_chain))
-    monkeypatch.delenv("OMOD_CACHE_DIR", raising=False)
     args = ("verify", "--q", "2", "--n", "2", "--m", "2", "--output", "json")
     code, first, _ = run_cli(capsys, *args)
     assert code == 0 and sorted(built) == [1, 2]
@@ -549,22 +511,18 @@ def test_a_height_without_a_residue_field_sets_no_precision_floor(capsys):
     assert (code, out) == (1, "") and err == "error: %s\n" % reason.split(": ", 1)[1]
 
 
-def test_kernel_height_alone_reads_a_level_one_tower_through_the_cache(capsys, monkeypatch,
-                                                                       tmp_path):
+def test_kernel_height_alone_builds_a_level_one_tower(capsys, monkeypatch):
     import omod.cli as cli_mod
     import omod.lubintate as lubintate_mod
 
-    chains = []
+    built, chains = [], []
+    monkeypatch.setattr(cli_mod, "cm_tower", counting(built, cm_tower, 3))
     monkeypatch.setattr(lubintate_mod, "build_torsion_chain",
                         counting(chains, lubintate_mod.build_torsion_chain))
-    args = ("verify", "--q", "2", "--n", "2", "--m", "3", "--which", "kernel-height",
-            "--output", "json", "--cache-dir", str(tmp_path))
-    code, cold, _ = run_cli(capsys, *args)
-    assert code == 0 and json.loads(cold)["failures"] == 0
-    assert chains == [1] and os.listdir(tmp_path) == [tower_cache_name(2, 1, 2, 1, 64)]
-    monkeypatch.setattr(cli_mod, "cm_tower", no_build)
-    code, warm, err = run_cli(capsys, *args)
-    assert code == 0 and warm == cold and err == "" and chains == [1]
+    code, out, _ = run_cli(capsys, "verify", "--q", "2", "--n", "2", "--m", "3",
+                           "--which", "kernel-height", "--output", "json")
+    assert code == 0 and json.loads(out)["failures"] == 0
+    assert built == [1] and chains == [1]
 
 
 def test_verify_builds_one_unit_group_per_run(capsys, monkeypatch):
@@ -599,24 +557,6 @@ def test_all_suites_report_equals_single_suite_reports(capsys):
         _, out, _ = run_cli(capsys, *base, "--which", name)
         separate.extend(json.loads(out)["results"])
     assert together == separate
-
-
-@pytest.mark.parametrize("q,n,m", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
-def test_warm_cache_verify_is_byte_identical(capsys, monkeypatch, tmp_path, q, n, m):
-    import omod.cli as cli_mod
-    import omod.formalmod as formalmod_mod
-    import omod.lubintate as lubintate_mod
-
-    args = ("verify", "--q", str(q), "--n", str(n), "--m", str(m), "--output", "json",
-            "--seed", "7", "--cache-dir", str(tmp_path))
-    code_cold, cold, _ = run_cli(capsys, *args)
-    assert sorted(os.listdir(tmp_path)) == sorted(
-        tower_cache_name(q, 1, height, m, 64) for height in {1, n})
-    monkeypatch.setattr(cli_mod, "cm_tower", no_build)
-    for module in (formalmod_mod, lubintate_mod):
-        monkeypatch.setattr(module, "build_torsion_chain", no_build)
-    code_warm, warm, err = run_cli(capsys, *args)
-    assert code_warm == code_cold and warm == cold and err == ""
 
 
 # the whole report at (2, 6, 1), byte for byte: the closed-fibre row spans a

@@ -156,7 +156,7 @@ def test_automorphism_q3_level1():
     assert apply_automorphism(sigma, t_img).agrees(t_img)
     # composition: sigma o sigma = identity
     assert apply_automorphism(sigma, sigma.image_of_uniformizer).agrees(lam)
-    ident = FieldAutomorphism(F1, F1.uniformizer_elt(), 0)
+    ident = FieldAutomorphism(F1, F1.uniformizer_elt())
     assert apply_automorphism(ident, t_img).agrees(t_img)
 
 
