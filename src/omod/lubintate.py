@@ -38,9 +38,9 @@ class LubinTateTower:
     levels: list                      # [(field_k, lam_k in field_k)]
     m_max: int
     precision: int
-    # ("iterates", k), ("automorphism", a), ("torsion", m) and "base chain"
-    # -> what iterates, torsion_automorphism, torsion and base_chain built,
-    # or the OmodError that build raised
+    # ("iterates", k), ("automorphism", a), ("torsion", m), "base chain" and
+    # "law" -> what iterates, torsion_automorphism, torsion, base_chain and
+    # composition_law built, or the OmodError that build raised
     _built: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -96,6 +96,12 @@ class LubinTateTower:
         (locate_base_torsion_chain), searched once per tower."""
         return _built_once(self._built, "base chain",
                            lambda: locate_base_torsion_chain(self.top, self.m_max))
+
+    def composition_law(self):
+        """The generators S of the top-level unit group, on which
+        check_composition_law has passed: run once per tower, unless
+        verify_character recorded its own run."""
+        return _built_once(self._built, "law", lambda: check_composition_law(self))
 
 
 def _built_once(store, key, build):
@@ -155,15 +161,10 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
     sigma_a(lam_m) = [a](lam_m) = sum_j a_j [t]^j(lam_m) for a = sum a_j t^j
     (act), exact because the module is linear over its residue field.
 
-    The composition law is checked as sigma_g o sigma_a = sigma_(ga) for every
-    unit a and every g in the generators S of unit_group, which certifies that
-    S spans the units.  That proves the law on all pairs.  Let H be the set of
-    b with sigma_b o sigma_a = sigma_(ba) for every a.  Then 1 is in H, as
-    sigma_1(lam_m) = lam_m exactly.  If b is in H and g in S, then
-    sigma_(gb) o sigma_a = sigma_g o sigma_b o sigma_a = sigma_(gba), so gb is
-    in H.  So H is the group S spans: every unit.  Each sigma maps the
-    uniformizer to a uniformizer, so agreement to N terms carries through
-    each step."""
+    Every unit's substitution is checked to fix the base uniformizer, one
+    substitution per unit.  The composition law is check_composition_law,
+    run here on every call and then recorded on the tower for
+    character_restriction_consistent and verify_determinant_character."""
     m = lt.m_max
     ring = lt.unit_ring(m)
     t_img = lt.t_image()
@@ -172,41 +173,78 @@ def verify_character(lt: LubinTateTower) -> CharacterTable:
     units = [(a, lt.torsion_automorphism(a)) for a in ring.units()]
     keys = series_keys([sigma.image_of_uniformizer for _, sigma in units])
     for (a, sigma), key in zip(units, keys):
-        moved = apply_automorphism(sigma, t_img)
-        if not moved.agrees(t_img, min_terms=CHARACTER_FIXED_TERMS):
-            raise CharacterViolation(
-                "substitution by %r moves the embedded base uniformizer: %r vs %r"
-                % (a, moved, t_img))
+        _check_fixes_base(a, sigma, t_img)
         if key in images:
             raise CharacterViolation("substitutions by %r and %r coincide"
                                      % (a, images[key]))
         images[key] = a
         table[a.codes] = (a, sigma)
-    # multiplicativity on generators: sigma_g's power table serves all its
-    # compositions
-    for g, _order in unit_group((ring.residue.p, ring.residue.f), m).generators:
-        sig_g = table[g.codes][1]
-        for a, sig_a in table.values():
-            composed = apply_automorphism(sig_g, sig_a.image_of_uniformizer)
-            direct = table[(g * a).codes][1].image_of_uniformizer
+    lt._built["law"] = check_composition_law(lt)
+    return CharacterTable(table)
+
+
+def _check_fixes_base(a, sigma, t_img):
+    moved = apply_automorphism(sigma, t_img)
+    if not moved.agrees(t_img, min_terms=CHARACTER_FIXED_TERMS):
+        raise CharacterViolation(
+            "substitution by %r moves the embedded base uniformizer: %r vs %r"
+            % (a, moved, t_img))
+
+
+def check_composition_law(lt: LubinTateTower) -> list:
+    """For each g in the generators S of unit_group at the tower's top level
+    m: sigma_g fixes the embedded base uniformizer, and
+    sigma_g o sigma_b = sigma_(gb) for every unit b of o/t^m, each to
+    CHARACTER_FIXED_TERMS terms.  Returns the generators.
+
+    unit_group certifies that S spans the units, so this proves the law on
+    all pairs.  Let H be the set of b with sigma_b o sigma_a = sigma_(ba)
+    for every a.  Then 1 is in H, as sigma_1(lam_m) = lam_m exactly.  If b
+    is in H and g in S, then
+    sigma_(gb) o sigma_a = sigma_g o sigma_b o sigma_a = sigma_(gba), so gb
+    is in H.  So H is the group S spans: every unit.  By the same induction
+    every sigma_a fixes the base uniformizer t:
+    sigma_(gb)(t) = sigma_g(sigma_b(t)) = sigma_g(t) = t.  Each sigma maps
+    the uniformizer to a uniformizer, so agreement to N terms carries
+    through each step.  The cost is |S| cold power tables, one per sigma_g,
+    and |S| (|G| + 1) substitutions through them."""
+    m = lt.m_max
+    ring = lt.unit_ring(m)
+    t_img = lt.t_image()
+    generators = [g for g, _order in
+                  unit_group((ring.residue.p, ring.residue.f), m).generators]
+    for g in generators:
+        sig_g = lt.torsion_automorphism(g)
+        _check_fixes_base(g, sig_g, t_img)
+        for b in ring.units():
+            composed = apply_automorphism(sig_g, lt.torsion_automorphism(b).image_of_uniformizer)
+            direct = lt.torsion_automorphism(g * b).image_of_uniformizer
             if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation(
                     "composition law fails at (%r, %r): %r vs %r"
-                    % (g, a, composed - direct, direct))
-    return CharacterTable(table)
+                    % (g, b, composed - direct, direct))
+    return generators
 
 
 def character_restriction_consistent(lt: LubinTateTower) -> bool:
     """Restricting the top-level substitutions to the next generator down
-    realizes the lower table through reduction mod t^(m-1)."""
+    realizes the lower table through reduction mod t^(m-1):
+    sigma_a(lam_(m-1)) = [a mod t^(m-1)](lam_(m-1)) for every unit a.
+
+    It is checked for the generators S of the tower's composition law
+    (which raises CharacterViolation if the law fails), to RESTRICTION_TERMS
+    terms, and follows for every unit.  If it holds for b and g is in S,
+    write lam = lam_(m-1) and c -> [c] for the action mod t^(m-1):
+    sigma_(gb)(lam) = sigma_g([b](lam)) = [b](sigma_g(lam)) = [b]([g](lam))
+    = [gb](lam).  The second step holds because [b] has coefficients in
+    F_Q[t], F_Q the base residue field, and sigma_g fixes t and F_Q."""
     m = lt.m_max
     if m < 2:
         return True
     lower = lt.iterates(m - 1)          # lam_(m-1) and its [t]-iterates
-    for a in lt.unit_ring(m).units():
-        moved = apply_automorphism(lt.torsion_automorphism(a), lower[0])
-        expected = act(a.reduce_to(m - 1), lower)
-        if not moved.agrees(expected, min_terms=RESTRICTION_TERMS):
+    for g in lt.composition_law():
+        moved = apply_automorphism(lt.torsion_automorphism(g), lower[0])
+        if not moved.agrees(act(g.reduce_to(m - 1), lower), min_terms=RESTRICTION_TERMS):
             return False
     return True
 
@@ -336,8 +374,19 @@ def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     """At the multiplication-rich height-n point, given its tower lt (as built
     by cm_tower): every torsion substitution sigma_a (a a unit of o'/t^m)
     moves the embedded height-one torsion generator mu by exactly [N(a)], N
-    the coefficient-Frobenius norm o'/t^m -> o/t^m.  The match is found by
-    decoding, not assumed."""
+    the coefficient-Frobenius norm o'/t^m -> o/t^m.  The rows are
+    (a, N(a), c) with sigma_a(mu) = [c](mu).
+
+    For each g in the generators S of the tower's composition law (run on
+    lt unless verify_character recorded it), c is decoded: sigma_g(mu) is
+    compared with [c](mu) for every base unit c, to DETERMINANT_MATCH_TERMS
+    terms, and the match must be N(g).  N(gb) = N(g) N(b) is checked for
+    every g in S and every unit b.  Then sigma_a(mu) = [N(a)](mu) for every
+    unit a, so its row is (a, N(a), N(a)): it holds for a = 1, and if it
+    holds for b, then sigma_(gb)(mu) = sigma_g([N(b)](mu))
+    = [N(b)](sigma_g(mu)) = [N(b)]([N(g)](mu)) = [N(gb)](mu).  The second
+    step holds because [N(b)] has coefficients in F_q[t], which sigma_g
+    fixes."""
     m = lt.m_max
     root_res = lt.base.root.residue
     mu = lt.base_chain()[-1]
@@ -346,27 +395,26 @@ def verify_determinant_character(lt: LubinTateTower) -> DeterminantWitness:
     iterates = t_iterates(lubin_tate_module(lt.base.root, 1), mu, m + 1)
     if not iterates.pop().is_zero_mod_precision():
         raise DeterminantMismatch("mu is not t^m-torsion")
-    base_ring = OModRing(root_res, m)
-    big_ring = OModRing(lt.base.residue, m)
-    base_units = list(base_ring.units())
+    base_units = list(OModRing(root_res, m).units())
     decode = {c: act(c, iterates) for c in base_units}
-    witness = DeterminantWitness()
-    for a in big_ring.units():
-        sigma = lt.torsion_automorphism(a)
-        moved = apply_automorphism(sigma, mu)
-        matched = None
-        for c in base_units:
-            if moved.agrees(decode[c], min_terms=DETERMINANT_MATCH_TERMS):
-                matched = c
-                break
+    generators = lt.composition_law()
+    units = list(OModRing(lt.base.residue, m).units())
+    norms = {a: a.norm_to(root_res) for a in units}
+    for g in generators:
+        moved = apply_automorphism(lt.torsion_automorphism(g), mu)
+        matched = next((c for c in base_units
+                        if moved.agrees(decode[c], min_terms=DETERMINANT_MATCH_TERMS)), None)
         if matched is None:
-            raise DeterminantMismatch("sigma_a(mu) is not [c](mu) for any unit c; a = %r" % (a,))
-        norm = a.norm_to(root_res)
-        if matched != norm:
+            raise DeterminantMismatch("sigma_a(mu) is not [c](mu) for any unit c; a = %r" % (g,))
+        if matched != norms[g]:
             raise DeterminantMismatch(
-                "sigma_%r moves mu by [%r], but N(a) = %r" % (a, matched, norm))
-        witness.rows.append((a, norm, matched))
-    if len({c for _, _, c in witness.rows}) != len(base_units):
-        # the norm is onto the base units; the decoded values must cover them
+                "sigma_%r moves mu by [%r], but N(a) = %r" % (g, matched, norms[g]))
+    for g in generators:
+        for b in units:
+            if norms[g * b] != norms[g] * norms[b]:
+                raise DeterminantMismatch("N(%r) = %r, but N(%r) N(%r) = %r"
+                                          % (g * b, norms[g * b], g, b, norms[g] * norms[b]))
+    if len(set(norms.values())) != len(base_units):
+        # the norm is onto the base units, so the rows' c must cover them
         raise DeterminantMismatch("decoded torsion characters do not cover the unit group")
-    return witness
+    return DeterminantWitness([(a, norms[a], norms[a]) for a in units])

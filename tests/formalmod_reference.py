@@ -6,15 +6,18 @@ structure multiply out to the [t]-polynomial.  Also the torsion chain solved
 by linear fixed-point iteration at every level, the oracle of the Newton solve
 in build_torsion_chain.  And the composed [a]-polynomial with the pairwise
 character composition law, the oracles of the [t]-iterate action and of the
-generator check in verify_character."""
+generator check in verify_character.  And the restriction and determinant
+rows checked by one substitution per unit, the oracles of the rows that
+character_restriction_consistent and verify_determinant_character derive
+from the generators."""
 
 import itertools
 
 from omod.additive import AdditivePolynomial
-from omod.errors import CharacterViolation, StructureViolation
+from omod.errors import CharacterViolation, DeterminantMismatch, StructureViolation
 from omod.finitefield import embed_fq
-from omod.formalmod import LevelStructure, act, coord_key, t_iterates
-from omod.lubintate import CHARACTER_FIXED_TERMS
+from omod.formalmod import LevelStructure, act, coord_key, lubin_tate_module, t_iterates
+from omod.lubintate import CHARACTER_FIXED_TERMS, DETERMINANT_MATCH_TERMS, RESTRICTION_TERMS
 from omod.quotring import OModElement, OModRing
 from omod.series import base_field, series_keys, substitute
 from omod.tower import apply_automorphism, ramified_extension_by_relation, \
@@ -190,3 +193,47 @@ def pairwise_composition_law(table):
             direct = entries[(a * b).codes][1].image_of_uniformizer
             if not composed.agrees(direct, min_terms=CHARACTER_FIXED_TERMS):
                 raise CharacterViolation("composition law fails at (%r, %r)" % (a, b))
+
+
+def restriction_per_unit(lt):
+    """sigma_a(lam_(m-1)) = [a mod t^(m-1)](lam_(m-1)) for every unit a of
+    the tower's top level m, one substitution per unit, to RESTRICTION_TERMS
+    terms."""
+    m = lt.m_max
+    if m < 2:
+        return True
+    lower = lt.iterates(m - 1)
+    for a in lt.unit_ring(m).units():
+        moved = apply_automorphism(lt.torsion_automorphism(a), lower[0])
+        if not moved.agrees(act(a.reduce_to(m - 1), lower), min_terms=RESTRICTION_TERMS):
+            return False
+    return True
+
+
+def determinant_per_unit(lt):
+    """The rows (a, N(a), c) of verify_determinant_character with c decoded
+    for every unit a: sigma_a(mu) = [c](mu) to DETERMINANT_MATCH_TERMS terms,
+    and c must be N(a)."""
+    m = lt.m_max
+    root_res = lt.base.root.residue
+    mu = lt.base_chain()[-1]
+    iterates = t_iterates(lubin_tate_module(lt.base.root, 1), mu, m + 1)
+    if not iterates.pop().is_zero_mod_precision():
+        raise DeterminantMismatch("mu is not t^m-torsion")
+    base_units = list(OModRing(root_res, m).units())
+    decode = {c: act(c, iterates) for c in base_units}
+    rows = []
+    for a in OModRing(lt.base.residue, m).units():
+        moved = apply_automorphism(lt.torsion_automorphism(a), mu)
+        matched = [c for c in base_units
+                   if moved.agrees(decode[c], min_terms=DETERMINANT_MATCH_TERMS)]
+        if not matched:
+            raise DeterminantMismatch("sigma_a(mu) is not [c](mu) for any unit c; a = %r" % (a,))
+        norm = a.norm_to(root_res)
+        if matched[0] != norm:
+            raise DeterminantMismatch(
+                "sigma_%r moves mu by [%r], but N(a) = %r" % (a, matched[0], norm))
+        rows.append((a, norm, matched[0]))
+    if len({c for _, _, c in rows}) != len(base_units):
+        raise DeterminantMismatch("decoded torsion characters do not cover the unit group")
+    return rows

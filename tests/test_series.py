@@ -589,6 +589,55 @@ def test_substitute_into_an_image_with_no_known_term():
         assert outcome(substitute, x, U) == outcome(reference_substitute, x, U)
 
 
+def carries_agreement(subst, x, U, U2, N):
+    """The carry-through step of the generator checks in lubintate: images U
+    and U2 that agree on N terms give substitutions of x that agree on N
+    terms.  V, U truncated after those N terms, is what the two images
+    share; x is substituted into V through a fresh (cold) power table, and
+    into a copy of V whose table a longer series filled first (warm).  Each
+    result must claim at least N terms past its leading exponent and agree
+    with x substituted into U and into U2 on every term it claims."""
+    V = U.truncate(U.leading_exponent + N)
+    warm = LocalFieldElement(V.field, V.leading_exponent, V.codes, V.precision)
+    subst(x.field.from_int_poly(dict.fromkeys(range(x.leading_exponent + len(x.codes) + 8), 1)),
+          warm)
+    return all(W.agrees(subst(x, U), min_terms=N) and W.agrees(subst(x, U2), min_terms=N)
+               for W in (subst(x, V), subst(x, warm)))
+
+
+def carry_case(F, rng):
+    """(x, U, U2, N): U of order 1 to 3, exact or known to N + 16 terms;
+    U2 = U + d with d of order exactly v(U) + N; x exact, of order 1 to 6."""
+    q = F.residue.q
+
+    def terms(lo, count):
+        return {lo: rng.randrange(1, q), **{k: rng.randrange(q) for k in range(lo + 1, lo + count)}}
+
+    N, v = rng.randint(1, 40), rng.randint(1, 3)
+    U = F.from_int_poly(terms(v, N + 16), precision=rng.choice([None, v + N + 16]))
+    U2 = U + F.from_int_poly(terms(v + N, 16))
+    return F.from_int_poly(terms(rng.randint(1, 6), rng.randint(1, 24))), U, U2, N
+
+
+def claims_one_more_term(x, U):
+    W = substitute(x, U)
+    if W.precision is None:
+        return W
+    return LocalFieldElement(W.field, W.leading_exponent, W.codes, W.precision + 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_agreeing_images_give_agreeing_substitutions(q):
+    # for x of order e0 prime to p, x(U) and x(U2) differ exactly at term N,
+    # so a substitution that claims one more term disagrees with one of them
+    F, rng = field_of_order(q), random.Random(q)
+    for _ in range(30):
+        x, U, U2, N = carry_case(F, rng)
+        assert carries_agreement(substitute, x, U, U2, N)
+        if x.leading_exponent % F.residue.p:
+            assert not carries_agreement(claims_one_more_term, x, U, U2, N)
+
+
 @st.composite
 def power_table_image(draw, F):
     """A substitution image of order -3 to 4 that is exact, truncated (with a

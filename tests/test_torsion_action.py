@@ -1,21 +1,25 @@
 """The [t]-iterate action [a](x) = sum_j a_j [t]^j(x), the torsion tables built
-from it, and the character composition law checked on unit-group generators,
-each against the oracle it replaced: the composed [a]-polynomial and the
-pairwise composition loop in formalmod_reference."""
+from it, the character composition law checked on unit-group generators, and
+the restriction and determinant rows derived from those generators, each
+against the oracle it replaced: the composed [a]-polynomial, the pairwise
+composition loop and the per-unit loops in formalmod_reference."""
 
 import itertools
 
 import pytest
 
-from omod.errors import CharacterViolation
+from omod.errors import CharacterViolation, DeterminantMismatch
 from omod.formalmod import act, module_from_unit_coefficients, t_iterates, torsion_points
-from omod.lubintate import (CharacterTable, build_tower, cm_tower,
-                            verify_character)
+from omod.lubintate import (CharacterTable, build_tower, character_restriction_consistent,
+                            cm_tower, verify_character, verify_determinant_character)
+from omod.pi0 import unit_group
+from omod.quotring import OModElement, OModRing
 from omod.series import base_field
 from omod.tower import FieldTower
 
 from formalmod_reference import (composed_orbit_basis, composed_torsion_points,
-                                 multiply_by, pairwise_composition_law)
+                                 determinant_per_unit, multiply_by, pairwise_composition_law,
+                                 restriction_per_unit)
 
 
 def exact(x):
@@ -100,3 +104,77 @@ def test_swapped_substitutions_fail_both_checks(monkeypatch):
         monkeypatch.setattr(lt, "torsion_automorphism", lambda u: swapped.table[u.codes][1])
         with pytest.raises(CharacterViolation, match="composition law fails"):
             verify_character(lt)
+
+
+def codes(rows):
+    return [(a.codes, norm.codes, c.codes) for a, norm, c in rows]
+
+
+@pytest.mark.parametrize("p,f,n,m,precision", [(p, f, 1, m, precision)
+                                               for p, f, m, precision in CHARACTER_TOWERS]
+                         + [(2, 1, 2, 1, 64), (3, 1, 2, 1, 64), (2, 1, 2, 2, 64)])
+def test_per_unit_oracles_agree_with_the_derived_rows(p, f, n, m, precision):
+    # height one after verify_character recorded the law, as `omod verify`
+    # runs them; the CM towers of height 2 check the law themselves
+    lt = cm_tower(p, f, n, m, precision)
+    if n == 1:
+        verify_character(lt)
+    assert character_restriction_consistent(lt) is restriction_per_unit(lt) is True
+    rows = verify_determinant_character(lt).rows
+    assert len(rows) == len(list(lt.unit_ring().units()))
+    assert codes(rows) == codes(determinant_per_unit(lt))
+
+
+def unit_generators(lt):
+    """unit_group's generators at the tower's top level, without the law
+    check that LubinTateTower.composition_law would run and record."""
+    ring = lt.unit_ring()
+    return [g for g, _ in unit_group((ring.residue.p, ring.residue.f), lt.m_max).generators]
+
+
+def corrupt_one_non_generator(monkeypatch, lt, differs):
+    """Give sigma_a the image of sigma_b, for the first unit a other than 1
+    outside the generators and the first unit b with differs(a, b)."""
+    ring = lt.unit_ring()
+    gens = unit_generators(lt)
+    a = next(u for u in ring.units() if u not in gens and u != ring.one())
+    b = next(u for u in ring.units() if differs(a, u))
+    real = lt.torsion_automorphism
+    monkeypatch.setattr(lt, "torsion_automorphism", lambda u: real(b if u == a else u))
+
+
+def test_a_corrupted_non_generator_fails_the_derived_restriction_and_its_oracle(monkeypatch):
+    lt = build_tower(base_field(3, 1), 2)
+    corrupt_one_non_generator(monkeypatch, lt, lambda a, b: a.reduce_to(1) != b.reduce_to(1))
+    assert not restriction_per_unit(lt)
+    with pytest.raises(CharacterViolation, match="composition law fails"):
+        character_restriction_consistent(lt)
+
+
+def test_a_corrupted_non_generator_fails_the_derived_determinant_and_its_oracle(monkeypatch):
+    lt = cm_tower(2, 1, 2, 2)
+    root = lt.base.root.residue
+    corrupt_one_non_generator(monkeypatch, lt, lambda a, b: a.norm_to(root) != b.norm_to(root))
+    with pytest.raises(DeterminantMismatch, match="moves mu by"):
+        determinant_per_unit(lt)
+    with pytest.raises(CharacterViolation, match="composition law fails"):
+        verify_determinant_character(lt)
+
+
+@pytest.mark.parametrize("generator,derived_error", [(True, "moves mu by"),
+                                                     (False, r"N\(.*\) = .*, but N\(")])
+def test_a_wrong_norm_entry_fails_the_derived_determinant_and_its_oracle(
+        monkeypatch, generator, derived_error):
+    lt = cm_tower(2, 1, 2, 2)
+    root = lt.base.root.residue
+    ring = lt.unit_ring()
+    gens = unit_generators(lt)
+    a = next(u for u in ring.units() if (u in gens) == generator and u != ring.one())
+    real = OModElement.norm_to
+    wrong = next(c for c in OModRing(root, 2).units() if c != real(a, root))
+    monkeypatch.setattr(OModElement, "norm_to",
+                        lambda self, sub: wrong if self == a else real(self, sub))
+    with pytest.raises(DeterminantMismatch, match="moves mu by"):
+        determinant_per_unit(lt)
+    with pytest.raises(DeterminantMismatch, match=derived_error):
+        verify_determinant_character(lt)
