@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .additive import AdditivePolynomial
-from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NotASummand,
-                     StructureViolation)
+from .errors import (CapExceeded, ExtensionRequired, IndexOutOfRange, NoConvergence,
+                     NotASummand, StructureViolation)
 from .finitefield import _move_table, embed_fq
 from .quotring import OModElement, OModRing, _determinant
-from .series import LocalFieldElement, LocalFieldSpec, series_keys, substitute
+from .series import LocalFieldElement, LocalFieldSpec, series_keys
 from .tower import (FieldTower, _residue_roots, additive_roots_in_field, embed,
-                    ramified_extension_by_relation, root_uniformizer_image)
+                    ramified_extension, ramified_extension_by_relation,
+                    root_uniformizer_image)
 
 DEGREE_CAP = 4096
 
@@ -239,27 +240,45 @@ def _assemble_from_basis(X, m, tower, basis, generator):
                          generator=generator, tower=tower)
 
 
-def _solve_torsion_level(T, u, Q, precision):
-    """The fixed point c = F(c) = T(c)*u + u^Q modulo u^precision: u = lam_k,
-    c = lam_{k-1} as a series in u (order Q), T = t as a series in lam_{k-1}.
+def _torsion_level_terms(t, u, k, slope):
+    """H(t) = t + L^(Q-1) for L = [t]^(k-1)(u), and with slope also
+    H'(t) = 1 - L^(Q-2)*D, D = dL/dt carried by D <- L + t*D.  L^Q is a
+    Frobenius power, so a level costs about 2k products."""
+    Q = u.field.residue.q
+    L, D = u, u.field.zero()
+    for _ in range(k - 1):
+        if slope:
+            D = L + t * D
+        L = t * L + L.frobenius_power(u.field.residue.f)
+    L_Q2 = L ** (Q - 2)
+    return t + L_Q2 * L, (u.field.one() - L_Q2 * D) if slope else None
 
-    Newton steps c <- c - (F(c) - c) / (T'(c)*u - 1) with a unit divisor turn
-    an iterate right modulo u^w into one right modulo u^(2w) (Brent and Kung,
-    J. ACM 25, 1978), from c = u^Q, right modulo u^(Q+1).  So each step
-    declares the iterate known to the doubled w (truncate only lowers
-    precision), uses T's first ceil(w/Q) terms (x^j has order jQ in u), and
-    inverts the divisor only to w - ord(F(c) - c).  T(c) and T'(c) share the
-    iterate's power table."""
-    c = u_Q = u ** Q
-    w = Q + 1
-    while w < precision:
-        w = min(2 * w, precision)
-        c = LocalFieldElement(c.field, c.leading_exponent, c.codes, w)
-        T_w = T.truncate(-(-w // Q))
-        residual = substitute(T_w, c) * u + u_Q - c
-        slope = substitute(T_w.derivative(), c) * u - u.field.one()
-        c = c - residual * slope.inv(precision=w - residual.order_lower_bound())
-    return c.truncate(precision)
+
+def _torsion_level_image(fld, k, precision):
+    """lam_{k-1} = [t](lam_k) as a series in u = lam_k, from t in u: the zero
+    of H(t) = t + L^(Q-1), L = [t]^(k-1)(u) = lam_1, as [t](lam_1) = 0.
+    H' is a unit, so a Newton step turns t right modulo u^w into t right
+    modulo u^(2w) (Brent and Kung, J. ACM 25, 1978).  From t = -u^v,
+    v = (Q-1)Q^(k-1), right modulo u^(v+1), each step declares the iterate
+    known to the doubled window, up to u^(P-1).  H(t) = 0 modulo u^(P-1)
+    certifies t (NoConvergence otherwise): t*u + u^Q is known modulo u^P."""
+    Q = fld.residue.q
+    u = fld.uniformizer_elt()
+    v = (Q - 1) * Q ** (k - 1)
+    t = -fld.uniformizer_elt(v)
+    w = v + 1
+    while w < precision - 1:
+        w = min(2 * w, precision - 1)
+        t = LocalFieldElement(fld, t.leading_exponent, t.codes, w)
+        residual, slope = _torsion_level_terms(t, u, k, slope=True)
+        t = t - residual * slope.inv(precision=w - residual.order_lower_bound())
+    t = t.truncate(precision - 1)
+    residual, _ = _torsion_level_terms(t, u, k, slope=False)
+    if residual.order_lower_bound() < precision - 1:
+        raise NoConvergence("level %d: the Newton zero t leaves a residual of order"
+                            " %r, not zero modulo u^%d"
+                            % (k, residual.order_lower_bound(), precision - 1))
+    return (t * u + fld.uniformizer_elt(Q)).truncate(precision)
 
 
 def build_torsion_chain(X, m, tower, precision, name_prefix):
@@ -267,38 +286,24 @@ def build_torsion_chain(X, m, tower, precision, name_prefix):
     [t](lam_k) = lam_{k-1}, lam_0 = 0.  Extends the tower in place and returns
     [(field_k, lam_k)], where a degree-one level reuses the current top.
 
-    Level 1 has the exact relation t = -lam_1^(Q-1).  A level k >= 2 relation
-    answers its first call with _solve_torsion_level's Newton solution, and
-    each later call with one plain step t(c)*lam_k + lam_k^Q, t's series in
-    lam_{k-1} evaluated at the current image c.
-    ramified_extension_by_relation accepts the level only once that plain
-    step leaves the image unchanged to the full precision."""
+    Level 1 has the exact relation t = -lam_1^(Q-1).  A level k >= 2 is
+    solved in its own field, with no substitution: _torsion_level_image
+    finds t as a series in lam_k, and lam_{k-1} = t*lam_k + lam_k^Q."""
     Q = X.field.residue.q
     out = []
     for k in range(1, m + 1):
-        current_top = tower.top
         if k == 1:
-            def relation(fld, _cur, _Q=Q):
-                return -(fld.uniformizer_elt() ** (_Q - 1))
-            e = Q - 1
+            if Q == 2:
+                # lambda_1 = t itself, no extension needed
+                out.append((tower.top, root_uniformizer_image(tower.top)))
+                continue
+            spec, _emb = ramified_extension_by_relation(
+                tower.top, Q - 1, lambda fld, _cur: -(fld.uniformizer_elt() ** (Q - 1)),
+                precision=precision, uniformizer="%s1" % name_prefix)
         else:
-            # lambda_{k-1} = [t](lambda_k) = t*lambda_k + lambda_k^Q, with t's
-            # known series in lambda_{k-1} re-evaluated at the unknown image
-            t_prev_series = root_uniformizer_image(tower.top)
-
-            def relation(fld, cur, _Q=Q, _prev=t_prev_series):
-                lam_k = fld.uniformizer_elt()
-                if cur.is_zero_mod_precision():
-                    return _solve_torsion_level(_prev, lam_k, _Q, fld.default_precision)
-                return substitute(_prev, cur) * lam_k + lam_k ** _Q
-            e = Q
-        if e == 1:
-            # Q = 2 first level: lambda_1 = t itself, no extension needed
-            out.append((tower.top, root_uniformizer_image(tower.top)))
-            continue
-        spec, _emb = ramified_extension_by_relation(
-            current_top, e, relation, precision=precision,
-            uniformizer="%s%d" % (name_prefix, k))
+            spec, _emb = ramified_extension(
+                tower.top, Q, lambda fld, _k=k: _torsion_level_image(fld, _k, precision),
+                precision=precision, uniformizer="%s%d" % (name_prefix, k))
         tower.push(spec)
         out.append((spec, spec.uniformizer_elt()))
     return out

@@ -142,16 +142,6 @@ class LocalFieldSpec:
     def uniformizer_elt(self, power=1):
         return LocalFieldElement(self, power, b"\x01", None)
 
-    def from_int_poly(self, pairs, precision=None):
-        """Element from {exponent: residue-integer} data."""
-        if not pairs:
-            return self.zero(precision)
-        lo = min(pairs)
-        hi = max(pairs)
-        q = self.residue.q
-        codes = bytes([pairs.get(k, 0) % q for k in range(lo, hi + 1)])
-        return _make(self, lo, codes, precision)
-
     def __repr__(self):
         return "%r((%s))" % (self.residue, self.uniformizer)
 

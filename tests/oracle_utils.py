@@ -14,6 +14,16 @@ TAME_RAMIFICATION = 21     # covers every odd slope denominator for degree <= 8
 MAX_RESIDUE_DEGREE = 8
 
 
+def int_poly(field, pairs, precision=None):
+    """Element of field from {exponent: residue-integer} data."""
+    if not pairs:
+        return field.zero(precision)
+    residue = field.residue
+    lo = min(pairs)
+    return field.element(lo, [residue.from_int(pairs.get(k, 0))
+                              for k in range(lo, max(pairs) + 1)], precision)
+
+
 def random_additive(field, rng, max_qexp=3, max_order=3):
     """Random separable additive polynomial over F_2((t)) with coefficient
     orders <= max_order and degree <= 2^max_qexp."""
@@ -32,7 +42,7 @@ def random_additive(field, rng, max_qexp=3, max_order=3):
         pairs = {order: 1}
         for _ in range(length - 1):
             pairs[order + 1 + rng.randrange(3)] = rng.randrange(2)
-        coeffs.append(field.from_int_poly(pairs))
+        coeffs.append(int_poly(field, pairs))
     return AdditivePolynomial(field, tuple(coeffs), 1)
 
 

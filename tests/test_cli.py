@@ -1,5 +1,6 @@
 """CLI contract: exit codes, determinism, one build per run, report merging."""
 
+import hashlib
 import json
 import os
 
@@ -239,6 +240,24 @@ def test_high_precision_tower_golden_bytes(capsys):
         assert code == 0
         with open(os.path.join(GOLDEN, name)) as fh:
             assert out == fh.read()
+
+
+# sha256 of `omod tower ... --output json` from the level solve by substitution
+# that the Newton solve in each level's own field replaced: ten levels at
+# precision 2048, and the three levels of the q = 3 height-2 tower
+TOWER_SHA256 = {
+    ("--q", "2", "--m", "10", "--prec", "2048"):
+        "9b27ac727b77f19805553a5ef14c98e4460af24f4a7ed8bf2ccbdf5add988194",
+    ("--q", "3", "--n", "2", "--m", "3", "--cm", "--prec", "256"):
+        "d97d63a1dc0cb638440576687f43cc23301ee1bfdcae49d0739751c3fc7bfd60",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOWER_SHA256))
+def test_tower_bytes_at_scale(capsys, argv):
+    code, out, _ = run_cli(capsys, "tower", *argv, "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TOWER_SHA256[argv]
 
 
 def test_other_errors_stay_failures(capsys):

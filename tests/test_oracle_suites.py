@@ -16,7 +16,7 @@ from omod.errors import ExtensionRequired, NoConvergence, PrecisionExhausted
 from omod.series import base_field, series_keys
 from omod.tower import find_integral_roots
 
-from oracle_utils import (embed_additive, polygon_versus_towers, random_additive,
+from oracle_utils import (embed_additive, int_poly, polygon_versus_towers, random_additive,
                           splitting_field)
 
 
@@ -49,7 +49,7 @@ def test_precision_soundness_root_search():
                                    for k in range(c.leading_exponent,
                                                   c.leading_exponent + len(c.coeffs))})
         P_hi = AdditivePolynomial(
-            F_hi, tuple(F_hi.from_int_poly(d) if d else F_hi.zero()
+            F_hi, tuple(int_poly(F_hi, d) if d else F_hi.zero()
                         for d in coeff_data), 1)
         try:
             roots_lo = find_integral_roots(embed_additive(P_lo, lo), lo.zero())

@@ -15,6 +15,7 @@ from omod.quotring import OModRing
 from omod.series import (LocalFieldElement, _PowerTable, _min_prec, _mul_prec, base_field,
                          make_element, series_keys, substitute)
 from omod.tower import unramified_extension
+from oracle_utils import int_poly
 from packed_reference import RefPowerTable
 
 
@@ -26,13 +27,13 @@ def rand_element(field, rng, lo=-3, span=8, precision=None):
     pairs = {}
     for k in range(lo, lo + span):
         pairs[k] = rng.randrange(field.residue.q)
-    return field.from_int_poly(pairs, precision=precision)
+    return int_poly(field, pairs, precision=precision)
 
 
 def test_char2_cancellation_keeps_precision():
     F = F2t()
-    a = F.from_int_poly({1: 1, 2: 1}, precision=10)   # t + t^2 mod t^10
-    b = F.from_int_poly({1: 1}, precision=10)
+    a = int_poly(F, {1: 1, 2: 1}, precision=10)   # t + t^2 mod t^10
+    b = int_poly(F, {1: 1}, precision=10)
     c = a + b
     assert c.order() == 2
     assert c.precision == 10
@@ -49,7 +50,7 @@ def test_valuation_additive_under_mul():
 def test_geometric_series_inverse():
     # inv(1 + t) = 1 + t + t^2 + t^3 + t^4 mod t^5 over F_2((t))
     F = F2t()
-    one_plus_t = F.from_int_poly({0: 1, 1: 1})
+    one_plus_t = int_poly(F, {0: 1, 1: 1})
     inv = one_plus_t.inv(precision=5)
     assert [inv.coeff_at(k).code for k in range(5)] == [1, 1, 1, 1, 1]
     assert (one_plus_t * inv - F.one()).order_lower_bound() >= 5
@@ -66,8 +67,8 @@ def test_inv_of_monomial_is_exact():
 
 def test_mul_precision_rule():
     F = F2t()
-    a = F.from_int_poly({2: 1}, precision=10)   # v=2, prec 10
-    b = F.from_int_poly({3: 1}, precision=7)    # v=3, prec 7
+    a = int_poly(F, {2: 1}, precision=10)   # v=2, prec 10
+    b = int_poly(F, {3: 1}, precision=7)    # v=3, prec 7
     c = a * b
     # min(prec_a + v_b, prec_b + v_a) = min(13, 9) = 9
     assert c.precision == 9
@@ -119,7 +120,7 @@ def test_mul_matches_schoolbook_then_clamp(p, f):
         pairs = {k: rng.randrange(F.residue.q) if rng.random() < 0.7 else 0
                  for k in range(lo, lo + span)}
         precision = None if rng.random() < 0.3 else lo + rng.randrange(-2, 12)
-        return F.from_int_poly(pairs, precision=precision)
+        return int_poly(F, pairs, precision=precision)
 
     kinds = set()
     for _ in range(300):
@@ -134,7 +135,7 @@ def test_mul_with_no_known_product_terms():
     # stored terms at or beyond the precision: prec - e0 <= 0 for the product
     F = base_field(3, 1)
     a = LocalFieldElement(F, 4, b"\x01\x01", 3)
-    b = F.from_int_poly({-2: 1, 0: 2}, precision=None)
+    b = int_poly(F, {-2: 1, 0: 2}, precision=None)
     for x, y in ((a, b), (b, a), (a, a)):
         got = x * y
         assert got == schoolbook_mul(x, y)
@@ -143,14 +144,14 @@ def test_mul_with_no_known_product_terms():
 
 def test_add_precision_rule():
     F = F2t()
-    a = F.from_int_poly({0: 1}, precision=12)
-    b = F.from_int_poly({1: 1}, precision=8)
+    a = int_poly(F, {0: 1}, precision=12)
+    b = int_poly(F, {1: 1}, precision=8)
     assert (a + b).precision == 8
 
 
 def test_uncertain_zero_valuation_flagged():
     F = F2t()
-    a = F.from_int_poly({3: 1}, precision=10)
+    a = int_poly(F, {3: 1}, precision=10)
     z = a - a
     assert z.is_zero_mod_precision() and not z.is_exact_zero()
     with pytest.raises(UncertainValuation):
@@ -167,7 +168,7 @@ def test_exact_zero_valuation_infinite():
 
 def test_division_by_uncertain_zero():
     F = F2t()
-    a = F.from_int_poly({3: 1}, precision=10)
+    a = int_poly(F, {3: 1}, precision=10)
     z = a - a
     with pytest.raises(DivisionByUncertainZero):
         F.one() / z
@@ -206,11 +207,11 @@ def test_precision_soundness_metamorphic():
     F = base_field(2, 2)
     for _ in range(100):
         lo_pairs = {k: rng.randrange(4) for k in range(0, 12)}
-        hi = F.from_int_poly(lo_pairs, precision=24)
-        lo = F.from_int_poly(lo_pairs, precision=12)
+        hi = int_poly(F, lo_pairs, precision=24)
+        lo = int_poly(F, lo_pairs, precision=12)
         other_pairs = {k: rng.randrange(4) for k in range(0, 12)}
-        w_hi = F.from_int_poly(other_pairs, precision=24)
-        w_lo = F.from_int_poly(other_pairs, precision=12)
+        w_hi = int_poly(F, other_pairs, precision=24)
+        w_lo = int_poly(F, other_pairs, precision=12)
         for op in (operator.add, operator.mul):
             r_hi = op(hi, w_hi)
             r_lo = op(lo, w_lo)
@@ -221,7 +222,7 @@ def test_precision_soundness_metamorphic():
 
 def test_frobenius_power_scales_precision():
     F = F2t()
-    a = F.from_int_poly({1: 1, 3: 1}, precision=9)
+    a = int_poly(F, {1: 1, 3: 1}, precision=9)
     b = a.frobenius_power(1)
     assert b.order() == 2
     assert b.precision == 18
@@ -247,15 +248,15 @@ def test_derivative_matches_termwise_rule_and_leibniz(p, f):
 
 def test_pow_matches_repeated_mul():
     F = base_field(3, 1)
-    a = F.from_int_poly({0: 2, 1: 1, 4: 2})
+    a = int_poly(F, {0: 2, 1: 1, 4: 2})
     assert (a ** 3).agrees(a * a * a)
 
 
 def test_series_key_distinguishes():
     F = F2t()
-    a = F.from_int_poly({0: 1, 5: 1}, precision=30)
-    b = F.from_int_poly({0: 1, 6: 1}, precision=30)
-    key_a, key_b, key_a25 = series_keys([a, b, F.from_int_poly({0: 1, 5: 1}, precision=25)])
+    a = int_poly(F, {0: 1, 5: 1}, precision=30)
+    b = int_poly(F, {0: 1, 6: 1}, precision=30)
+    key_a, key_b, key_a25 = series_keys([a, b, int_poly(F, {0: 1, 5: 1}, precision=25)])
     assert key_a != key_b
     assert key_a == key_a25
 
@@ -265,7 +266,7 @@ def test_series_keys_read_the_window_every_member_knows():
     # to 20 terms share a key, a difference at u^19 separates, one at u^20
     # does not
     F = F2t()
-    x = F.from_int_poly({1: 1, 7: 1}, precision=40)
+    x = int_poly(F, {1: 1, 7: 1}, precision=40)
     keys = series_keys([x, x.truncate(20), x + F.uniformizer_elt(19),
                         x + F.uniformizer_elt(20)])
     assert keys[0] == keys[1] == keys[3] != keys[2]
@@ -284,7 +285,7 @@ def test_series_keys_read_the_window_every_member_knows():
 
 def test_serialization_roundtrip():
     F = base_field(2, 2)
-    a = F.from_int_poly({-1: 1, 0: 2, 3: 3}, precision=17)
+    a = int_poly(F, {-1: 1, 0: 2, 3: 3}, precision=17)
     doc = a.to_json()
     assert doc["leading_exponent"] == -1
     assert doc["precision"] == 17
@@ -323,7 +324,7 @@ def test_quotring_norm():
 
 def test_coefficients_leave_as_fq_elements_of_the_residue_field():
     F = base_field(3, 2)
-    a = F.from_int_poly({-1: 5, 2: 7}, precision=9)
+    a = int_poly(F, {-1: 5, 2: 7}, precision=9)
     for c in (a.leading_coeff(), a.coeff_at(-1), a.coeff_at(0), a.coeff_at(2), a.coeff_at(8)):
         assert isinstance(c, FqElement) and c.spec == F.residue
     assert [a.coeff_at(k).code for k in range(-1, 3)] == [5, 0, 0, 7]
@@ -466,7 +467,7 @@ def sparse_series(draw, F):
     exponents = sorted(draw(st.sets(st.integers(0, 70), min_size=1, max_size=4)))
     terms = {k: draw(st.integers(1, q - 1)) for k in exponents}
     precision = draw(st.none() | st.integers(exponents[-1] - 3, exponents[-1] + 5))
-    return F.from_int_poly(terms, precision)
+    return int_poly(F, terms, precision)
 
 
 def property_test(examples):
@@ -599,7 +600,7 @@ def carries_agreement(subst, x, U, U2, N):
     with x substituted into U and into U2 on every term it claims."""
     V = U.truncate(U.leading_exponent + N)
     warm = LocalFieldElement(V.field, V.leading_exponent, V.codes, V.precision)
-    subst(x.field.from_int_poly(dict.fromkeys(range(x.leading_exponent + len(x.codes) + 8), 1)),
+    subst(int_poly(x.field, dict.fromkeys(range(x.leading_exponent + len(x.codes) + 8), 1)),
           warm)
     return all(W.agrees(subst(x, U), min_terms=N) and W.agrees(subst(x, U2), min_terms=N)
                for W in (subst(x, V), subst(x, warm)))
@@ -614,9 +615,9 @@ def carry_case(F, rng):
         return {lo: rng.randrange(1, q), **{k: rng.randrange(q) for k in range(lo + 1, lo + count)}}
 
     N, v = rng.randint(1, 40), rng.randint(1, 3)
-    U = F.from_int_poly(terms(v, N + 16), precision=rng.choice([None, v + N + 16]))
-    U2 = U + F.from_int_poly(terms(v + N, 16))
-    return F.from_int_poly(terms(rng.randint(1, 6), rng.randint(1, 24))), U, U2, N
+    U = int_poly(F, terms(v, N + 16), precision=rng.choice([None, v + N + 16]))
+    U2 = U + int_poly(F, terms(v + N, 16))
+    return int_poly(F, terms(rng.randint(1, 6), rng.randint(1, 24))), U, U2, N
 
 
 def claims_one_more_term(x, U):

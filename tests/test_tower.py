@@ -15,6 +15,7 @@ from omod.tower import (FieldAutomorphism, FieldTower, _residue_roots, additive_
                         apply_automorphism, embed, ramified_extension_by_relation,
                         root_uniformizer_image, unramified_extension)
 
+from oracle_utils import int_poly
 from tower_reference import dense_additive_roots, reference_residue_roots
 
 
@@ -45,7 +46,7 @@ def test_unramified_embedding_is_homomorphism():
     F9 = unramified_extension(F, 2)
     rng_pairs = [({0: 1, 1: 2}, {1: 1, 2: 2}), ({0: 2}, {0: 1, 3: 1})]
     for pa, pb in rng_pairs:
-        a, b = F.from_int_poly(pa), F.from_int_poly(pb)
+        a, b = int_poly(F, pa), int_poly(F, pb)
         assert embed(a * b, F9).agrees(embed(a, F9) * embed(b, F9))
         assert embed(a + b, F9).agrees(embed(a, F9) + embed(b, F9))
     assert embed(F.one(), F9).agrees(F9.one())
@@ -136,7 +137,7 @@ def test_embed_transitivity():
         return t_img * lam2 + lam2 ** 3
 
     F2, _ = ramified_extension_by_relation(F1, 3, step)
-    x = F.from_int_poly({1: 2, 2: 1})
+    x = int_poly(F, {1: 2, 2: 1})
     one_step = embed(x, F2)
     two_step = embed(embed(x, F1), F2)
     assert one_step.agrees(two_step)
@@ -225,7 +226,7 @@ def test_additive_roots_constructed_instance():
     F = base_field(2, 1, precision=48)
     t = F.uniformizer_elt()
     P = AdditivePolynomial(F, (t, F.one()), 1)  # tT + T^2
-    x0 = F.from_int_poly({1: 1, 2: 1})
+    x0 = int_poly(F, {1: 1, 2: 1})
     rhs = P(x0)
     roots = additive_roots_in_field(P, rhs)
     *keys, key_x0 = series_keys(roots + [x0])
@@ -260,7 +261,7 @@ def _random_element(F, rng, max_order, exact):
     pairs = {order: rng.randrange(1, F.residue.q)}
     for _ in range(rng.randrange(4)):
         pairs[order + 1 + rng.randrange(6)] = rng.randrange(F.residue.q)
-    return F.from_int_poly(pairs, precision=None if exact else order + rng.randrange(4, 30))
+    return int_poly(F, pairs, precision=None if exact else order + rng.randrange(4, 30))
 
 
 def _search_outcome(search, P, rhs):
@@ -316,8 +317,8 @@ def test_newton_root_is_known_to_the_stop_order_past_the_field_precision():
     # x0 known mod t^40: c_0 = 1 + t^2 is inverted as far as each step needs,
     # not to the field's 24 terms, so the root is known mod t^40, not t^27
     F = base_field(2, 1, precision=24)
-    P = AdditivePolynomial(F, (F.from_int_poly({0: 1, 2: 1}), F.from_int_poly({1: 1})), 1)
-    x0 = F.from_int_poly({0: 1, 3: 1, 5: 1, 17: 1, 33: 1}, precision=40)
+    P = AdditivePolynomial(F, (int_poly(F, {0: 1, 2: 1}), int_poly(F, {1: 1})), 1)
+    x0 = int_poly(F, {0: 1, 3: 1, 5: 1, 17: 1, 33: 1}, precision=40)
     got = _search_outcome(additive_roots_in_field, P, P(x0))
     assert got == ("roots", [(0, x0.codes, 40, 0)])
     assert got == _search_outcome(dense_additive_roots, P, P(x0))
@@ -346,9 +347,9 @@ def test_a_constant_zero_modulo_u_w_gives_a_root_known_below_w():
     # 1 is multiple, and the shifted constant P(1) + c is only O(t^7), so the
     # root 1 is known mod t^(7 - v(c_0)) = t^5, not exactly
     F = base_field(2, 1)
-    P = AdditivePolynomial(F, (F.from_int_poly({2: 1}, precision=7),
-                               F.from_int_poly({1: 1, 3: 1})), 1)
-    rhs = F.from_int_poly({1: 1, 2: 1, 3: 1}, precision=7)
+    P = AdditivePolynomial(F, (int_poly(F, {2: 1}, precision=7),
+                               int_poly(F, {1: 1, 3: 1})), 1)
+    rhs = int_poly(F, {1: 1, 2: 1, 3: 1}, precision=7)
     got = _search_outcome(additive_roots_in_field, P, rhs)
     assert got == ("roots", [(0, b"\x01", 5, 0), (0, b"\x01\x01\x00\x01", 5, 0)])
     assert got == _search_outcome(dense_additive_roots, P, rhs)
