@@ -10,8 +10,7 @@ the exact relation t = pi^2 + pi^3.
 from omod import base_field
 from omod.additive import AdditivePolynomial
 from omod.errors import ExtensionRequired
-from omod.tower import (additive_roots_in_field, ramified_extension_by_relation,
-                        root_uniformizer_image)
+from omod.tower import additive_roots_in_field, ramified_extension, root_uniformizer_image
 
 F = base_field(2, 1, precision=48)
 t = F.uniformizer_elt()
@@ -32,11 +31,11 @@ except ExtensionRequired as exc:
 
 # The missing pair: substitute T = 1 + pi and declare pi the uniformizer;
 # the relation t = pi^2(1 + pi) is exact.
-def relation(fld, _cur):
+def t_in_pi(fld):
     pi = fld.uniformizer_elt()
     return pi ** 2 + pi ** 3
 
-L, emb = ramified_extension_by_relation(F, 2, relation, uniformizer="pi")
+L, emb = ramified_extension(F, 2, t_in_pi, uniformizer="pi")
 print("\nwild quadratic extension with t =", emb.image_of_base_uniformizer)
 
 tL = root_uniformizer_image(L)

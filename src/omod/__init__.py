@@ -15,8 +15,7 @@ from .newton import NewtonPolygon, Segment, newton_polygon  # noqa: F401
 from .additive import AdditivePolynomial  # noqa: F401
 from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,  # noqa: F401
                     apply_automorphism, embed, find_integral_roots,
-                    ramified_extension_by_relation, root_uniformizer_image,
-                    unramified_extension)
+                    root_uniformizer_image, unramified_extension)
 from .formalmod import (FormalOModule, LevelStructure, TorsionModule,  # noqa: F401
                         bijective_level_structure, connected_height,
                         count_level_structures, kernel_rank, lubin_tate_module,

@@ -1,7 +1,7 @@
 """Tower cache: one JSON document per torsion tower, keyed by
 (p, f, q, n, m, precision).  Writes are atomic (temp file + rename); loads
-rebuild the field chain from the stored relation series and re-verify the
-recursion residual before handing the tower out.
+rebuild the field chain from each level's stored image of the base
+uniformizer and re-verify the recursion residual before handing the tower out.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .errors import NoConvergence, OmodError, SchemaMismatch
 from .formalmod import lubin_tate_module
 from .lubintate import LubinTateTower
 from .series import base_field
-from .tower import FieldTower, ramified_extension_by_relation, root_uniformizer_image, \
+from .tower import FieldTower, ramified_extension, root_uniformizer_image, \
     unramified_extension
 
 CACHE_SCHEMA = "omod-tower-cache/1"
@@ -60,31 +60,17 @@ def tower_from_document(doc) -> LubinTateTower:
         if rec["degree_one"]:
             levels.append((tower.top, root_uniformizer_image(tower.top)))
             continue
-        relation = _stored_relation(rec["base_uniformizer_series"])
-        spec, _ = ramified_extension_by_relation(
-            tower.top, rec["ramification_index"], relation,
+        spec, _ = ramified_extension(
+            tower.top, rec["ramification_index"],
+            lambda fld, s=rec["base_uniformizer_series"]: fld.element(
+                s["leading_exponent"], [fld.residue.element(c) for c in s["coeffs"]],
+                s["precision"]),
             precision=precision, uniformizer=rec["uniformizer"])
         tower.push(spec)
         levels.append((spec, spec.uniformizer_elt()))
     lt = LubinTateTower(base, module, tower, levels, m, precision)
     _verify_rebuilt(lt)
     return lt
-
-
-def _stored_relation(series):
-    """The relation of one cached level: the stored image of the base
-    uniformizer, decoded once per field and reused by the calls after."""
-    images = {}
-
-    def relation(fld, _cur):
-        image = images.get(fld)
-        if image is None:
-            coeffs = [fld.residue.element(c) for c in series["coeffs"]]
-            image = images[fld] = fld.element(series["leading_exponent"], coeffs,
-                                              series["precision"])
-        return image
-
-    return relation
 
 
 def _verify_rebuilt(lt: LubinTateTower):

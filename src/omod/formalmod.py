@@ -20,8 +20,7 @@ from .finitefield import _move_table, embed_fq
 from .quotring import OModElement, OModRing, _determinant
 from .series import LocalFieldElement, LocalFieldSpec, series_keys
 from .tower import (FieldTower, _residue_roots, additive_roots_in_field, embed,
-                    ramified_extension, ramified_extension_by_relation,
-                    root_uniformizer_image)
+                    ramified_extension, root_uniformizer_image)
 
 DEGREE_CAP = 4096
 
@@ -292,18 +291,16 @@ def build_torsion_chain(X, m, tower, precision, name_prefix):
     Q = X.field.residue.q
     out = []
     for k in range(1, m + 1):
+        if k == 1 and Q == 2:
+            # lambda_1 = t itself, no extension needed
+            out.append((tower.top, root_uniformizer_image(tower.top)))
+            continue
         if k == 1:
-            if Q == 2:
-                # lambda_1 = t itself, no extension needed
-                out.append((tower.top, root_uniformizer_image(tower.top)))
-                continue
-            spec, _emb = ramified_extension_by_relation(
-                tower.top, Q - 1, lambda fld, _cur: -(fld.uniformizer_elt() ** (Q - 1)),
-                precision=precision, uniformizer="%s1" % name_prefix)
+            e, image = Q - 1, lambda fld: -(fld.uniformizer_elt() ** (Q - 1))
         else:
-            spec, _emb = ramified_extension(
-                tower.top, Q, lambda fld, _k=k: _torsion_level_image(fld, _k, precision),
-                precision=precision, uniformizer="%s%d" % (name_prefix, k))
+            e, image = Q, lambda fld, _k=k: _torsion_level_image(fld, _k, precision)
+        spec, _emb = ramified_extension(tower.top, e, image, precision=precision,
+                                        uniformizer="%s%d" % (name_prefix, k))
         tower.push(spec)
         out.append((spec, spec.uniformizer_elt()))
     return out
@@ -356,7 +353,7 @@ def _adjoin_wild_branch(X, tower, e):
     P = X.embedded_t_action(top)
     s0 = _multiple_residue_root(P)
 
-    def relation(fld, _cur):
+    def image(fld):
         pi = fld.uniformizer_elt()
         s = fld.constant(embed_fq(s0, fld.residue))
         base_pt = s + pi
@@ -373,9 +370,8 @@ def _adjoin_wild_branch(X, tower, e):
         # c_0 coefficient is the embedded uniformizer itself
         return num * base_pt.inv(precision=fld.default_precision)
 
-    spec, _ = ramified_extension_by_relation(top, e, relation,
-                                             precision=X.field.default_precision,
-                                             uniformizer="pi")
+    spec, _ = ramified_extension(top, e, image, precision=X.field.default_precision,
+                                 uniformizer="pi")
     tower.push(spec)
     return spec
 

@@ -22,8 +22,7 @@ from .pi0 import unit_group
 from .quotring import OModElement, OModRing
 from .series import LocalFieldSpec, base_field, series_keys
 from .tower import (FieldAutomorphism, FieldTower, additive_roots_in_field,
-                    apply_automorphism, embed, root_uniformizer_image,
-                    unramified_extension)
+                    apply_automorphism, embed, unramified_extension)
 
 
 @dataclass(eq=False)
@@ -60,7 +59,9 @@ class LubinTateTower:
         return lam if lam.field is self.top else embed(lam, self.top)
 
     def t_image(self):
-        return root_uniformizer_image(self.top)
+        """The base uniformizer t in the top field: c_0 of the [t]-polynomial
+        that t_iterates embeds there, so t is embedded once per tower."""
+        return self.module.embedded_t_action(self.top).coeffs[0]
 
     def unit_ring(self, m=None):
         return OModRing(self.base.residue, self.m_max if m is None else m)

@@ -383,20 +383,6 @@ class LocalFieldElement:
         out[::pj] = self.codes.translate(_frobenius_table(self.field.residue, j))
         return _make(self.field, self.leading_exponent * pj, bytes(out), prec)
 
-    def derivative(self):
-        """The formal derivative d/du: the coefficient of u^k times k moves to
-        u^(k-1), so the precision drops by one as well."""
-        prec = None if self.precision is None else self.precision - 1
-        p = self.field.residue.p
-        e0 = self.leading_exponent
-        out = bytearray(len(self.codes))
-        # every exponent k = r (mod p) scales by the prime-field element r, whose code is r
-        mul_rows = _tables(self.field.residue).mul_rows
-        for r in range(1, p):
-            start = (r - e0) % p
-            out[start::p] = self.codes[start::p].translate(mul_rows[r])
-        return _make(self.field, e0 - 1, bytes(out), prec)
-
     def truncate(self, precision):
         """Forget knowledge beyond u^precision."""
         if self.precision is not None and self.precision <= precision:

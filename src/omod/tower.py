@@ -3,11 +3,11 @@ declared uniformizers, embeddings, automorphisms, and root finding.
 
 A ramified extension is always presented by a declared uniformizer together
 with the base uniformizer expressed as a series in it; that makes valuations
-and Galois actions computable by direct substitution.  ramified_extension
-checks a series solved in the new field: the torsion levels k >= 2 of
-formalmod.build_torsion_chain solve it by Newton steps, and
-ramified_extension_by_relation solves a caller-supplied relation by
-fixed-point iteration (exact relations converge in one step).
+and Galois actions computable by direct substitution.  Every caller knows
+that series in closed form: -lam_1^(Q-1) at torsion level 1, the Newton zero
+of formalmod._torsion_level_image at levels k >= 2, the exact wild relation
+of formalmod._adjoin_wild_branch, and the series a tower cache stores.
+ramified_extension checks it and attaches it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def ramified_extension(base: LocalFieldSpec, e: int, image, precision=None,
     """Totally ramified extension of degree e with a declared uniformizer.
 
     image(spec) returns the image of the base uniformizer as a series in the
-    new field spec.  An image known modulo less than u^precision, or zero
+    new field spec.  An exact image stays exact; an inexact one is cut to
+    u^precision.  An image known modulo less than u^precision, or zero
     there, raises PrecisionExhausted; one of order other than e raises
     NoConvergence.  Returns (spec, embedding).
     """
@@ -60,54 +61,21 @@ def ramified_extension(base: LocalFieldSpec, e: int, image, precision=None,
                           ramification_index=e, residue_degree=1, base=base,
                           default_precision=precision)
     new = image(spec)
-    if new.precision is not None and new.is_zero_mod_precision():
-        raise PrecisionExhausted(
-            "image of the base uniformizer is zero modulo u^%d: too little"
-            " precision for ramification index %d" % (precision, e))
-    if new.precision is not None and new.precision < precision:
-        raise PrecisionExhausted(
-            "image of the base uniformizer is known modulo u^%d only, not"
-            " u^%d" % (new.precision, precision))
+    if not new.is_exact():
+        new = new.truncate(precision)
+        if new.is_zero_mod_precision():
+            raise PrecisionExhausted(
+                "image of the base uniformizer is zero modulo u^%d: too little"
+                " precision for ramification index %d" % (precision, e))
+        if new.precision < precision:
+            raise PrecisionExhausted(
+                "image of the base uniformizer is known modulo u^%d only, not"
+                " u^%d" % (new.precision, precision))
     if new.order() != e:
         raise NoConvergence("relation image has order %r, expected e = %d"
                             % (new.order_lower_bound(), e))
     spec.embedding = BaseEmbedding(image_of_base_uniformizer=new)
     return spec, spec.embedding
-
-
-def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
-                                   precision=None, uniformizer=None):
-    """ramified_extension with the image solved by fixed-point iteration:
-    relation(field, current) returns the next image from the current guess
-    (zero on the first call).  Each correction must have strictly higher
-    order, within precision + 8 calls; an image is accepted once one more
-    call leaves it unchanged modulo u^precision."""
-    precision = precision if precision is not None else base.default_precision
-
-    def fixed_point(spec):
-        current = spec.zero(precision=precision)
-        prev_gain = -1
-        for _ in range(precision + FIXED_POINT_EXTRA_ITERATIONS):
-            raw = relation(spec, current)
-            new = raw.truncate(precision)
-            corr = new - current
-            if corr.is_zero_mod_precision():
-                # keep exact closed forms exact: a relation whose fixed point is
-                # an exact series re-substitutes to itself with zero residual
-                if raw.is_exact() and (relation(spec, raw) - raw).is_exact_zero():
-                    return raw
-                return new
-            gain = corr.order_lower_bound()
-            if gain <= prev_gain:
-                raise NoConvergence(
-                    "relation is not contracting (correction order %r after %r)"
-                    % (gain, prev_gain))
-            prev_gain = gain
-            current = new
-        raise NoConvergence("fixed point did not stabilize within %d iterations"
-                            % (precision + FIXED_POINT_EXTRA_ITERATIONS))
-
-    return ramified_extension(base, e, fixed_point, precision, uniformizer)
 
 
 def embed(x: LocalFieldElement, target: LocalFieldSpec) -> LocalFieldElement:

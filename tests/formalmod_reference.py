@@ -20,10 +20,9 @@ from omod.formalmod import LevelStructure, act, coord_key, lubin_tate_module, t_
 from omod.lubintate import CHARACTER_FIXED_TERMS, DETERMINANT_MATCH_TERMS, RESTRICTION_TERMS
 from omod.quotring import OModElement, OModRing
 from omod.series import base_field, series_keys, substitute
-from omod.tower import apply_automorphism, ramified_extension_by_relation, \
-    root_uniformizer_image, unramified_extension
+from omod.tower import apply_automorphism, root_uniformizer_image, unramified_extension
 
-from tower_reference import to_dense_coeffs
+from tower_reference import ramified_extension_by_relation, to_dense_coeffs
 
 
 def linear_chain_images(p, f, n, m, precision):

@@ -16,7 +16,7 @@ from omod.lubintate import (build_tower, character_restriction_consistent,
                             verify_torsion_valuations)
 from omod.quotring import OModElement, OModRing
 from omod.series import base_field
-from omod.tower import apply_automorphism
+from omod.tower import apply_automorphism, root_uniformizer_image
 
 
 def test_tower_degrees_q3():
@@ -83,6 +83,18 @@ def test_tower_uniformizer_relation_residual():
     lam1 = lt.lam(1)  # embedded into the top
     residual = lt.iterates(2)[1] - lam1    # [t](lam_2) - lam_1
     assert residual.is_zero_mod_precision() or residual.order_lower_bound() >= 40
+
+
+@pytest.mark.parametrize("q_p,q_f,n,m", [(2, 1, 1, 1), (2, 1, 1, 4), (3, 1, 1, 2),
+                                         (2, 1, 2, 2)])
+def test_t_image_is_the_embedded_t_of_the_iterates(q_p, q_f, n, m):
+    # t is embedded once per tower, and it is the chain's embedding of the
+    # root uniformizer term for term
+    lt = cm_tower(q_p, q_f, n, m, precision=64)
+    t_img = lt.t_image()
+    assert lt.t_image() is t_img is lt.module.embedded_t_action(lt.top).coeffs[0]
+    assert t_img.field is lt.top
+    assert t_img.to_json() == root_uniformizer_image(lt.top).to_json()
 
 
 def test_character_q3_m1():

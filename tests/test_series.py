@@ -229,23 +229,6 @@ def test_frobenius_power_scales_precision():
     assert b.coeff_at(6).code == 1
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-def test_derivative_matches_termwise_rule_and_leibniz(p, f):
-    F = base_field(p, f)
-    res = F.residue
-    rng = random.Random(p * 10 + f)
-    for trial in range(20):
-        x = rand_element(F, rng, lo=-4, span=12, precision=None if trial % 2 else 11)
-        y = rand_element(F, rng, lo=0, span=9)
-        dx = x.derivative()
-        assert dx.precision == (None if x.precision is None else x.precision - 1)
-        for k in range(-5, 10):
-            assert dx.coeff_at(k) == x.coeff_at(k + 1) * res.from_int((k + 1) % p)
-        assert (x * y).derivative().agrees(dx * y + x * y.derivative())
-    assert F.uniformizer_elt(p).derivative().is_exact_zero()
-    assert F.zero(precision=5).derivative().precision == 4
-
-
 def test_pow_matches_repeated_mul():
     F = base_field(3, 1)
     a = int_poly(F, {0: 2, 1: 1, 4: 2})

@@ -11,12 +11,16 @@ from omod.errors import (ExtensionRequired, InseparablePolynomial,
                          NoConvergence, NotInTower, OmodError, PrecisionExhausted)
 from omod.finitefield import GF
 from omod.series import base_field, series_keys
+from omod import cache, formalmod
+from omod.formalmod import module_from_unit_coefficients, torsion_points
+from omod.lubintate import build_tower, cm_tower
 from omod.tower import (FieldAutomorphism, FieldTower, _residue_roots, additive_roots_in_field,
-                        apply_automorphism, embed, ramified_extension_by_relation,
+                        apply_automorphism, embed, ramified_extension,
                         root_uniformizer_image, unramified_extension)
 
 from oracle_utils import int_poly
-from tower_reference import dense_additive_roots, reference_residue_roots
+from tower_reference import (dense_additive_roots, ramified_extension_by_relation,
+                             reference_residue_roots)
 
 
 def lt_level1_relation(Q):
@@ -121,6 +125,94 @@ def test_short_converged_series_rejected():
         ramified_extension_by_relation(F, 2, short, precision=16)
     _, emb = ramified_extension_by_relation(F, 2, short, precision=8)
     assert emb.image_of_base_uniformizer.precision == 8
+
+
+def t_in_pi(fld):
+    lam = fld.uniformizer_elt()
+    return lam ** 2 + lam ** 3
+
+
+def test_an_exact_image_stays_exact():
+    F = base_field(2, 1, precision=16)
+    _, emb = ramified_extension(F, 2, t_in_pi, precision=16)
+    img = emb.image_of_base_uniformizer
+    assert img.is_exact()
+    assert img.to_json() == t_in_pi(img.field).to_json()
+
+
+def test_an_image_known_past_the_precision_is_cut_to_it():
+    F = base_field(2, 1, precision=16)
+    _, emb = ramified_extension(F, 2, lambda fld: (t_in_pi(fld) + fld.uniformizer_elt(20))
+                                .truncate(24), precision=16)
+    img = emb.image_of_base_uniformizer
+    assert img.precision == 16
+    assert img.to_json() == t_in_pi(img.field).truncate(16).to_json()
+
+
+def test_an_image_known_below_the_precision_is_refused():
+    F = base_field(2, 1, precision=16)
+    with pytest.raises(PrecisionExhausted,
+                       match="^image of the base uniformizer is known modulo u\\^15 only,"
+                             " not u\\^16$"):
+        ramified_extension(F, 2, lambda fld: t_in_pi(fld).truncate(15), precision=16)
+
+
+def recorded_images(monkeypatch, module):
+    """Every ramified_extension call that module makes, as its arguments and
+    the image it accepted."""
+    calls = []
+
+    def recording(base, e, image, precision=None, uniformizer=None):
+        spec, emb = ramified_extension(base, e, image, precision, uniformizer)
+        calls.append(((base, e, image, precision, uniformizer), emb.image_of_base_uniformizer))
+        return spec, emb
+
+    monkeypatch.setattr(module, "ramified_extension", recording)
+    return calls
+
+
+def assert_the_solver_gives_the_same_images(calls):
+    """Each image the closed-form path accepted is the reference solver's,
+    fed the same image as a relation that ignores its current guess."""
+    assert calls
+    for (base, e, image, precision, uniformizer), got in calls:
+        _, emb = ramified_extension_by_relation(base, e, lambda fld, _cur: image(fld),
+                                                precision, uniformizer)
+        assert got.to_json() == emb.image_of_base_uniformizer.to_json()
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (3, 2)])
+def test_level_one_image_matches_the_reference_solver(p, f):
+    Q = p ** f
+    F = base_field(p, f, precision=64)
+    lt = build_tower(F, 1)
+    got = lt.levels[0][0].embedding.image_of_base_uniformizer
+    assert got.is_exact()
+    _, emb = ramified_extension_by_relation(F, Q - 1, lt_level1_relation(Q), precision=64,
+                                            uniformizer="lam1")
+    assert got.to_json() == emb.image_of_base_uniformizer.to_json()
+
+
+def test_wild_branch_image_matches_the_reference_solver(monkeypatch):
+    calls = recorded_images(monkeypatch, formalmod)
+    F = base_field(2, 1, precision=64)
+    torsion_points(module_from_unit_coefficients(F, [1], 2), 1, FieldTower(F))
+    assert [call[0][1] for call in calls] == [2]
+    assert_the_solver_gives_the_same_images(calls)
+
+
+@pytest.mark.parametrize("p,f,n,m", [(3, 1, 1, 3), (2, 1, 2, 2)])
+def test_cached_images_match_the_saved_tower_and_the_reference_solver(
+        monkeypatch, tmp_path, p, f, n, m):
+    lt = cm_tower(p, f, n, m, precision=64)
+    cache.save_tower(str(tmp_path), lt, p, f, n)
+    calls = recorded_images(monkeypatch, cache)
+    loaded = cache.load_tower(str(tmp_path), p, f, n, m, 64)
+    saved = [spec.embedding.image_of_base_uniformizer.to_json() for spec in lt.tower.levels]
+    assert [got.to_json() for _, got in calls] == saved
+    assert [spec.embedding.image_of_base_uniformizer.to_json()
+            for spec in loaded.tower.levels] == saved
+    assert_the_solver_gives_the_same_images(calls)
 
 
 def test_embed_transitivity():

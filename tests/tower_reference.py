@@ -7,6 +7,11 @@ the polynomial and its dense derivative, and repeated residue roots by a
 binomial shift of every coefficient.  The additive search must give the same
 roots and raise the same exceptions on every input.  The residue-root sum on
 FqElement products and powers is the oracle for the one on codes.
+
+ramified_extension_by_relation is the fixed-point relation solver that
+omod.tower replaced by passing closed-form images straight to
+ramified_extension; it stays as the oracle for those images and as the way
+tests build extensions from relations that really iterate.
 """
 
 from fractions import Fraction
@@ -14,8 +19,8 @@ from fractions import Fraction
 from omod.additive import require_separable
 from omod.errors import ExtensionRequired, NoConvergence, PrecisionExhausted
 from omod.newton import newton_polygon
-from omod.series import make_element, series_keys
-from omod.tower import FIXED_POINT_EXTRA_ITERATIONS
+from omod.series import LocalFieldSpec, make_element, series_keys
+from omod.tower import FIXED_POINT_EXTRA_ITERATIONS, ramified_extension
 
 
 def to_dense_coeffs(P):
@@ -282,3 +287,39 @@ def reference_residue_roots(residue, lead):
         if acc.is_zero() and not a.is_zero():
             out.append(a)
     return out
+
+
+def ramified_extension_by_relation(base: LocalFieldSpec, e: int, relation,
+                                   precision=None, uniformizer=None):
+    """ramified_extension with the image solved by fixed-point iteration:
+    relation(field, current) returns the next image from the current guess
+    (zero on the first call).  Each correction must have strictly higher
+    order, within precision + 8 calls; an image is accepted once one more
+    call leaves it unchanged modulo u^precision."""
+    precision = precision if precision is not None else base.default_precision
+
+    def fixed_point(spec):
+        current = spec.zero(precision=precision)
+        prev_gain = -1
+        for _ in range(precision + FIXED_POINT_EXTRA_ITERATIONS):
+            raw = relation(spec, current)
+            new = raw.truncate(precision)
+            corr = new - current
+            if corr.is_zero_mod_precision():
+                # keep exact closed forms exact: a relation whose fixed point is
+                # an exact series re-substitutes to itself with zero residual
+                if raw.is_exact() and (relation(spec, raw) - raw).is_exact_zero():
+                    return raw
+                return new
+            gain = corr.order_lower_bound()
+            if gain <= prev_gain:
+                raise NoConvergence(
+                    "relation is not contracting (correction order %r after %r)"
+                    % (gain, prev_gain))
+            prev_gain = gain
+            current = new
+        raise NoConvergence("fixed point did not stabilize within %d iterations"
+                            % (precision + FIXED_POINT_EXTRA_ITERATIONS))
+
+    return ramified_extension(base, e, fixed_point, precision, uniformizer)
+
