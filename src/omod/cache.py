@@ -28,7 +28,7 @@ def tower_cache_name(p, f, n, m, precision):
 def tower_to_document(lt: LubinTateTower, p, f, n) -> dict:
     levels = []
     for k, (spec, lam) in enumerate(lt.levels, start=1):
-        if spec.base is None or spec not in lt.tower.levels:
+        if spec not in lt.tower.levels:
             levels.append({"degree_one": True})
             continue
         emb = spec.embedding

@@ -52,18 +52,17 @@ def build_parser():
         p.add_argument("--n", type=int, default=1, help="height")
         p.add_argument("--m", type=int, default=1, help="torsion level")
         p.add_argument("--prec", type=int, default=64, help="working precision")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled property checks")
-        p.add_argument("--cm", action="store_true",
-                       help="work over the degree-n unramified enlargement")
 
     # no prefix matching: a stray --p would otherwise be read as --prec
     t = sub.add_parser("tower", help="build a torsion tower and print its data",
                        allow_abbrev=False)
     common(t)
+    t.add_argument("--cm", action="store_true",
+                   help="work over the degree-n unramified enlargement")
     t.add_argument("--output", choices=("text", "json"), default="text")
     v = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
     common(v)
+    v.add_argument("--seed", type=int, default=0, help="seed for pi0's sampled checks")
     v.add_argument("--output", choices=("text", "json", "csv"), default="text")
     v.add_argument("--which", action="append", default=None,
                    help="comma-separated subset of: %s" % ", ".join(WHICH_CHOICES))
@@ -107,17 +106,21 @@ class RunConfig:
         self.m = args.m
         self.precision = args.prec
         self.output = args.output
-        self.seed = args.seed
-        self.cm = args.cm
+        # --seed is verify's flag and --cm tower's; the report config echoes both
+        self.seed = args.seed if args.command == "verify" else 0
+        self.cm = args.command == "tower" and args.cm
         if self.m < 0:
             raise ValueError("m must be >= 0")
         if self.m < 1 and args.command == "verify":
             raise ValueError("verify needs m >= 1")
         if self.precision < 16:
             raise ValueError("precision must be >= 16")
-        degree = self.q ** (self.n * max(self.m, 1))
-        if degree > DEGREE_CAP:
-            raise ValueError("q^(n*max(m,1)) = %d exceeds the degree cap %d"
+        # q >= 2 and 1000 >= DEGREE_CAP.bit_length(), so every exponent past 1000
+        # is over the cap: it is named as q^e, not formed (q^e may be too long to print)
+        exponent = self.n * max(self.m, 1)
+        degree = "%d^%d" % (self.q, exponent) if exponent > 1000 else self.q ** exponent
+        if exponent > 1000 or degree > DEGREE_CAP:
+            raise ValueError("q^(n*max(m,1)) = %s exceeds the degree cap %d"
                              % (degree, DEGREE_CAP))
         if args.command == "tower":
             towers = [(self.n if self.cm else 1, self.m)]
@@ -173,8 +176,7 @@ def cmd_tower(cfg) -> int:
             {"level": k,
              "uniformizer": spec.uniformizer,
              "base_uniformizer_series": (spec.embedding.image_of_base_uniformizer.to_json()
-                                         if spec.embedding is not None and spec.base is not None
-                                         and spec in lt.tower.levels else None)}
+                                         if spec in lt.tower.levels else None)}
             for k, (spec, _lam) in enumerate(lt.levels, start=1)
         ],
     }

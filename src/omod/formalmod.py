@@ -154,13 +154,11 @@ class TorsionModule:
 
     module: FormalOModule
     level: int
-    ring: OModRing | None            # o/t^m over the root residue field
+    ring: OModRing                   # o/t^m over the root residue field
     field: LocalFieldSpec            # where the points live
     basis: list                      # rank-many points
     points: dict                     # coordinate key -> LocalFieldElement
     coords: dict                     # coordinate key -> tuple of OModElement
-    generator: LocalFieldElement | None = None
-    tower: FieldTower | None = None
 
     @property
     def rank(self):
@@ -187,20 +185,19 @@ def coord_key(coord_vector):
 
 
 def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) -> TorsionModule:
-    """Enumerate X[t^m] completely at m = 0, and at m = 1 for mixed-slope
+    """Enumerate X[t^m] completely at m = 1 for the mixed-slope
     specializations, extending the tower as needed: integral slopes in the
     field, plus a declared-uniformizer wild extension for the inseparable
     residue direction.  The orbit model t*T + T^(q^n) over a field with
     residue F_{q^n} has its torsion from its tower (build_tower(...).torsion(m),
     through orbit_torsion_from_generator)."""
+    if m < 1:
+        raise ValueError("torsion levels start at 1, not %d" % m)
     if tower is None:
         tower = FieldTower(X.field)
-    if X.q ** (X.n * max(m, 1)) > DEGREE_CAP:
-        raise CapExceeded("torsion has q^(nm) = %d points > cap %d"
-                          % (X.q ** (X.n * m), DEGREE_CAP))
-    if m == 0:
-        return TorsionModule(X, 0, None, tower.top, [], {(): tower.top.zero()},
-                             {(): ()}, tower=tower)
+    size = X.q ** (X.n * m)
+    if size > DEGREE_CAP:
+        raise CapExceeded("torsion has q^(nm) = %d points > cap %d" % (size, DEGREE_CAP))
     if all(c.is_exact_zero() for c in X.t_action.coeffs[1:-1]) and \
             X.field.residue.q == X.q ** X.n:
         raise ValueError("the orbit model's level-%d torsion comes from its tower:"
@@ -208,10 +205,10 @@ def torsion_points(X: FormalOModule, m: int, tower: FieldTower | None = None) ->
     if m != 1:
         raise CapExceeded("torsion beyond level 1 is only enumerated for the"
                           " rank-one orbit model")
-    return _assemble_from_basis(X, m, tower, _mixed_level1_basis(X, tower), None)
+    return _assemble_from_basis(X, m, tower, _mixed_level1_basis(X, tower))
 
 
-def _assemble_from_basis(X, m, tower, basis, generator):
+def _assemble_from_basis(X, m, tower, basis):
     root = X.field.root
     ring = OModRing(root.residue, m)
     top = tower.top
@@ -235,8 +232,7 @@ def _assemble_from_basis(X, m, tower, basis, generator):
     if len(distinct) != expected:
         raise StructureViolation("torsion points are not pairwise distinct: "
                                  "%d keys for %d points" % (len(distinct), expected))
-    return TorsionModule(X, m, ring, top, embedded, points, coords,
-                         generator=generator, tower=tower)
+    return TorsionModule(X, m, ring, top, embedded, points, coords)
 
 
 def _torsion_level_terms(t, u, k, slope):
@@ -280,7 +276,7 @@ def _torsion_level_image(fld, k, precision):
     return (t * u + fld.uniformizer_elt(Q)).truncate(precision)
 
 
-def build_torsion_chain(X, m, tower, precision, name_prefix):
+def build_torsion_chain(X, m, tower, precision):
     """Adjoin torsion generators of the orbit model t*T + T^Q level by level:
     [t](lam_k) = lam_{k-1}, lam_0 = 0.  Extends the tower in place and returns
     [(field_k, lam_k)], where a degree-one level reuses the current top.
@@ -300,7 +296,7 @@ def build_torsion_chain(X, m, tower, precision, name_prefix):
         else:
             e, image = Q, lambda fld, _k=k: _torsion_level_image(fld, _k, precision)
         spec, _emb = ramified_extension(tower.top, e, image, precision=precision,
-                                        uniformizer="%s%d" % (name_prefix, k))
+                                        uniformizer="lam%d" % k)
         tower.push(spec)
         out.append((spec, spec.uniformizer_elt()))
     return out
@@ -315,7 +311,7 @@ def orbit_torsion_from_generator(X, m, tower, lam) -> TorsionModule:
     lam = lam if lam.field is top else embed(lam, top)
     xgen = X.field.residue.gen() if X.n > 1 else X.field.residue.one()
     basis = [lam.scale(embed_fq(xgen ** j, top.residue)) for j in range(X.n)]
-    return _assemble_from_basis(X, m, tower, basis, lam)
+    return _assemble_from_basis(X, m, tower, basis)
 
 
 def _mixed_level1_basis(X, tower):

@@ -17,7 +17,7 @@ from .errors import (CharacterViolation, DeterminantMismatch, OmodError, OrbitNo
                      ValuationMismatch)
 from .formalmod import (FormalOModule, TorsionModule, act, bijective_level_structure,
                         build_torsion_chain, coord_key, lubin_tate_module,
-                        orbit_torsion_from_generator, t_iterates, torsion_points)
+                        orbit_torsion_from_generator, t_iterates)
 from .pi0 import unit_group
 from .quotring import OModElement, OModRing
 from .series import LocalFieldSpec, base_field, series_keys
@@ -82,15 +82,14 @@ class LubinTateTower:
             self.top, act(a, self.iterates(self.m_max))))
 
     def torsion(self, m=None) -> "TorsionModule":
-        """The fully enumerated torsion table at level m <= m_max, assembled
-        from the existing chain (no new extensions), once per level: the
-        checks that take it only read it."""
+        """The fully enumerated torsion table at level 1 <= m <= m_max,
+        assembled from the existing chain (no new extensions), once per
+        level: the checks that take it only read it."""
         m = self.m_max if m is None else m
-        if m > self.m_max:
-            raise ValueError("tower only built to level %d" % self.m_max)
-        return _built_once(self._built, ("torsion", m), lambda: (
-            torsion_points(self.module, 0, self.tower) if m == 0 else
-            orbit_torsion_from_generator(self.module, m, self.tower, self.lam(m))))
+        if not 1 <= m <= self.m_max:
+            raise ValueError("torsion level %d is outside 1..%d" % (m, self.m_max))
+        return _built_once(self._built, ("torsion", m), lambda: orbit_torsion_from_generator(
+            self.module, m, self.tower, self.lam(m)))
 
     def base_chain(self):
         """mu_1, ..., mu_m of the height-one root model in the top field
@@ -126,7 +125,7 @@ def build_tower(base: LocalFieldSpec, m: int, precision=None) -> LubinTateTower:
     n = base.residue.f // base.root.residue.f
     module = lubin_tate_module(base, n)
     tower = FieldTower(base)
-    levels = build_torsion_chain(module, m, tower, precision, name_prefix="lam")
+    levels = build_torsion_chain(module, m, tower, precision)
     return LubinTateTower(base, module, tower, levels, m, precision)
 
 

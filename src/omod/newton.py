@@ -41,13 +41,6 @@ class NewtonPolygon:
             out.extend([v] * n)
         return out
 
-    def to_json(self):
-        return {
-            "vertices": [[d, [v.numerator, v.denominator]] for d, v in self.vertices],
-            "segments": [[ [s.slope.numerator, s.slope.denominator], s.length]
-                         for s in self.segments],
-        }
-
     def __repr__(self):
         return "NewtonPolygon(%s)" % ", ".join(
             "slope %s x %d" % (s.slope, s.length) for s in self.segments)

@@ -32,8 +32,8 @@ from functools import cached_property
 
 from .errors import (CapExceeded, FrobeniusInvarianceViolation, NotAUnit,
                      NotInvertible, StructureViolation)
-from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors
-from .quotring import OModElement, OModRing, _determinant, _encode, _move_table, _power
+from .finitefield import GF, FieldSpec, _frobenius_table, _prime_factors, _undigits
+from .quotring import OModElement, OModRing, _determinant, _move_table, _power
 
 ENUMERATION_CAP = 1 << 16
 
@@ -258,10 +258,6 @@ class DivisionOrder:
     big: OModRing             # o'/t^m, residue F_{q^n}
     base_residue: FieldSpec   # F_q
 
-    @property
-    def frob_step(self):
-        return self.base_residue.f
-
     @cached_property
     def ring(self):
         """o/t^m, where the reduced norm lies."""
@@ -271,7 +267,7 @@ class DivisionOrder:
     def conjugations(self):
         """Frob^j, j = 0..n-1, on o'/t^m codes (big.code_tables)."""
         tables = self.big.code_tables
-        return [tables.digitwise(_frobenius_table(self.big.residue, self.frob_step * j))
+        return [tables.digitwise(_frobenius_table(self.big.residue, self.base_residue.f * j))
                 for j in range(self.n)]
 
     @cached_property
@@ -280,7 +276,7 @@ class DivisionOrder:
         inverse of the embedding o/t^m -> o'/t^m."""
         decode, q = self.ring.code_tables.decode, self.big.residue.q
         embedding = _move_table(self.base_residue, self.big.residue)
-        return {_encode(decode(k).translate(embedding), q): k for k in range(self.ring.size)}
+        return {_undigits(decode(k).translate(embedding), q): k for k in range(self.ring.size)}
 
     def element(self, coeffs):
         coeffs = list(coeffs) + [self.big.zero()] * (self.n - len(coeffs))

@@ -22,7 +22,7 @@ The digits are derived, not stored: the read-only codes view decodes an
 element's code to a bytes string of length m whose j-th byte is the code
 of a_j, FqElement.code (finitefield's code tables, shared with the series
 kernel).  The per-digit maps (Frobenius, embedding, projection) translate
-that string, and _encode turns digits back into a code.  ring.element reads
+that string, and _undigits turns digits back into a code.  ring.element reads
 the code of each FqElement given, and the read-only coeffs view wraps each
 digit code with the residue field as an FqElement.
 """
@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from .errors import MixedFields
 from .finitefield import (_IDENTITY, FieldSpec, FqElement, _add_rows, _code, _frobenius_table,
-                          _move_table, _tables)
+                          _move_table, _tables, _undigits)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class OModRing:
 
     def element(self, coeffs):
         digits = [_code(self.residue, c) for c in list(coeffs)[: self.m]]
-        return OModElement(self, _encode(digits, self.residue.q))
+        return OModElement(self, _undigits(digits, self.residue.q))
 
     def zero(self):
         return OModElement(self, 0)
@@ -90,15 +90,6 @@ class OModRing:
 @lru_cache(maxsize=None)
 def _code_tables(residue: FieldSpec, m: int):
     return (_RingTables if residue.q ** m <= 256 else _WideTables)(residue, m)
-
-
-def _encode(digits, q):
-    """The code of t-digits given as F_q codes, lowest first: the integer
-    with those base-q digits."""
-    k = 0
-    for d in reversed(digits):
-        k = k * q + d
-    return k
 
 
 def _digits(k, q, m):
@@ -212,7 +203,7 @@ class OModElement:
     def frobenius(self, j=1):
         """Coefficient-wise a_i -> a_i^(p^j)."""
         table = _frobenius_table(self.ring.residue, j)
-        return OModElement(self.ring, _encode(self.codes.translate(table), self.ring.residue.q))
+        return OModElement(self.ring, _undigits(self.codes.translate(table), self.ring.residue.q))
 
     def norm_to(self, sub_residue: FieldSpec):
         """Product of the coefficient-Frobenius conjugates over the subring.
@@ -236,7 +227,7 @@ class OModElement:
         codes = self.codes.translate(_projection_table(sub_residue, self.ring.residue))
         if sub_residue != self.ring.residue and 255 in codes:
             raise MixedFields("%r does not lie in o/t^m over %r" % (self, sub_residue))
-        return OModElement(OModRing(sub_residue, self.ring.m), _encode(codes, sub_residue.q))
+        return OModElement(OModRing(sub_residue, self.ring.m), _undigits(codes, sub_residue.q))
 
     def reduce_to(self, m):
         q = self.ring.residue.q
@@ -339,7 +330,7 @@ class _WideTables:
         def rows(kernel):
             def row(a):
                 x = self.decode(a)
-                return _Lookup(lambda b: _encode(kernel(field, x, self.decode(b)), q))
+                return _Lookup(lambda b: _undigits(kernel(field, x, self.decode(b)), q))
             return _Lookup(row)
 
         self.add_rows, self.mul_rows = rows(_add_codes), rows(_mul_codes)
@@ -350,7 +341,7 @@ class _WideTables:
         self.shift = _Lookup(lambda a: a * q % self.size)
 
     def digitwise(self, table):
-        return _Lookup(lambda a: _encode(self.decode(a).translate(table), self.q))
+        return _Lookup(lambda a: _undigits(self.decode(a).translate(table), self.q))
 
 
 def _determinant(tables, rows):

@@ -338,9 +338,3 @@ class FieldTower:
             raise NotInTower("new level must extend the current top field")
         self.levels.append(spec)
         return spec
-
-    def degree(self):
-        d = 1
-        for spec in self.levels:
-            d *= spec.ramification_index * spec.residue_degree
-        return d

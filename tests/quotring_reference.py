@@ -219,7 +219,7 @@ def reference_order_mul(order, b, c):
     for i, bi in enumerate(b):
         for j, cj in enumerate(c):
             k = i + j
-            coeff = bi * cj.frobenius(order.frob_step * i)
+            coeff = bi * cj.frobenius(order.base_residue.f * i)
             wrap = k // order.n
             if wrap:
                 coeff = coeff * t_power(order.big, wrap)
@@ -238,14 +238,14 @@ def reference_reduced_norm(order, b):
         col = [big_hi.zero()] * n
         for i, a in enumerate(lift):
             k = i + j
-            entry = a.frobenius(order.frob_step * j)
+            entry = a.frobenius(order.base_residue.f * j)
             if k >= n:
                 entry = entry * t_power(big_hi, k // n)
             col[k % n] = col[k % n] + entry
         cols.append(col)
     det = ref_reduce_to(leibniz_determinant([[cols[j][i].coeffs for j in range(n)]
                                              for i in range(n)]), m)
-    assert ref_frobenius(det, order.frob_step) == det
+    assert ref_frobenius(det, order.base_residue.f) == det
     return ref_descend_to(det, order.base_residue)
 
 

@@ -300,6 +300,11 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
            "expected": 1, "status": "pass", "source": "enumeration"}
 
 
+# a degree past the cap's exponent range is rejected without forming q^(n*m)
+_OVER_CAP = (("verify", "--q", "3", "--n", "3000", "--m", "3000"),
+             ("tower", "--q", "2", "--m", "1000000"))
+
+
 @pytest.mark.parametrize("argv,document", [
     (("verify", "--q", "2", "--n", "0", "--m", "1"), None),
     (("verify", "--q", "2", "--n", "-1", "--m", "1"), None),
@@ -325,6 +330,10 @@ _RECORD = {"check": "h0", "claim": "c", "parameters": {"q": 2}, "computed": 1,
     (("tower", "--q", "3", "--m", "2", "--cache-dir"), ""),
     (("verify", "--q", "2", "--n", "2", "--m", "1", "--which", "valuations", "--cache-dir"), ""),
     (("verify", "--q", "4", "--m", "1", "--f", "2"), None),
+    # --cm is tower's flag and --seed verify's
+    (("verify", "--q", "2", "--m", "1", "--cm"), None),
+    (("tower", "--q", "2", "--m", "1", "--seed", "1"), None),
+    *[(argv, None) for argv in _OVER_CAP],
 ])
 def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch, tmp_path,
                                                             argv, document):
@@ -341,10 +350,12 @@ def test_bad_arguments_and_documents_exit_2_before_computing(capsys, monkeypatch
         argv = argv + (str(path),)
     code, out, err = run_cli_or_argparse(capsys, *argv)
     assert code == 2 and out == ""
-    removed = [i for i, arg in enumerate(argv) if arg in ("--p", "--f", "--cache-dir")]
+    unknown = ("--p", "--f", "--cache-dir", "--cm" if argv[0] == "verify" else "--seed")
+    removed = [i for i, arg in enumerate(argv) if arg in unknown]
     if not removed:
         assert len(err.splitlines()) == 1
         assert err.startswith(("configuration error:", "i/o error:"))
+        assert argv not in _OVER_CAP or "degree cap" in err
     elif "--q" in argv:
         assert err.endswith("omod: error: unrecognized arguments: %s\n"
                             % " ".join(argv[removed[0]:]))

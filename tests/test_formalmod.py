@@ -131,13 +131,6 @@ def test_connected_heights():
     assert connected_height(X_h1, fibre="closed") == 1
 
 
-def test_torsion_level_zero():
-    X = cm_module(2, 1, 2)
-    T0 = torsion_points(X, 0)
-    assert len(T0.points) == 1
-    assert list(T0.points.values())[0].is_exact_zero()
-
-
 def test_torsion_points_sends_the_orbit_model_to_its_tower():
     # the orbit model's torsion has one construction: its tower's table
     X = cm_module(2, 1, 2)
@@ -196,8 +189,7 @@ def test_structure_check_negative_control():
 
     k_bad = next(k for k in keys if corrupted[k].is_known_nonzero())
     corrupted[k_bad] = corrupted[k_bad] + root_uniformizer_image(Tm.field)
-    bad = TorsionModule(Tm.module, 1, Tm.ring, Tm.field, Tm.basis, corrupted, Tm.coords,
-                        generator=Tm.generator, tower=Tm.tower)
+    bad = TorsionModule(Tm.module, 1, Tm.ring, Tm.field, Tm.basis, corrupted, Tm.coords)
     with pytest.raises(StructureViolation):
         omodule_structure_check(bad)
 
@@ -210,10 +202,10 @@ def test_torsion_points_that_differ_only_past_the_known_window_collide():
     F = X.field
     b2 = int_poly(F, {3: 1}, precision=20)
     b1 = int_poly(F, {19: 1}, precision=30)
-    assert len(_assemble_from_basis(X, 1, FieldTower(F), [b1, b2], None).points) == 4
+    assert len(_assemble_from_basis(X, 1, FieldTower(F), [b1, b2]).points) == 4
     b1 = int_poly(F, {20: 1}, precision=30)
     with pytest.raises(StructureViolation, match="2 keys for 4 points"):
-        _assemble_from_basis(X, 1, FieldTower(F), [b1, b2], None)
+        _assemble_from_basis(X, 1, FieldTower(F), [b1, b2])
 
 
 def test_level_structure_product_equals_t_action():

@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from omod.errors import PrecisionExhausted, StructureViolation
+from omod.formalmod import torsion_points
 from omod.lubintate import (build_tower, character_restriction_consistent,
                             cm_tower, locate_base_torsion_chain,
                             orbit_representatives, verify_character,
@@ -38,12 +39,15 @@ def test_tower_degrees_q2_m3():
     assert [lvl[0].degree_over(lt.base) for lvl in lt.levels] == [1, 2, 4]
 
 
-def test_torsion_at_level_zero_is_the_zero_point():
+def test_torsion_levels_run_from_one_to_the_top():
     lt = build_tower(base_field(3, 1), 2)
-    T0 = lt.torsion(0)
-    assert T0.level == 0
-    assert len(T0.points) == 1
+    assert [lt.torsion(m).level for m in (1, 2)] == [1, 2]
     assert lt.torsion().level == 2
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            lt.torsion(m)
+    with pytest.raises(ValueError, match="levels start at 1"):
+        torsion_points(lt.module, 0, lt.tower)
 
 
 def test_level_series_serialize_unchanged_q4_m2():
@@ -170,7 +174,6 @@ def test_a_failed_torsion_build_is_raised_again_without_a_rebuild(monkeypatch):
                            " distinct: 3 keys for 9 points$"):
             lt.torsion()
     assert calls == [2]
-    assert lt.torsion(0).level == 0
 
 
 def test_power_tables_are_freed_with_their_images():

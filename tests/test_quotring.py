@@ -10,8 +10,9 @@ import pytest
 
 from omod.errors import MixedFields
 from omod import finitefield
-from omod.finitefield import FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables
-from omod.quotring import (OModElement, OModRing, _add_codes, _digits, _encode, _mul_codes,
+from omod.finitefield import (FIXED_MODULI, GF, FqElement, _frobenius_table, _is_prime, _Tables,
+                              _undigits)
+from omod.quotring import (OModElement, OModRing, _add_codes, _digits, _mul_codes,
                            _power, _RingTables, _WideTables)
 
 import finitefield_reference as fref
@@ -195,11 +196,11 @@ def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     # the same ring with tables filled on first lookup, on the same codes
     wide = _WideTables(ring.residue, m)
     for k, x in enumerate(digit):
-        assert _encode(x, q) == k
+        assert _undigits(x, q) == k
         assert tables.decode(k) == wide.decode(k) == x
         assert tables.digitwise(frob)[k] == wide.digitwise(frob)[k] == \
-            _encode(x.translate(frob), q)
-        assert tables.neg[k] == wide.neg[k] == _encode(x.translate(field.neg), q)
+            _undigits(x.translate(frob), q)
+        assert tables.neg[k] == wide.neg[k] == _undigits(x.translate(field.neg), q)
         assert tables.shift[k] == wide.shift[k] == k * q % size
         assert tables.inv[k] == wide.inv[k]
         assert tables.mul_rows[k][tables.inv[k]] == 1 if k % q else tables.inv[k] == 0
@@ -211,7 +212,7 @@ def test_byte_tables_match_the_digit_kernel_on_every_pair(p, f, m):
     for a, x in enumerate(digit):
         for rows, wide_rows, kernel in ((tables.add_rows, wide.add_rows, _add_codes),
                                         (tables.mul_rows, wide.mul_rows, _mul_codes)):
-            want = bytes(_encode(kernel(field, x, y), q) for y in digit)
+            want = bytes(_undigits(kernel(field, x, y), q) for y in digit)
             assert rows[a][:size] == want
             assert bytes(wide_rows[a][b] for b in range(size)) == want
         # a - b is the c with c + b = a, once addition is checked
