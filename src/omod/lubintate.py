@@ -47,15 +47,13 @@ class LubinTateTower:
         return self.tower.top
 
     def degree(self, k=None):
-        """[F_k : base] = (Q-1) Q^(k-1)."""
-        k = self.m_max if k is None else k
-        if k == 0:
-            return 1
-        return self.levels[k - 1][0].degree_over(self.base)
+        """[F_k : base] = (Q-1) Q^(k-1) at level 0 <= k <= m_max."""
+        k = self.m_max if k is None else _level(k, 0, self.m_max)
+        return 1 if k == 0 else self.levels[k - 1][0].degree_over(self.base)
 
     def lam(self, k):
-        """lam_k embedded into the top field."""
-        lam = self.levels[k - 1][1]
+        """lam_k, 1 <= k <= m_max, embedded into the top field."""
+        lam = self.levels[_level(k, 1, self.m_max) - 1][1]
         return lam if lam.field is self.top else embed(lam, self.top)
 
     def t_image(self):
@@ -68,8 +66,9 @@ class LubinTateTower:
 
     def iterates(self, k):
         """lam_k, [t](lam_k), ..., [t]^(k-1)(lam_k) in the top field, formed
-        once per level: [a](lam_k) for every a in o/t^k is act(a, these)."""
-        return _built_once(self._built, ("iterates", k),
+        once per level 1 <= k <= m_max: [a](lam_k) for every a in o/t^k is
+        act(a, these)."""
+        return _built_once(self._built, ("iterates", _level(k, 1, self.m_max)),
                            lambda: t_iterates(self.module, self.lam(k), k))
 
     def torsion_automorphism(self, a: OModElement) -> FieldAutomorphism:
@@ -102,6 +101,13 @@ class LubinTateTower:
         check_composition_law has passed: run once per tower, unless
         verify_character recorded its own run."""
         return _built_once(self._built, "law", lambda: check_composition_law(self))
+
+
+def _level(k, lowest, highest):
+    """k, a tower level index from lowest to highest (ValueError otherwise)."""
+    if not lowest <= k <= highest:
+        raise ValueError("tower level %d is outside %d..%d" % (k, lowest, highest))
+    return k
 
 
 def _built_once(store, key, build):

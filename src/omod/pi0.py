@@ -43,13 +43,13 @@ ENUMERATION_CAP = 1 << 16
 
 @dataclass(eq=False)
 class UnitGroup:
-    """(o/t^m)^x, fully enumerated, with a verified cyclic decomposition."""
+    """(o/t^m)^x, fully enumerated in code order, with a verified cyclic
+    decomposition; the tests build its discrete logs and JSON document."""
 
     ring: OModRing
     elements: list
     generators: list          # [(element, order)], aligned with invariant_factors
     invariant_factors: list   # [d_1, d_2, ...], d_{i+1} | d_i
-    dlog: dict                # element digits (codes) -> exponent tuple over the generators
 
     @property
     def order(self):
@@ -58,14 +58,6 @@ class UnitGroup:
     @property
     def exponent(self):
         return self.invariant_factors[0] if self.invariant_factors else 1
-
-    def to_json(self):
-        return {
-            "q": self.ring.residue.q, "m": self.ring.m, "order": self.order,
-            "invariant_factors": list(self.invariant_factors),
-            "generators": [list(g.codes) for g, _ in self.generators],
-            "elements": [list(e.codes) for e in self.elements],
-        }
 
 
 def unit_group(pf, m) -> UnitGroup:
@@ -91,8 +83,7 @@ def unit_group(pf, m) -> UnitGroup:
     if len(elements) != expected:
         raise StructureViolation("unit count %d != (q-1)q^(m-1) = %d"
                                  % (len(elements), expected))
-    gens, dlog = _generator_basis(elements, ring, factors)
-    return UnitGroup(ring, elements, gens, factors, dlog)
+    return UnitGroup(ring, elements, _generator_basis(elements, ring, factors), factors)
 
 
 def expected_invariant_factors(p, f, m):
@@ -121,15 +112,15 @@ def expected_invariant_factors(p, f, m):
 
 
 def _generator_basis(elements, ring, factors):
-    """Explicit generators for the invariant factors, by depth-first search
-    over `elements` in their order.  For factor d only candidates of exact
-    order d are tried (c^d = 1 and c^(d/r) != 1 for each prime r | d, by
-    square-and-multiply powers).  A candidate c extends the span S of the
-    generators before it to S c^0, ..., S c^(d-1) in exponent-tuple order,
-    and is rejected at the first collision: the span has size prod(factors)
-    exactly when the exponent-tuple map is injective.  The final span must
-    hit every unit exactly once, or StructureViolation is raised.  The
-    search runs on the ring's integer codes, where one is 1."""
+    """Explicit generators [(element, order)] for the invariant factors, by
+    depth-first search over `elements` in their order.  For factor d only
+    candidates of exact order d are tried (c^d = 1 and c^(d/r) != 1 for each
+    prime r | d, by square-and-multiply powers).  A candidate c extends the
+    span S of the generators before it to S c^0, ..., S c^(d-1), and is
+    rejected at the first collision: the span has size prod(factors) exactly
+    when the exponent-tuple map is injective.  The final span must hit every
+    unit exactly once, or StructureViolation is raised.  The search runs on
+    the ring's integer codes, where one is 1."""
     tables = ring.code_tables
     mul = tables.mul_rows
 
@@ -141,19 +132,19 @@ def _generator_basis(elements, ring, factors):
         powers = [1]
         for _ in range(d - 1):
             powers.append(mul[powers[-1]][c])
-        out = {}
-        for s, exps in span.items():
+        out = set()
+        for s in span:
             row = mul[s]
-            for e, power in enumerate(powers):
+            for power in powers:
                 key = row[power]
                 if key in out:
                     return None
-                out[key] = exps + (e,)
+                out.add(key)
         return out
 
     def search(idx, gens, span):
         if idx == len(factors):
-            return (gens, span) if len(span) == len(elements) else None
+            return gens if len(span) == len(elements) else None
         d = factors[idx]
         for cand in elements:
             if not has_order(cand.code, d):
@@ -165,11 +156,10 @@ def _generator_basis(elements, ring, factors):
                     return found
         return None
 
-    found = search(0, [], {1: ()})
+    found = search(0, [], {1})
     if found is None:
         raise StructureViolation("no generator basis found for factors %r" % (factors,))
-    gens, span = found
-    return gens, {tables.decode(key): exps for key, exps in span.items()}
+    return found
 
 
 # --- characters -------------------------------------------------------------------
@@ -434,25 +424,6 @@ class Pi0Action:
         if tau_chi is not None:
             unit = tau_chi.inv() * unit
         return [(tuple(c.codes), tuple((unit * c).codes)) for c in self.group.elements]
-
-    def to_json(self):
-        """Action of the generator set on components, in deterministic
-        (lexicographic) element order."""
-        doc = {"group": self.group.to_json(), "generator_actions": []}
-        for idx, g in enumerate(self.gl_gens):
-            doc["generator_actions"].append({
-                "kind": "gl", "index": idx,
-                "matrix": [[list(entry.codes) for entry in row] for row in g],
-                "table": [[list(src), list(dst)] for src, dst in self.component_table(g=g)],
-            })
-        for a in self.order.big.units():
-            b = self.order.scalar(a)
-            doc["generator_actions"].append({
-                "kind": "order-scalar",
-                "scalar": list(a.codes),
-                "table": [[list(src), list(dst)] for src, dst in self.component_table(b=b)],
-            })
-        return doc
 
 
 def pi0_action_table(p, f, n, m, rng=None, pair_samples=200,

@@ -21,7 +21,8 @@ checking its field), and coeffs, coeff_at and leading_coeff wrap a stored
 code with the residue field, so no conversion runs in either direction.
 
 Substitution x(U) = sum_i c_i U^(e0+i) is a linear map once the powers of U
-are known.  Each element used as a uniformizer image keeps a table of its
+are known.  Its domain is what the tower code substitutes: a power series x
+(e0 >= 0) into an image U whose leading term is known.  Each element used as a uniformizer image keeps a table of its
 powers (the cached property `_powers`), reused by every later substitution
 into the same image: the images of embeddings and automorphisms, which the
 tower code applies many times each.  The table forms only the powers a
@@ -47,7 +48,7 @@ from functools import cached_property
 import math
 import weakref
 
-from .errors import (DivisionByUncertainZero, MixedFields, NotInTower,
+from .errors import (DivisionByUncertainZero, IndexOutOfRange, MixedFields, NotInTower,
                      PrecisionExhausted, UncertainValuation)
 from .finitefield import (FieldSpec, FqElement, GF, _code, _digit_chunks, _frobenius_table,
                           _move_table, _tables)
@@ -94,10 +95,6 @@ class LocalFieldSpec:
     base: "LocalFieldSpec | None" = None
     default_precision: int = 64
     embedding: BaseEmbedding | None = dc_field(default=None, repr=False)
-
-    @property
-    def q(self):
-        return self.residue.q
 
     @property
     def root(self):
@@ -496,45 +493,32 @@ def _mul_prec(a, b):
 
 
 class _PowerTable:
-    """The powers U^k of one substitution image U, each formed once, when a
-    substitution first needs it.  U^0 = 1 and U^k = U^(k-1) * U for
-    0 < k < p.  From k = p on, a U with a known leading term (exact, or
-    leading exponent v below its precision) takes the base-p chain
-    U^k = Frob(U^(k//p)) * U^(k mod p): x -> x^p is a ring endomorphism in
-    characteristic p, so the twist costs no product.  The twist is truncated
-    to prec(U) + (p (k//p) - 1) v, the precision of the consecutive product,
-    so every U^k equals that product, codes and precision both.  A U without
-    a known leading term takes consecutive products for every k.  Downward,
-    U^-1 = U.inv() and U^(k-1) = U^k * U^-1.  For U of nonnegative order
-    with a known leading term, a combination of powers equals the
-    power-by-power evaluation from U ** e0, precision included.  Each power
-    is kept as (leading exponent, codes, precision), its codes packed on
-    first use.  The table refers to no element or field: U is passed to
-    every call."""
+    """The powers U^k, k >= 0, of one substitution image U, each formed once,
+    when a substitution first needs it.  U has a known leading term (it is
+    exact, or its leading exponent v lies below its precision); substitute
+    admits no other image.  U^0 = 1 and U^k = U^(k-1) * U for 0 < k < p.
+    From k = p on, U^k = Frob(U^(k//p)) * U^(k mod p): x -> x^p is a ring
+    endomorphism in characteristic p, so the twist costs no product.  The
+    twist is truncated to prec(U) + (p (k//p) - 1) v, the precision of the
+    consecutive product, so every U^k equals that product, codes and
+    precision both.  For U of nonnegative order, a combination of powers
+    equals the power-by-power evaluation from U ** e0, precision included.
+    Each power is kept as (leading exponent, codes, precision), its codes
+    packed on first use.  The table refers to no element or field: U is
+    passed to every call."""
 
     def __init__(self):
         self.powers = {0: (0, b"\x01", None)}  # k -> U^k, for the k formed so far
-        self.lo = 0                           # every exponent lo..0 is held
         self.packed = {}                      # (k, width) -> the codes of U^k packed at width
 
     def power(self, U, k):
-        """(leading exponent, codes, precision) of U^k."""
+        """(leading exponent, codes, precision) of U^k, k >= 0."""
         powers = self.powers
         if k in powers:
             return powers[k]
         field = U.field
-        if k < 0:
-            while k < self.lo:
-                step = LocalFieldElement(field, *powers[-1]) if self.lo < 0 else U.inv()
-                y = LocalFieldElement(field, *powers[self.lo]) * step
-                self.lo -= 1
-                powers[self.lo] = (y.leading_exponent, y.codes, y.precision)
-            return powers[k]
         p = field.residue.p
-        regular = U.precision is None or bool(U.codes) and U.leading_exponent < U.precision
-        if not regular or k < p:
-            # iterative: an image without a known leading term can be asked
-            # for thousands of consecutive powers
+        if k < p:
             j = k - 1
             while j not in powers:
                 j -= 1
@@ -598,12 +582,17 @@ class _PowerTable:
 
 
 def substitute(x, image_of_uniformizer):
-    """Evaluate the series x with its uniformizer replaced by another element.
+    """Evaluate the power series x with its uniformizer replaced by another
+    element.
 
     The replacement element may live in a different field (embedding) or in
     the same field (automorphism).  Residue coefficients pass through the
-    canonical embedding into the target residue field.
-    Raises PrecisionExhausted when nothing significant survives.
+    canonical embedding into the target residue field.  An x that is zero
+    modulo its precision gives zero to the precision it implies.  Otherwise
+    x must have no pole (IndexOutOfRange) and the image a known leading term:
+    exact, or with its leading exponent below its precision
+    (PrecisionExhausted).  Raises PrecisionExhausted when nothing significant
+    survives.
 
     The powers of the image come from its power table (_PowerTable), which
     the image keeps for its lifetime: a call forms only the powers (and
@@ -619,6 +608,12 @@ def substitute(x, image_of_uniformizer):
         if vU is math.inf:
             raise PrecisionExhausted("substituting into an exact zero uniformizer image")
         return target.zero(precision=x.precision * vU)
+    if x.leading_exponent < 0:
+        raise IndexOutOfRange("substituting a series with a pole of order %d"
+                              % -x.leading_exponent)
+    if U.precision is not None and not (U.codes and U.leading_exponent < U.precision):
+        raise PrecisionExhausted("uniformizer image has no known leading term below u^%d"
+                                 % U.precision)
     codes = x.codes.translate(_move_table(x.field.residue, target.residue))
     e0 = x.leading_exponent
     acc = U._powers.combine(U, e0, codes)

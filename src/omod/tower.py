@@ -114,9 +114,6 @@ class FieldAutomorphism:
         if self.image_of_uniformizer.field is not self.field:
             raise MixedFields("uniformizer image must live in the automorphism's field")
 
-    def __call__(self, x):
-        return apply_automorphism(self, x)
-
 
 def apply_automorphism(sigma: FieldAutomorphism, x: LocalFieldElement):
     if x.field is not sigma.field:

@@ -50,6 +50,23 @@ def test_torsion_levels_run_from_one_to_the_top():
         torsion_points(lt.module, 0, lt.tower)
 
 
+def test_level_indices_outside_the_tower_are_rejected():
+    # lam and iterates take 1 <= k <= m, degree 0 <= k <= m: no index wraps
+    # around to another level (lam(0) once returned lam_2, degree(-1) the
+    # degree of level 1)
+    lt = build_tower(base_field(3, 1), 2)
+    assert [lt.degree(k) for k in (0, 1, 2)] == [1, 2, 6]
+    assert lt.iterates(1) == [lt.lam(1)] and lt.iterates(2)[0] == lt.lam(2)
+    for k in (-1, 0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            lt.lam(k)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            lt.iterates(k)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            lt.degree(k)
+
+
 def test_level_series_serialize_unchanged_q4_m2():
     # the level series and one torsion substitution of the q = 4, m = 2 tower,
     # as serialized before coefficients were stored as codes

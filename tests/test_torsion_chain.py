@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from omod.cache import save_tower
+from omod.cli import main
 from omod.errors import NoConvergence, OmodError
 from omod.lubintate import cm_tower
 from omod.series import LocalFieldElement, _PowerTable
@@ -150,6 +151,25 @@ def test_saved_tower_bytes_unchanged(tmp_path, key):
     path = save_tower(str(tmp_path), cm_tower(*key), p, f, n)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SAVED_TOWERS[key]
+
+
+# sha256 of `omod tower --output json` at the same keys: the fingerprint that
+# stays when the tower cache and its save_tower files go
+TOWER_JSON = {
+    (2, 1, 1, 3, 64): "e990cd39dd1d321d86dc84c727b4d02fa7ce030f39f36040e21708898f8a9d38",
+    (3, 1, 1, 3, 64): "f102365ba60ef33cd918aef904eb6a2886546f2ae174172620e68b9b323c0505",
+    (2, 2, 1, 3, 64): "37621e91bdb923cd9984bfab75fbdb7673d34616474529cb56845d9f5d988cec",
+    (2, 1, 1, 8, 512): "986bb994937d2142d8d1c700521b9d769532e3a0dc62b259d02af44f92c51c41",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAVED_TOWERS))
+def test_tower_json_bytes_at_the_saved_tower_keys(capsys, key):
+    p, f, n, m, prec = key
+    argv = ["tower", "--q", str(p ** f), "--n", str(n), "--m", str(m), "--prec", str(prec),
+            "--output", "json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TOWER_JSON[key]
 
 
 def test_tower_tables_are_formed_once():
