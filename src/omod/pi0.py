@@ -20,7 +20,9 @@ with Pi^n = t.  At n = 2 the matrix is [[b0, t Frob(b1)], [b1, Frob(b0)]],
 so Nrd(b0 + b1 Pi) = b0 Frob(b0) - t Frob(b1) b1, and the order product is
 (b0 + b1 Pi)(c0 + c1 Pi) = (b0 c0 + t b1 Frob(c1)) + (b0 c1 + b1 Frob(c0)) Pi;
 both are computed in that closed form.  At n >= 3 the norm eliminates on
-the n x n matrix and the product sums its n^2 terms.
+the n x n matrix and the product sums its n^2 terms.  Likewise a sampled
+[[a, b], [c, d]] in GL_2(o/t^m) is accepted on its own a d - b c being a
+unit, while at n >= 3 the sampler eliminates.
 """
 
 from __future__ import annotations
@@ -369,14 +371,31 @@ def _gl_sample(order, rng):
     """A uniform sample of GL_n(o/t^m), as a list of code rows, with its
     determinant: uniform matrices (n^2 randrange draws each, row by row, a
     draw k being the element with code k), at most 64 of them, until one is
-    invertible.  The unit-pivot elimination decides invertibility (None on a
-    singular matrix), so the determinant that accepts a matrix comes with
-    it."""
+    invertible.  The determinant decides invertibility, so the one that
+    accepts a matrix comes with it: at n = 2 in closed form, a*d - b*c a
+    unit, and at n >= 3 by unit-pivot elimination (None on a singular
+    matrix)."""
     n, ring = order.n, order.ring
+    tables, size = ring.code_tables, ring.size
+    if n == 2:
+        # _draws' rule for a, b, c, d, and _determinant's 2x2 tail
+        getrandbits, k = rng.getrandbits, size.bit_length()
+        q, mul, sub = tables.q, tables.mul_rows, tables.sub_rows
+        for _ in range(64):
+            entries = []
+            while len(entries) < 4:
+                r = getrandbits(k)
+                if r < size:
+                    entries.append(r)
+            a, b, c, d = entries
+            det = sub[mul[a][d]][mul[b][c]]
+            if det % q:
+                return [[a, b], [c, d]], det
+        raise NotInvertible("no invertible sample found")
     for _ in range(64):
-        entries = _draws(rng, ring.size, n * n)
+        entries = _draws(rng, size, n * n)
         rows = [entries[i:i + n] for i in range(0, n * n, n)]
-        det = _determinant(ring.code_tables, rows)
+        det = _determinant(tables, rows)
         if det is not None:
             return rows, det
     raise NotInvertible("no invertible sample found")

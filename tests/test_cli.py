@@ -213,17 +213,21 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     (4, 2, 2, 1024, "determinant"),
     (2, 2, 4, 1024, "determinant,product"),
     (2, 1, 8, 1024, "determinant,product"),
+    (3, 2, 2, None, "pi0,h0"),
+    (2, 3, 1, None, "pi0,h0"),
 ])
 def test_high_precision_rows_pass_with_golden_bytes(capsys, q, n, m, prec, which):
     # substitutions at these precisions reach powers in the hundreds and
-    # thousands; the golden files pin each report byte for byte
+    # thousands, and the pi0 rows rest on seeded samples; the golden files
+    # pin each report byte for byte
+    precision = [] if prec is None else ["--prec", str(prec)]
     code, out, _ = run_cli(capsys, "verify", "--q", str(q), "--n", str(n), "--m", str(m),
-                           "--prec", str(prec), "--which", which, "--output", "json",
-                           "--seed", "7")
+                           *precision, "--which", which, "--output", "json", "--seed", "7")
     assert code == 0
     assert [r["status"] for r in json.loads(out)["results"]] == ["pass"] * len(which.split(","))
-    name = "verify_q%d_n%d_m%d_prec%d%s.json" % (q, n, m, prec,
-                                                  "" if "," in which else "_" + which)
+    name = "verify_q%d_n%d_m%d%s%s.json" % (
+        q, n, m, "" if prec is None else "_prec%d" % prec,
+        "" if which == "determinant,product" else "_" + which.replace(",", "_"))
     with open(os.path.join(GOLDEN, name)) as fh:
         assert out == fh.read()
 

@@ -217,8 +217,9 @@ def test_determinant_matches_leibniz_sampled(case, n, data):
     assert_matches_leibniz(g, R)
 
 
+# ((3, 1), 2, 6): o/t^6 has 729 elements, so its tables fill on first lookup
 @pytest.mark.parametrize("q_pf,n,m", [((2, 1), 2, 2), ((2, 1), 4, 1), ((3, 1), 3, 2),
-                                      ((2, 2), 2, 3)])
+                                      ((2, 2), 2, 3), ((3, 1), 2, 6)])
 def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
     for order in encodings(GF(*q_pf), n, m):
         R = order.ring
@@ -230,6 +231,28 @@ def test_random_gl_element_draws_as_the_leibniz_test_did(q_pf, n, m):
             # the determinant that accepted the sample is the sample's determinant
             assert OModElement(R, det).coeffs == leibniz_determinant(boxed(R, rows))
         assert ours.getstate() == reference.getstate()
+
+
+class _ZeroBits:
+    """An rng whose every getrandbits is 0: each draw is kept, and every
+    sampled matrix is zero."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return 0
+
+
+# n = 2 accepts on a*d - b*c, n = 3 eliminates
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_sampler_that_never_draws_an_invertible_matrix_stops_after_64(n):
+    order = DivisionOrder(n, OModRing(GF(3, n), 2), GF(3))
+    rng = _ZeroBits()
+    with pytest.raises(NotInvertible, match="no invertible sample found"):
+        _gl_sample(order, rng)
+    assert rng.calls == 64 * n * n
 
 
 def test_draws_are_the_values_and_state_of_randrange():
@@ -343,15 +366,18 @@ def _determinant_without_the_swap_sign(tables, rows):
 
 
 # pi0_action_table(3, 1, 2, m): o'/t^m has 9 and 81 elements for m = 1, 2
-# (full tables) and 729 for m = 3 (tables filled on first lookup)
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_a_determinant_without_the_swap_sign_fails_the_det_check(m, monkeypatch):
-    # the sampler's determinant comes from the same kernel as the product's,
-    # so this shows that reusing it leaves the check able to fail
-    pi0_action_table(3, 1, 2, m, rng=random.Random(0))
+# (full tables) and 729 for m = 3 (tables filled on first lookup);
+# pi0_action_table(3, 1, 3, m): o'/t^m has 27 and 729 elements
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_a_determinant_without_the_swap_sign_fails_the_det_check(n, m, monkeypatch):
+    # at n = 2 the sampler accepts on its own a*d - b*c and only the
+    # product's determinant eliminates; at n = 3 both come from the same
+    # kernel, so this shows that reusing the sampler's leaves the check able
+    # to fail
+    pi0_action_table(3, 1, n, m, rng=random.Random(0))
     monkeypatch.setattr(pi0, "_determinant", _determinant_without_the_swap_sign)
     with pytest.raises(NotInvertible, match="det not multiplicative on a sampled pair"):
-        pi0_action_table(3, 1, 2, m, rng=random.Random(0))
+        pi0_action_table(3, 1, n, m, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
